@@ -238,6 +238,10 @@ func (p *Pool) Close(id TaskID) {
 // Closed reports whether the task has been closed.
 func (p *Pool) Closed(id TaskID) bool { return p.closed[id] }
 
+// Reopen undoes Close (dropped leases stay dropped). Journal replay uses it
+// to fold an answer whose record landed in the log behind its task's close.
+func (p *Pool) Reopen(id TaskID) { delete(p.closed, id) }
+
 // OpenTasks returns the ids of tasks that are not closed, in insertion
 // order.
 func (p *Pool) OpenTasks() []TaskID {

@@ -1,6 +1,7 @@
 package cql
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/operators"
 )
 
 // resultSet is a batch of rows flowing between plan nodes. While the
@@ -41,8 +43,7 @@ func (s *Session) run(plan PlanNode) (*model.Relation, error) {
 
 func (s *Session) exec(node PlanNode) (*resultSet, error) {
 	// Cancellation gate: a canceled query stops before its next plan stage
-	// (the per-question gate in askChoice/askFill handles cancellation
-	// inside a stage).
+	// (askRound's context handles cancellation inside a stage).
 	if err := s.queryCtx().Err(); err != nil {
 		return nil, err
 	}
@@ -195,29 +196,61 @@ func (s *Session) execCrowdFill(n *CrowdFillNode) (*resultSet, error) {
 			return nil, fmt.Errorf("cql: internal: fill column %q missing", col)
 		}
 		colType := in.base.Schema.Columns[ci].Type
-		// Columns iterate outer, rows inner (question order is pinned by
-		// golden tests), so a row is complete once the last column's loop
-		// has passed it — that is where partial rows stream out.
+		// One round per column: a later column's question shows the row with
+		// the earlier columns already filled in. Within the column the
+		// frontier is every NULL cell, asked in row order (question order is
+		// pinned by golden tests).
+		var tasks []*core.Task
+		var asked []int // row index of each question
+		for ri, row := range in.rows {
+			if !row[ci].IsNull() {
+				continue
+			}
+			// known=false means even the oracle cannot say: workers then
+			// produce junk, and the mode of junk stays NULL below.
+			truth, known := s.Oracle.fill(in.base.Name, col, row, in.base.Schema)
+			if !known {
+				truth = ""
+			}
+			tasks = append(tasks, &core.Task{
+				Kind:            core.FillIn,
+				Question:        fmt.Sprintf("Provide %s for %s", col, rowPreview(row)),
+				GroundTruthText: truth,
+				Difficulty:      0.2,
+			})
+			asked = append(asked, ri)
+		}
+		// A row is complete once the last column's round has passed it —
+		// that is where partial rows stream out, in row order: rows before
+		// the first open cell at once, the others as the resolved prefix
+		// reaches them.
 		emit := s.progressFn != nil && PlanNode(n) == s.progressNode && colIdx == len(n.Columns)-1
-		for _, row := range in.rows {
-			if row[ci].IsNull() {
-				truth, known := s.Oracle.fill(in.base.Name, col, row, in.base.Schema)
-				text, err := s.askFill(
-					fmt.Sprintf("Provide %s for %s", col, rowPreview(row)),
-					truth, known)
-				if err != nil {
-					return nil, err
-				}
-				if v, perr := model.ParseValue(text, colType); perr == nil {
-					row[ci] = v // aliases the base tuple: memoized
-					s.Stats.Fills++
-				}
-				// Unparseable crowd input stays NULL rather than failing
-				// the query; the cell can be retried later.
+		emitted := 0
+		emitBefore := func(q int) {
+			if !emit {
+				return
 			}
-			if emit {
-				s.progressFn(in.bs, row)
+			upTo := len(in.rows)
+			if q < len(asked) {
+				upTo = asked[q]
 			}
+			for ; emitted < upTo; emitted++ {
+				s.progressFn(in.bs, in.rows[emitted])
+			}
+		}
+		emitBefore(0)
+		err := s.askRound(tasks, func(i int, answers []core.Answer) error {
+			if v, perr := model.ParseValue(modeText(answers), colType); perr == nil {
+				in.rows[asked[i]][ci] = v // aliases the base tuple: memoized
+				s.Stats.Fills++
+			}
+			// Unparseable crowd input stays NULL rather than failing the
+			// query; the cell can be retried later.
+			emitBefore(i + 1)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return in, nil
@@ -228,75 +261,78 @@ func (s *Session) execCrowdFilter(n *CrowdFilterNode) (*resultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &resultSet{bs: in.bs, base: in.base}
-	emit := s.progressFn != nil && PlanNode(n) == s.progressNode
-	for _, row := range in.rows {
-		keep := true
-		for _, p := range n.Preds {
-			ok, err := s.evalCrowdPred(p, in.bs, row)
+	// One round per predicate over the rows that survived the previous
+	// ones: the same question set as evaluating each row's predicates with
+	// short-circuit, asked a predicate at a time.
+	rows := in.rows
+	for pi, p := range n.Preds {
+		var tasks []*core.Task
+		var asked []model.Tuple
+		for _, row := range rows {
+			task, err := s.crowdPredTask(p, in.bs, row)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				keep = false
-				break
+			if task != nil {
+				tasks = append(tasks, task)
+				asked = append(asked, row)
 			}
 		}
-		if keep {
-			out.rows = append(out.rows, row)
-			if emit {
-				s.progressFn(in.bs, row)
+		emit := s.progressFn != nil && PlanNode(n) == s.progressNode && pi == len(n.Preds)-1
+		var kept []model.Tuple
+		err := s.askChoices(tasks, func(i, opt int) {
+			s.Stats.CrowdFilterRows++
+			if opt == 1 {
+				kept = append(kept, asked[i])
+				if emit {
+					s.progressFn(in.bs, asked[i])
+				}
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
+		rows = kept
 	}
-	return out, nil
+	return &resultSet{bs: in.bs, base: in.base, rows: rows}, nil
 }
 
-// evalCrowdPred asks the crowd one predicate about one row.
-func (s *Session) evalCrowdPred(p Expr, bs *boundSchema, row model.Tuple) (bool, error) {
+// crowdPredTask builds the question one crowd predicate asks about one
+// row; a nil task means the row fails without asking (NULL value).
+func (s *Session) crowdPredTask(p Expr, bs *boundSchema, row model.Tuple) (*core.Task, error) {
 	switch v := p.(type) {
 	case *CrowdEqual:
 		idx, err := bs.resolve(v.Column)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		val := row[idx]
 		if val.IsNull() {
-			return false, nil
+			return nil, nil
 		}
 		lit := v.Literal.Value.AsString()
 		truth := s.Oracle.equal(val.String(), lit)
 		// Pairs that look half-similar are genuinely hard for humans too.
 		sim := cost.CombinedSimilarity(val.String(), lit)
 		difficulty := clampF(1-2*absF(sim-0.5), 0.05, 0.95)
-		opt, err := s.askChoice(
+		return choiceTask(
 			fmt.Sprintf("Do %q and %q refer to the same thing?", val.String(), lit),
-			[]string{"no", "yes"}, boolOpt(truth), difficulty)
-		if err != nil {
-			return false, err
-		}
-		s.Stats.CrowdFilterRows++
-		return opt == 1, nil
+			[]string{"no", "yes"}, boolOpt(truth), difficulty), nil
 	case *CrowdFilter:
 		idx, err := bs.resolve(v.Column)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		val := row[idx]
 		if val.IsNull() {
-			return false, nil
+			return nil, nil
 		}
 		truth := s.Oracle.filterTruth(v.Question, val)
-		opt, err := s.askChoice(
+		return choiceTask(
 			fmt.Sprintf("%s — %s", v.Question, val.String()),
-			[]string{"no", "yes"}, boolOpt(truth), 0.3)
-		if err != nil {
-			return false, err
-		}
-		s.Stats.CrowdFilterRows++
-		return opt == 1, nil
+			[]string{"no", "yes"}, boolOpt(truth), 0.3), nil
 	default:
-		return false, fmt.Errorf("cql: %s is not a crowd predicate", p)
+		return nil, fmt.Errorf("cql: %s is not a crowd predicate", p)
 	}
 }
 
@@ -378,8 +414,11 @@ func (s *Session) execCrowdJoin(n *CrowdJoinNode) (*resultSet, error) {
 	// Distinct string values on both sides.
 	lvals := distinctStrings(left.rows, li)
 	rvals := distinctStrings(right.rows, ri)
-	// Machine pass: prune dissimilar pairs; exact matches auto-accept.
+	// Machine pass: prune dissimilar pairs; exact matches auto-accept. The
+	// surviving pairs are the stage's round.
 	matched := make(map[[2]string]bool)
+	var tasks []*core.Task
+	var pairs [][2]string
 	for _, lv := range lvals {
 		for _, rv := range rvals {
 			if strings.EqualFold(lv, rv) {
@@ -392,17 +431,20 @@ func (s *Session) execCrowdJoin(n *CrowdJoinNode) (*resultSet, error) {
 			}
 			truth := s.Oracle.equal(lv, rv)
 			difficulty := clampF(1-2*absF(sim-0.5), 0.05, 0.95)
-			opt, err := s.askChoice(
+			tasks = append(tasks, choiceTask(
 				fmt.Sprintf("Do %q and %q refer to the same entity?", lv, rv),
-				[]string{"different", "same"}, boolOpt(truth), difficulty)
-			if err != nil {
-				return nil, err
-			}
-			s.Stats.CrowdJoinPairs++
-			if opt == 1 {
-				matched[[2]string{lv, rv}] = true
-			}
+				[]string{"different", "same"}, boolOpt(truth), difficulty))
+			pairs = append(pairs, [2]string{lv, rv})
 		}
+	}
+	err = s.askChoices(tasks, func(i, opt int) {
+		s.Stats.CrowdJoinPairs++
+		if opt == 1 {
+			matched[pairs[i]] = true
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := &resultSet{bs: left.bs.concat(right.bs)}
 	for _, l := range left.rows {
@@ -508,7 +550,9 @@ func (s *Session) execCrowdSort(n *CrowdSortNode) (*resultSet, error) {
 			hi = f
 		}
 	}
-	wins := make([]int, m)
+	// All-pairs comparison: every pair is known up front, one round.
+	var tasks []*core.Task
+	var pairs [][2]int
 	for a := 0; a < m; a++ {
 		for b := a + 1; b < m; b++ {
 			va, vb := in.rows[a][idx], in.rows[b][idx]
@@ -518,20 +562,20 @@ func (s *Session) execCrowdSort(n *CrowdSortNode) (*resultSet, error) {
 				gap := absF(va.AsFloat()-vb.AsFloat()) / (hi - lo)
 				difficulty = clampF(1-2*gap, 0.05, 0.95)
 			}
-			opt, err := s.askChoice(
+			tasks = append(tasks, choiceTask(
 				fmt.Sprintf("Which ranks higher: %s or %s?", va.String(), vb.String()),
 				[]string{va.String() + " (A)", vb.String() + " (B)"},
-				boolToFirst(truthABetter), difficulty)
-			if err != nil {
-				return nil, err
-			}
-			s.Stats.CrowdCompares++
-			if opt == 0 {
-				wins[a]++
-			} else {
-				wins[b]++
-			}
+				boolToFirst(truthABetter), difficulty))
+			pairs = append(pairs, [2]int{a, b})
 		}
+	}
+	wins := make([]int, m)
+	err = s.askChoices(tasks, func(i, opt int) {
+		s.Stats.CrowdCompares++
+		wins[pairs[i][opt]]++
+	})
+	if err != nil {
+		return nil, err
 	}
 	order := make([]int, m)
 	for i := range order {
@@ -801,22 +845,27 @@ func (s *Session) crowdCount(it SelectItem, bs *boundSchema, rows []model.Tuple)
 	} else {
 		sample = s.rng.Sample(n, sampleSize)
 	}
-	labels := make([]bool, 0, sampleSize)
-	for _, ri := range sample {
+	// The sample is the round; NULLs label false without asking.
+	labels := make([]bool, sampleSize)
+	var tasks []*core.Task
+	var asked []int // index into labels of each question
+	for li, ri := range sample {
 		v := rows[ri][idx]
 		if v.IsNull() {
-			labels = append(labels, false)
 			continue
 		}
 		truth := s.Oracle.filterTruth(it.CrowdCountQuestion, v)
-		opt, err := s.askChoice(
+		tasks = append(tasks, choiceTask(
 			fmt.Sprintf("%s — %s", it.CrowdCountQuestion, v.String()),
-			[]string{"no", "yes"}, boolOpt(truth), 0.3)
-		if err != nil {
-			return model.Null(), err
-		}
+			[]string{"no", "yes"}, boolOpt(truth), 0.3))
+		asked = append(asked, li)
+	}
+	err = s.askChoices(tasks, func(i, opt int) {
 		s.Stats.CrowdCountSamples++
-		labels = append(labels, opt == 1)
+		labels[asked[i]] = opt == 1
+	})
+	if err != nil {
+		return model.Null(), err
 	}
 	est, err := cost.EstimateSelectivity(labels, n)
 	if err != nil {
@@ -827,106 +876,104 @@ func (s *Session) crowdCount(it SelectItem, bs *boundSchema, rows []model.Tuple)
 
 // --- crowd question plumbing ---
 
-// askChoice issues one choice question with the session's redundancy and
-// returns the majority option. The statement's context gates the question:
-// a canceled query issues no further crowd work.
-func (s *Session) askChoice(question string, options []string, truthOpt int, difficulty float64) (int, error) {
-	if s.Runner == nil {
-		return 0, fmt.Errorf("cql: crowd question without a crowd attached")
-	}
-	ctx := s.queryCtx()
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	task, err := s.Runner.NewTask(&core.Task{
+// choiceTask builds a choice question; askRound stamps its ID.
+func choiceTask(question string, options []string, truthOpt int, difficulty float64) *core.Task {
+	return &core.Task{
 		Kind:        core.SingleChoice,
 		Question:    question,
 		Options:     options,
 		GroundTruth: truthOpt,
 		Difficulty:  difficulty,
-	})
-	if err != nil {
-		return 0, err
 	}
-	k := s.Redundancy
-	if k <= 0 {
-		k = 3
-	}
-	// One span per crowd question; the span's context flows through the
-	// runner into the serving gateway, which stamps publish / lease /
-	// answer / close events on it (see cqlGateway.Ask).
-	qctx, sp := obs.ChildSpan(ctx, "cql.question")
-	if sp != nil {
-		sp.SetAttr(obs.Str("kind", "choice"),
-			obs.Str("question", questionPreview(question)),
-			obs.Int("redundancy", int64(k)))
-	}
-	opt, err := s.Runner.MajorityOptionCtx(qctx, task, k)
-	if sp != nil {
-		sp.SetError(err)
-		sp.End()
-	}
-	if err != nil {
-		return 0, err
-	}
-	s.Stats.CrowdTasks++
-	s.Stats.CrowdAnswers += k
-	return opt, nil
 }
 
-// questionPreview bounds a question string for span attributes.
-func questionPreview(q string) string {
-	if len(q) > 80 {
-		return q[:77] + "..."
+// askRound asks a stage's questions — gathered in plan order — as one
+// round at the session's redundancy, and calls bind(i, answers) for each
+// question in plan order as the resolved prefix grows (a remote crowd may
+// complete questions in any order; binding, and with it Stats and partial
+// rows, stays deterministic). The statement's context gates the round: a
+// canceled query asks nothing further. A bind error stops the round and
+// fails the statement.
+func (s *Session) askRound(tasks []*core.Task, bind func(i int, answers []core.Answer) error) error {
+	if len(tasks) == 0 {
+		return nil
 	}
-	return q
-}
-
-// askFill issues one fill-in question and returns the most common answer
-// text. known=false means even the oracle cannot say (workers then
-// produce junk and the mode of junk is returned; the caller treats
-// unparseable values as still-NULL).
-func (s *Session) askFill(question, truth string, known bool) (string, error) {
 	if s.Runner == nil {
-		return "", fmt.Errorf("cql: crowd fill without a crowd attached")
+		return fmt.Errorf("cql: crowd question without a crowd attached")
 	}
-	ctx := s.queryCtx()
+	ctx, cancel := context.WithCancel(s.queryCtx())
+	defer cancel()
 	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	gt := truth
-	if !known {
-		gt = ""
-	}
-	task, err := s.Runner.NewTask(&core.Task{
-		Kind:            core.FillIn,
-		Question:        question,
-		GroundTruthText: gt,
-		Difficulty:      0.2,
-	})
-	if err != nil {
-		return "", err
+		return err
 	}
 	k := s.Redundancy
 	if k <= 0 {
 		k = 3
 	}
-	qctx, sp := obs.ChildSpan(ctx, "cql.question")
-	if sp != nil {
-		sp.SetAttr(obs.Str("kind", "fill"),
-			obs.Str("question", questionPreview(question)),
-			obs.Int("redundancy", int64(k)))
+	// One span per crowd question, siblings under the stage span; the span
+	// rides the round into the serving gateway, which stamps publish /
+	// lease / answer / close events on it (see cqlGateway.Ask).
+	tracing := obs.CollectorFrom(ctx) != nil
+	round := make([]operators.Question, len(tasks))
+	for i, t := range tasks {
+		task, err := s.Runner.NewTask(t)
+		if err != nil {
+			return err
+		}
+		round[i].Task = task
+		if tracing {
+			_, sp := obs.ChildSpan(ctx, "cql.question")
+			sp.SetAttr(obs.Str("kind", questionKind(task)),
+				obs.Str("question", questionPreview(task.Question)),
+				obs.Int("redundancy", int64(k)))
+			round[i].Span = sp
+		}
 	}
-	answers, err := s.Runner.CollectCtx(qctx, task, k)
-	if sp != nil {
-		sp.SetError(err)
-		sp.End()
+	resolved := make([][]core.Answer, len(tasks))
+	bound := 0
+	var bindErr error
+	err := s.Runner.AskRound(ctx, round, k, func(i int, answers []core.Answer) {
+		round[i].Span.End()
+		resolved[i] = answers
+		for bindErr == nil && bound < len(tasks) && resolved[bound] != nil {
+			s.Stats.CrowdTasks++
+			s.Stats.CrowdAnswers += len(resolved[bound])
+			if bindErr = bind(bound, resolved[bound]); bindErr != nil {
+				cancel()
+			}
+			bound++
+		}
+	})
+	if bindErr != nil {
+		err = bindErr
 	}
-	if err != nil {
-		return "", err
+	if err != nil && tracing {
+		for i := range round {
+			if resolved[i] == nil {
+				round[i].Span.SetError(err)
+				round[i].Span.End()
+			}
+		}
 	}
-	s.Stats.CrowdTasks++
-	s.Stats.CrowdAnswers += len(answers)
+	return err
+}
+
+// askChoices is askRound for choice questions: bind receives each
+// question's majority option.
+func (s *Session) askChoices(tasks []*core.Task, bind func(i, opt int)) error {
+	return s.askRound(tasks, func(i int, answers []core.Answer) error {
+		opt, err := operators.Plurality(tasks[i], answers)
+		if err != nil {
+			return err
+		}
+		bind(i, opt)
+		return nil
+	})
+}
+
+// modeText returns the most common answer text (first to reach the top
+// count wins ties).
+func modeText(answers []core.Answer) string {
 	counts := map[string]int{}
 	bestText, bestN := "", 0
 	for _, a := range answers {
@@ -935,7 +982,23 @@ func (s *Session) askFill(question, truth string, known bool) (string, error) {
 			bestText, bestN = a.Text, counts[a.Text]
 		}
 	}
-	return bestText, nil
+	return bestText
+}
+
+// questionKind labels a question span.
+func questionKind(t *core.Task) string {
+	if t.Kind == core.FillIn {
+		return "fill"
+	}
+	return "choice"
+}
+
+// questionPreview bounds a question string for span attributes.
+func questionPreview(q string) string {
+	if len(q) > 80 {
+		return q[:77] + "..."
+	}
+	return q
 }
 
 func rowPreview(t model.Tuple) string {

@@ -650,7 +650,7 @@ func (ms *ManagedSession) Query(id string) (*Query, bool) {
 
 // CancelQuery cancels a running query: its context is canceled, so no
 // further crowd questions are issued, the serving gateway releases the
-// in-flight task's leases, and reserved budget is refunded. Canceling a
+// open round's leases, and reserved budget is refunded. Canceling a
 // finished query is a no-op. The handle is returned from the same lookup
 // that resolved the cancel, so a caller never sees "canceled but the
 // handle is gone" even if retention pruning races it. Canceling counts as

@@ -137,7 +137,7 @@ func TestIdleSweepSkipsBusySessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	remote.waitCalls(t, 1) // the crowd question is in flight, blocked
+	remote.waitPublished(t, 1) // the crowd question is in flight, blocked
 
 	// Two hours later the idle session expires; the busy one survives
 	// because its query is still running.
@@ -294,16 +294,19 @@ func TestExecuteMultiScript(t *testing.T) {
 	}
 }
 
-// gatedRemote answers every crowd question with a fixed option, blocking
-// from question number blockAfter (1-based) onward until released or the
-// query context is canceled. It stands in for the serving-pool gateway.
+// gatedRemote answers every crowd question with a fixed option, in round
+// order, blocking from the blockAfter-th question it was ever handed until
+// released or canceled. A round is published whole, so published counts
+// every question of every round the moment its Ask call arrives. It
+// stands in for the serving-pool gateway.
 type gatedRemote struct {
 	option     int
 	blockAfter int // 0 = never block
 	releaseCh  chan struct{}
 
-	mu    sync.Mutex
-	calls int
+	mu        sync.Mutex
+	rounds    int
+	published int
 }
 
 func newGatedRemote(option, blockAfter int) *gatedRemote {
@@ -312,40 +315,49 @@ func newGatedRemote(option, blockAfter int) *gatedRemote {
 
 func (g *gatedRemote) release() { close(g.releaseCh) }
 
-func (g *gatedRemote) callCount() int {
+// counts returns how many rounds and questions were published so far.
+func (g *gatedRemote) counts() (rounds, published int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.calls
+	return g.rounds, g.published
 }
 
-func (g *gatedRemote) waitCalls(t *testing.T, n int) {
+func (g *gatedRemote) waitPublished(t *testing.T, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for g.callCount() < n {
+	for {
+		_, got := g.counts()
+		if got >= n {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("remote saw %d calls, want %d", g.callCount(), n)
+			t.Fatalf("remote saw %d questions, want %d", got, n)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-func (g *gatedRemote) Ask(ctx context.Context, t *core.Task, k int) ([]core.Answer, error) {
+func (g *gatedRemote) Ask(ctx context.Context, round []operators.Question, k int, resolved func(int, []core.Answer)) error {
 	g.mu.Lock()
-	g.calls++
-	n := g.calls
+	g.rounds++
+	first := g.published
+	g.published += len(round)
 	g.mu.Unlock()
-	if g.blockAfter > 0 && n >= g.blockAfter {
-		select {
-		case <-g.releaseCh:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	for i, q := range round {
+		if g.blockAfter > 0 && first+i+1 >= g.blockAfter {
+			select {
+			case <-g.releaseCh:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
+		answers := make([]core.Answer, k)
+		for j := range answers {
+			answers[j] = core.Answer{Task: q.Task.ID, Worker: fmt.Sprintf("w%d", j), Option: g.option}
+		}
+		resolved(i, answers)
 	}
-	out := make([]core.Answer, k)
-	for i := range out {
-		out[i] = core.Answer{Task: t.ID, Worker: fmt.Sprintf("w%d", i), Option: g.option}
-	}
-	return out, nil
+	return nil
 }
 
 // remoteSession builds a session whose crowd questions go to remote.
@@ -357,7 +369,7 @@ func remoteSession(remote operators.RemoteSource) *Session {
 }
 
 func TestCrowdQueryStreamsPartialRows(t *testing.T) {
-	remote := newGatedRemote(1, 3) // answer "yes", block on the 3rd question
+	remote := newGatedRemote(1, 3) // answer "yes", block on the round's 3rd question
 	m, err := NewSessionManager(ServiceConfig{
 		Factory: func(name string) (*Session, error) { return remoteSession(remote), nil },
 	})
@@ -374,8 +386,9 @@ func TestCrowdQueryStreamsPartialRows(t *testing.T) {
 		t.Fatalf("Execute: %v", err)
 	}
 
-	// The first two questions answer immediately; their rows must appear
-	// on the handle while the third question is still blocked.
+	// All three questions are published as one round; the first two
+	// resolve immediately and their rows must appear on the handle while
+	// the third question is still blocked.
 	deadline := time.Now().Add(5 * time.Second)
 	for q.RowCount() < 2 {
 		if time.Now().After(deadline) {
@@ -428,11 +441,13 @@ func TestCancelQueryMidFlight(t *testing.T) {
 	mustRun(t, ms, `CREATE TABLE pets (id INT, kind STRING)`)
 	mustRun(t, ms, `INSERT INTO pets VALUES (1, 'beagle'), (2, 'poodle'), (3, 'husky')`)
 
-	q, err := ms.Execute(`SELECT * FROM pets WHERE CROWDFILTER('dog?', kind)`)
+	// Two crowd predicates are two rounds; the cancel lands inside the
+	// first.
+	q, err := ms.Execute(`SELECT * FROM pets WHERE CROWDFILTER('dog?', kind) AND CROWDFILTER('big?', kind)`)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	remote.waitCalls(t, 2)
+	remote.waitPublished(t, 3)
 
 	if _, ok := ms.CancelQuery("q999"); ok {
 		t.Fatal("canceling unknown query reported success")
@@ -446,9 +461,10 @@ func TestCancelQueryMidFlight(t *testing.T) {
 	if q.Status() != QueryCanceled {
 		t.Fatalf("status = %s, err %q", q.Status(), q.Err())
 	}
-	// No further crowd questions were issued after the cancel.
-	if got := remote.callCount(); got != 2 {
-		t.Fatalf("remote calls after cancel = %d, want 2", got)
+	// Nothing further was published after the cancel: the second
+	// predicate's round never reached the crowd.
+	if rounds, published := remote.counts(); rounds != 1 || published != 3 {
+		t.Fatalf("after cancel: %d rounds / %d questions published, want 1 / 3", rounds, published)
 	}
 	// Canceling again is a harmless no-op and the session keeps working.
 	ms.CancelQuery(q.ID())

@@ -147,8 +147,8 @@ func (s *Session) Execute(src string) (*model.Relation, error) {
 }
 
 // ExecuteCtx is Execute with a cancellation context: canceling ctx stops
-// the statement between crowd questions (no further questions are issued)
-// and surfaces ctx.Err().
+// the statement's crowd work (the open round is retired, no further
+// questions are issued) and surfaces ctx.Err().
 func (s *Session) ExecuteCtx(ctx context.Context, src string) (*model.Relation, error) {
 	stmt, err := Parse(src)
 	if err != nil {
@@ -185,7 +185,7 @@ func (s *Session) ExecuteStmt(stmt Statement) (*model.Relation, error) {
 }
 
 // ExecuteStmtCtx runs one parsed statement under ctx. The context gates
-// crowd work: every plan-node dispatch and every crowd question checks it
+// crowd work: every plan-node dispatch and every crowd round checks it
 // first, so cancellation takes effect between answers without tearing the
 // catalog (mutating statements are machine-only and atomic).
 func (s *Session) ExecuteStmtCtx(ctx context.Context, stmt Statement) (*model.Relation, error) {

@@ -173,19 +173,25 @@ func (s *Store) CQLQueryFinished(session, qid, status string) error {
 	}, false)
 }
 
+// The question-reservation appenders below ride the task's own WAL
+// segment and never sync by themselves: the gateway publishes and closes
+// questions a round at a time, appends every record of the round, and then
+// calls SyncTasks once — one fsync per touched segment, the
+// AnswerBatchDurable pattern.
+
 // CQLQuestionPublished journals the gateway's reservation of k budget
-// units for a freshly published crowd question. It rides the task's own
-// WAL segment, ordered with the task-added record.
+// units for a freshly published crowd question, ordered after the
+// task-added record on the same segment.
 func (s *Store) CQLQuestionPublished(id core.TaskID, k float64) error {
 	return s.appendSeg(s.segFor(id), &Event{
 		Type: EvCqlQuestionPublished, TaskID: id, Amount: k,
-	}, s.opts.Fsync == FsyncAlways)
+	}, false)
 }
 
 // CQLQuestionRefunded journals the release of part of a question's
-// reservation as answers arrive. Lazy sync: the matching answer records
-// are what acks gate on, and recovery refunds any remainder a lost
-// refund event would have covered.
+// reservation as answers arrive. Never synced: the matching answer records
+// are what acks gate on, and recovery refunds any remainder a lost refund
+// event would have covered.
 func (s *Store) CQLQuestionRefunded(id core.TaskID, amount float64) error {
 	return s.appendSeg(s.segFor(id), &Event{
 		Type: EvCqlQuestionRefund, TaskID: id, Amount: amount,
@@ -194,10 +200,32 @@ func (s *Store) CQLQuestionRefunded(id core.TaskID, amount float64) error {
 
 // CQLQuestionClosed journals a question's retirement, refunding the
 // unconsumed remainder of its reservation (0 for a question that reached
-// full redundancy). Synced under FsyncAlways so a cancel ack implies the
-// refund is durable.
+// full redundancy).
 func (s *Store) CQLQuestionClosed(id core.TaskID, refund float64) error {
 	return s.appendSeg(s.segFor(id), &Event{
 		Type: EvCqlQuestionClosed, TaskID: id, Amount: refund,
-	}, s.opts.Fsync == FsyncAlways)
+	}, false)
+}
+
+// SyncTasks makes everything journaled so far about the given tasks
+// durable: under FsyncAlways it flushes each WAL segment that owns one of
+// them, once, through its latest append (a no-op under the other
+// policies). After it returns, a publish implies the reservation is on
+// disk and a cancel ack implies the refund is.
+func (s *Store) SyncTasks(ids []core.TaskID) error {
+	if s.opts.Fsync != FsyncAlways {
+		return nil
+	}
+	flushed := make([]bool, len(s.segs))
+	for _, id := range ids {
+		si := s.segFor(id)
+		if flushed[si] {
+			continue
+		}
+		flushed[si] = true
+		if err := s.syncSeg(si, s.segs[si].appended.Load()); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -433,7 +433,7 @@ func (s *Store) applyEvent(ev *Event) {
 		}
 	case EvAnswerRecorded:
 		if ev.Answer != nil {
-			_ = s.segRep(ev.Answer.Task).Record(ev.Answer.answer())
+			s.recordReplica(ev.Answer.answer())
 		}
 		s.mu.Lock()
 		s.repSpent += ev.Cost
@@ -443,7 +443,7 @@ func (s *Store) applyEvent(ev *Event) {
 		s.mu.Unlock()
 	case EvAnswerBatch:
 		for i := range ev.Answers {
-			_ = s.segRep(ev.Answers[i].Task).Record(ev.Answers[i].answer())
+			s.recordReplica(ev.Answers[i].answer())
 		}
 		s.mu.Lock()
 		s.repSpent += ev.Cost
@@ -488,6 +488,22 @@ func (s *Store) applyEvent(ev *Event) {
 			}
 		}
 		s.mu.Unlock()
+	}
+}
+
+// recordReplica folds a journaled answer into its segment's replica. The
+// live pool accepted every journaled answer, but the answer path journals
+// after it released the shard lock while a close journals under it, so the
+// record of a question's last answer can sit in the log behind the
+// task-closed record its arrival triggered. The replica takes such an
+// answer all the same; dropping it would leave a recovered pool one answer
+// short of the spend that paid for it.
+func (s *Store) recordReplica(a core.Answer) {
+	rep := s.segRep(a.Task)
+	if rep.Record(a) != nil && rep.Closed(a.Task) {
+		rep.Reopen(a.Task)
+		_ = rep.Record(a)
+		rep.Close(a.Task)
 	}
 }
 

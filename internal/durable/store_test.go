@@ -521,3 +521,36 @@ func TestFsyncIntervalFlusherAndGracefulClose(t *testing.T) {
 		t.Fatalf("recovered %d answers, spent %v; want 20", n, spent)
 	}
 }
+
+// The answer path journals after it released the shard lock, a close
+// journals under it: the record of the answer that completed a question can
+// land behind the task-closed record. Both the live replica (what snapshots
+// are cut from) and a crash replay must keep that answer.
+func TestAnswerJournaledBehindCloseSurvives(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s.TaskAdded(choiceTask(1, false, 0))
+	answer := func(w string) core.Answer { return core.Answer{Task: 1, Worker: w, Option: 1} }
+	for _, w := range []string{"w1", "w2"} {
+		if err := s.AnswerDurable(answer(w), 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.TaskClosed(1)
+	if err := s.AnswerDurable(answer("w3"), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		pool, spent, _ := s.State()
+		if n := pool.AnswerCount(1); n != 3 || spent != 3 || !pool.Closed(1) {
+			t.Fatalf("%s: %d answers, spent %v, closed %v; want 3 answers paid by 3 units on a closed task",
+				when, n, spent, pool.Closed(1))
+		}
+	}
+	check("live replica", s)
+	s.Crash()
+	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	defer s2.Close()
+	check("after replay", s2)
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/truth"
 )
@@ -24,15 +25,29 @@ import (
 // that needs more answers.
 var ErrNoWorkers = errors.New("operators: no remaining worker for task")
 
+// Question is one crowd question of a round.
+type Question struct {
+	Task *core.Task
+	// Span is the question's trace span when the round is being traced:
+	// a remote source stamps the question's publish / lease / answer /
+	// close events on it. Nil otherwise (every Span method no-ops on nil).
+	Span *obs.Span
+}
+
 // RemoteSource routes crowd questions to an external answering service —
 // typically a serving pool reached over HTTP — instead of the runner's
-// in-process worker loop. Ask publishes t, blocks until k answers have
-// arrived or ctx is canceled, and returns the answers it gathered (possibly
-// fewer than k alongside a non-nil error). Budget accounting for remote
-// questions belongs to the remote side: the runner's own budget is not
-// charged for them.
+// in-process worker loop. Ask publishes the whole round at once and blocks
+// until every question has k answers or ctx is canceled; a single question
+// is a round of one. As each question completes, resolved(i, answers) runs
+// on the calling goroutine with the question's index in the round and its
+// k answers, so callers can bind results while the rest of the round is
+// still open. A source that can publish only a prefix of the round (its
+// budget ran out) resolves that prefix and then returns the error; on
+// cancellation it retires every still-open question and returns ctx's
+// error. Budget accounting for remote questions belongs to the remote
+// side: the runner's own budget is not charged for them.
 type RemoteSource interface {
-	Ask(ctx context.Context, t *core.Task, k int) ([]core.Answer, error)
+	Ask(ctx context.Context, round []Question, k int, resolved func(i int, answers []core.Answer)) error
 }
 
 // Runner feeds operator questions to a worker pool sequentially. It is the
@@ -53,7 +68,7 @@ type Runner struct {
 	// TasksAsked counts distinct tasks that received at least one answer.
 	TasksAsked int
 
-	// Remote, when set, redirects CollectCtx (and everything built on it)
+	// Remote, when set, redirects AskRound (and everything built on it)
 	// to an external answer source; the in-process workers and the
 	// runner's budget are bypassed. The runner's accounting counters still
 	// track remote answers.
@@ -129,53 +144,64 @@ func (r *Runner) One(t *core.Task) (core.Answer, error) {
 	}, nil
 }
 
-// Collect gathers k answers for t (distinct workers).
-func (r *Runner) Collect(t *core.Task, k int) ([]core.Answer, error) {
-	return r.CollectCtx(context.Background(), t, k)
-}
-
-// CollectCtx gathers k answers for t, stopping early when ctx is canceled
-// (the partial answers gathered so far are returned with ctx's error). With
-// a Remote source attached the whole collection is delegated to it —
-// publish, wait, cancel semantics included.
-func (r *Runner) CollectCtx(ctx context.Context, t *core.Task, k int) ([]core.Answer, error) {
+// AskRound asks every question of the round for k answers each and hands
+// each question's answers to resolved(i, answers) as it completes. With a
+// Remote source the whole round is delegated to it — publish everything,
+// wait once, cancel semantics included (see RemoteSource). In process the
+// questions are answered one after another in round order on the calling
+// goroutine, k draws of One each, so the worker and RNG sequence is the
+// same as asking them one at a time; ctx is checked before every draw.
+func (r *Runner) AskRound(ctx context.Context, round []Question, k int, resolved func(i int, answers []core.Answer)) error {
 	if k <= 0 {
-		return nil, fmt.Errorf("operators: redundancy must be positive (got %d)", k)
+		return fmt.Errorf("operators: redundancy must be positive (got %d)", k)
 	}
 	if r.Remote != nil {
-		answers, err := r.Remote.Ask(ctx, t, k)
-		r.AnswersUsed += len(answers)
-		if len(answers) > 0 {
-			r.TasksAsked++
-		}
-		return answers, err
+		return r.Remote.Ask(ctx, round, k, func(i int, answers []core.Answer) {
+			r.AnswersUsed += len(answers)
+			if len(answers) > 0 {
+				r.TasksAsked++
+			}
+			resolved(i, answers)
+		})
 	}
-	out := make([]core.Answer, 0, k)
-	for i := 0; i < k; i++ {
-		if err := ctx.Err(); err != nil {
-			return out, err
+	for i, q := range round {
+		answers := make([]core.Answer, 0, k)
+		for len(answers) < k {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			a, err := r.One(q.Task)
+			if err != nil {
+				return err
+			}
+			answers = append(answers, a)
 		}
-		a, err := r.One(t)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
+		resolved(i, answers)
 	}
-	return out, nil
+	return nil
+}
+
+// Collect gathers k answers for t (distinct workers): a round of one.
+func (r *Runner) Collect(t *core.Task, k int) ([]core.Answer, error) {
+	var out []core.Answer
+	err := r.AskRound(context.Background(), []Question{{Task: t}}, k,
+		func(_ int, answers []core.Answer) { out = answers })
+	return out, err
 }
 
 // MajorityOption asks k workers and returns the plurality option (ties to
 // the lowest index).
 func (r *Runner) MajorityOption(t *core.Task, k int) (int, error) {
-	return r.MajorityOptionCtx(context.Background(), t, k)
-}
-
-// MajorityOptionCtx is MajorityOption with cancellation (see CollectCtx).
-func (r *Runner) MajorityOptionCtx(ctx context.Context, t *core.Task, k int) (int, error) {
-	answers, err := r.CollectCtx(ctx, t, k)
+	answers, err := r.Collect(t, k)
 	if err != nil {
 		return 0, err
 	}
+	return Plurality(t, answers)
+}
+
+// Plurality returns the option of t most answers chose (ties to the lowest
+// index).
+func Plurality(t *core.Task, answers []core.Answer) (int, error) {
 	votes := make([]float64, len(t.Options))
 	for _, a := range answers {
 		if a.Option >= 0 && a.Option < len(votes) {
@@ -189,33 +215,39 @@ func (r *Runner) MajorityOptionCtx(ctx context.Context, t *core.Task, k int) (in
 	return best, nil
 }
 
-// InferBatch publishes all tasks, collects redundancy-k answers for each,
-// and aggregates with the given inference method (MajorityVote when nil).
-// It is the batch-mode counterpart of MajorityOption used by operators
-// that generate many homogeneous tasks (joins, filters in batch mode).
+// InferBatch publishes all tasks as one round, collects redundancy-k
+// answers for each, and aggregates with the given inference method
+// (MajorityVote when nil). It is the batch-mode counterpart of
+// MajorityOption used by operators that generate many homogeneous tasks
+// (joins, filters in batch mode).
 func (r *Runner) InferBatch(tasks []*core.Task, k int, inf truth.Inferrer) (*truth.Result, error) {
 	if inf == nil {
 		inf = truth.MajorityVote{}
 	}
 	pool := core.NewPool()
 	ids := make([]core.TaskID, 0, len(tasks))
+	round := make([]Question, 0, len(tasks))
 	for _, t := range tasks {
 		id, err := pool.Add(t)
 		if err != nil {
 			return nil, err
 		}
 		ids = append(ids, id)
+		round = append(round, Question{Task: t})
 	}
-	for _, t := range tasks {
-		answers, err := r.Collect(t, k)
-		if err != nil {
-			return nil, err
-		}
+	var recErr error
+	err := r.AskRound(context.Background(), round, k, func(_ int, answers []core.Answer) {
 		for _, a := range answers {
-			if recErr := pool.Record(a); recErr != nil {
-				return nil, recErr
+			if err := pool.Record(a); err != nil && recErr == nil {
+				recErr = err
 			}
 		}
+	})
+	if err == nil {
+		err = recErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	ds, err := truth.FromPool(pool, ids)
 	if err != nil {

@@ -1,7 +1,9 @@
 package operators
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -140,5 +142,52 @@ func TestInferBatch(t *testing.T) {
 	}
 	if r.AnswersUsed != 300 {
 		t.Fatalf("answers used = %d, want 300", r.AnswersUsed)
+	}
+}
+
+// roundRemote answers every question of a round with its planted truth and
+// records the size of each round it was handed.
+type roundRemote struct{ rounds []int }
+
+func (r *roundRemote) Ask(ctx context.Context, round []Question, k int, resolved func(int, []core.Answer)) error {
+	r.rounds = append(r.rounds, len(round))
+	for i, q := range round {
+		answers := make([]core.Answer, k)
+		for j := range answers {
+			answers[j] = core.Answer{Task: q.Task.ID, Worker: fmt.Sprintf("w%d", j), Option: q.Task.GroundTruth}
+		}
+		resolved(i, answers)
+	}
+	return nil
+}
+
+// With a remote crowd InferBatch is one real round — every task published
+// before the first answer — and a single Collect is a round of one; the
+// runner's counters track the remote answers either way.
+func TestRemoteRounds(t *testing.T) {
+	remote := &roundRemote{}
+	r := NewRunner(nil, nil, stats.NewRNG(8))
+	r.Remote = remote
+	var tasks []*core.Task
+	for i := 0; i < 12; i++ {
+		tasks = append(tasks, binTask(t, r, i%2, 0.2))
+	}
+	res, err := r.InferBatch(tasks, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range tasks {
+		if res.Labels[task.ID] != i%2 {
+			t.Fatalf("task %d inferred %d, want %d", task.ID, res.Labels[task.ID], i%2)
+		}
+	}
+	if opt, err := r.MajorityOption(binTask(t, r, 1, 0.2), 5); err != nil || opt != 1 {
+		t.Fatalf("MajorityOption = %d, %v", opt, err)
+	}
+	if len(remote.rounds) != 2 || remote.rounds[0] != 12 || remote.rounds[1] != 1 {
+		t.Fatalf("remote saw rounds %v, want [12 1]", remote.rounds)
+	}
+	if r.AnswersUsed != 12*3+5 || r.TasksAsked != 13 {
+		t.Fatalf("accounting: answers=%d tasks=%d, want 41/13", r.AnswersUsed, r.TasksAsked)
 	}
 }

@@ -40,12 +40,16 @@ import (
 // short grace wait so machine statements look synchronous), and clients
 // poll the handle for partial rows while answers arrive.
 //
+// The questions of one plan stage are published together, as a round, and
+// collected by one waiter; a query's crowd latency is the slowest question
+// of each stage, not their sum.
+//
 // Budget accounting uses the reservation protocol of the answer path:
 // the gateway reserves redundancy-k units when it publishes a question
 // and refunds one unit per arriving answer (which the answer path
 // charges), so a completed question costs exactly k and a canceled one
-// costs exactly the answers it received. Canceling a query closes its
-// in-flight task, which releases the task's outstanding leases.
+// costs exactly the answers it received. Canceling a query closes every
+// open task of its round, which releases their outstanding leases.
 
 // CQLConfig configures the CrowdQL query service.
 type CQLConfig struct {
@@ -249,18 +253,21 @@ func (s *Server) mountCQL() {
 		s.instrument("/api/cql/cancel", s.handleCQLCancel))
 }
 
-// cqlGateway publishes a session's crowd questions as serving-pool tasks
-// and waits for the pool's workers to answer them. It implements
-// operators.RemoteSource.
+// cqlGateway publishes a session's crowd questions as serving-pool tasks,
+// a round at a time, and waits for the pool's workers to answer them. It
+// implements operators.RemoteSource.
 type cqlGateway struct {
 	srv *Server
 
+	// waiters maps every open question to its round's wake-up channel: all
+	// task IDs of one round share one channel, so the answer path's notify
+	// stays a single map lookup however large the round.
 	mu      sync.Mutex
 	waiters map[core.TaskID]chan struct{}
 }
 
-// notify wakes the gateway waiter for a task, if any. Called by the
-// answer paths after recording; spurious wakes are harmless (the waiter
+// notify wakes the gateway round waiting on a task, if any. Called by the
+// answer paths after recording; spurious wakes are harmless (the collector
 // re-reads the pool), so no rollback ever needs to retract one.
 func (g *cqlGateway) notify(id core.TaskID) {
 	g.mu.Lock()
@@ -274,7 +281,7 @@ func (g *cqlGateway) notify(id core.TaskID) {
 	}
 }
 
-// notifyCQL wakes the gateway waiter for a task after an answer was
+// notifyCQL wakes the gateway round waiting on a task after an answer was
 // recorded (no-op when the query service is not mounted). Called from
 // the single and batch answer paths.
 func (s *Server) notifyCQL(id core.TaskID) {
@@ -283,106 +290,194 @@ func (s *Server) notifyCQL(id core.TaskID) {
 	}
 }
 
-// cqlAnswerPoll is the fallback poll interval for gateway waiters; the
+// cqlAnswerPoll is the fallback poll interval of a waiting round; the
 // notify hook makes the common case event-driven.
 const cqlAnswerPoll = 50 * time.Millisecond
 
-// Ask implements operators.RemoteSource: reserve k budget units, publish
-// the question, wait for k answers (refunding one reserved unit per
-// arriving answer, since the answer path charges it), close the task,
-// and return the answers. On cancellation the task is closed — dropping
-// its outstanding leases — and the unconsumed remainder of the
+// errCQLBudget fails a statement whose round the budget cannot cover.
+var errCQLBudget = errors.New("cql: budget exhausted")
+
+// openQuestion is the collector's ledger for one published question.
+type openQuestion struct {
+	id     core.TaskID
+	span   *obs.Span // nil unless the round is traced
+	seen   int       // answers whose share of the reservation was released (≤ k)
+	leases int       // lease count last stamped on the span
+	done   bool      // closed: k answers landed
+}
+
+// Ask implements operators.RemoteSource. The round is published whole —
+// reserve k budget units per question, add the tasks, journal the
+// reservations, sync once per touched WAL segment — and then this one
+// collector waits on all of it: each arriving answer releases one reserved
+// unit (the answer path charges it), and a question is closed, journaled
+// and handed to resolved the moment its k-th answer lands, so a completed
+// question costs exactly k. Questions completing in the same wake-up close
+// under one sync. On cancellation every still-open question is closed —
+// dropping its outstanding leases — and the unconsumed remainder of its
 // reservation is refunded, so a canceled question's net spend is exactly
 // the answers it received.
-func (g *cqlGateway) Ask(ctx context.Context, t *core.Task, k int) ([]core.Answer, error) {
+//
+// A budget that covers only the first m questions publishes exactly those
+// m, resolves them, and then fails the round: the spend and the error are
+// those of asking the questions one at a time.
+func (g *cqlGateway) Ask(ctx context.Context, round []operators.Question, k int, resolved func(int, []core.Answer)) error {
 	s := g.srv
-	sp := obs.CurrentSpan(ctx)
-	if !s.budget.TryCharge(float64(k)) {
-		return nil, errors.New("cql: budget exhausted")
+	open, ids, tailErr := g.publish(round, k)
+	if len(open) == 0 {
+		return tailErr
 	}
-	id, err := s.cpool.Add(t)
-	if err != nil {
-		s.budget.Refund(float64(k))
-		return nil, err
-	}
-	if s.store != nil {
-		// Journal the reservation right after the task-added record, on the
-		// task's own WAL segment. From here on the durable spend tracks the
-		// live budget through every refund; a crash before the question
-		// closes leaves a published-without-closed pair, which recovery
-		// reconciles by closing the task and refunding the remainder.
-		_ = s.store.CQLQuestionPublished(id, float64(k))
-	}
-	if sp.Recording() {
-		sp.SetAttr(obs.Int("task", int64(id)), obs.Int("shard", int64(s.cpool.ShardFor(id))))
-		sp.AddEvent("publish", obs.Int("task", int64(id)), obs.Int("redundancy", int64(k)))
-	}
-	ch := make(chan struct{}, 1)
+	wake := make(chan struct{}, 1)
 	g.mu.Lock()
-	g.waiters[id] = ch
+	for _, id := range ids {
+		g.waiters[id] = wake
+	}
 	g.mu.Unlock()
 	defer func() {
 		g.mu.Lock()
-		delete(g.waiters, id)
+		for _, id := range ids {
+			delete(g.waiters, id)
+		}
 		g.mu.Unlock()
 	}()
 
 	ticker := time.NewTicker(cqlAnswerPoll)
 	defer ticker.Stop()
-	seen, lastLeases := 0, 0
+	remaining := len(open)
+	var closed []int          // indices into open closed by the current wake-up
+	var touched []core.TaskID // their task IDs, for the one sync
 	for {
-		if sp.Recording() {
-			if l := s.cpool.LeaseCount(id); l != lastLeases {
-				sp.AddEvent("lease", obs.Int("active", int64(l)))
-				lastLeases = l
+		closed, touched = closed[:0], touched[:0]
+		for i := range open {
+			if q := &open[i]; !q.done && g.collect(q, k) {
+				closed, touched = append(closed, i), append(touched, q.id)
 			}
 		}
-		if n := s.cpool.AnswerCount(id); n > seen {
-			// Each arriving answer was charged by the answer path; release
-			// the matching part of our reservation so in-flight spend stays
-			// exactly k. Answers beyond k (racing workers) keep their own
-			// charge.
-			if n > k {
-				n = k
-			}
-			s.budget.Refund(float64(n - seen))
+		if len(closed) > 0 {
 			if s.store != nil {
-				_ = s.store.CQLQuestionRefunded(id, float64(n-seen))
+				_ = s.store.SyncTasks(touched)
 			}
-			if sp.Recording() {
-				for i := seen + 1; i <= n; i++ {
-					sp.AddEvent("answer", obs.Int("n", int64(i)))
-				}
+			for _, i := range closed {
+				resolved(i, append([]core.Answer(nil), s.cpool.Answers(open[i].id)[:k]...))
 			}
-			seen = n
-		}
-		if seen >= k {
-			s.cpool.Close(id)
-			if s.store != nil {
-				// Fully consumed reservation: the closed event retires the
-				// question's durable ledger with a zero remainder.
-				_ = s.store.CQLQuestionClosed(id, 0)
+			if remaining -= len(closed); remaining == 0 {
+				return tailErr
 			}
-			sp.AddEvent("close", obs.Int("answers", int64(seen)))
-			answers := s.cpool.Answers(id)
-			return append([]core.Answer(nil), answers[:k]...), nil
 		}
 		select {
 		case <-ctx.Done():
-			// Stop the question: close the task (rejecting further answers
-			// and dropping its leases) and hand back the reservation we
-			// never consumed.
-			s.cpool.Close(id)
-			s.budget.Refund(float64(k - seen))
-			if s.store != nil {
-				_ = s.store.CQLQuestionClosed(id, float64(k-seen))
+			// Stop the round: close every open task (rejecting further
+			// answers and dropping its leases) and hand back the
+			// reservations never consumed.
+			for i := range open {
+				q := &open[i]
+				if q.done {
+					continue
+				}
+				s.cpool.Close(q.id)
+				s.budget.Refund(float64(k - q.seen))
+				if s.store != nil {
+					_ = s.store.CQLQuestionClosed(q.id, float64(k-q.seen))
+				}
+				q.span.AddEvent("close", obs.Int("answers", int64(q.seen)), obs.Str("reason", "canceled"))
 			}
-			sp.AddEvent("close", obs.Int("answers", int64(seen)), obs.Str("reason", "canceled"))
-			return nil, ctx.Err()
-		case <-ch:
+			if s.store != nil {
+				_ = s.store.SyncTasks(ids)
+			}
+			return ctx.Err()
+		case <-wake:
 		case <-ticker.C:
 		}
 	}
+}
+
+// publish opens the round: it reserves k units per question in round order
+// until the budget refuses, adds the affordable prefix to the pool —
+// journaling each reservation right behind its task-added record, on the
+// task's own WAL segment — and syncs the touched segments once. From here
+// on the durable spend tracks the live budget through every refund; a
+// crash before a question closes leaves a published-without-closed pair,
+// which recovery reconciles by closing the task and refunding the
+// remainder. It returns the published questions with their task IDs, and
+// the error that cut the round short, if any.
+func (g *cqlGateway) publish(round []operators.Question, k int) ([]openQuestion, []core.TaskID, error) {
+	s := g.srv
+	var err error
+	m := 0
+	for m < len(round) && s.budget.TryCharge(float64(k)) {
+		m++
+	}
+	if m < len(round) {
+		err = errCQLBudget
+	}
+	open := make([]openQuestion, 0, m)
+	ids := make([]core.TaskID, 0, m)
+	for i := 0; i < m; i++ {
+		id, addErr := s.cpool.Add(round[i].Task)
+		if addErr != nil {
+			s.budget.Refund(float64(k * (m - i)))
+			err = addErr
+			break
+		}
+		if s.store != nil {
+			_ = s.store.CQLQuestionPublished(id, float64(k))
+		}
+		sp := round[i].Span
+		if sp.Recording() {
+			sp.SetAttr(obs.Int("task", int64(id)), obs.Int("shard", int64(s.cpool.ShardFor(id))))
+			sp.AddEvent("publish", obs.Int("task", int64(id)), obs.Int("redundancy", int64(k)))
+		}
+		open = append(open, openQuestion{id: id, span: sp})
+		ids = append(ids, id)
+	}
+	if s.store != nil {
+		_ = s.store.SyncTasks(ids)
+	}
+	return open, ids, err
+}
+
+// collect folds the pool's current state of one open question into its
+// ledger and reports whether it just closed.
+func (g *cqlGateway) collect(q *openQuestion, k int) bool {
+	s := g.srv
+	if q.span.Recording() {
+		if l := s.cpool.LeaseCount(q.id); l != q.leases {
+			q.span.AddEvent("lease", obs.Int("active", int64(l)))
+			q.leases = l
+		}
+	}
+	n := s.cpool.AnswerCount(q.id)
+	if n > k {
+		// Answers beyond k (racing workers) keep their own charge.
+		n = k
+	}
+	if n > q.seen {
+		// Each arriving answer was charged by the answer path; release the
+		// matching part of the reservation so in-flight spend stays exactly
+		// k.
+		s.budget.Refund(float64(n - q.seen))
+		if s.store != nil {
+			_ = s.store.CQLQuestionRefunded(q.id, float64(n-q.seen))
+		}
+		if q.span.Recording() {
+			for i := q.seen + 1; i <= n; i++ {
+				q.span.AddEvent("answer", obs.Int("n", int64(i)))
+			}
+		}
+		q.seen = n
+	}
+	if q.seen < k {
+		return false
+	}
+	s.cpool.Close(q.id)
+	if s.store != nil {
+		// Fully consumed reservation: the closed event retires the
+		// question's durable ledger with a zero remainder.
+		_ = s.store.CQLQuestionClosed(q.id, 0)
+	}
+	q.span.AddEvent("close", obs.Int("answers", int64(q.seen)))
+	q.done = true
+	return true
 }
 
 // --- HTTP handlers ---

@@ -3,6 +3,7 @@ package server
 import (
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/cql"
 )
 
@@ -39,7 +40,9 @@ func (s *Server) recoverCQL() {
 		return
 	}
 	sessions, questions := s.store.CQLState()
+	orphans := make([]core.TaskID, 0, len(questions))
 	for _, q := range questions {
+		orphans = append(orphans, q.Task)
 		s.cpool.Close(q.Task)
 		remainder := q.Reserved - q.Refunded
 		if remainder < 0 {
@@ -54,6 +57,7 @@ func (s *Server) recoverCQL() {
 		s.cqlRecQuestions.Inc()
 		s.cqlRecRefund.Add(int64(remainder))
 	}
+	_ = s.store.SyncTasks(orphans)
 	if s.cqlMgr == nil {
 		// Durability without the query service: the session records stay in
 		// the journal untouched, and a later boot that mounts CQL restores

@@ -93,11 +93,11 @@ func TestCQLSessionsSurviveCrash(t *testing.T) {
 }
 
 // TestCQLCrashMidCrowdQueryReconcilesBudget is the budget-reconciliation
-// golden test from the issue: crash with a crowd question at seen=1 of
-// k=3, restart, and require /api/stats to match — stat for stat — a
-// never-crashed control that received one answer and then canceled. The
-// recovered server must also report the mid-flight query as "recovered"
-// rather than 404ing its pollers.
+// golden test from the issue: crash with a round of three questions open,
+// one of them at seen=1 of k=3, restart, and require /api/stats to match
+// — stat for stat — a never-crashed control that received one answer and
+// then canceled. The recovered server must also report the mid-flight
+// query as "recovered" rather than 404ing its pollers.
 func TestCQLCrashMidCrowdQueryReconcilesBudget(t *testing.T) {
 	crowdSQL := `SELECT * FROM pets WHERE CROWDFILTER('is it a dog?', kind)`
 
@@ -111,7 +111,7 @@ func TestCQLCrashMidCrowdQueryReconcilesBudget(t *testing.T) {
 		if page.Status != cql.QueryRunning {
 			t.Fatalf("crowd query resolved with no workers: %+v", page)
 		}
-		waitStats(t, client, "question published", func(st *StatsDTO) bool { return st.OpenTasks == 1 })
+		waitStats(t, client, "round published", func(st *StatsDTO) bool { return st.OpenTasks == 3 })
 		dto, ok, err := client.FetchTask("w1")
 		if err != nil || !ok {
 			t.Fatalf("FetchTask: %v", err)
@@ -141,8 +141,8 @@ func TestCQLCrashMidCrowdQueryReconcilesBudget(t *testing.T) {
 	store.Crash()
 
 	ts2, _, _, info, budget := durableCQLServer(t, dataDir, cqlDir, 50)
-	if info.CQLSessions != 1 || info.CQLRunningQueries != 1 || info.CQLOpenQuestions != 1 {
-		t.Fatalf("recovery info %+v, want 1 session / 1 running query / 1 open question", info)
+	if info.CQLSessions != 1 || info.CQLRunningQueries != 1 || info.CQLOpenQuestions != 3 {
+		t.Fatalf("recovery info %+v, want 1 session / 1 running query / the round's 3 open questions", info)
 	}
 	// The orphaned handle is pollable and terminal, not a 404.
 	rp := cqlPoll(t, ts2.URL, "s", page.Query, "", 0)

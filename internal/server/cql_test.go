@@ -222,7 +222,7 @@ func answerRound(t *testing.T, client *Client, workers []string, option int) int
 // while later questions are still unanswered, and a cursor obtained from
 // a partial page stays valid after the query completes.
 func TestCQLCrowdQueryPartialPagesAndCursor(t *testing.T) {
-	ts, _ := newCQLTestServer(t, nil, CQLConfig{Redundancy: 2})
+	ts, srv := newCQLTestServer(t, nil, CQLConfig{Redundancy: 2})
 	base := ts.URL
 	client := NewClient(ts.URL)
 	workers := []string{"w1", "w2"}
@@ -238,10 +238,19 @@ func TestCQLCrowdQueryPartialPagesAndCursor(t *testing.T) {
 		t.Fatalf("crowd query resolved with no workers: %+v", page)
 	}
 	qid := page.Query
+	// The stage's whole frontier is open before any answer arrives.
+	waitStats(t, client, "round published", func(st *StatsDTO) bool {
+		return st.OpenTasks == 3 && st.TotalAnswers == 0
+	})
 
-	// Answer the crowd questions one round at a time; each question needs
-	// both workers' votes, and questions are asked sequentially, so rows
-	// stream onto the handle one by one.
+	// Complete the first row's question: its row streams onto the handle
+	// while the other two questions are still open.
+	first := openQuestions(t, srv, 3)["beagle"]
+	for _, w := range workers {
+		if err := client.SubmitAnswer(AnswerDTO{Task: first, Worker: w, Option: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var midToken string
 	var midRows int
 	deadline := time.Now().Add(10 * time.Second)
@@ -253,12 +262,18 @@ func TestCQLCrowdQueryPartialPagesAndCursor(t *testing.T) {
 		if page.Status != cql.QueryRunning {
 			break
 		}
-		if midToken == "" && page.Partial && len(page.Rows) > 0 {
+		if !page.Partial || len(page.Rows) == 0 {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if midToken == "" {
 			midToken, midRows = page.NextPageToken, len(page.Rows)
 			if midToken == "" {
 				t.Fatalf("partial page with no cursor: %+v", page)
 			}
 		}
+		// Then let each worker answer one open question per pass through
+		// the normal task endpoint until the round is done.
 		answerRound(t, client, workers, 1) // both vote "yes"
 		time.Sleep(time.Millisecond)
 	}
@@ -290,6 +305,7 @@ func TestCQLCrowdQueryPartialPagesAndCursor(t *testing.T) {
 	if stats.OpenTasks != 0 || stats.ActiveLeases != 0 {
 		t.Fatalf("pool not drained: %+v", stats)
 	}
+	waitersDrained(t, srv)
 }
 
 // waitStats polls /api/stats until check passes.
@@ -328,9 +344,9 @@ func cqlCancel(t *testing.T, base, session, qid string) cql.QueryStatus {
 // contract of the query service:
 //
 //   - scenario A: cancel while workers hold leases and no answer has
-//     arrived — the in-flight task's leases are released, the whole
-//     budget reservation is refunded, and the pool's stats match a
-//     control server that never started the query;
+//     arrived — the round's leases are released, the whole budget
+//     reservation is refunded, and the pool's stats match a control
+//     server that never started the query;
 //   - scenario B: cancel after exactly one answer — the net spend is
 //     exactly that one answer.
 func TestCQLCancelReleasesLeasesAndRefundsBudget(t *testing.T) {
@@ -354,7 +370,7 @@ func TestCQLCancelReleasesLeasesAndRefundsBudget(t *testing.T) {
 	if page.Status != cql.QueryRunning {
 		t.Fatalf("crowd query resolved with no workers: %+v", page)
 	}
-	waitStats(t, client, "question published", func(st *StatsDTO) bool { return st.OpenTasks == 1 })
+	waitStats(t, client, "round published", func(st *StatsDTO) bool { return st.OpenTasks == 3 })
 	for _, w := range []string{"w1", "w2"} {
 		if _, ok, err := client.FetchTask(w); err != nil || !ok {
 			t.Fatalf("worker %s got no assignment: %v", w, err)
@@ -390,7 +406,7 @@ func TestCQLCancelReleasesLeasesAndRefundsBudget(t *testing.T) {
 	if page2.Status != cql.QueryRunning {
 		t.Fatalf("crowd query resolved with no workers: %+v", page2)
 	}
-	waitStats(t, client2, "question published", func(st *StatsDTO) bool { return st.OpenTasks == 1 })
+	waitStats(t, client2, "round published", func(st *StatsDTO) bool { return st.OpenTasks == 3 })
 	dto, ok, err := client2.FetchTask("w1")
 	if err != nil || !ok {
 		t.Fatalf("FetchTask: %v", err)
