@@ -41,3 +41,74 @@ func BenchmarkAnswerDurable(b *testing.B) {
 		})
 	}
 }
+
+// writeRecoveryDir journals the recovery_boot benchmark's directory shape
+// — every task, then the answers round-robin over them in batches — and
+// leaves it as a killed process would (snapshot=false: all in the WAL) or
+// as a graceful shutdown would (snapshot=true: all in pool.snap).
+func writeRecoveryDir(tb testing.TB, dir string, opts Options, tasks, answers, batch int, snapshot bool) {
+	tb.Helper()
+	s, _, err := Open(dir, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 1; i <= tasks; i++ {
+		s.TaskAdded(&core.Task{
+			ID: core.TaskID(i), Kind: core.SingleChoice,
+			Question: fmt.Sprintf("Demo question %d: yes or no?", i), Options: []string{"no", "yes"},
+		})
+	}
+	for from := 0; from < answers; from += batch {
+		n := min(batch, answers-from)
+		as := make([]core.Answer, n)
+		costs := make([]float64, n)
+		for j := range as {
+			k := from + j
+			as[j] = core.Answer{Task: core.TaskID(k%tasks + 1), Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 2}
+			costs[j] = 1
+		}
+		if err := s.AnswerBatchDurable(as, costs, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if snapshot {
+		err = s.Close()
+	} else {
+		s.Crash()
+		err = nil
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkOpen measures recovery — Open on a written directory — on the
+// recovery_boot shape (5,000 tasks, 100,000 answers in batches of 10),
+// from the WAL and from a snapshot, under 1, 2 and 4 segments. The
+// directory is written once outside the timer; Crash between iterations
+// closes the files and leaves it untouched.
+func BenchmarkOpen(b *testing.B) {
+	for _, source := range []string{"wal", "snapshot"} {
+		for _, segments := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/segments=%d", source, segments), func(b *testing.B) {
+				dir := b.TempDir()
+				opts := Options{Fsync: FsyncNever, Segments: segments}
+				writeRecoveryDir(b, dir, opts, 5000, 100000, 10, source == "snapshot")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s, info, err := Open(dir, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if info.Tasks != 5000 || info.Answers != 100000 || info.SnapshotLoaded != (source == "snapshot") {
+						b.Fatalf("recovered %+v", info)
+					}
+					b.StopTimer()
+					s.Crash()
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}

@@ -58,7 +58,7 @@ func (r *cqlReplica) session(name string) *CQLSessionState {
 }
 
 // applyCQLEvent folds one EvCql* event; caller holds s.mu. Returns false
-// for non-CQL event types so applyEvent can fall through.
+// for non-CQL event types so foldCross can fall through.
 func (r *cqlReplica) apply(ev *Event) bool {
 	switch ev.Type {
 	case EvCqlSessionCreated:

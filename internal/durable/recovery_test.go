@@ -1,0 +1,431 @@
+package durable
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// recoveryImage is everything recovery must reproduce, in a form that does
+// not depend on the segment layout: a 1-segment store presents tasks in
+// insertion order and a multi-segment one in ascending IDs, so tasks are
+// keyed by ID; per-task answer order is kept. The spend is compared by bit
+// pattern — with costs like 0.1 and 0.7 any change in summation order shows.
+type recoveryImage struct {
+	Tasks     map[core.TaskID]core.Task
+	Answers   map[core.TaskID][]core.Answer
+	Closed    map[core.TaskID]bool
+	Leases    []LeaseRecord
+	Screen    map[string]core.ScreenTally
+	SpentBits uint64
+	Sessions  []CQLSessionState
+	Questions []CQLQuestionState
+}
+
+func imageOf(s *Store) recoveryImage {
+	pool, spent, screen := s.State()
+	img := recoveryImage{
+		Tasks:     map[core.TaskID]core.Task{},
+		Answers:   map[core.TaskID][]core.Answer{},
+		Closed:    map[core.TaskID]bool{},
+		Screen:    screen,
+		SpentBits: math.Float64bits(spent),
+	}
+	for _, id := range pool.TaskIDs() {
+		img.Tasks[id] = *pool.Task(id)
+		if as := pool.Answers(id); len(as) > 0 {
+			img.Answers[id] = as
+		}
+		if pool.Closed(id) {
+			img.Closed[id] = true
+		}
+	}
+	for _, l := range pool.Leases() {
+		img.Leases = append(img.Leases, *leaseRecord(l))
+	}
+	img.Sessions, img.Questions = s.CQLState()
+	return img
+}
+
+// driveRandom journals steps seeded-random mutations on s from one
+// goroutine (so call order is sequence order): task adds, single answers
+// and batches with non-dyadic costs and golden verdicts, closes — some
+// followed by an answer journaled behind the close — lease issues and
+// sweeps, budget adjustments, elimination markers and the CrowdQL
+// session / statement / query / question lifecycle. It keeps just enough
+// of a model to journal only what a live pool would have accepted. halfway
+// runs once, after half the steps.
+func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	costs := []float64{0.1, 0.7, 1}
+	type lease struct {
+		task   core.TaskID
+		worker string
+	}
+	var (
+		nextID    core.TaskID = 1
+		open      []core.TaskID
+		golden    = map[core.TaskID]bool{}
+		answered  = map[core.TaskID]map[string]bool{}
+		leases    []lease
+		sessions  []string
+		running   = map[string][]string{}
+		questions []core.TaskID
+		nSession  int
+		nQuery    int
+	)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	addTask := func() core.TaskID {
+		id := nextID
+		nextID++
+		golden[id] = rng.Intn(4) == 0
+		s.TaskAdded(choiceTask(id, golden[id], int(id)%3))
+		open = append(open, id)
+		answered[id] = map[string]bool{}
+		return id
+	}
+	// freshAnswer picks a worker that has not answered the task yet.
+	freshAnswer := func(id core.TaskID) (core.Answer, *bool, bool) {
+		for try := 0; try < 4; try++ {
+			w := fmt.Sprintf("w%d", rng.Intn(12))
+			if answered[id][w] {
+				continue
+			}
+			answered[id][w] = true
+			a := core.Answer{Task: id, Worker: w, Option: rng.Intn(3), Submitted: float64(rng.Intn(100))}
+			var g *bool
+			if golden[id] {
+				correct := a.Option == int(id)%3
+				g = &correct
+			}
+			return a, g, true
+		}
+		return core.Answer{}, nil, false
+	}
+	for step := 0; step < steps; step++ {
+		if step == steps/2 && halfway != nil {
+			halfway()
+		}
+		if len(open) < 4 {
+			addTask()
+			continue
+		}
+		pick := open[rng.Intn(len(open))]
+		switch op := rng.Intn(20); {
+		case op < 2:
+			addTask()
+		case op < 7:
+			if a, g, ok := freshAnswer(pick); ok {
+				must(s.AnswerDurable(a, costs[rng.Intn(len(costs))], g))
+			}
+		case op < 11:
+			var as []core.Answer
+			var cs []float64
+			var gs []*bool
+			anyGolden := false
+			for i, n := 0, 2+rng.Intn(5); i < n; i++ {
+				if a, g, ok := freshAnswer(open[rng.Intn(len(open))]); ok {
+					as, cs, gs = append(as, a), append(cs, costs[rng.Intn(len(costs))]), append(gs, g)
+					anyGolden = anyGolden || g != nil
+				}
+			}
+			if !anyGolden {
+				gs = nil
+			}
+			must(s.AnswerBatchDurable(as, cs, gs))
+		case op < 12:
+			s.TaskClosed(pick)
+			for i, id := range open {
+				if id == pick {
+					open = append(open[:i], open[i+1:]...)
+					break
+				}
+			}
+			if rng.Intn(2) == 0 {
+				// The answer that completed the question, journaled behind the
+				// close its arrival triggered.
+				if a, g, ok := freshAnswer(pick); ok {
+					must(s.AnswerDurable(a, 0.7, g))
+				}
+			}
+		case op < 14:
+			l := lease{pick, fmt.Sprintf("lw%d", rng.Intn(6))}
+			s.LeaseIssued(core.Lease{Task: l.task, Worker: l.worker, Deadline: time.Unix(int64(1000+step), 0)})
+			leases = append(leases, l)
+		case op < 15:
+			var sweep []core.Lease
+			for n := 1 + rng.Intn(3); n > 0 && len(leases) > 0; n-- {
+				i := rng.Intn(len(leases))
+				sweep = append(sweep, core.Lease{Task: leases[i].task, Worker: leases[i].worker})
+				leases = append(leases[:i], leases[i+1:]...)
+			}
+			s.LeasesExpired(sweep)
+		case op < 16:
+			if rng.Intn(3) == 0 {
+				must(s.BudgetRefunded(0.1))
+			} else {
+				must(s.BudgetCharged(0.7))
+			}
+			if rng.Intn(4) == 0 {
+				s.WorkerEliminated(fmt.Sprintf("w%d", rng.Intn(12)))
+			}
+		case op < 18:
+			switch {
+			case len(sessions) == 0 || rng.Intn(4) == 0:
+				nSession++
+				name := fmt.Sprintf("Sess%d", nSession)
+				must(s.CQLSessionCreated(name))
+				sessions = append(sessions, name)
+			case rng.Intn(8) == 0:
+				i := rng.Intn(len(sessions))
+				must(s.CQLSessionClosed(sessions[i]))
+				delete(running, sessions[i])
+				sessions = append(sessions[:i], sessions[i+1:]...)
+			default:
+				sess := sessions[rng.Intn(len(sessions))]
+				switch qs := running[sess]; {
+				case rng.Intn(3) == 0:
+					must(s.CQLPrepared(sess, fmt.Sprintf("p%d", rng.Intn(3)), fmt.Sprintf("SELECT %d", step)))
+				case len(qs) > 0 && rng.Intn(2) == 0:
+					must(s.CQLQueryFinished(sess, qs[0], "done"))
+					running[sess] = qs[1:]
+				default:
+					nQuery++
+					qid := fmt.Sprintf("q%d", nQuery)
+					must(s.CQLQueryStarted(sess, qid, fmt.Sprintf("CROWDFILL %d", step)))
+					running[sess] = append(qs, qid)
+				}
+			}
+		default:
+			switch {
+			case len(questions) == 0 || rng.Intn(3) == 0:
+				id := addTask()
+				must(s.CQLQuestionPublished(id, 3))
+				questions = append(questions, id)
+			case rng.Intn(2) == 0:
+				must(s.CQLQuestionRefunded(questions[rng.Intn(len(questions))], 0.7))
+			default:
+				i := rng.Intn(len(questions))
+				must(s.CQLQuestionClosed(questions[i], 0.1))
+				questions = append(questions[:i], questions[i+1:]...)
+			}
+		}
+	}
+}
+
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveryEquivalence is the recovery pipeline's contract: whatever
+// layout wrote the directory, whatever layout reopens it and however many
+// cores the decode and apply goroutines get, the recovered store equals the
+// store that crashed — same tasks, per-task answer order, closes, leases,
+// tallies, CrowdQL ledger, and the same spend to the last bit. The overlap
+// variant publishes a snapshot halfway without truncating the WAL, so the
+// first half of the log must be skipped, not applied twice.
+func TestRecoveryEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const steps = 600
+	for _, overlap := range []bool{false, true} {
+		for _, written := range []int{1, 2, 4} {
+			master := t.TempDir()
+			s, _ := mustOpen(t, master, Options{Fsync: FsyncNever, Segments: written})
+			var snapSeq uint64
+			var halfway func()
+			if overlap {
+				halfway = func() {
+					snap := s.currentSnapshot()
+					snapSeq = snap.LastSeq
+					if err := writeSnapshot(master, snap); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			driveRandom(t, s, int64(42+written), steps, halfway)
+			want := imageOf(s)
+			lastSeq := s.seq
+			s.Crash()
+			if overlap && snapSeq == 0 {
+				t.Fatal("the halfway snapshot covered nothing")
+			}
+
+			for _, reopened := range []int{1, 2, 3, 8} {
+				for _, procs := range []int{1, 2, 8} {
+					label := fmt.Sprintf("overlap=%v written=%d reopened=%d procs=%d", overlap, written, reopened, procs)
+					dir := t.TempDir()
+					copyDir(t, master, dir)
+					runtime.GOMAXPROCS(procs)
+					r, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: reopened})
+					got := imageOf(r)
+					r.Crash()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: recovered state diverges\n got %+v\nwant %+v", label, got, want)
+					}
+					answers := 0
+					for _, as := range want.Answers {
+						answers += len(as)
+					}
+					if info.SnapshotLoaded != overlap || info.Skipped != int(snapSeq) ||
+						info.Replayed != int(lastSeq-snapSeq) || info.TornBytes != 0 ||
+						info.Tasks != len(want.Tasks) || info.Answers != answers ||
+						math.Float64bits(info.BudgetSpent) != want.SpentBits {
+						t.Fatalf("%s: recovery report %+v, want %d skipped, %d replayed, %d tasks, %d answers",
+							label, info, snapSeq, lastSeq-snapSeq, len(want.Tasks), answers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUndecodableRecordCutsOnlyItsFile plants a frame whose checksum
+// verifies but whose payload is not an Event in the middle of segment 1 of
+// 3: that file is cut exactly there, the other two replay whole, and the
+// next Open finds nothing left to cut.
+func TestUndecodableRecordCutsOnlyItsFile(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, Segments: 3}
+	s, _ := mustOpen(t, dir, opts)
+	for i := 1; i <= 30; i++ {
+		s.TaskAdded(choiceTask(core.TaskID(i), false, 0))
+	}
+	for i := 1; i <= 30; i++ {
+		if err := s.AnswerDurable(core.Answer{Task: core.TaskID(i), Worker: "w", Option: 0}, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Crash()
+
+	var frames [3]int
+	var sizes [3]int64
+	for i := range frames {
+		payloads, valid, torn, err := readWAL(filepath.Join(dir, segWALName(i)))
+		if err != nil || torn != 0 || len(payloads) < 4 {
+			t.Fatalf("segment %d: %d frames, torn %d, err %v; the script should spread over all three", i, len(payloads), torn, err)
+		}
+		frames[i], sizes[i] = len(payloads), valid
+	}
+
+	path := filepath.Join(dir, segWALName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, cut := frames[1]/2, 0
+	for i := 0; i < keep; i++ {
+		cut += frameHeader + int(binary.LittleEndian.Uint32(data[cut:cut+4]))
+	}
+	payload := []byte(`[1,2,3]`)
+	bad := make([]byte, frameHeader, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(bad[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(bad[4:8], crc32.ChecksumIEEE(payload))
+	bad = append(bad, payload...)
+	planted := append(append(append([]byte(nil), data[:cut]...), bad...), data[cut:]...)
+	if err := os.WriteFile(path, planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, info := mustOpen(t, dir, opts)
+	if want := int64(len(planted) - cut); info.TornBytes != want {
+		t.Fatalf("TornBytes = %d, want %d (the planted frame and everything behind it)", info.TornBytes, want)
+	}
+	if want := frames[0] + keep + frames[2]; info.Replayed != want {
+		t.Fatalf("replayed %d records, want %d (segments 0 and 2 whole, %d of segment 1)", info.Replayed, want, keep)
+	}
+	for i, want := range [3]int64{sizes[0], int64(cut), sizes[2]} {
+		if fi, err := os.Stat(filepath.Join(dir, segWALName(i))); err != nil || fi.Size() != want {
+			t.Fatalf("segment %d is %d bytes after recovery (err %v), want %d", i, fi.Size(), err, want)
+		}
+	}
+	want := imageOf(s2)
+	s2.Crash()
+
+	s3, info := mustOpen(t, dir, opts)
+	defer s3.Close()
+	if info.TornBytes != 0 || info.Replayed != frames[0]+keep+frames[2] {
+		t.Fatalf("second recovery: %+v, want the same records and nothing torn", info)
+	}
+	if got := imageOf(s3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second recovery diverges from the first\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRecoveryPhasesSumToReplayDuration holds the breakdown to "the parts
+// sum to the whole": on a 20k-answer directory, from the WAL and from a
+// snapshot, the four phases account for ReplayDuration to within 10 %.
+func TestRecoveryPhasesSumToReplayDuration(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := Options{Fsync: FsyncNever, Segments: 2}
+		writeRecoveryDir(t, dir, opts, 1000, 20000, 10, snapshot)
+		s, info := mustOpen(t, dir, opts)
+		s.Crash()
+		if info.Answers != 20000 || info.SnapshotLoaded != snapshot {
+			t.Fatalf("recovered %+v", info)
+		}
+		if snapshot && info.SnapshotLoad <= 0 || !snapshot && (info.Decode <= 0 || info.Merge <= 0 || info.Apply <= 0) {
+			t.Fatalf("snapshot=%v: a phase that did work reports no time: %+v", snapshot, info)
+		}
+		sum := info.SnapshotLoad + info.Decode + info.Merge + info.Apply
+		if sum > info.ReplayDuration || sum < info.ReplayDuration*9/10 {
+			t.Fatalf("snapshot=%v: phases sum to %v of a %v recovery (load %v, decode %v, merge %v, apply %v)",
+				snapshot, sum, info.ReplayDuration, info.SnapshotLoad, info.Decode, info.Merge, info.Apply)
+		}
+	}
+}
+
+// TestOpenFailureClosesSegments: when a segment file cannot be opened for
+// appending, the segments opened before it must not stay open.
+func TestOpenFailureClosesSegments(t *testing.T) {
+	openFDs := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(entries)
+	}
+	dir := t.TempDir()
+	// A dangling symlink reads as a missing (empty) log but cannot be
+	// created through, so opening segment 2 fails with 0 and 1 open.
+	if err := os.Symlink(filepath.Join(dir, "missing", "wal"), filepath.Join(dir, segWALName(2))); err != nil {
+		t.Skipf("cannot plant a symlink: %v", err)
+	}
+	before := openFDs()
+	if s, _, err := Open(dir, Options{Fsync: FsyncNever, Segments: 3}); err == nil {
+		s.Crash()
+		t.Fatal("Open succeeded on a segment file that cannot be created")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("failed Open left %d descriptors open", after-before)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -145,37 +146,68 @@ func (s *Snapshot) restoreCQL() cqlReplica {
 	return r
 }
 
-// restore rebuilds the replica state from the snapshot. Closed tasks are
+// restoreInto rebuilds the pool state straight into the per-segment
+// replicas, one goroutine per segment: each adds the tasks, answers, leases
+// and closes it owns, in snapshot order, so a segment's replica iterates
+// as the matching slice of the snapshotted pool did. Closed tasks are
 // closed only after their answers are recorded, matching the original
 // event order well enough for replay (answers for closed tasks were
 // recorded before the close).
-func (s *Snapshot) restore() (*core.Pool, float64, map[string]core.ScreenTally, error) {
-	p := core.NewPool()
+func (s *Snapshot) restoreInto(reps []*core.Pool) error {
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for si, rep := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[si] = s.restoreSegment(rep, si, len(reps))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreSegment restores the share of the snapshot that segment si of n
+// owns into p.
+func (s *Snapshot) restoreSegment(p *core.Pool, si, n int) error {
+	owns := func(id core.TaskID) bool { return core.ShardIndex(id, n) == si }
 	for i := range s.Tasks {
+		if !owns(s.Tasks[i].ID) {
+			continue
+		}
 		t := s.Tasks[i].task()
 		if _, err := p.Add(t); err != nil {
-			return nil, 0, nil, fmt.Errorf("durable: snapshot task %d: %w", t.ID, err)
+			return fmt.Errorf("durable: snapshot task %d: %w", t.ID, err)
 		}
 	}
 	for i := range s.Answers {
+		if !owns(s.Answers[i].Task) {
+			continue
+		}
 		if err := p.Record(s.Answers[i].answer()); err != nil {
-			return nil, 0, nil, fmt.Errorf("durable: snapshot answer: %w", err)
+			return fmt.Errorf("durable: snapshot answer: %w", err)
 		}
 	}
 	for i := range s.Leases {
 		l := &s.Leases[i]
+		if !owns(l.Task) {
+			continue
+		}
 		if err := p.Lease(l.Task, l.Worker, l.deadline()); err != nil {
-			return nil, 0, nil, fmt.Errorf("durable: snapshot lease: %w", err)
+			return fmt.Errorf("durable: snapshot lease: %w", err)
 		}
 	}
 	for _, id := range s.Closed {
-		p.Close(id)
+		if owns(id) {
+			p.Close(id)
+		}
 	}
-	screen := make(map[string]core.ScreenTally, len(s.Screen))
-	for w, t := range s.Screen {
-		screen[w] = t
-	}
-	return p, s.BudgetSpent, screen, nil
+	return nil
 }
 
 // writeSnapshot atomically replaces dir/pool.snap.

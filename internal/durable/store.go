@@ -38,44 +38,6 @@ type Options struct {
 	Segments int
 }
 
-// RecoveryInfo reports what Open found in the data directory.
-type RecoveryInfo struct {
-	// SnapshotLoaded is true when a pool.snap was loaded.
-	SnapshotLoaded bool
-	// SnapshotSeq is the loaded snapshot's LastSeq (0 without a snapshot).
-	SnapshotSeq uint64
-	// Replayed counts WAL events applied on top of the snapshot.
-	Replayed int
-	// Skipped counts WAL events at or below SnapshotSeq (a crash landed
-	// between snapshot publication and WAL truncation) that were not
-	// re-applied.
-	Skipped int
-	// TornBytes is the total size of invalid tails truncated off the WAL
-	// segments (0 when every log ended cleanly).
-	TornBytes int64
-	// ReplayDuration is the wall time spent loading and replaying.
-	ReplayDuration time.Duration
-	// Segments is the number of WAL segments the store operates with.
-	Segments int
-	// Tasks, Answers, and BudgetSpent describe the recovered state.
-	Tasks       int
-	Answers     int
-	BudgetSpent float64
-	// CQLSessions counts recovered open CrowdQL sessions;
-	// CQLRunningQueries counts queries that were mid-flight at crash time
-	// (their handles come back with status "recovered"); CQLOpenQuestions
-	// counts crowd questions whose budget reservation was never released —
-	// the server's recovery pass closes them and refunds the remainder.
-	CQLSessions       int
-	CQLRunningQueries int
-	CQLOpenQuestions  int
-}
-
-// Empty reports whether recovery found any durable state at all.
-func (ri *RecoveryInfo) Empty() bool {
-	return !ri.SnapshotLoaded && ri.Replayed == 0 && ri.Skipped == 0
-}
-
 // segment is one WAL shard: a log file plus the replica of the pool slice
 // whose events it holds. mu serializes sequence assignment, the framed
 // write, and the replica fold for this segment only — appends to
@@ -159,196 +121,11 @@ type Store struct {
 	skipped  obs.Counter
 	snaps    obs.Counter
 	snapErrs obs.Counter
-	replayS  float64 // replay duration in seconds, fixed at Open
-}
-
-// Open recovers state from dir (creating it if needed) and returns a store
-// ready to journal new mutations, plus a report of what was recovered.
-// A torn or corrupt WAL tail is truncated, not an error: the discarded
-// suffix was never acknowledged.
-//
-// Recovery reads the snapshot, splits it into per-segment replicas, then
-// merge-replays every WAL segment file found in the directory — including
-// files from a previous layout with a different segment count, whose
-// events are re-routed to their current owners. Leftover files from a
-// larger previous layout are folded into a fresh snapshot and deleted, so
-// the directory converges to the configured layout.
-func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
-	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 100 * time.Millisecond
-	}
-	if opts.Segments < 1 {
-		opts.Segments = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("durable: creating data dir: %w", err)
-	}
-	start := time.Now()
-	info := &RecoveryInfo{Segments: opts.Segments}
-
-	rep := core.NewPool()
-	var spent float64
-	screen := make(map[string]core.ScreenTally)
-	var seq uint64
-
-	snap, err := loadSnapshot(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if snap != nil {
-		rep, spent, screen, err = snap.restore()
-		if err != nil {
-			return nil, nil, err
-		}
-		seq = snap.LastSeq
-		info.SnapshotLoaded = true
-		info.SnapshotSeq = snap.LastSeq
-	}
-
-	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		segs:      make([]*segment, opts.Segments),
-		ins:       newWALInstruments(),
-		repSpent:  spent,
-		repScreen: screen,
-		seq:       seq,
-		snapSeq:   seq,
-		stop:      make(chan struct{}),
-	}
-	if snap != nil {
-		s.repCQL = snap.restoreCQL()
-	}
-	for i, segRep := range core.SplitPool(rep, opts.Segments) {
-		s.segs[i] = &segment{rep: segRep}
-	}
-
-	// Discover every WAL segment file present, current layout or not.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: scanning data dir: %w", err)
-	}
-	type walFile struct {
-		idx  int
-		path string
-	}
-	var files, stale []walFile
-	for _, e := range entries {
-		idx, ok := parseSegWALName(e.Name())
-		if !ok {
-			continue
-		}
-		f := walFile{idx: idx, path: filepath.Join(dir, e.Name())}
-		files = append(files, f)
-		if idx >= opts.Segments {
-			stale = append(stale, f)
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].idx < files[j].idx })
-
-	// Decode each file, truncating torn or undecodable tails, then merge
-	// every surviving event into one sequence-ordered replay.
-	var events []Event
-	for _, f := range files {
-		payloads, validBytes, torn, err := readWAL(f.path)
-		if err != nil {
-			return nil, nil, err
-		}
-		off := int64(0)
-		for _, payload := range payloads {
-			var ev Event
-			if jerr := json.Unmarshal(payload, &ev); jerr != nil {
-				// The frame checksum verified but the payload does not
-				// decode: treat it like a torn tail and cut this file here.
-				// Everything after an undecodable record in the same file is
-				// unreachable anyway — replay could not order it.
-				torn = validBytes - off + torn
-				validBytes = off
-				break
-			}
-			off += frameHeader + int64(len(payload))
-			events = append(events, ev)
-		}
-		if torn > 0 {
-			if err := os.Truncate(f.path, validBytes); err != nil {
-				return nil, nil, fmt.Errorf("durable: truncating torn WAL tail: %w", err)
-			}
-		}
-		info.TornBytes += torn
-	}
-	// Sequence numbers are unique globally and monotonic within each file,
-	// so sorting by Seq reconstructs a valid interleaving of the original
-	// mutation order.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	for i := range events {
-		ev := &events[i]
-		if ev.Seq <= s.snapSeq {
-			info.Skipped++
-			continue
-		}
-		s.applyEvent(ev)
-		if ev.Seq > s.seq {
-			s.seq = ev.Seq
-		}
-		info.Replayed++
-	}
-
-	for i := range s.segs {
-		w, err := openWALShared(filepath.Join(dir, segWALName(i)), s.ins)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.segs[i].w = w
-	}
-	if len(stale) > 0 {
-		// Files from a larger previous layout: their events are now in the
-		// replicas (and covered by the snapshot we are about to force), so
-		// the files can go — otherwise nothing would ever truncate them.
-		s.lockAll()
-		err := s.snapshotLocked()
-		s.unlockAll()
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, f := range stale {
-			if err := os.Remove(f.path); err != nil {
-				return nil, nil, fmt.Errorf("durable: removing stale WAL segment: %w", err)
-			}
-		}
-	}
-	s.replayed.Add(int64(info.Replayed))
-	s.skipped.Add(int64(info.Skipped))
-
-	info.ReplayDuration = time.Since(start)
-	info.Tasks, info.Answers = 0, 0
-	for _, seg := range s.segs {
-		info.Tasks += seg.rep.Len()
-		info.Answers += seg.rep.TotalAnswers()
-	}
-	info.BudgetSpent = s.repSpent
-	info.CQLSessions = len(s.repCQL.sessions)
-	for _, sess := range s.repCQL.sessions {
-		info.CQLRunningQueries += len(sess.Running)
-	}
-	info.CQLOpenQuestions = len(s.repCQL.questions)
-	s.replayS = info.ReplayDuration.Seconds()
-
-	if opts.Fsync == FsyncInterval {
-		s.bg.Add(1)
-		go s.flusher()
-	}
-	if opts.SnapshotEvery > 0 {
-		s.bg.Add(1)
-		go s.snapshotter()
-	}
-	return s, info, nil
+	recovery RecoveryInfo // what Open found, fixed there
 }
 
 // segFor returns the index of the segment owning a task's events.
 func (s *Store) segFor(id core.TaskID) int { return core.ShardIndex(id, len(s.segs)) }
-
-// segRep returns the replica of the segment owning the task.
-func (s *Store) segRep(id core.TaskID) *core.Pool { return s.segs[s.segFor(id)].rep }
 
 // segForWorker routes worker-keyed events (elimination markers) that have
 // no task affinity.
@@ -359,6 +136,15 @@ func (s *Store) segForWorker(worker string) int {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(worker))
 	return int(h.Sum64() % uint64(len(s.segs)))
+}
+
+// replicas returns the per-segment pool replicas in segment order.
+func (s *Store) replicas() []*core.Pool {
+	reps := make([]*core.Pool, len(s.segs))
+	for i, seg := range s.segs {
+		reps[i] = seg.rep
+	}
+	return reps
 }
 
 // lockAll acquires every segment mutex in ascending order, then the store
@@ -387,15 +173,11 @@ func (s *Store) unlockAll() {
 func (s *Store) State() (*core.Pool, float64, map[string]core.ScreenTally) {
 	s.lockAll()
 	defer s.unlockAll()
-	reps := make([]*core.Pool, len(s.segs))
-	for i, seg := range s.segs {
-		reps[i] = seg.rep
-	}
 	screen := make(map[string]core.ScreenTally, len(s.repScreen))
 	for w, t := range s.repScreen {
 		screen[w] = t
 	}
-	return core.MergePools(reps), s.repSpent, screen
+	return core.MergePools(s.replicas()), s.repSpent, screen
 }
 
 // Err returns the sticky write error, or nil while the store is healthy.
@@ -412,109 +194,6 @@ func (s *Store) fail(err error) {
 		s.err = err
 	}
 	s.mu.Unlock()
-}
-
-// applyEvent folds one event into the replica state, routing each piece
-// to the segment that owns its task. Events were validated by the live
-// pool before they were journaled, so replica errors indicate either
-// corruption replay already cut off or a duplicate delivery; both are
-// skipped rather than fatal.
-//
-// On the live append path the caller holds the owning segment's mutex and
-// the event touches only that segment by construction (appends are routed
-// and batches are grouped before journaling). During recovery nothing is
-// concurrent, so cross-segment events from an older layout may fan out
-// freely.
-func (s *Store) applyEvent(ev *Event) {
-	switch ev.Type {
-	case EvTaskAdded:
-		if ev.Task != nil {
-			_, _ = s.segRep(ev.Task.ID).Add(ev.Task.task())
-		}
-	case EvAnswerRecorded:
-		if ev.Answer != nil {
-			s.recordReplica(ev.Answer.answer())
-		}
-		s.mu.Lock()
-		s.repSpent += ev.Cost
-		if ev.Golden != nil {
-			s.tallyLocked(ev.Worker, *ev.Golden)
-		}
-		s.mu.Unlock()
-	case EvAnswerBatch:
-		for i := range ev.Answers {
-			s.recordReplica(ev.Answers[i].answer())
-		}
-		s.mu.Lock()
-		s.repSpent += ev.Cost
-		for i := range ev.Goldens {
-			if ev.Goldens[i] != nil && i < len(ev.Answers) {
-				s.tallyLocked(ev.Answers[i].Worker, *ev.Goldens[i])
-			}
-		}
-		s.mu.Unlock()
-	case EvTaskClosed:
-		s.segRep(ev.TaskID).Close(ev.TaskID)
-	case EvWorkerEliminated:
-		// Audit marker only: eliminations are derived from the tallies.
-	case EvBudgetCharged:
-		s.mu.Lock()
-		s.repSpent += ev.Amount
-		s.mu.Unlock()
-	case EvBudgetRefunded:
-		s.mu.Lock()
-		s.repSpent -= ev.Amount
-		if s.repSpent < 0 {
-			s.repSpent = 0
-		}
-		s.mu.Unlock()
-	case EvLeaseIssued:
-		if ev.Lease != nil {
-			_ = s.segRep(ev.Lease.Task).Lease(ev.Lease.Task, ev.Lease.Worker, ev.Lease.deadline())
-		}
-	case EvLeaseExpired:
-		for i := range ev.Leases {
-			s.segRep(ev.Leases[i].Task).ReleaseLease(ev.Leases[i].Task, ev.Leases[i].Worker)
-		}
-	default:
-		// CrowdQL session/question events fold into the cross-task replica;
-		// the reservation events also move the durable spend, mirroring the
-		// live gateway's charge/refund protocol.
-		s.mu.Lock()
-		if s.repCQL.apply(ev) {
-			s.repSpent += cqlSpendDelta(ev)
-			if s.repSpent < 0 {
-				s.repSpent = 0
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// recordReplica folds a journaled answer into its segment's replica. The
-// live pool accepted every journaled answer, but the answer path journals
-// after it released the shard lock while a close journals under it, so the
-// record of a question's last answer can sit in the log behind the
-// task-closed record its arrival triggered. The replica takes such an
-// answer all the same; dropping it would leave a recovered pool one answer
-// short of the spend that paid for it.
-func (s *Store) recordReplica(a core.Answer) {
-	rep := s.segRep(a.Task)
-	if rep.Record(a) != nil && rep.Closed(a.Task) {
-		rep.Reopen(a.Task)
-		_ = rep.Record(a)
-		rep.Close(a.Task)
-	}
-}
-
-// tallyLocked folds one golden observation; caller holds s.mu.
-func (s *Store) tallyLocked(worker string, correct bool) {
-	t := s.repScreen[worker]
-	t.Total++
-	if correct {
-		t.Correct++
-	}
-	s.repScreen[worker] = t
 }
 
 // appendSeg journals one event on segment si: assign the next global
@@ -555,7 +234,8 @@ func (s *Store) appendSeg(si int, ev *Event, sync bool) error {
 		return err
 	}
 	seg.appended.Store(ev.Seq)
-	s.applyEvent(ev)
+	s.foldCross(ev)
+	foldPool(seg.rep, ev, si, len(s.segs))
 	seg.mu.Unlock()
 	if sync {
 		if err := seg.syncUpTo(ev.Seq); err != nil {
@@ -774,11 +454,7 @@ func (s *Store) snapshotLocked() error {
 	if s.seq == s.snapSeq {
 		return nil
 	}
-	reps := make([]*core.Pool, len(s.segs))
-	for i, seg := range s.segs {
-		reps[i] = seg.rep
-	}
-	snap := buildSnapshot(core.MergePools(reps), s.repSpent, s.repScreen, s.seq, &s.repCQL)
+	snap := buildSnapshot(core.MergePools(s.replicas()), s.repSpent, s.repScreen, s.seq, &s.repCQL)
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		s.snapErrs.Inc()
 		return err
@@ -807,11 +483,7 @@ func (s *Store) snapshotLocked() error {
 func (s *Store) currentSnapshot() *Snapshot {
 	s.lockAll()
 	defer s.unlockAll()
-	reps := make([]*core.Pool, len(s.segs))
-	for i, seg := range s.segs {
-		reps[i] = seg.rep
-	}
-	return buildSnapshot(core.MergePools(reps), s.repSpent, s.repScreen, s.seq, &s.repCQL)
+	return buildSnapshot(core.MergePools(s.replicas()), s.repSpent, s.repScreen, s.seq, &s.repCQL)
 }
 
 // flusher batches fsyncs across all segments under FsyncInterval.
@@ -926,7 +598,11 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("crowdkit_wal_snapshot_errors_total", &s.snapErrs)
 	reg.RegisterCounter("crowdkit_recovery_replayed_records_total", &s.replayed)
 	reg.RegisterCounter("crowdkit_recovery_skipped_records_total", &s.skipped)
-	reg.GaugeFunc("crowdkit_recovery_replay_seconds", func() float64 { return s.replayS })
+	reg.GaugeFunc("crowdkit_recovery_replay_seconds", func() float64 { return s.recovery.ReplayDuration.Seconds() })
+	reg.GaugeFunc("crowdkit_recovery_snapshot_load_seconds", func() float64 { return s.recovery.SnapshotLoad.Seconds() })
+	reg.GaugeFunc("crowdkit_recovery_decode_seconds", func() float64 { return s.recovery.Decode.Seconds() })
+	reg.GaugeFunc("crowdkit_recovery_merge_seconds", func() float64 { return s.recovery.Merge.Seconds() })
+	reg.GaugeFunc("crowdkit_recovery_apply_seconds", func() float64 { return s.recovery.Apply.Seconds() })
 	reg.GaugeFunc("crowdkit_wal_segments", func() float64 { return float64(len(s.segs)) })
 	reg.GaugeFunc("crowdkit_wal_size_bytes", func() float64 {
 		var total float64
