@@ -69,7 +69,7 @@ func main() {
 		for _, id := range pool.TaskIDs() {
 			t := pool.Task(id)
 			fmt.Printf("  %-55s -> %-8s (confidence %.2f)\n",
-				t.Question, t.Options[res.Labels[id]], res.Confidence(id))
+				t.Question, t.Options[res.Label(id)], res.Confidence(id))
 		}
 		fmt.Println()
 	}

@@ -66,7 +66,7 @@ func main() {
 			}
 			var list []wq
 			for _, w := range ws {
-				if q, ok := res.WorkerQuality[w.Name]; ok {
+				if q, ok := res.Quality(w.Name); ok {
 					list = append(list, wq{w.Name, q, w.Behave, w.Ability})
 				}
 			}

@@ -109,7 +109,8 @@ func T2TruthInference(seed uint64) (*Table, error) {
 			mae, n := 0.0, 0
 			for _, w := range ds.WorkerIDs {
 				if ta, ok := trueAcc[w]; ok {
-					mae += math.Abs(res.WorkerQuality[w] - ta)
+					q, _ := res.Quality(w)
+					mae += math.Abs(q - ta)
 					n++
 				}
 			}

@@ -87,11 +87,11 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 				}
 				linf := 0.0
 				for _, id := range ds2.TaskIDs {
-					if warm.Labels[id] != cold.Labels[id] {
+					if warm.Label(id) != cold.Label(id) {
 						t.Fatalf("task %d: warm label %d != cold label %d",
-							id, warm.Labels[id], cold.Labels[id])
+							id, warm.Label(id), cold.Label(id))
 					}
-					pw, pc := warm.Posterior[id], cold.Posterior[id]
+					pw, pc := warm.PosteriorOf(id), cold.PosteriorOf(id)
 					for c := range pw {
 						if d := math.Abs(pw[c] - pc[c]); d > linf {
 							linf = d

@@ -133,7 +133,7 @@ func TestInferBatch(t *testing.T) {
 	}
 	correct := 0
 	for id, gt := range truthMap {
-		if res.Labels[id] == gt {
+		if res.Label(id) == gt {
 			correct++
 		}
 	}
@@ -177,8 +177,8 @@ func TestRemoteRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, task := range tasks {
-		if res.Labels[task.ID] != i%2 {
-			t.Fatalf("task %d inferred %d, want %d", task.ID, res.Labels[task.ID], i%2)
+		if res.Label(task.ID) != i%2 {
+			t.Fatalf("task %d inferred %d, want %d", task.ID, res.Label(task.ID), i%2)
 		}
 	}
 	if opt, err := r.MajorityOption(binTask(t, r, 1, 0.2), 5); err != nil || opt != 1 {

@@ -280,7 +280,11 @@ func BenchmarkServerConcurrent(b *testing.B) {
 // BenchmarkResultsPoll measures the /api/results fast path: "cached"
 // polls an unchanged pool (version-keyed memoization, no EM), while
 // "invalidated" records a fresh answer before every poll, forcing a full
-// re-inference each time.
+// re-inference each time. "ingest" is shaped like the results_poll
+// workload of cmd/loadgen, minus the sockets: 5,000 binary tasks on two
+// shards holding 50,000 answers from ten workers, 50 more answers batched
+// in before every poll (a new worker every 5,000), method=onecoin; the
+// timer runs only while polling.
 func BenchmarkResultsPoll(b *testing.B) {
 	setup := func(b *testing.B) *Server {
 		rng := stats.NewRNG(13)
@@ -309,6 +313,52 @@ func BenchmarkResultsPoll(b *testing.B) {
 			b.Fatalf("results failed: %d %s", rec.Code, rec.Body.String())
 		}
 	}
+	b.Run("ingest", func(b *testing.B) {
+		const tasks, preload, perPoll = 5000, 50000, 50
+		srv, err := New(testPool(stats.NewRNG(13), tasks), assign.FewestAnswers{}, nil, nil, WithShards(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sent := 0
+		ingest := func(n int) {
+			batch := make([]AnswerDTO, n)
+			for i := range batch {
+				k := sent + i
+				task := k%tasks + 1
+				opt := task % 2
+				if (uint64(k)*0x9e3779b97f4a7c15)>>61 == 0 {
+					opt = 1 - opt // one answer in eight disagrees
+				}
+				batch[i] = AnswerDTO{Task: core.TaskID(task), Worker: fmt.Sprintf("w%d", k/tasks), Option: opt}
+			}
+			sent += n
+			body, _ := json.Marshal(batch)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/answers", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("batch rejected: %d %s", rec.Code, rec.Body.String())
+			}
+		}
+		poll := func() {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/results?method=onecoin", nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("results failed: %d %s", rec.Code, rec.Body.String())
+			}
+		}
+		for sent < preload {
+			ingest(500)
+		}
+		poll() // the cold build and EM run belong to set-up
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ingest(perPoll)
+			b.StartTimer()
+			poll()
+		}
+	})
 	b.Run("cached", func(b *testing.B) {
 		srv := setup(b)
 		poll(b, srv) // warm the cache

@@ -151,7 +151,7 @@ type resultsMetrics struct {
 	warmHits     *obs.Counter // EM runs seeded from a previous result
 	warmMisses   *obs.Counter // EM runs that fell back to cold start
 	deltaBuilds  *obs.Counter // datasets extended via AppendDelta
-	fullBuilds   *obs.Counter // datasets rebuilt via FromPool
+	fullBuilds   *obs.Counter // datasets rebuilt from the full answer set (FromAnswers)
 	groupSkips   *obs.Counter // groups re-served unchanged (no build, no inference)
 	flightShared *obs.Counter // pollers that piggybacked on another's run
 	staleServes  *obs.Counter // responses served from the last complete result

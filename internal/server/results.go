@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -54,9 +57,9 @@ type resultGroup struct {
 
 	res *truth.Result // set on cache hit; else filled by compute
 
-	// Compute-phase inputs: exactly one of ds (full rebuild) or base
-	// (incremental: extend base with delta) is set when res is nil.
-	ds    *truth.Dataset
+	// Compute-phase inputs when res is nil: the answers copied out under
+	// the locks — the group's whole answer set when base is nil (full
+	// build), else only those appended since base was built.
 	base  *truth.Dataset
 	delta []core.Answer
 	warm  *truth.WarmState
@@ -104,13 +107,14 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	root := obs.CurrentSpan(r.Context())
 	if s.refreshEvery > 0 {
 		// Background-refresh mode: register the method with the refresher
 		// and serve the last complete result immediately — pollers never
 		// wait on inference. Until the first refresh completes there is
 		// nothing to serve, so fall through to the inline path once.
 		s.noteRefreshMethod(method)
-		if s.serveStale(w, method) {
+		if s.serveStale(w, root, method) {
 			return
 		}
 	}
@@ -120,34 +124,121 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeResults(w, groups, version)
+	writeResults(w, root, groups, version)
 }
 
-// writeResults renders the DTO list from the hoisted task pointers — no
-// pool lookups, no locks — and stamps the version header.
-func writeResults(w http.ResponseWriter, groups []*resultGroup, version uint64) {
+// writeResults renders one ResultDTO per task straight from the results'
+// dense arrays and the hoisted task pointers — no pool lookups, no locks —
+// and sends the body whole, stamped with the version header. A result
+// that cannot be rendered (a non-finite confidence) is a 500, decided
+// before any header is written. root, when recording, gets the encoding
+// time and body size as attributes.
+func writeResults(w http.ResponseWriter, root *obs.Span, groups []*resultGroup, version uint64) {
+	var start time.Time
+	if root.Recording() {
+		start = time.Now()
+	}
 	nTasks := 0
 	for _, g := range groups {
 		nTasks += len(g.ids)
 	}
-	out := make([]ResultDTO, 0, nTasks)
+	enc := resultsEncoder{buf: append(make([]byte, 0, 80*nTasks+3), '[')}
 	for _, g := range groups {
+		ds := g.res.Dataset()
 		for i, id := range g.ids {
-			t := g.tasks[i]
-			lbl := g.res.Labels[id]
-			opt := ""
-			if lbl >= 0 && lbl < len(t.Options) {
-				opt = t.Options[lbl]
+			// A group's ids are normally the very list its result was
+			// computed over; only a stale serve across a task-set change
+			// needs the lookup, and then a task the result has not seen
+			// renders as label 0 with no confidence.
+			ti := i
+			if ti >= len(ds.TaskIDs) || ds.TaskIDs[ti] != id {
+				ti = ds.TaskIndex(id)
 			}
-			out = append(out, ResultDTO{
-				Task: id, Label: lbl, Option: opt,
-				Confidence: g.res.Confidence(id),
-			})
+			lbl, conf := 0, 0.0
+			if ti >= 0 {
+				lbl, conf = g.res.LabelAt(ti), g.res.ConfidenceAt(ti)
+			}
+			opt := ""
+			if opts := g.tasks[i].Options; lbl >= 0 && lbl < len(opts) {
+				opt = opts[lbl]
+			}
+			if err := enc.add(ResultDTO{Task: id, Label: lbl, Option: opt, Confidence: conf}); err != nil {
+				httpError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
 		}
 	}
+	body := enc.finish()
+	if root.Recording() {
+		root.SetAttr(obs.Int("results.encode_us", time.Since(start).Microseconds()),
+			obs.Int("results.bytes", int64(len(body))))
+	}
 	w.Header().Set(ResultsVersionHeader, strconv.FormatUint(version, 10))
-	writeJSON(w, out)
+	sendJSON(w, body)
 }
+
+// resultsEncoder appends ResultDTOs to buf as a JSON array, byte for byte
+// what json.NewEncoder(w).Encode([]ResultDTO) writes, without reflecting
+// over the elements. buf starts as "[".
+type resultsEncoder struct {
+	buf []byte
+	// memo keeps the JSON form of the last few distinct option strings:
+	// the tasks of a group mostly share theirs, so each is escaped once.
+	memo [4]struct {
+		s string
+		q []byte
+	}
+	next int
+}
+
+func (e *resultsEncoder) add(d ResultDTO) error {
+	if math.IsNaN(d.Confidence) || math.IsInf(d.Confidence, 0) {
+		return fmt.Errorf("results: task %d has a non-finite confidence %v", d.Task, d.Confidence)
+	}
+	b := e.buf
+	if len(b) > 1 {
+		b = append(b, ',')
+	}
+	b = append(b, `{"task":`...)
+	b = strconv.AppendInt(b, int64(d.Task), 10)
+	b = append(b, `,"label":`...)
+	b = strconv.AppendInt(b, int64(d.Label), 10)
+	b = append(b, `,"option":`...)
+	b = append(b, e.quote(d.Option)...)
+	b = append(b, `,"confidence":`...)
+	// encoding/json's float rule: shortest round-trip digits, exponent
+	// form only below 1e-6 or from 1e21, and its two-digit exponent
+	// trimmed (e-07 → e-7).
+	format := byte('f')
+	if abs := math.Abs(d.Confidence); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, d.Confidence, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	e.buf = append(b, '}')
+	return nil
+}
+
+// quote returns s as encoding/json renders a string (HTML-safe escaping
+// included), from the memo when s was among the last few asked for.
+func (e *resultsEncoder) quote(s string) []byte {
+	for i := range e.memo {
+		if m := &e.memo[i]; m.q != nil && m.s == s {
+			return m.q
+		}
+	}
+	q, _ := json.Marshal(s) // a string always marshals
+	m := &e.memo[e.next%len(e.memo)]
+	m.s, m.q = s, q
+	e.next++
+	return q
+}
+
+// finish closes the array the way Encoder.Encode ends a value.
+func (e *resultsEncoder) finish() []byte { return append(e.buf, ']', '\n') }
 
 // computeResults produces up-to-date results for every option-count group
 // at a consistent pool version. The snapshot phase runs under every
@@ -155,14 +246,21 @@ func writeResults(w http.ResponseWriter, groups []*resultGroup, version uint64) 
 // for cache-hit groups, only the appended answers for delta-covered
 // groups, the full answer set otherwise. Dataset building and inference
 // run outside the locks, deduplicated per (method, k, version) so a
-// thundering herd of pollers triggers at most one EM run.
+// thundering herd of pollers triggers at most one EM run. When ctx's span
+// is recording, it gets the phase times and the number of answers copied
+// as attributes (no clock is read otherwise).
 func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGroup, uint64, error) {
 	var (
 		groups   []*resultGroup
 		version  uint64
 		versSnap []uint64
-		snapErr  error
 	)
+	root := obs.CurrentSpan(ctx)
+	traced := root.Recording()
+	var start time.Time
+	if traced {
+		start = time.Now()
+	}
 	s.cpool.ViewDelta(func(v *core.DeltaView) {
 		version = v.Version()
 		versSnap = append([]uint64(nil), v.Versions...)
@@ -184,8 +282,8 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 				if delta, covered := collectDelta(v, e.Shards, gs, k); covered {
 					if len(delta) == 0 {
 						// The version moved but this group's answers did
-						// not: re-register the cached result, skip
-						// FromPool and inference entirely.
+						// not: re-register the cached result, skip the
+						// dataset and inference entirely.
 						g.res, g.refreshOnly, g.refreshDS = e.Res, true, e.DS
 					} else {
 						g.base, g.delta = e.DS, delta
@@ -193,16 +291,14 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 					continue
 				}
 			}
-			ds, err := truth.FromPool(view, g.ids)
-			if err != nil {
-				snapErr = err
-				return
+			for _, id := range g.ids {
+				g.delta = append(g.delta, view.Answers(id)...)
 			}
-			g.ds = ds
 		}
 	})
-	if snapErr != nil {
-		return nil, 0, snapErr
+	var copied, datasetUS int64
+	if traced {
+		root.SetAttr(obs.Int("results.snapshot_us", time.Since(start).Microseconds()))
 	}
 
 	for _, g := range groups {
@@ -216,17 +312,28 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 			continue
 		}
 		g := g
+		copied += int64(len(g.delta))
 		res, err, shared := s.flight.do(flightKey{method: method, k: g.k, version: version}, func() (*truth.Result, error) {
-			ds := g.ds
-			if ds == nil {
-				nd, err := g.base.AppendDelta(g.delta)
-				if err != nil {
-					return nil, err
-				}
-				ds = nd
+			if traced {
+				start = time.Now()
+			}
+			var ds *truth.Dataset
+			var err error
+			if g.base != nil {
+				ds, err = g.base.AppendDelta(g.delta)
+			} else {
+				ds, err = truth.FromAnswers(g.k, g.ids, g.delta)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if g.base != nil {
 				s.resM.deltaBuilds.Inc()
 			} else {
 				s.resM.fullBuilds.Inc()
+			}
+			if traced {
+				datasetUS += time.Since(start).Microseconds()
 			}
 			if emMethod(method) {
 				if g.warm != nil {
@@ -256,6 +363,9 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 			s.resM.flightShared.Inc()
 		}
 		g.res = res
+	}
+	if traced {
+		root.SetAttr(obs.Int("results.dataset_us", datasetUS), obs.Int("results.delta_answers", copied))
 	}
 	return groups, version, nil
 }
@@ -351,7 +461,7 @@ func (s *Server) noteRefreshMethod(method string) {
 // whatever version it is at, and reports whether it could. The version
 // header carries the oldest version across the groups — the conservative
 // bound on how stale the payload is.
-func (s *Server) serveStale(w http.ResponseWriter, method string) bool {
+func (s *Server) serveStale(w http.ResponseWriter, root *obs.Span, method string) bool {
 	s.groupMu.Lock()
 	gs := s.groups
 	s.groupMu.Unlock()
@@ -371,7 +481,7 @@ func (s *Server) serveStale(w http.ResponseWriter, method string) bool {
 		groups = append(groups, &resultGroup{k: k, ids: gs.ids[k], tasks: gs.tasks[k], res: e.Res})
 	}
 	s.resM.staleServes.Inc()
-	writeResults(w, groups, minVer)
+	writeResults(w, root, groups, minVer)
 	return true
 }
 

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/truth"
 )
 
 // getResults fetches /api/results raw, returning status, body bytes, and
@@ -264,5 +269,139 @@ func TestResultsBackgroundRefresh(t *testing.T) {
 	}
 	if stale := reg.Snapshot()["crowdkit_results_stale_serves_total"]; stale == 0 {
 		t.Fatal("no polls were served from the last complete result")
+	}
+}
+
+// TestResultsEncoderMatchesEncodingJSON is the byte-identity contract of
+// the append-based encoder: whatever rows it is fed, the body is exactly
+// what json.NewEncoder writes for the same []ResultDTO — string escaping,
+// float formatting, separators and the trailing newline included.
+func TestResultsEncoderMatchesEncodingJSON(t *testing.T) {
+	options := []string{
+		"yes", "no", "", `say "hi"`, `back\slash`, "<b>&amp;</b>", "caf\u00e9 \u4e16\u754c \U0001F600",
+		"tab\tnewline\ncr\r", "ctl\x01\x1f\x7f", "bad utf8 \xff\xfe", "line\u2028sep\u2029",
+	}
+	confidences := []float64{
+		0, 1, 0.5, 1e-7, 1 - 1e-12, 5e-324, 2.2250738585072014e-308, 1e-6, 9.999999e-7, 0.000001234,
+		1e20, 1e21, 1.5e22, 1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3, 0.9999999999999999, math.Copysign(0, -1), -0.25,
+	}
+	labels := []int{0, 1, 2, -1, 7, 1 << 40}
+	rng := stats.NewRNG(99)
+	rows := []ResultDTO{}
+	check := func() {
+		t.Helper()
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(rows); err != nil {
+			t.Fatal(err)
+		}
+		enc := resultsEncoder{buf: []byte{'['}}
+		for _, d := range rows {
+			if err := enc.add(d); err != nil {
+				t.Fatalf("add(%+v): %v", d, err)
+			}
+		}
+		if got := enc.finish(); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("encoder output differs from encoding/json over %d rows:\n got %q\nwant %q", len(rows), got, want.Bytes())
+		}
+	}
+	check() // the empty list is "[]\n"
+
+	for _, c := range confidences { // every confidence at least once
+		rows = append(rows, ResultDTO{Task: core.TaskID(len(rows)), Label: 1, Option: "yes", Confidence: c})
+	}
+	for _, o := range options { // every option at least once
+		rows = append(rows, ResultDTO{Task: core.TaskID(-len(rows)), Label: 0, Option: o, Confidence: 0.75})
+	}
+	check()
+	for i := 0; i < 2000; i++ {
+		conf := confidences[rng.Intn(len(confidences))]
+		if i%2 == 0 {
+			conf = math.Float64frombits(rng.Uint64() >> 2) // any double in [0, 2), subnormals included
+		}
+		rows = append(rows, ResultDTO{
+			Task:       core.TaskID(rng.Intn(1 << 30)),
+			Label:      labels[rng.Intn(len(labels))],
+			Option:     options[rng.Intn(len(options))],
+			Confidence: conf,
+		})
+	}
+	check()
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		enc := resultsEncoder{buf: []byte{'['}}
+		if err := enc.add(ResultDTO{Task: 1, Confidence: bad}); err == nil {
+			t.Fatalf("confidence %v must be refused, as encoding/json refuses it", bad)
+		}
+	}
+}
+
+// handBuiltGroup wraps a hand-built Result over nTasks binary tasks, every
+// posterior row (conf, 1-conf), as writeResults takes it.
+func handBuiltGroup(t *testing.T, nTasks int, conf float64) []*resultGroup {
+	t.Helper()
+	g := &resultGroup{k: 2}
+	post := make([]float64, 0, 2*nTasks)
+	for i := 1; i <= nTasks; i++ {
+		g.ids = append(g.ids, core.TaskID(i))
+		g.tasks = append(g.tasks, &core.Task{ID: core.TaskID(i), Kind: core.SingleChoice, Options: []string{"no", "yes"}})
+		post = append(post, conf, 1-conf)
+	}
+	ds, err := truth.FromAnswers(2, g.ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.res = truth.NewResult("hand-built", ds, post, nil, 0)
+	return []*resultGroup{g}
+}
+
+// TestUnencodableResponseIs500: a value encoding/json refuses used to be
+// served as 200 with an empty body, because the encoder's error was
+// dropped after the header had gone out. Both writers now encode first.
+func TestUnencodableResponseIs500(t *testing.T) {
+	for name, write := range map[string]func(w http.ResponseWriter){
+		"writeJSON":    func(w http.ResponseWriter) { writeJSON(w, map[string]float64{"confidence": math.NaN()}) },
+		"writeResults": func(w http.ResponseWriter) { writeResults(w, nil, handBuiltGroup(t, 3, math.NaN()), 7) },
+	} {
+		rec := httptest.NewRecorder()
+		write(rec)
+		var body map[string]string
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body["error"] == "" {
+			t.Errorf("%s: status %d body %q, want 500 with an error message", name, rec.Code, rec.Body.String())
+		}
+		if v := rec.Header().Get(ResultsVersionHeader); v != "" {
+			t.Errorf("%s: failed response carries %s %q", name, ResultsVersionHeader, v)
+		}
+	}
+	// The same writers, given something encodable, declare their length.
+	rec := httptest.NewRecorder()
+	writeResults(rec, nil, handBuiltGroup(t, 3, 0.75), 7)
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) ||
+		rec.Header().Get(ResultsVersionHeader) != "7" || strings.Count(rec.Body.String(), `"confidence":0.75`) != 3 {
+		t.Errorf("finite result: status %d headers %v body %q", rec.Code, rec.Header(), rec.Body.String())
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps nothing, so the
+// allocations counted below are the renderer's own.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// TestWriteResultsAllocsIndependentOfTaskCount: rendering allocates the
+// body, the header values and one quoted form per distinct option — not a
+// DTO, a string or a map read per task.
+func TestWriteResultsAllocsIndependentOfTaskCount(t *testing.T) {
+	render := func(nTasks int) float64 {
+		groups := handBuiltGroup(t, nTasks, 0.25)
+		return testing.AllocsPerRun(20, func() {
+			writeResults(discardWriter{h: http.Header{}}, nil, groups, 7)
+		})
+	}
+	small, large := render(200), render(2000)
+	t.Logf("allocations per render: %.0f at 200 tasks, %.0f at 2000", small, large)
+	if small != large || large > 16 {
+		t.Fatalf("render allocates %.0f times at 200 tasks and %.0f at 2000; want equal and <= 16", small, large)
 	}
 }

@@ -51,6 +51,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -58,6 +59,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -626,7 +628,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, HealthDTO{Status: "ok", Tasks: s.cpool.Len()})
 }
 
-// shardView is a truth.Source over the per-shard pools exposed by
+// shardView reads tasks and answers across the per-shard pools exposed by
 // ShardedPool.ViewAll: lookups route by the same task hash the pool
 // shards by. Valid only inside the ViewAll callback that produced it.
 type shardView []*core.Pool
@@ -654,12 +656,23 @@ func (v shardView) taskIDs() []core.TaskID {
 	return out
 }
 
+// writeJSON answers 200 with v as JSON, or 500 when v cannot be encoded:
+// the value is encoded in full before anything is sent, so a failure is
+// never served as an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already written; nothing more we can do.
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: "+err.Error())
 		return
 	}
+	sendJSON(w, buf.Bytes())
+}
+
+// sendJSON sends an already encoded JSON body in a single Write.
+func sendJSON(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -418,8 +418,9 @@ func TestEMRunSpanInResultsTrace(t *testing.T) {
 			}
 		}
 	}
-	if _, err := client.Results("onecoin"); err != nil {
-		t.Fatal(err)
+	code, body, _ := getResults(t, ts.URL, "onecoin")
+	if code != http.StatusOK {
+		t.Fatalf("results poll: status %d", code)
 	}
 	sums := tracesIndex(t, ts.URL, "endpoint=/api/results")
 	if len(sums) == 0 {
@@ -432,6 +433,25 @@ func TestEMRunSpanInResultsTrace(t *testing.T) {
 	em, ok := spanNames(trace)["em.run"]
 	if !ok {
 		t.Fatalf("no em.run span: %+v", trace.Spans)
+	}
+	// The poll's own phases ride on the root span as attributes, not as
+	// child spans: its self time must stay "everything but em.run".
+	root := spanNames(trace)["/api/results"]
+	for _, key := range []string{"results.snapshot_us", "results.dataset_us", "results.encode_us"} {
+		if _, ok := root.Attrs[key].(float64); !ok {
+			t.Errorf("root span attr %s = %v, want a number", key, root.Attrs[key])
+		}
+	}
+	if got := root.Attrs["results.bytes"]; got != float64(len(body)) {
+		t.Errorf("root span results.bytes = %v, want %d", got, len(body))
+	}
+	if got := root.Attrs["results.delta_answers"]; got != float64(3*len(pool.TaskIDs())) {
+		t.Errorf("root span results.delta_answers = %v, want every answer of the cold build", got)
+	}
+	for _, sp := range trace.Spans {
+		if sp.ParentID == root.SpanID && sp.Name != "em.run" {
+			t.Errorf("unexpected child span %q of the results root", sp.Name)
+		}
 	}
 	if em.Attrs["em.method"] != "onecoin" || em.Attrs["converged"] != true {
 		t.Errorf("em.run attrs = %v, want method onecoin converged", em.Attrs)

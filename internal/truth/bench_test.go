@@ -1,8 +1,10 @@
 package truth
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/crowd"
 )
 
@@ -48,6 +50,47 @@ func BenchmarkGLAD1000(b *testing.B) {
 		if _, err := (GLAD{}).Infer(ds); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAppendDelta extends a dataset the size a results poll keeps
+// (5,000 tasks, 50,000 answers from ten workers) by a poll's worth of new
+// answers: 50 from known workers ("known"), or the same 50 with one from a
+// worker whose name sorts among the known ones, which rewrites every
+// worker index ("newworker").
+func BenchmarkAppendDelta(b *testing.B) {
+	const tasks, answers = 5000, 50000
+	ids := make([]core.TaskID, tasks)
+	for i := range ids {
+		ids[i] = core.TaskID(i + 1)
+	}
+	all := make([]core.Answer, answers)
+	for k := range all {
+		all[k] = core.Answer{Task: ids[k%tasks], Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 3 % 2}
+	}
+	base, err := FromAnswers(2, ids, all)
+	if err != nil {
+		b.Fatal(err)
+	}
+	known := make([]core.Answer, 50)
+	for i := range known {
+		known[i] = core.Answer{Task: ids[i*97], Worker: fmt.Sprintf("w%d", i%10), Option: i % 2}
+	}
+	for _, c := range []struct {
+		name  string
+		delta []core.Answer
+	}{
+		{"known", known},
+		{"newworker", append(known[:49:49], core.Answer{Task: ids[7], Worker: "w10", Option: 1})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := base.AppendDelta(c.delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

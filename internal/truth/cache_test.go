@@ -3,14 +3,12 @@ package truth
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestResultCacheVersionKeying(t *testing.T) {
 	c := NewResultCache()
 	key := ResultKey{Method: "mv", K: 2}
-	r1 := &Result{Method: "mv", Labels: map[core.TaskID]int{1: 0}}
+	r1 := &Result{Method: "mv"}
 	c.Put(key, CacheEntry{Version: 7, Res: r1})
 	if got, ok := c.Get(key, 7); !ok || got != r1 {
 		t.Fatal("exact-version lookup missed")
@@ -22,7 +20,7 @@ func TestResultCacheVersionKeying(t *testing.T) {
 		t.Fatal("wrong key served")
 	}
 	// A newer Put replaces the entry for the same key.
-	r2 := &Result{Method: "mv", Labels: map[core.TaskID]int{1: 1}}
+	r2 := &Result{Method: "mv"}
 	c.Put(key, CacheEntry{Version: 8, Res: r2})
 	if _, ok := c.Get(key, 7); ok {
 		t.Fatal("replaced entry still served at old version")

@@ -13,7 +13,7 @@
 //   - Numeric aggregation (mean / median / weighted mean) for rating tasks.
 //
 // All methods consume a Dataset, a normalized view of choice-task answers,
-// and produce a Result containing posterior label distributions, hard
+// and produce a Result holding posterior label distributions, hard
 // labels, and per-worker quality estimates.
 package truth
 
@@ -22,17 +22,18 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // Dataset is the input to inference: a set of choice-type tasks with the
-// same option count, plus all collected answers for them.
+// same option count, plus all collected answers for them in a dense
+// index-based layout. A Dataset is immutable once built; AppendDelta
+// derives a grown one.
 type Dataset struct {
 	// K is the number of options shared by every task in the dataset.
 	K int
 	// TaskIDs lists the tasks in a deterministic order.
 	TaskIDs []core.TaskID
-	// Answers maps each task to its recorded answers (option >= 0 only).
-	Answers map[core.TaskID][]core.Answer
 	// WorkerIDs lists every worker that answered at least one task,
 	// sorted.
 	WorkerIDs []string
@@ -40,7 +41,7 @@ type Dataset struct {
 	taskIndex   map[core.TaskID]int
 	workerIndex map[string]int
 
-	// Dense CSR-style answer layout, built once by FromPool. The EM
+	// Dense CSR-style answer layout — the only copy of the answers. The
 	// kernels iterate these flat slices instead of resolving map lookups
 	// per answer per iteration.
 	//
@@ -81,15 +82,8 @@ type Source interface {
 // error (callers partition heterogeneous pools by option count first).
 // Tasks with no answers are retained (their posterior will be the prior).
 func FromPool(p Source, ids []core.TaskID) (*Dataset, error) {
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("truth: empty task set")
-	}
-	ds := &Dataset{
-		Answers:     make(map[core.TaskID][]core.Answer, len(ids)),
-		taskIndex:   make(map[core.TaskID]int, len(ids)),
-		workerIndex: make(map[string]int),
-	}
-	workerSet := make(map[string]bool)
+	k := 0
+	var answers []core.Answer
 	for _, id := range ids {
 		t := p.Task(id)
 		if t == nil {
@@ -100,155 +94,148 @@ func FromPool(p Source, ids []core.TaskID) (*Dataset, error) {
 		default:
 			return nil, fmt.Errorf("truth: task %d is %v, not choice-type", id, t.Kind)
 		}
-		k := len(t.Options)
-		if ds.K == 0 {
-			ds.K = k
-		} else if k != ds.K {
+		if k == 0 {
+			k = len(t.Options)
+		} else if len(t.Options) != k {
 			return nil, fmt.Errorf("truth: task %d has %d options, dataset has %d",
-				id, k, ds.K)
+				id, len(t.Options), k)
 		}
-		ds.taskIndex[id] = len(ds.TaskIDs)
-		ds.TaskIDs = append(ds.TaskIDs, id)
-		for _, a := range p.Answers(id) {
-			if a.Option < 0 || a.Option >= k {
-				continue
-			}
-			ds.Answers[id] = append(ds.Answers[id], a)
-			workerSet[a.Worker] = true
-		}
+		answers = append(answers, p.Answers(id)...)
 	}
-	for w := range workerSet {
-		ds.WorkerIDs = append(ds.WorkerIDs, w)
-	}
-	sort.Strings(ds.WorkerIDs)
-	for i, w := range ds.WorkerIDs {
-		ds.workerIndex[w] = i
-	}
-	ds.buildDense()
-	return ds, nil
+	return FromAnswers(k, ids, answers)
 }
 
-// buildDense populates the flat task-major and worker-major answer
-// layouts from Answers. FromPool calls it once; dense() rebuilds lazily
-// for datasets assembled by hand in tests.
-func (ds *Dataset) buildDense() {
-	total := 0
-	for _, as := range ds.Answers {
-		total += len(as)
+// FromAnswers builds the Dataset over ids — choice tasks that all have k
+// options, which the caller vouches for — from a flat answer list obeying
+// AppendDelta's contract. It is FromPool for callers that copied the
+// answers out from under the pool's locks and build outside them.
+func FromAnswers(k int, ids []core.TaskID, answers []core.Answer) (*Dataset, error) {
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("truth: empty task set")
 	}
-	ds.refs = make([]answerRef, 0, total)
-	ds.taskOff = make([]int32, len(ds.TaskIDs)+1)
-	for ti, id := range ds.TaskIDs {
-		ds.taskOff[ti] = int32(len(ds.refs))
-		for _, a := range ds.Answers[id] {
-			ds.refs = append(ds.refs, answerRef{
-				task:   int32(ti),
-				worker: int32(ds.workerIndex[a.Worker]),
-				option: int32(a.Option),
-			})
-		}
+	empty := &Dataset{
+		K:         k,
+		TaskIDs:   append([]core.TaskID(nil), ids...),
+		taskIndex: make(map[core.TaskID]int, len(ids)),
+		taskOff:   make([]int32, len(ids)+1),
 	}
-	ds.taskOff[len(ds.TaskIDs)] = int32(len(ds.refs))
-
-	// Worker-major view via a counting sort over worker indices: stable,
-	// so each worker's positions stay in ascending (task-major) order.
-	ds.wOff = make([]int32, len(ds.WorkerIDs)+1)
-	for _, r := range ds.refs {
-		ds.wOff[r.worker+1]++
+	for ti, id := range ids {
+		empty.taskIndex[id] = ti
 	}
-	for wi := 0; wi < len(ds.WorkerIDs); wi++ {
-		ds.wOff[wi+1] += ds.wOff[wi]
-	}
-	ds.wAns = make([]int32, len(ds.refs))
-	next := make([]int32, len(ds.WorkerIDs))
-	copy(next, ds.wOff[:len(ds.WorkerIDs)])
-	for p, r := range ds.refs {
-		ds.wAns[next[r.worker]] = int32(p)
-		next[r.worker]++
-	}
+	return empty.AppendDelta(answers)
 }
 
 // AppendDelta returns a new Dataset equal to what FromPool would build
 // over the same task set after delta was appended to the pool: the
 // incremental path of a results endpoint, where a snapshot under the pool
 // locks copies only the answers recorded since the previous refresh and
-// the flat layout is rebuilt outside any lock. The receiver is not
+// the flat layout is extended outside any lock. The receiver is not
 // mutated and stays valid (cached Results keep aliasing it).
+//
+// It is a linear merge: only the delta's task ids and worker names are
+// hashed; the base's answers are copied task range by task range, already
+// in index form. Their worker indices are rewritten — through an old→new
+// table — only when the delta brought a worker the base had not seen,
+// since a new name may sort before existing ones.
 //
 // delta must hold only answers for tasks already in ds, in per-task
 // arrival order (the order the pool appends them); answers whose option
 // is outside [0, K) are dropped, exactly as FromPool drops them. An
 // answer for an unknown task is an error — task-set changes require a
-// full FromPool rebuild.
+// full rebuild.
 func (ds *Dataset) AppendDelta(delta []core.Answer) (*Dataset, error) {
-	ds.dense()
+	n := len(ds.TaskIDs)
 	nd := &Dataset{
-		K:         ds.K,
-		TaskIDs:   ds.TaskIDs, // task set unchanged by construction
-		taskIndex: ds.taskIndex,
-		Answers:   make(map[core.TaskID][]core.Answer, len(ds.Answers)),
+		K:           ds.K,
+		TaskIDs:     ds.TaskIDs, // task set unchanged by construction
+		taskIndex:   ds.taskIndex,
+		WorkerIDs:   ds.WorkerIDs,
+		workerIndex: ds.workerIndex,
+		taskOff:     make([]int32, n+1),
 	}
-	for id, as := range ds.Answers {
-		nd.Answers[id] = as // shared until a delta answer touches the task
-	}
-	var newWorkers []string
+	// Resolve the delta to index form, counting each task's growth in
+	// nd.taskOff[ti+1]. A worker the base does not know takes a
+	// provisional index past the base's, in first-seen order.
+	add := make([]answerRef, 0, len(delta))
+	var fresh []string
+	var freshIndex map[string]int
 	for _, a := range delta {
-		if _, ok := ds.taskIndex[a.Task]; !ok {
+		ti, ok := ds.taskIndex[a.Task]
+		if !ok {
 			return nil, fmt.Errorf("truth: delta answer for task %d outside the dataset", a.Task)
 		}
 		if a.Option < 0 || a.Option >= ds.K {
 			continue
 		}
-		// Copy-on-write: the base slice may be shared with the receiver
-		// (and with other datasets derived from it), so the first append
-		// to a task clones its slice.
-		if cur, base := nd.Answers[a.Task], ds.Answers[a.Task]; len(cur) == len(base) {
-			nd.Answers[a.Task] = append(append(make([]core.Answer, 0, len(base)+4), base...), a)
-		} else {
-			nd.Answers[a.Task] = append(cur, a)
-		}
-		if _, ok := ds.workerIndex[a.Worker]; !ok {
-			newWorkers = append(newWorkers, a.Worker)
-		}
-	}
-	if len(newWorkers) == 0 {
-		nd.WorkerIDs = ds.WorkerIDs
-		nd.workerIndex = ds.workerIndex
-	} else {
-		sort.Strings(newWorkers)
-		nd.WorkerIDs = make([]string, 0, len(ds.WorkerIDs)+len(newWorkers))
-		nd.WorkerIDs = append(nd.WorkerIDs, ds.WorkerIDs...)
-		prev := ""
-		for i, w := range newWorkers {
-			if i > 0 && w == prev {
-				continue // same new worker in several delta answers
+		wi, ok := ds.workerIndex[a.Worker]
+		if !ok {
+			if wi, ok = freshIndex[a.Worker]; !ok {
+				if freshIndex == nil {
+					freshIndex = make(map[string]int)
+				}
+				wi = len(ds.WorkerIDs) + len(fresh)
+				freshIndex[a.Worker] = wi
+				fresh = append(fresh, a.Worker)
 			}
-			prev = w
-			nd.WorkerIDs = append(nd.WorkerIDs, w)
 		}
+		add = append(add, answerRef{task: int32(ti), worker: int32(wi), option: int32(a.Option)})
+		nd.taskOff[ti+1]++
+	}
+
+	// Lay out each task as its base range followed by its delta answers.
+	nd.refs = make([]answerRef, len(ds.refs)+len(add))
+	next := make([]int32, n) // where each task's next delta answer lands
+	at := int32(0)
+	for ti := 0; ti < n; ti++ {
+		grown := nd.taskOff[ti+1]
+		nd.taskOff[ti] = at
+		at += int32(copy(nd.refs[at:], ds.refs[ds.taskOff[ti]:ds.taskOff[ti+1]]))
+		next[ti] = at
+		at += grown
+	}
+	nd.taskOff[n] = at
+	for _, r := range add {
+		nd.refs[next[r.task]] = r
+		next[r.task]++
+	}
+
+	if len(fresh) > 0 {
+		old := len(ds.WorkerIDs)
+		nd.WorkerIDs = append(append(make([]string, 0, old+len(fresh)), ds.WorkerIDs...), fresh...)
 		sort.Strings(nd.WorkerIDs)
 		nd.workerIndex = make(map[string]int, len(nd.WorkerIDs))
-		for i, w := range nd.WorkerIDs {
-			nd.workerIndex[w] = i
+		for wi, w := range nd.WorkerIDs {
+			nd.workerIndex[w] = wi
+		}
+		remap := make([]int32, old+len(fresh)) // base and provisional index → sorted index
+		for wi, w := range ds.WorkerIDs {
+			remap[wi] = int32(nd.workerIndex[w])
+		}
+		for j, w := range fresh {
+			remap[old+j] = int32(nd.workerIndex[w])
+		}
+		for i := range nd.refs {
+			nd.refs[i].worker = remap[nd.refs[i].worker]
 		}
 	}
-	nd.buildDense()
-	return nd, nil
-}
 
-// dense ensures the flat layout exists (it always does for FromPool
-// datasets). The lazy rebuild is not safe for concurrent first use.
-func (ds *Dataset) dense() {
-	if ds.taskOff != nil {
-		return
+	// Worker-major view via a counting sort over worker indices: stable,
+	// so each worker's positions stay in ascending (task-major) order.
+	nw := len(nd.WorkerIDs)
+	nd.wOff = make([]int32, nw+1)
+	for _, r := range nd.refs {
+		nd.wOff[r.worker+1]++
 	}
-	if ds.workerIndex == nil {
-		ds.workerIndex = make(map[string]int, len(ds.WorkerIDs))
-		for i, w := range ds.WorkerIDs {
-			ds.workerIndex[w] = i
-		}
+	for wi := 0; wi < nw; wi++ {
+		nd.wOff[wi+1] += nd.wOff[wi]
 	}
-	ds.buildDense()
+	nd.wAns = make([]int32, len(nd.refs))
+	fill := append([]int32(nil), nd.wOff[:nw]...)
+	for p, r := range nd.refs {
+		nd.wAns[fill[r.worker]] = int32(p)
+		fill[r.worker]++
+	}
+	return nd, nil
 }
 
 // TaskIndex returns the dense index of a task id, or -1.
@@ -268,24 +255,15 @@ func (ds *Dataset) WorkerIndex(w string) int {
 }
 
 // TotalAnswers returns the number of usable answers in the dataset.
-func (ds *Dataset) TotalAnswers() int {
-	n := 0
-	for _, as := range ds.Answers {
-		n += len(as)
-	}
-	return n
-}
+func (ds *Dataset) TotalAnswers() int { return len(ds.refs) }
 
-// Result is the output of an inference method.
+// Result is the output of an inference method: per-task posteriors and
+// hard labels, per-worker quality, all held as dense arrays aligned with
+// the Dataset the method ran over and read by task or worker ID through
+// that dataset's index. A Result is immutable once produced.
 type Result struct {
 	// Method is the name of the inference method that produced this.
 	Method string
-	// Labels holds the hard (argmax) label per task.
-	Labels map[core.TaskID]int
-	// Posterior holds the per-option probability distribution per task.
-	Posterior map[core.TaskID][]float64
-	// WorkerQuality maps each worker to an estimated accuracy in [0,1].
-	WorkerQuality map[string]float64
 	// Iterations reports how many EM/gradient iterations ran (0 for
 	// non-iterative methods).
 	Iterations int
@@ -294,37 +272,86 @@ type Result struct {
 	// non-iterative methods. See WarmState.
 	Warm *WarmState
 
-	// taskEasiness, when set (GLAD), maps dense task indices to the
-	// inferred easiness parameter; read through TaskEasiness.
-	taskEasiness map[int]float64
+	ds       *Dataset
+	post     []float64 // len(ds.TaskIDs) × K slab, one row per task
+	labels   []int32   // argmax of each row
+	quality  []float64 // per ds.WorkerIDs entry, in [0,1]
+	easiness []float64 // per task (GLAD only)
 }
 
-// TaskEasiness returns the inferred easiness of a task for methods that
-// model difficulty (GLAD); ok is false otherwise.
-func (r *Result) TaskEasiness(ds *Dataset, id core.TaskID) (float64, bool) {
-	if r.taskEasiness == nil {
-		return 0, false
+// NewResult wraps the flat posterior slab (one K-wide row per ds task,
+// retained, not copied) and the per-worker quality vector of a finished
+// run into a Result; the hard labels are each row's argmax, ties to the
+// lowest option.
+func NewResult(method string, ds *Dataset, post, quality []float64, iters int) *Result {
+	res := &Result{Method: method, Iterations: iters, ds: ds, post: post, quality: quality,
+		labels: make([]int32, len(ds.TaskIDs))}
+	K := ds.K
+	for ti := range res.labels {
+		res.labels[ti] = int32(stats.ArgMax(post[ti*K : ti*K+K]))
 	}
-	ti := ds.TaskIndex(id)
+	return res
+}
+
+// Dataset returns the dataset the result was computed over; its TaskIDs
+// order is the order LabelAt and ConfidenceAt index.
+func (r *Result) Dataset() *Dataset { return r.ds }
+
+// LabelAt returns the hard (argmax) label of the task at dense index ti.
+func (r *Result) LabelAt(ti int) int { return int(r.labels[ti]) }
+
+// ConfidenceAt returns the posterior mass of the chosen label of the task
+// at dense index ti.
+func (r *Result) ConfidenceAt(ti int) float64 {
+	return r.post[ti*r.ds.K+int(r.labels[ti])]
+}
+
+// Label returns the hard (argmax) label of a task, -1 when the task is
+// unknown.
+func (r *Result) Label(id core.TaskID) int {
+	if ti := r.ds.TaskIndex(id); ti >= 0 {
+		return int(r.labels[ti])
+	}
+	return -1
+}
+
+// PosteriorOf returns the per-option probability distribution of a task
+// (a read-only view into the shared slab), nil when the task is unknown.
+func (r *Result) PosteriorOf(id core.TaskID) []float64 {
+	ti := r.ds.TaskIndex(id)
 	if ti < 0 {
-		return 0, false
+		return nil
 	}
-	v, ok := r.taskEasiness[ti]
-	return v, ok
+	K := r.ds.K
+	return r.post[ti*K : ti*K+K : ti*K+K]
 }
 
 // Confidence returns the posterior mass of the chosen label for a task
 // (0 when the task is unknown).
 func (r *Result) Confidence(id core.TaskID) float64 {
-	post, ok := r.Posterior[id]
-	if !ok {
-		return 0
+	if ti := r.ds.TaskIndex(id); ti >= 0 {
+		return r.ConfidenceAt(ti)
 	}
-	lbl := r.Labels[id]
-	if lbl < 0 || lbl >= len(post) {
-		return 0
+	return 0
+}
+
+// Quality returns a worker's estimated accuracy in [0,1]; ok is false for
+// a worker with no answer in the dataset.
+func (r *Result) Quality(worker string) (q float64, ok bool) {
+	if wi := r.ds.WorkerIndex(worker); wi >= 0 {
+		return r.quality[wi], true
 	}
-	return post[lbl]
+	return 0, false
+}
+
+// TaskEasiness returns the inferred easiness of a task for methods that
+// model difficulty (GLAD); ok is false otherwise.
+func (r *Result) TaskEasiness(id core.TaskID) (float64, bool) {
+	ti := r.ds.TaskIndex(id)
+	if r.easiness == nil || ti < 0 {
+		return 0, false
+	}
+	return r.easiness[ti], true
 }
 
 // Inferrer is a truth-inference method over choice-task datasets.
@@ -333,16 +360,6 @@ type Inferrer interface {
 	Name() string
 	// Infer estimates labels and worker qualities for the dataset.
 	Infer(ds *Dataset) (*Result, error)
-}
-
-// newResult allocates a Result shell for the dataset.
-func newResult(method string, ds *Dataset) *Result {
-	return &Result{
-		Method:        method,
-		Labels:        make(map[core.TaskID]int, len(ds.TaskIDs)),
-		Posterior:     make(map[core.TaskID][]float64, len(ds.TaskIDs)),
-		WorkerQuality: make(map[string]float64, len(ds.WorkerIDs)),
-	}
 }
 
 // Accuracy compares inferred labels with the pool's planted ground truth
@@ -356,7 +373,7 @@ func Accuracy(r *Result, p *core.Pool, ds *Dataset) float64 {
 			continue
 		}
 		total++
-		if r.Labels[id] == t.GroundTruth {
+		if r.Label(id) == t.GroundTruth {
 			correct++
 		}
 	}

@@ -24,6 +24,17 @@ func forceWorkers(w int) func() {
 	}
 }
 
+// qualityOf reads a worker's quality, failing the test for a worker the
+// result does not know.
+func qualityOf(t *testing.T, r *Result, w string) float64 {
+	t.Helper()
+	q, ok := r.Quality(w)
+	if !ok {
+		t.Fatalf("%s: no quality for worker %s", r.Method, w)
+	}
+	return q
+}
+
 func sameResult(t *testing.T, method string, workers int, ref, got *Result, ds *Dataset) {
 	t.Helper()
 	if ref.Iterations != got.Iterations {
@@ -31,11 +42,11 @@ func sameResult(t *testing.T, method string, workers int, ref, got *Result, ds *
 			method, workers, got.Iterations, ref.Iterations)
 	}
 	for _, id := range ds.TaskIDs {
-		if ref.Labels[id] != got.Labels[id] {
+		if ref.Label(id) != got.Label(id) {
 			t.Fatalf("%s workers=%d: task %d label %d != serial %d",
-				method, workers, id, got.Labels[id], ref.Labels[id])
+				method, workers, id, got.Label(id), ref.Label(id))
 		}
-		rp, gp := ref.Posterior[id], got.Posterior[id]
+		rp, gp := ref.PosteriorOf(id), got.PosteriorOf(id)
 		for c := range rp {
 			if math.Float64bits(rp[c]) != math.Float64bits(gp[c]) {
 				t.Fatalf("%s workers=%d: task %d posterior[%d] %v != serial %v (not bit-identical)",
@@ -44,9 +55,10 @@ func sameResult(t *testing.T, method string, workers int, ref, got *Result, ds *
 		}
 	}
 	for _, w := range ds.WorkerIDs {
-		if math.Float64bits(ref.WorkerQuality[w]) != math.Float64bits(got.WorkerQuality[w]) {
+		rq, gq := qualityOf(t, ref, w), qualityOf(t, got, w)
+		if math.Float64bits(rq) != math.Float64bits(gq) {
 			t.Fatalf("%s workers=%d: worker %s quality %v != serial %v",
-				method, workers, w, got.WorkerQuality[w], ref.WorkerQuality[w])
+				method, workers, w, gq, rq)
 		}
 	}
 }
@@ -117,7 +129,7 @@ func TestUnansweredTaskStartsUniform(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", inf.Name(), err)
 		}
-		p := res.Posterior[unanswered]
+		p := res.PosteriorOf(unanswered)
 		sum := 0.0
 		for _, v := range p {
 			if math.IsNaN(v) || v < 0 || v > 1 {
@@ -128,7 +140,7 @@ func TestUnansweredTaskStartsUniform(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("%s: unanswered posterior sums to %v", inf.Name(), sum)
 		}
-		if lbl := res.Labels[unanswered]; lbl < 0 || lbl >= ds.K {
+		if lbl := res.Label(unanswered); lbl < 0 || lbl >= ds.K {
 			t.Fatalf("%s: label %d out of range", inf.Name(), lbl)
 		}
 	}
@@ -139,7 +151,7 @@ func TestUnansweredTaskStartsUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Posterior[unanswered]
+	p := res.PosteriorOf(unanswered)
 	for c := 1; c < len(p); c++ {
 		if p[c] != p[0] {
 			t.Fatalf("GLAD unanswered posterior not uniform: %v", p)

@@ -49,7 +49,6 @@ func (m OneCoinEM) Infer(ds *Dataset) (*Result, error) {
 	if tol <= 0 {
 		tol = defaultTol
 	}
-	ds.dense()
 	n, nw, K := len(ds.TaskIDs), len(ds.WorkerIDs), ds.K
 	k := float64(K)
 	workers := kernelWorkers(len(ds.refs))
@@ -61,9 +60,10 @@ func (m OneCoinEM) Infer(ds *Dataset) (*Result, error) {
 		reliability[i] = 0.8
 	}
 	// Per-worker log-likelihood terms, refreshed each M-step so the
-	// E-step does zero math.Log calls per answer.
-	logP := make([]float64, nw)
-	logWrong := make([]float64, nw)
+	// E-step does zero math.Log calls per answer: logLik[wi][0] is the log
+	// probability of one specific wrong label, logLik[wi][1] of the right
+	// one, side by side so the E-step picks between them by index.
+	logLik := make([][2]float64, nw)
 	prior := make([]float64, K)
 	logPrior := make([]float64, K)
 	deltas := make([]float64, n)
@@ -93,8 +93,7 @@ func (m OneCoinEM) Infer(ds *Dataset) (*Result, error) {
 					rel = clamp((sum+smoothing)/(total+2*smoothing), 0.01, 0.99)
 				}
 				reliability[wi] = rel
-				logP[wi] = math.Log(rel)
-				logWrong[wi] = math.Log((1 - rel) / (k - 1))
+				logLik[wi] = [2]float64{math.Log((1 - rel) / (k - 1)), math.Log(rel)}
 			}
 		})
 		// Class prior from posteriors: serial O(n·K) reduction.
@@ -108,13 +107,18 @@ func (m OneCoinEM) Infer(ds *Dataset) (*Result, error) {
 				copy(logp, logPrior)
 				for p := ds.taskOff[ti]; p < ds.taskOff[ti+1]; p++ {
 					r := &ds.refs[p]
+					// Whether an answer matches a class is a coin flip no
+					// predictor learns, so the match selects the addend by
+					// index instead of by branch: the same additions in the
+					// same order, hence the same bits.
+					pair := &logLik[r.worker]
 					opt := int(r.option)
 					for c := 0; c < K; c++ {
+						hit := 0
 						if c == opt {
-							logp[c] += logP[r.worker]
-						} else {
-							logp[c] += logWrong[r.worker]
+							hit = 1
 						}
+						logp[c] += pair[hit]
 					}
 				}
 				softmaxInto(np, logp)
@@ -134,8 +138,8 @@ func (m OneCoinEM) Infer(ds *Dataset) (*Result, error) {
 	if m.Obs != nil {
 		m.Obs.ObserveEMRun("OneCoinEM", iters, converged, time.Since(start))
 	}
-	res := packResult("OneCoinEM", ds, post, reliability, iters)
-	res.Warm = &WarmState{Method: "OneCoinEM", K: K, Posterior: res.Posterior}
+	res := NewResult("OneCoinEM", ds, post, reliability, iters)
+	res.Warm = &WarmState{Method: "OneCoinEM", ds: ds, post: post}
 	return res, nil
 }
 
@@ -166,7 +170,6 @@ func (m DawidSkene) Infer(ds *Dataset) (*Result, error) {
 	if tol <= 0 {
 		tol = defaultTol
 	}
-	ds.dense()
 	n, nw, K := len(ds.TaskIDs), len(ds.WorkerIDs), ds.K
 	kk := K * K
 	workers := kernelWorkers(len(ds.refs))
@@ -250,8 +253,8 @@ func (m DawidSkene) Infer(ds *Dataset) (*Result, error) {
 		}
 		quality[wi] = s / float64(K)
 	}
-	res := packResult("DS", ds, post, quality, iters)
-	res.Warm = &WarmState{Method: "DS", K: K, Posterior: res.Posterior}
+	res := NewResult("DS", ds, post, quality, iters)
+	res.Warm = &WarmState{Method: "DS", ds: ds, post: post}
 	return res, nil
 }
 
@@ -379,27 +382,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// packResult converts the flat posterior slab and dense worker-quality
-// vector into a Result. Posterior rows alias the slab (one allocation for
-// the whole matrix instead of one per task); callers treat Results as
-// immutable, matching the ResultCache contract.
-func packResult(method string, ds *Dataset, post []float64, quality []float64, iters int) *Result {
-	res := newResult(method, ds)
-	res.Iterations = iters
-	K := ds.K
-	for ti, id := range ds.TaskIDs {
-		row := post[ti*K : ti*K+K : ti*K+K]
-		res.Posterior[id] = row
-		lbl := stats.ArgMax(row)
-		if lbl < 0 {
-			lbl = 0
-		}
-		res.Labels[id] = lbl
-	}
-	for wi, w := range ds.WorkerIDs {
-		res.WorkerQuality[w] = quality[wi]
-	}
-	return res
 }

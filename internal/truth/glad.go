@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -56,7 +55,6 @@ func (m GLAD) Infer(ds *Dataset) (*Result, error) {
 	if lr <= 0 {
 		lr = 0.3
 	}
-	ds.dense()
 	n, nw, K := len(ds.TaskIDs), len(ds.WorkerIDs), ds.K
 	km1 := float64(K - 1)
 	workers := kernelWorkers(len(ds.refs))
@@ -69,16 +67,8 @@ func (m GLAD) Infer(ds *Dataset) (*Result, error) {
 	}
 	logBeta := make([]float64, n) // task log-easiness
 	if warmed {
-		for wi, w := range ds.WorkerIDs {
-			if a, ok := m.Warm.Alpha[w]; ok {
-				alpha[wi] = a
-			}
-		}
-		for ti, id := range ds.TaskIDs {
-			if b, ok := m.Warm.LogBeta[id]; ok {
-				logBeta[ti] = b
-			}
-		}
+		seedByIndex(alpha, m.Warm.alpha, ds.WorkerIDs, m.Warm.ds.WorkerIDs, m.Warm.ds.WorkerIndex)
+		seedByIndex(logBeta, m.Warm.logBeta, ds.TaskIDs, m.Warm.ds.TaskIDs, m.Warm.ds.TaskIndex)
 	}
 	// The class prior stays fixed and uniform, as in the original GLAD
 	// model. Re-estimating it is unidentifiable at low redundancy: a
@@ -220,24 +210,9 @@ func (m GLAD) Infer(ds *Dataset) (*Result, error) {
 		}
 		quality[wi] = sum / float64(hi-lo)
 	}
-	res := packResult("GLAD", ds, post, quality, iters)
-	// Expose inferred difficulty for diagnostics via TaskEasiness.
-	res.taskEasiness = make(map[int]float64, n)
-	for ti, b := range betas {
-		res.taskEasiness[ti] = b
-	}
-	warm := &WarmState{
-		Method: "GLAD", K: K, Posterior: res.Posterior,
-		Alpha:   make(map[string]float64, nw),
-		LogBeta: make(map[core.TaskID]float64, n),
-	}
-	for wi, w := range ds.WorkerIDs {
-		warm.Alpha[w] = alpha[wi]
-	}
-	for ti, id := range ds.TaskIDs {
-		warm.LogBeta[id] = logBeta[ti]
-	}
-	res.Warm = warm
+	res := NewResult("GLAD", ds, post, quality, iters)
+	res.easiness = betas // inferred difficulty, for diagnostics via TaskEasiness
+	res.Warm = &WarmState{Method: "GLAD", ds: ds, post: post, alpha: alpha, logBeta: logBeta}
 	return res, nil
 }
 

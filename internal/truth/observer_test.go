@@ -106,8 +106,8 @@ func TestEMObserverDoesNotChangeResults(t *testing.T) {
 	if plain.Iterations != observed.Iterations {
 		t.Fatalf("iterations differ: %d vs %d", plain.Iterations, observed.Iterations)
 	}
-	for id, row := range plain.Posterior {
-		orow := observed.Posterior[id]
+	for _, id := range ds.TaskIDs {
+		row, orow := plain.PosteriorOf(id), observed.PosteriorOf(id)
 		for c := range row {
 			if math.Float64bits(row[c]) != math.Float64bits(orow[c]) {
 				t.Fatalf("task %d class %d: %v vs %v", id, c, row[c], orow[c])

@@ -97,15 +97,15 @@ func TestMajorityVoteBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Labels[id] != 1 {
-		t.Fatalf("MV label = %d", res.Labels[id])
+	if res.Label(id) != 1 {
+		t.Fatalf("MV label = %d", res.Label(id))
 	}
 	if c := res.Confidence(id); c < 0.6 || c > 0.7 {
 		t.Fatalf("MV confidence = %v, want 2/3", c)
 	}
 	// Agreement quality: w3 disagrees with the majority.
-	if res.WorkerQuality["w1"] != 1 || res.WorkerQuality["w3"] != 0 {
-		t.Fatalf("agreement quality wrong: %v", res.WorkerQuality)
+	if q1, q3 := qualityOf(t, res, "w1"), qualityOf(t, res, "w3"); q1 != 1 || q3 != 0 {
+		t.Fatalf("agreement quality wrong: w1 %v, w3 %v", q1, q3)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestMajorityVoteTieDeterminism(t *testing.T) {
 	pool.Record(core.Answer{Task: id, Worker: "w2", Option: 1})
 	ds, _ := FromPool(pool, pool.TaskIDs())
 	res, _ := MajorityVote{}.Infer(ds)
-	if res.Labels[id] != 0 {
-		t.Fatalf("tie should resolve to lowest option, got %d", res.Labels[id])
+	if res.Label(id) != 0 {
+		t.Fatalf("tie should resolve to lowest option, got %d", res.Label(id))
 	}
 }
 
@@ -126,7 +126,7 @@ func TestMajorityVoteNoAnswersUniform(t *testing.T) {
 	id := pool.MustAdd(&core.Task{ID: 1, Kind: core.SingleChoice, Options: []string{"a", "b"}, GroundTruth: 0})
 	ds, _ := FromPool(pool, pool.TaskIDs())
 	res, _ := MajorityVote{}.Infer(ds)
-	post := res.Posterior[id]
+	post := res.PosteriorOf(id)
 	if post[0] != 0.5 || post[1] != 0.5 {
 		t.Fatalf("unanswered task posterior = %v", post)
 	}
@@ -146,8 +146,8 @@ func TestWeightedMajorityVoteOverridesCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Labels[id] != 1 {
-		t.Fatalf("weighted vote ignored weights: label %d", res.Labels[id])
+	if res.Label(id) != 1 {
+		t.Fatalf("weighted vote ignored weights: label %d", res.Label(id))
 	}
 	if _, err := (WeightedMajorityVote{Weights: map[string]float64{"spam1": -1}}).Infer(ds); err == nil {
 		t.Fatal("negative weight should fail")
@@ -223,7 +223,7 @@ func TestEMWorkerQualitySeparatesSpammers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qe, qs := res.WorkerQuality["expert"], res.WorkerQuality["spammer"]
+		qe, qs := qualityOf(t, res, "expert"), qualityOf(t, res, "spammer")
 		if qe <= qs+0.2 {
 			t.Errorf("%s: expert quality %.3f not clearly above spammer %.3f",
 				inf.Name(), qe, qs)
@@ -264,7 +264,7 @@ func TestGLADRecoversDifficultyOrdering(t *testing.T) {
 	}
 	easySum, hardSum := 0.0, 0.0
 	for i, id := range ds.TaskIDs {
-		e, ok := res.TaskEasiness(ds, id)
+		e, ok := res.TaskEasiness(id)
 		if !ok {
 			t.Fatal("GLAD did not expose easiness")
 		}
@@ -334,7 +334,7 @@ func TestPosteriorsAreDistributions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range ds.TaskIDs {
-			post := res.Posterior[id]
+			post := res.PosteriorOf(id)
 			if len(post) != ds.K {
 				t.Fatalf("%s posterior arity %d", inf.Name(), len(post))
 			}
@@ -466,14 +466,14 @@ func TestInferrerNamesAndDatasetAccessors(t *testing.T) {
 	}
 	// TaskEasiness is only available from GLAD results.
 	mv, _ := MajorityVote{}.Infer(ds)
-	if _, ok := mv.TaskEasiness(ds, id); ok {
+	if _, ok := mv.TaskEasiness(id); ok {
 		t.Fatal("MV should not expose easiness")
 	}
 	glad, err := GLAD{MaxIter: 2}.Infer(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := glad.TaskEasiness(ds, 999); ok {
+	if _, ok := glad.TaskEasiness(999); ok {
 		t.Fatal("easiness for unknown task should be absent")
 	}
 	if c := mv.Confidence(999); c != 0 {

@@ -17,22 +17,11 @@ func (MajorityVote) Name() string { return "MV" }
 
 // Infer implements Inferrer.
 func (MajorityVote) Infer(ds *Dataset) (*Result, error) {
-	res := newResult("MV", ds)
-	for _, id := range ds.TaskIDs {
-		votes := make([]float64, ds.K)
-		for _, a := range ds.Answers[id] {
-			votes[a.Option]++
-		}
-		post := append([]float64(nil), votes...)
-		stats.Normalize(post)
-		res.Posterior[id] = post
-		res.Labels[id] = stats.ArgMax(votes)
-		if res.Labels[id] < 0 {
-			res.Labels[id] = 0
-		}
+	votes := make([]float64, len(ds.TaskIDs)*ds.K)
+	for _, r := range ds.refs {
+		votes[int(r.task)*ds.K+int(r.option)]++
 	}
-	agreementQuality(ds, res)
-	return res, nil
+	return voteResult("MV", ds, votes), nil
 }
 
 // WeightedMajorityVote weighs each worker's vote by a supplied weight
@@ -52,52 +41,49 @@ func (v WeightedMajorityVote) Infer(ds *Dataset) (*Result, error) {
 	if def <= 0 {
 		def = 0.5
 	}
-	res := newResult("WMV", ds)
-	for _, id := range ds.TaskIDs {
-		votes := make([]float64, ds.K)
-		for _, a := range ds.Answers[id] {
-			w, ok := v.Weights[a.Worker]
-			if !ok {
-				w = def
-			}
-			if w < 0 {
-				return nil, fmt.Errorf("truth: negative weight %v for worker %s", w, a.Worker)
-			}
-			votes[a.Option] += w
+	weights := make([]float64, len(ds.WorkerIDs))
+	for wi, name := range ds.WorkerIDs {
+		w, ok := v.Weights[name]
+		if !ok {
+			w = def
 		}
-		post := append([]float64(nil), votes...)
-		stats.Normalize(post)
-		res.Posterior[id] = post
-		res.Labels[id] = stats.ArgMax(votes)
-		if res.Labels[id] < 0 {
-			res.Labels[id] = 0
+		if w < 0 {
+			return nil, fmt.Errorf("truth: negative weight %v for worker %s", w, name)
 		}
+		weights[wi] = w
 	}
-	agreementQuality(ds, res)
-	return res, nil
+	votes := make([]float64, len(ds.TaskIDs)*ds.K)
+	for _, r := range ds.refs {
+		votes[int(r.task)*ds.K+int(r.option)] += weights[r.worker]
+	}
+	return voteResult("WMV", ds, votes), nil
 }
 
-// agreementQuality fills res.WorkerQuality with each worker's rate of
-// agreement with the inferred hard labels — the cheap post-hoc quality
-// estimate used by voting methods.
-func agreementQuality(ds *Dataset, res *Result) {
-	agree := make(map[string]int, len(ds.WorkerIDs))
-	total := make(map[string]int, len(ds.WorkerIDs))
-	for _, id := range ds.TaskIDs {
-		for _, a := range ds.Answers[id] {
-			total[a.Worker]++
-			if a.Option == res.Labels[id] {
-				agree[a.Worker]++
-			}
-		}
+// voteResult turns a slab of per-task vote totals into a voting method's
+// Result: labels are the argmax of the raw totals, posteriors the totals
+// normalized in place (uniform for an unanswered task), and worker quality
+// each worker's rate of agreement with the labels — the cheap post-hoc
+// estimate — or 0.5 for a worker with no answers.
+func voteResult(method string, ds *Dataset, votes []float64) *Result {
+	res := NewResult(method, ds, votes, make([]float64, len(ds.WorkerIDs)), 0)
+	for ti := range ds.TaskIDs {
+		stats.Normalize(votes[ti*ds.K : ti*ds.K+ds.K])
 	}
-	for _, w := range ds.WorkerIDs {
-		if total[w] == 0 {
-			res.WorkerQuality[w] = 0.5
+	for wi := range res.quality {
+		mine := ds.wAns[ds.wOff[wi]:ds.wOff[wi+1]]
+		if len(mine) == 0 {
+			res.quality[wi] = 0.5
 			continue
 		}
-		res.WorkerQuality[w] = float64(agree[w]) / float64(total[w])
+		agree := 0
+		for _, p := range mine {
+			if r := ds.refs[p]; r.option == res.labels[r.task] {
+				agree++
+			}
+		}
+		res.quality[wi] = float64(agree) / float64(len(mine))
 	}
+	return res
 }
 
 // GoldenWeights derives a WeightedMajorityVote weight map from a
