@@ -6,7 +6,6 @@
 //	benchrunner -list
 //	benchrunner -exp T2 [-seed 42]
 //	benchrunner -all [-seed 42]
-//	benchrunner -benchjson BENCH_pr2.json
 package main
 
 import (
@@ -19,19 +18,14 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id to run (e.g. T2, F5)")
-		all       = flag.Bool("all", false, "run every experiment")
-		list      = flag.Bool("list", false, "list experiment ids")
-		seed      = flag.Uint64("seed", 42, "random seed")
-		benchjson = flag.String("benchjson", "", "time the kernel benchmarks and write a JSON report to this file (e.g. BENCH_pr2.json)")
+		exp  = flag.String("exp", "", "experiment id to run (e.g. T2, F5)")
+		all  = flag.Bool("all", false, "run every experiment")
+		list = flag.Bool("list", false, "list experiment ids")
+		seed = flag.Uint64("seed", 42, "random seed")
 	)
 	flag.Parse()
 
 	switch {
-	case *benchjson != "":
-		if err := runBenchJSON(*benchjson); err != nil {
-			fatal(err)
-		}
 	case *list:
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)

@@ -119,6 +119,12 @@ func main() {
 
 	var store *durable.Store
 	pool := core.NewPool()
+	// served is where the served tasks can be read: pool, or the store's
+	// pool when the workload was recovered rather than seeded.
+	var served interface {
+		Task(core.TaskID) *core.Task
+		Len() int
+	} = pool
 	seedDemo := true
 	if *dataDir != "" {
 		policy, every, err := durable.ParseFsync(*fsyncF)
@@ -126,8 +132,8 @@ func main() {
 			fatal(err)
 		}
 		var info *durable.RecoveryInfo
-		// One WAL segment per pool shard: a shard's group commit then never
-		// contends with another shard's appends.
+		// One WAL segment per pool shard: the store's pool, which the server
+		// serves, is sharded the way the log is segmented.
 		store, info, err = durable.Open(*dataDir, durable.Options{
 			Fsync: policy, FsyncEvery: every, SnapshotEvery: *snapEv,
 			Segments: *shards,
@@ -136,9 +142,9 @@ func main() {
 			fatal(err)
 		}
 		if !info.Empty() {
-			// Adopt the recovered state instead of reseeding: the demo
+			// Serve the recovered state instead of reseeding: the demo
 			// workload continues where the previous process stopped.
-			pool = server.AdoptRecovered(store, budget, nil)
+			served = store.Pool()
 			seedDemo = false
 			us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 			log.Printf("crowdserve: recovered %d tasks, %d answers (spent %v) from %s: snapshot=%v replayed=%d skipped=%d torn=%dB in %v (load %v, decode %v, merge %v, apply %v)",
@@ -156,6 +162,8 @@ func main() {
 		}
 	}
 	if seedDemo {
+		// With a store, server.New adds these to the store's pool, which
+		// journals them.
 		for i := 0; i < *nTasks; i++ {
 			pool.MustAdd(&core.Task{
 				ID: core.TaskID(i + 1), Kind: core.SingleChoice,
@@ -163,11 +171,6 @@ func main() {
 				Options:     []string{"no", "yes"},
 				GroundTruth: rng.Intn(2), Difficulty: rng.Beta(2, 5),
 			})
-		}
-		if store != nil {
-			if err := server.SeedJournal(store, pool); err != nil {
-				fatal(err)
-			}
 		}
 	}
 	opts := []server.Option{
@@ -216,7 +219,7 @@ func main() {
 
 	if !*drive {
 		log.Printf("crowdserve: %d tasks on http://%s (GET /api/task?worker=you, shards=%d, lease=%v, metrics=%v, pprof=%v, data-dir=%q)",
-			pool.Len(), *addr, srv.Shards(), *lease, *metrics, *pprofOn, *dataDir)
+			served.Len(), *addr, srv.Shards(), *lease, *metrics, *pprofOn, *dataDir)
 		hs := server.HTTPServer(*addr, srv, *timeout)
 		errCh := make(chan error, 1)
 		go func() { errCh <- hs.ListenAndServe() }()
@@ -261,7 +264,7 @@ func main() {
 		wg.Add(1)
 		go func(w core.Worker) {
 			defer wg.Done()
-			if _, err := client.DriveWorker(w, pool.Task, 0); err != nil {
+			if _, err := client.DriveWorker(w, served.Task, 0); err != nil {
 				log.Printf("worker %s: %v", w.ID(), err)
 			}
 		}(w)
@@ -280,7 +283,7 @@ func main() {
 	}
 	correct := 0
 	for _, r := range results {
-		if r.Label == pool.Task(r.Task).GroundTruth {
+		if r.Label == served.Task(r.Task).GroundTruth {
 			correct++
 		}
 	}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ConcurrentPool makes a Pool safe for concurrent use by guarding it with
@@ -21,9 +25,11 @@ type ConcurrentPool struct {
 	mu      sync.RWMutex
 	pool    *Pool
 	version atomic.Uint64
-	// journal, when set, observes mutations under the write lock so a
-	// durability layer sees them in application order. See Journal.
+	// journal, when set, is written under the write lock after a mutation
+	// validated and before it is applied; shard is this pool's index in the
+	// ShardedPool that attached it (0 standalone). See Journal.
 	journal Journal
+	shard   int
 
 	// Answer-append log for incremental readers (EnableAnswerLog). Each
 	// accepted answer is recorded with the version it landed at, so a
@@ -74,9 +80,9 @@ func (cp *ConcurrentPool) logAnswerLocked(ver uint64, a Answer) {
 }
 
 // invalidateLogLocked discards the log after a structural mutation: the
-// answer set changed in a way appends cannot express (task added, answer
-// removed), so no delta may span this version. Callers hold the write
-// lock and have already bumped the version.
+// task set changed, which appends cannot express, so no delta may span
+// this version. Callers hold the write lock and have already bumped the
+// version.
 func (cp *ConcurrentPool) invalidateLogLocked() {
 	if cp.alogCap <= 0 {
 		return
@@ -131,95 +137,130 @@ func NewConcurrentPool(p *Pool) *ConcurrentPool {
 // bracket a window in which the pool's tasks and answers did not change.
 func (cp *ConcurrentPool) Version() uint64 { return cp.version.Load() }
 
-// SetJournal attaches a mutation journal. It must be called before the
-// pool is shared between goroutines (journal installation itself is not
-// synchronized); pass nil to detach. Answer recording is not journaled
-// here — see the Journal docs.
-func (cp *ConcurrentPool) SetJournal(j Journal) { cp.journal = j }
+// notJournaled marks err as the journal's refusal of a valid mutation.
+func notJournaled(err error) error { return fmt.Errorf("%w: %w", ErrNotJournaled, err) }
 
 // Add registers a task under the write lock.
 func (cp *ConcurrentPool) Add(t *Task) (TaskID, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	id, err := cp.pool.Add(t)
-	if err == nil {
-		cp.version.Add(1)
-		cp.invalidateLogLocked()
-		if cp.journal != nil {
-			cp.journal.TaskAdded(t)
+	if err := cp.pool.prepareAdd(t); err != nil {
+		return 0, err
+	}
+	if cp.journal != nil {
+		if err := cp.journal.TaskAdded(t); err != nil {
+			return 0, notJournaled(err)
 		}
 	}
-	return id, err
+	cp.pool.insert(t)
+	cp.version.Add(1)
+	cp.invalidateLogLocked()
+	return t.ID, nil
 }
 
 // Record stores an answer under the write lock; the version is bumped only
-// when the platform rules accept the answer.
-func (cp *ConcurrentPool) Record(a Answer) error {
+// when the platform rules accept the answer and the journal took it. pos
+// is the answer's journal position (0 without a journal).
+//
+// With a tracing ctx the core.record span covers the lock wait and the
+// validation and ends before the journal hook runs, so a trace reads
+// core.record, wal.append and wal.fsync as consecutive phases of the
+// request; the apply itself is the request's own time.
+func (cp *ConcurrentPool) Record(ctx context.Context, a Answer, c Charge) (pos uint64, err error) {
+	_, sp := obs.ChildSpan(ctx, "core.record")
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	if err := cp.pool.Record(a); err != nil {
-		return err
+	err = cp.pool.checkRecord(a, 0, false)
+	if sp.Recording() {
+		sp.SetAttr(obs.Int("task", int64(a.Task)), obs.Str("worker", a.Worker),
+			obs.Int("shard", int64(cp.shard)))
+		sp.SetError(err)
 	}
+	sp.End()
+	if err != nil {
+		return 0, err
+	}
+	if cp.journal != nil {
+		if pos, err = cp.journal.AnswerRecorded(ctx, a, c); err != nil {
+			return 0, notJournaled(err)
+		}
+	}
+	cp.pool.applyRecord(a)
 	cp.logAnswerLocked(cp.version.Add(1), a)
-	return nil
+	return pos, nil
 }
 
 // RecordAll stores a batch of answers under one write-lock acquisition,
-// applying the same platform rules as Record to each. The returned slice
-// is index-aligned with as: nil for accepted answers, the rejection
-// otherwise. The version is bumped once when at least one answer was
-// accepted — the point of batching is to pay the lock and the cache
-// invalidation once per batch instead of once per answer.
-func (cp *ConcurrentPool) RecordAll(as []Answer) []error {
+// applying the same platform rules as Record to each (an answer is checked
+// against the batch's earlier answers too). cs holds the answers' charges,
+// index-aligned. The accepted answers are journaled as one record at pos
+// and then applied; the returned slice is index-aligned with as: nil for
+// applied answers, the rejection otherwise — for every otherwise
+// acceptable answer the journal's wrapped error, if it refused the batch. The version is bumped once when at least one answer was
+// applied — the point of batching is to pay the lock, the journal append
+// and the cache invalidation once per batch instead of once per answer.
+func (cp *ConcurrentPool) RecordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	errs := make([]error, len(as))
-	accepted := 0
-	for i := range as {
-		if err := cp.pool.Record(as[i]); err != nil {
-			errs[i] = err
-		} else {
-			accepted++
-		}
+	errs = make([]error, len(as))
+	type slot struct {
+		task   TaskID
+		worker string
 	}
-	if accepted > 0 {
-		ver := cp.version.Add(1)
-		for i := range as {
-			if errs[i] == nil {
-				cp.logAnswerLocked(ver, as[i])
+	pending := make(map[slot]int)
+	accepted := make([]Answer, 0, len(as))
+	charges := make([]Charge, 0, len(as))
+	for i, a := range as {
+		k := slot{a.Task, a.Worker}
+		if errs[i] = cp.pool.checkRecord(a, pending[k], false); errs[i] != nil {
+			continue
+		}
+		pending[k]++
+		accepted = append(accepted, a)
+		charges = append(charges, cs[i])
+	}
+	if len(accepted) == 0 {
+		return errs, 0
+	}
+	if cp.journal != nil {
+		var err error
+		if pos, err = cp.journal.AnswerBatch(accepted, charges); err != nil {
+			err = notJournaled(err)
+			for i := range errs {
+				if errs[i] == nil {
+					errs[i] = err
+				}
 			}
+			return errs, 0
 		}
 	}
-	return errs
-}
-
-// Unrecord removes the most recent answer equal to a under the write
-// lock, reporting whether one was found. The version is bumped on
-// success: consumers may have cached state derived from the answer set
-// that included a, and that set just changed again.
-func (cp *ConcurrentPool) Unrecord(a Answer) bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	ok := cp.pool.Unrecord(a)
-	if ok {
-		cp.version.Add(1)
-		cp.invalidateLogLocked()
+	ver := cp.version.Add(1)
+	for _, a := range accepted {
+		cp.pool.applyRecord(a)
+		cp.logAnswerLocked(ver, a)
 	}
-	return ok
+	return errs, pos
 }
 
-// Close marks a task as finished under the write lock. The answer log
-// stays valid across a Close: the version moves (closing changes what
-// assigners may hand out) but the answer set does not, so a delta
-// spanning the close is correctly empty.
-func (cp *ConcurrentPool) Close(id TaskID) {
+// Close marks an open task as finished under the write lock; closing an
+// unknown or already closed task does nothing, journals nothing and leaves
+// the version alone. The answer log stays valid across a Close: the
+// version moves (closing changes what assigners may hand out) but the
+// answer set does not, so a delta spanning the close is correctly empty.
+func (cp *ConcurrentPool) Close(id TaskID) error {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
+	if !cp.pool.closable(id) {
+		return nil
+	}
+	if cp.journal != nil {
+		if err := cp.journal.TaskClosed(id); err != nil {
+			return notJournaled(err)
+		}
+	}
 	cp.pool.Close(id)
 	cp.version.Add(1)
-	if cp.journal != nil {
-		cp.journal.TaskClosed(id)
-	}
+	return nil
 }
 
 // Assign runs an assignment policy against the pool under the read lock.
@@ -234,61 +275,53 @@ func (cp *ConcurrentPool) Assign(a Assigner, worker string) (TaskID, bool) {
 // AssignLease atomically runs the assignment policy and records a lease on
 // the chosen task until deadline. It takes the write lock (the lease is a
 // mutation, and choosing + leasing must be one atomic step so two workers
-// cannot race past each other's in-flight counts).
+// cannot race past each other's in-flight counts). A non-nil error is the
+// journal's refusal; an assigner offering an unknown or closed task counts
+// as no assignment rather than handing out an untracked slot.
 //
 // Lease bookkeeping deliberately does NOT bump the version counter: leases
 // never change the answer set, and bumping on every assignment would
 // invalidate the /api/results inference cache on each /api/task poll.
-func (cp *ConcurrentPool) AssignLease(a Assigner, worker string, deadline time.Time) (TaskID, bool) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	id, ok := a.Assign(cp.pool, worker)
-	if !ok {
-		return 0, false
-	}
-	if err := cp.pool.Lease(id, worker, deadline); err != nil {
-		// The assigner returned an unknown or closed task; treat it as no
-		// assignment rather than handing out an untracked slot.
-		return 0, false
-	}
-	if cp.journal != nil {
-		cp.journal.LeaseIssued(Lease{Task: id, Worker: worker, Deadline: deadline})
-	}
-	return id, true
+func (cp *ConcurrentPool) AssignLease(a Assigner, worker string, deadline time.Time) (TaskID, bool, error) {
+	return cp.assignLease(a, worker, deadline, false)
 }
 
-// assignLeaseFresh is AssignLease that refuses an assignment merely
-// extending a lease the worker already holds. The sharded facade uses it
-// for its first scan: a shard whose only offer for this worker is a
-// re-extension should not stop the scan while another shard still has
+// assignLease is AssignLease; with fresh set it refuses an assignment that
+// would merely extend a lease the worker already holds. The sharded facade
+// uses that for its first scan: a shard whose only offer for this worker
+// is a re-extension should not stop the scan while another shard still has
 // fresh work.
-func (cp *ConcurrentPool) assignLeaseFresh(a Assigner, worker string, deadline time.Time) (TaskID, bool) {
+func (cp *ConcurrentPool) assignLease(a Assigner, worker string, deadline time.Time, fresh bool) (TaskID, bool, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	id, ok := a.Assign(cp.pool, worker)
-	if !ok || cp.pool.HasLease(worker, id) {
-		return 0, false
-	}
-	if err := cp.pool.Lease(id, worker, deadline); err != nil {
-		return 0, false
+	if !ok || fresh && cp.pool.HasLease(worker, id) || cp.pool.checkLease(id, worker) != nil {
+		return 0, false, nil
 	}
 	if cp.journal != nil {
-		cp.journal.LeaseIssued(Lease{Task: id, Worker: worker, Deadline: deadline})
+		if err := cp.journal.LeaseIssued(Lease{Task: id, Worker: worker, Deadline: deadline}); err != nil {
+			return 0, false, notJournaled(err)
+		}
 	}
-	return id, true
+	cp.pool.applyLease(id, worker, deadline)
+	return id, true, nil
 }
 
 // ExpireLeases sweeps leases past their deadline under the write lock and
-// returns the reclaimed assignments. Like AssignLease, it does not bump
-// the version counter.
-func (cp *ConcurrentPool) ExpireLeases(now time.Time) []Lease {
+// returns the reclaimed assignments; when the journal refuses the sweep
+// nothing is reclaimed. Like AssignLease, it does not bump the version
+// counter.
+func (cp *ConcurrentPool) ExpireLeases(now time.Time) ([]Lease, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	exp := cp.pool.ExpireLeases(now)
-	if len(exp) > 0 && cp.journal != nil {
-		cp.journal.LeasesExpired(exp)
+	due := cp.pool.dueLeases(now)
+	if len(due) > 0 && cp.journal != nil {
+		if err := cp.journal.LeasesExpired(due); err != nil {
+			return nil, notJournaled(err)
+		}
 	}
-	return exp
+	cp.pool.reclaim(due, now)
+	return due, nil
 }
 
 // ActiveLeases returns the total number of outstanding leases.

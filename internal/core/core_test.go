@@ -517,7 +517,7 @@ func TestConcurrentPoolDelegation(t *testing.T) {
 		t.Fatal("task lookup through wrapper failed")
 	}
 	v1 := cp.Version()
-	if err := cp.Record(Answer{Task: id, Worker: "w1", Option: 1}); err != nil {
+	if err := record(cp, Answer{Task: id, Worker: "w1", Option: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if cp.Version() == v1 {
@@ -525,7 +525,7 @@ func TestConcurrentPoolDelegation(t *testing.T) {
 	}
 	v2 := cp.Version()
 	// Rejected answers must not bump the version (caches stay valid).
-	if err := cp.Record(Answer{Task: id, Worker: "w1", Option: 0}); err == nil {
+	if err := record(cp, Answer{Task: id, Worker: "w1", Option: 0}); err == nil {
 		t.Fatal("duplicate answer accepted")
 	}
 	if cp.Version() != v2 {
@@ -579,7 +579,7 @@ func TestConcurrentPoolParallelAccess(t *testing.T) {
 				if !ok {
 					return
 				}
-				if err := cp.Record(Answer{Task: id, Worker: worker, Option: 1}); err != nil {
+				if err := record(cp, Answer{Task: id, Worker: worker, Option: 1}); err != nil {
 					errCh <- err
 					return
 				}

@@ -30,13 +30,13 @@ func TestAnswerLogCoversAppends(t *testing.T) {
 
 	a1 := Answer{Task: 1, Worker: "w1", Option: 0}
 	a2 := Answer{Task: 2, Worker: "w1", Option: 1}
-	if err := cp.Record(a1); err != nil {
+	if err := record(cp, a1); err != nil {
 		t.Fatal(err)
 	}
 	v1 := cp.Version()
 	// A batch shares one post-bump version.
 	batch := []Answer{a2, {Task: 2, Worker: "w1", Option: 1}} // duplicate rejected
-	errs := cp.RecordAll(batch)
+	errs, _ := cp.RecordAll(batch, make([]Charge, len(batch)))
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("batch errors = %v", errs)
 	}
@@ -69,7 +69,7 @@ func TestAnswerLogStructuralInvalidation(t *testing.T) {
 	cp.EnableAnswerLog(64)
 	v0 := cp.Version()
 	a := Answer{Task: 1, Worker: "w1", Option: 0}
-	if err := cp.Record(a); err != nil {
+	if err := record(cp, a); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,21 +87,13 @@ func TestAnswerLogStructuralInvalidation(t *testing.T) {
 	}
 	cp.mu.RUnlock()
 
-	if err := cp.Record(Answer{Task: 2, Worker: "w1", Option: 1}); err != nil {
+	if err := record(cp, Answer{Task: 2, Worker: "w1", Option: 1}); err != nil {
 		t.Fatal(err)
-	}
-	vRec := cp.Version()
-	// Removing an answer is structural too.
-	if !cp.Unrecord(a) {
-		t.Fatal("unrecord missed")
 	}
 	cp.mu.RLock()
 	defer cp.mu.RUnlock()
-	if cp.canDeltaLocked(vRec) {
-		t.Fatal("window across an unrecord reported as covered")
-	}
-	if !cp.canDeltaLocked(cp.Version()) {
-		t.Fatal("fresh window after an unrecord not covered")
+	if got, ok := cp.appendedSinceLocked(vAdd, nil); !ok || len(got) != 1 {
+		t.Fatalf("delta since the task add = (%v, %v), want the one answer after it", got, ok)
 	}
 }
 
@@ -114,7 +106,7 @@ func TestAnswerLogTrim(t *testing.T) {
 	v0 := cp.Version()
 	var vers []uint64
 	for i := 0; i < 12; i++ {
-		if err := cp.Record(Answer{Task: 1, Worker: fmt.Sprintf("w%d", i), Option: i % 2}); err != nil {
+		if err := record(cp, Answer{Task: 1, Worker: fmt.Sprintf("w%d", i), Option: i % 2}); err != nil {
 			t.Fatal(err)
 		}
 		vers = append(vers, cp.Version())
@@ -161,7 +153,7 @@ func TestShardedViewDelta(t *testing.T) {
 	want := make(map[int][]Answer)
 	for i := 1; i <= 32; i += 3 {
 		a := Answer{Task: TaskID(i), Worker: "w1", Option: 1}
-		if err := sp.Record(a); err != nil {
+		if err := record(sp, a); err != nil {
 			t.Fatal(err)
 		}
 		sh := sp.ShardFor(TaskID(i))

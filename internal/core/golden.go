@@ -60,21 +60,6 @@ func (s *WorkerScreen) Observe(worker string, correct bool) (newlyEliminated boo
 	return !before && s.eliminatedLocked(worker)
 }
 
-// Unobserve reverses one Observe call: the serving layer rolls back a
-// golden observation whose answer failed to journal, so the screen's
-// tallies (and any elimination they implied) match what recovery will
-// rebuild from disk. Tallies never go negative.
-func (s *WorkerScreen) Unobserve(worker string, correct bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.total[worker] > 0 {
-		s.total[worker]--
-	}
-	if correct && s.correct[worker] > 0 {
-		s.correct[worker]--
-	}
-}
-
 // ScreenTally is one worker's golden-task record, exported for snapshots.
 type ScreenTally struct {
 	Correct int `json:"correct"`

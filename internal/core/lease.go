@@ -28,6 +28,15 @@ type Lease struct {
 // Lease records (or extends) a lease on the task for the worker until
 // deadline. The task must exist and be open.
 func (p *Pool) Lease(id TaskID, worker string, deadline time.Time) error {
+	if err := p.checkLease(id, worker); err != nil {
+		return err
+	}
+	p.applyLease(id, worker, deadline)
+	return nil
+}
+
+// checkLease is the validation half of Lease.
+func (p *Pool) checkLease(id TaskID, worker string) error {
 	if worker == "" {
 		return fmt.Errorf("core: lease needs a worker id")
 	}
@@ -37,6 +46,11 @@ func (p *Pool) Lease(id TaskID, worker string, deadline time.Time) error {
 	if p.closed[id] {
 		return fmt.Errorf("core: lease for closed task %d", id)
 	}
+	return nil
+}
+
+// applyLease records a lease checkLease accepted.
+func (p *Pool) applyLease(id TaskID, worker string, deadline time.Time) {
 	m := p.leases[id]
 	if m == nil {
 		m = make(map[string]time.Time)
@@ -47,7 +61,6 @@ func (p *Pool) Lease(id TaskID, worker string, deadline time.Time) error {
 	// or re-leased entries go stale in the heap and are discarded lazily
 	// when their deadline pops — see ExpireLeases.
 	p.pushLeaseEntry(leaseEntry{deadline: deadline, task: id, worker: worker})
-	return nil
 }
 
 // releaseLease drops the (task, worker) lease if one exists, reporting
@@ -107,24 +120,66 @@ func (p *Pool) InFlight(id TaskID) int {
 // entries behind; each is discarded the first time its (now stale)
 // deadline reaches the top of the heap.
 func (p *Pool) ExpireLeases(now time.Time) []Lease {
-	var out []Lease
+	due := p.dueLeases(now)
+	p.reclaim(due, now)
+	return due
+}
+
+// reclaim applies a sweep dueLeases computed: it releases the due leases
+// and drops every heap entry at or before now, the stale ones included.
+func (p *Pool) reclaim(due []Lease, now time.Time) {
 	for len(p.leaseHeap) > 0 && !p.leaseHeap[0].deadline.After(now) {
-		e := p.popLeaseEntry()
-		// The entry is live only if the lease map still holds this exact
-		// deadline: a submission or Close dropped it, or a re-lease moved
-		// it, otherwise.
-		if d, ok := p.leases[e.task][e.worker]; ok && d.Equal(e.deadline) {
-			p.releaseLease(e.task, e.worker)
-			out = append(out, Lease{Task: e.task, Worker: e.worker, Deadline: e.deadline})
+		p.popLeaseEntry()
+	}
+	for _, l := range due {
+		p.releaseLease(l.Task, l.Worker)
+	}
+}
+
+// dueLeases returns the leases a sweep at now reclaims, sorted by (task,
+// worker), without touching the pool — a journaled sweep needs the set
+// before it may apply it. A heap entry is live only if the lease map still
+// holds its exact deadline (a submission or Close dropped it, or a
+// re-lease moved it, otherwise). A heap's children are never earlier than
+// their parent, so the walk prunes at the first entry past now.
+func (p *Pool) dueLeases(now time.Time) []Lease {
+	if len(p.leaseHeap) == 0 || p.leaseHeap[0].deadline.After(now) {
+		return nil
+	}
+	var out []Lease
+	p.collectDue(0, now, &out)
+	sortLeases(out)
+	// A lease re-issued with an unchanged deadline sits in the heap twice.
+	uniq := out[:0]
+	for _, l := range out {
+		if n := len(uniq); n == 0 || l.Task != uniq[n-1].Task || l.Worker != uniq[n-1].Worker {
+			uniq = append(uniq, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Task != out[j].Task {
-			return out[i].Task < out[j].Task
+	return uniq
+}
+
+func (p *Pool) collectDue(i int, now time.Time, out *[]Lease) {
+	if i >= len(p.leaseHeap) || p.leaseHeap[i].deadline.After(now) {
+		return
+	}
+	e := p.leaseHeap[i]
+	if d, ok := p.leases[e.task][e.worker]; ok && d.Equal(e.deadline) {
+		*out = append(*out, Lease{Task: e.task, Worker: e.worker, Deadline: e.deadline})
+	}
+	p.collectDue(2*i+1, now, out)
+	p.collectDue(2*i+2, now, out)
+}
+
+// sortLeases orders leases by (task, worker), the deterministic order
+// sweeps and snapshots present them in.
+func sortLeases(ls []Lease) {
+	sort.Slice(ls, func(i, j int) bool {
+		if ls[i].Task != ls[j].Task {
+			return ls[i].Task < ls[j].Task
 		}
-		return out[i].Worker < out[j].Worker
+		return ls[i].Worker < ls[j].Worker
 	})
-	return out
 }
 
 // Leases returns every outstanding lease sorted by (task, worker), for
@@ -136,12 +191,7 @@ func (p *Pool) Leases() []Lease {
 			out = append(out, Lease{Task: id, Worker: w, Deadline: d})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Task != out[j].Task {
-			return out[i].Task < out[j].Task
-		}
-		return out[i].Worker < out[j].Worker
-	})
+	sortLeases(out)
 	return out
 }
 

@@ -100,7 +100,7 @@ func BenchmarkExpireLeases(b *testing.B) {
 			b.StopTimer()
 			p := leasedPool(b, n/10, 10, base, time.Hour)
 			b.StartTimer()
-			if got := expireLeasesScan(p, base.Add(24 * time.Hour)); len(got) != n {
+			if got := expireLeasesScan(p, base.Add(24*time.Hour)); len(got) != n {
 				b.Fatalf("expired %d leases, want %d", len(got), n)
 			}
 		}
@@ -125,8 +125,10 @@ func TestExpireLeasesMatchesScanReference(t *testing.T) {
 				}
 			}
 		}
-		// Perturb: re-lease some (new deadline), consume others, close one.
+		// Perturb: re-lease some (new deadline; the same deadline again, which
+		// doubles the heap entry), consume others, close one.
 		_ = p.Lease(2, "w1", base.Add(time.Hour))
+		_ = p.Lease(4, "w0", base.Add(8*time.Second))
 		_ = p.Record(Answer{Task: 3, Worker: "w2", Option: 0})
 		p.Close(5)
 		return p

@@ -161,7 +161,7 @@ func TestConcurrentPoolAssignLease(t *testing.T) {
 	// an unleased task.
 	seen := map[TaskID]bool{}
 	for i := 0; i < 4; i++ {
-		id, ok := cp.AssignLease(fewestInFlight, "w1", deadline)
+		id, ok, _ := cp.AssignLease(fewestInFlight, "w1", deadline)
 		if !ok {
 			t.Fatalf("assignment %d failed", i)
 		}
@@ -178,7 +178,7 @@ func TestConcurrentPoolAssignLease(t *testing.T) {
 	if cp.Version() != v0 {
 		t.Fatalf("lease ops bumped version %d -> %d", v0, cp.Version())
 	}
-	if exp := cp.ExpireLeases(time.Now().Add(2 * time.Hour)); len(exp) != 4 {
+	if exp, _ := cp.ExpireLeases(time.Now().Add(2 * time.Hour)); len(exp) != 4 {
 		t.Fatalf("expired %d, want 4", len(exp))
 	}
 	if cp.Version() != v0 {
@@ -201,8 +201,8 @@ func TestConcurrentPoolLeaseRace(t *testing.T) {
 			defer wg.Done()
 			w := fmt.Sprintf("w%d", g)
 			for i := 0; i < 8; i++ {
-				if id, ok := cp.AssignLease(firstOpen, w, deadline); ok {
-					_ = cp.Record(Answer{Task: id, Worker: w, Option: 1})
+				if id, ok, _ := cp.AssignLease(firstOpen, w, deadline); ok {
+					_ = record(cp, Answer{Task: id, Worker: w, Option: 1})
 				}
 				cp.ExpireLeases(time.Now())
 			}

@@ -43,52 +43,20 @@ func NewPool() *Pool {
 	}
 }
 
-// Clone returns a deep copy of the pool's bookkeeping. Task pointers are
-// shared (tasks are immutable once added); answers, per-worker sets,
-// closed flags, and leases are copied, so mutations of the clone and the
-// original never interfere. Used by the durability layer, whose journal
-// replica and the live serving pool start from the same recovered state.
-func (p *Pool) Clone() *Pool {
-	c := &Pool{
-		tasks:     make(map[TaskID]*Task, len(p.tasks)),
-		order:     append([]TaskID(nil), p.order...),
-		answers:   make(map[TaskID][]Answer, len(p.answers)),
-		perWorker: make(map[string]map[TaskID]int, len(p.perWorker)),
-		closed:    make(map[TaskID]bool, len(p.closed)),
-		leases:    make(map[TaskID]map[string]time.Time, len(p.leases)),
-		leaseHeap: append([]leaseEntry(nil), p.leaseHeap...),
-		nextID:    p.nextID,
-	}
-	for id, t := range p.tasks {
-		c.tasks[id] = t
-	}
-	for id, as := range p.answers {
-		c.answers[id] = append([]Answer(nil), as...)
-	}
-	for w, m := range p.perWorker {
-		cm := make(map[TaskID]int, len(m))
-		for id, v := range m {
-			cm[id] = v
-		}
-		c.perWorker[w] = cm
-	}
-	for id, v := range p.closed {
-		c.closed[id] = v
-	}
-	for id, m := range p.leases {
-		cm := make(map[string]time.Time, len(m))
-		for w, d := range m {
-			cm[w] = d
-		}
-		c.leases[id] = cm
-	}
-	return c
-}
-
 // Add validates t, assigns it a fresh ID if it has none (ID 0 with an
 // existing task 0 present counts as unset), and registers it. It returns
 // the task's ID.
 func (p *Pool) Add(t *Task) (TaskID, error) {
+	if err := p.prepareAdd(t); err != nil {
+		return 0, err
+	}
+	p.insert(t)
+	return t.ID, nil
+}
+
+// prepareAdd is the validation half of Add: it settles t.ID and checks the
+// task. An ID it reserved stays reserved if the task is never inserted.
+func (p *Pool) prepareAdd(t *Task) error {
 	if _, exists := p.tasks[t.ID]; exists || t.ID == 0 && len(p.tasks) > 0 {
 		t.ID = p.nextID
 	}
@@ -98,12 +66,13 @@ func (p *Pool) Add(t *Task) (TaskID, error) {
 		t.ID = p.nextID
 		p.nextID++
 	}
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
+	return t.Validate()
+}
+
+// insert registers a task prepareAdd accepted.
+func (p *Pool) insert(t *Task) {
 	p.tasks[t.ID] = t
 	p.order = append(p.order, t.ID)
-	return t.ID, nil
 }
 
 // MustAdd adds and panics on error; for tests and generators.
@@ -136,20 +105,39 @@ const MaxRepeatAnswers = 8
 // exist, must be open, and the worker must not have answered it before
 // (repeatable kinds allow up to MaxRepeatAnswers submissions).
 func (p *Pool) Record(a Answer) error {
-	if _, ok := p.tasks[a.Task]; !ok {
+	if err := p.checkRecord(a, 0, false); err != nil {
+		return err
+	}
+	p.applyRecord(a)
+	return nil
+}
+
+// ReplayAnswer applies an answer read back from a journal: Record, except
+// that the task may already be closed. Logs written before answers were
+// journaled under the shard lock can hold a question's last answer behind
+// the task_closed record its arrival triggered; dropping it would leave
+// the recovered pool one answer short of the spend that paid for it.
+func (p *Pool) ReplayAnswer(a Answer) error {
+	if err := p.checkRecord(a, 0, true); err != nil {
+		return err
+	}
+	p.applyRecord(a)
+	return nil
+}
+
+// checkRecord is the validation half of Record. pending counts answers by
+// the same worker on the same task that were accepted but not applied yet
+// (earlier items of one batch); closedOK admits a closed task.
+func (p *Pool) checkRecord(a Answer, pending int, closedOK bool) error {
+	t, ok := p.tasks[a.Task]
+	if !ok {
 		return fmt.Errorf("core: answer for unknown task %d", a.Task)
 	}
-	if p.closed[a.Task] {
+	if p.closed[a.Task] && !closedOK {
 		return fmt.Errorf("core: answer for closed task %d", a.Task)
 	}
-	wt := p.perWorker[a.Worker]
-	if wt == nil {
-		wt = make(map[TaskID]int)
-		p.perWorker[a.Worker] = wt
-	}
-	n := wt[a.Task]
-	kind := p.tasks[a.Task].Kind
-	if kind == MultiChoice || kind == Collection {
+	n := p.perWorker[a.Worker][a.Task] + pending
+	if t.Kind == MultiChoice || t.Kind == Collection {
 		if n >= MaxRepeatAnswers {
 			return fmt.Errorf("core: worker %s hit the %d-answer resubmission cap on task %d",
 				a.Worker, MaxRepeatAnswers, a.Task)
@@ -157,43 +145,20 @@ func (p *Pool) Record(a Answer) error {
 	} else if n > 0 {
 		return fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
 	}
-	wt[a.Task] = n + 1
-	p.answers[a.Task] = append(p.answers[a.Task], a)
-	// The submission consumes any outstanding lease for this assignment.
-	p.releaseLease(a.Task, a.Worker)
 	return nil
 }
 
-// Unrecord removes the most recently recorded answer equal to a,
-// reversing the bookkeeping Record applied (answer list, per-worker
-// count). It exists for the serving layer's durability rollback: an
-// answer whose journal append failed must leave memory again, or the live
-// state diverges from what recovery will rebuild. The consumed lease (if
-// any) is not resurrected — the worker resubmits or the slot is
-// re-assigned. Reports whether a matching answer was found.
-func (p *Pool) Unrecord(a Answer) bool {
-	as := p.answers[a.Task]
-	for i := len(as) - 1; i >= 0; i-- {
-		if as[i] != a {
-			continue
-		}
-		p.answers[a.Task] = append(as[:i], as[i+1:]...)
-		if len(p.answers[a.Task]) == 0 {
-			delete(p.answers, a.Task)
-		}
-		if wt := p.perWorker[a.Worker]; wt != nil {
-			if wt[a.Task] > 1 {
-				wt[a.Task]--
-			} else {
-				delete(wt, a.Task)
-				if len(wt) == 0 {
-					delete(p.perWorker, a.Worker)
-				}
-			}
-		}
-		return true
+// applyRecord stores an answer checkRecord accepted.
+func (p *Pool) applyRecord(a Answer) {
+	wt := p.perWorker[a.Worker]
+	if wt == nil {
+		wt = make(map[TaskID]int)
+		p.perWorker[a.Worker] = wt
 	}
-	return false
+	wt[a.Task]++
+	p.answers[a.Task] = append(p.answers[a.Task], a)
+	// The submission consumes any outstanding lease for this assignment.
+	p.releaseLease(a.Task, a.Worker)
 }
 
 // Answers returns the answers recorded for a task (possibly nil). The
@@ -227,20 +192,25 @@ func (p *Pool) HasAnswered(worker string, id TaskID) bool {
 	return p.perWorker[worker][id] > 0
 }
 
-// Close marks a task as finished: no further answers are accepted and
-// assigners skip it. Outstanding leases on the task are dropped — a late
-// submission would be rejected anyway.
+// Close marks an open task as finished: no further answers are accepted
+// and assigners skip it. Outstanding leases on the task are dropped — a
+// late submission would be rejected anyway. Closing an unknown or already
+// closed task does nothing.
 func (p *Pool) Close(id TaskID) {
-	p.closed[id] = true
-	delete(p.leases, id)
+	if p.closable(id) {
+		p.closed[id] = true
+		delete(p.leases, id)
+	}
+}
+
+// closable reports whether Close(id) would change anything.
+func (p *Pool) closable(id TaskID) bool {
+	_, ok := p.tasks[id]
+	return ok && !p.closed[id]
 }
 
 // Closed reports whether the task has been closed.
 func (p *Pool) Closed(id TaskID) bool { return p.closed[id] }
-
-// Reopen undoes Close (dropped leases stay dropped). Journal replay uses it
-// to fold an answer whose record landed in the log behind its task's close.
-func (p *Pool) Reopen(id TaskID) { delete(p.closed, id) }
 
 // OpenTasks returns the ids of tasks that are not closed, in insertion
 // order.

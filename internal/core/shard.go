@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,63 +70,6 @@ func SplitPool(p *Pool, n int) []*Pool {
 	return out
 }
 
-// MergePools combines disjoint pools (e.g. the shards of a SplitPool, or
-// the per-segment replicas of a segmented WAL) into one pool ordered by
-// ascending task ID — the deterministic order a sharded deployment
-// presents regardless of how adds interleaved across shards. A single
-// input is deep-copied with its insertion order intact, so the unsharded
-// path round-trips byte-identically.
-func MergePools(pools []*Pool) *Pool {
-	if len(pools) == 1 {
-		return pools[0].Clone()
-	}
-	out := NewPool()
-	owner := make(map[TaskID]*Pool)
-	ids := make([]TaskID, 0)
-	for _, p := range pools {
-		for _, id := range p.order {
-			owner[id] = p
-			ids = append(ids, id)
-		}
-		if p.nextID > out.nextID {
-			out.nextID = p.nextID
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := owner[id]
-		out.tasks[id] = p.tasks[id]
-		out.order = append(out.order, id)
-		if as := p.answers[id]; len(as) > 0 {
-			out.answers[id] = append([]Answer(nil), as...)
-		}
-		if p.closed[id] {
-			out.closed[id] = true
-		}
-		if m := p.leases[id]; len(m) > 0 {
-			cm := make(map[string]time.Time, len(m))
-			for w, d := range m {
-				cm[w] = d
-				out.pushLeaseEntry(leaseEntry{deadline: d, task: id, worker: w})
-			}
-			out.leases[id] = cm
-		}
-	}
-	for _, p := range pools {
-		for w, m := range p.perWorker {
-			wt := out.perWorker[w]
-			if wt == nil {
-				wt = make(map[TaskID]int, len(m))
-				out.perWorker[w] = wt
-			}
-			for id, c := range m {
-				wt[id] = c
-			}
-		}
-	}
-	return out
-}
-
 // ShardedPool partitions the serving pool into task-hash shards, each its
 // own ConcurrentPool with its own RWMutex, version counter, lease heap,
 // and journal hook — so writes to different shards never contend on one
@@ -157,14 +101,27 @@ func NewShardedPool(p *Pool, n int) *ShardedPool {
 		p = NewPool()
 	}
 	if n <= 1 {
-		return &ShardedPool{shards: []*ConcurrentPool{NewConcurrentPool(p)}}
+		return ShardedFrom([]*Pool{p}, nil)
 	}
-	parts := SplitPool(p, n)
-	sp := &ShardedPool{shards: make([]*ConcurrentPool, n), nextID: p.nextID}
+	return ShardedFrom(SplitPool(p, n), nil)
+}
+
+// ShardedFrom serves parts as the shards of one pool, without copying:
+// part i must hold exactly the tasks ShardIndex maps to i of len(parts) —
+// what SplitPool produces and what a segmented journal's recovery
+// rebuilds. j, when not nil, is attached to every shard as its write-ahead
+// journal; its hooks run under the mutating shard's write lock, so a
+// journal that routes by the same task hash never serializes two shards
+// on one of its own locks.
+func ShardedFrom(parts []*Pool, j Journal) *ShardedPool {
+	sp := &ShardedPool{shards: make([]*ConcurrentPool, len(parts))}
 	for i, part := range parts {
-		sp.shards[i] = NewConcurrentPool(part)
+		sp.shards[i] = &ConcurrentPool{pool: part, journal: j, shard: i}
+		if part.nextID > sp.nextID {
+			sp.nextID = part.nextID
+		}
+		sp.count.Add(int64(part.Len()))
 	}
-	sp.count.Store(int64(p.Len()))
 	return sp
 }
 
@@ -206,17 +163,6 @@ func (sp *ShardedPool) Version() uint64 {
 	return v
 }
 
-// SetJournal attaches the mutation journal to every shard. As with
-// ConcurrentPool.SetJournal, call before the pool is shared between
-// goroutines. The journal's hooks run under the mutating shard's write
-// lock; a shard-aware journal (the segmented WAL) routes by task hash and
-// therefore never serializes two shards on one journal lock.
-func (sp *ShardedPool) SetJournal(j Journal) {
-	for _, s := range sp.shards {
-		s.SetJournal(j)
-	}
-}
-
 // Add registers a task: the facade allocates a globally unique ID
 // (mirroring Pool.Add's assignment rules), then routes the task to its
 // shard.
@@ -246,22 +192,21 @@ func (sp *ShardedPool) Add(t *Task) (TaskID, error) {
 	return id, err
 }
 
-// Record stores an answer on the owning shard.
-func (sp *ShardedPool) Record(a Answer) error { return sp.shardOf(a.Task).Record(a) }
+// Record stores an answer on the owning shard; see ConcurrentPool.Record.
+func (sp *ShardedPool) Record(ctx context.Context, a Answer, c Charge) (uint64, error) {
+	return sp.shardOf(a.Task).Record(ctx, a, c)
+}
 
 // RecordBatch stores a batch of answers that all belong to the given
 // shard under one write-lock acquisition; see ConcurrentPool.RecordAll.
 // Callers group answers with ShardFor first — that is what makes batch
 // ingestion pay one lock and one journal append per touched shard.
-func (sp *ShardedPool) RecordBatch(shard int, as []Answer) []error {
-	return sp.shards[shard].RecordAll(as)
+func (sp *ShardedPool) RecordBatch(shard int, as []Answer, cs []Charge) ([]error, uint64) {
+	return sp.shards[shard].RecordAll(as, cs)
 }
 
-// Unrecord removes the most recent answer equal to a from its shard.
-func (sp *ShardedPool) Unrecord(a Answer) bool { return sp.shardOf(a.Task).Unrecord(a) }
-
 // Close marks a task as finished on its shard.
-func (sp *ShardedPool) Close(id TaskID) { sp.shardOf(id).Close(id) }
+func (sp *ShardedPool) Close(id TaskID) error { return sp.shardOf(id).Close(id) }
 
 // Assign runs the assignment policy shard by shard, starting from the
 // worker's home shard, until one yields a task. Each attempt holds only
@@ -285,41 +230,45 @@ func (sp *ShardedPool) Assign(a Assigner, worker string) (TaskID, bool) {
 // reached — and only when every shard is out of fresh work does it fall
 // back to a plain pass, so a worker polling past the pool size still
 // extends its leases exactly as on the unsharded pool.
-func (sp *ShardedPool) AssignLease(a Assigner, worker string, deadline time.Time) (TaskID, bool) {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].AssignLease(a, worker, deadline)
+func (sp *ShardedPool) AssignLease(a Assigner, worker string, deadline time.Time) (TaskID, bool, error) {
+	if len(sp.shards) > 1 {
+		if id, ok, err := sp.scanLease(a, worker, deadline, true); ok || err != nil {
+			return id, ok, err
+		}
 	}
+	return sp.scanLease(a, worker, deadline, false)
+}
+
+// scanLease tries assignLease shard by shard from the worker's home shard
+// and stops at the first assignment or journal error.
+func (sp *ShardedPool) scanLease(a Assigner, worker string, deadline time.Time, fresh bool) (TaskID, bool, error) {
 	start := sp.workerShard(worker)
-	for i := 0; i < len(sp.shards); i++ {
-		if id, ok := sp.shards[(start+i)%len(sp.shards)].assignLeaseFresh(a, worker, deadline); ok {
-			return id, true
+	for i := range sp.shards {
+		id, ok, err := sp.shards[(start+i)%len(sp.shards)].assignLease(a, worker, deadline, fresh)
+		if ok || err != nil {
+			return id, ok, err
 		}
 	}
-	for i := 0; i < len(sp.shards); i++ {
-		if id, ok := sp.shards[(start+i)%len(sp.shards)].AssignLease(a, worker, deadline); ok {
-			return id, true
-		}
-	}
-	return 0, false
+	return 0, false, nil
 }
 
 // ExpireLeases sweeps every shard and returns the reclaimed assignments
-// in deterministic (task, worker) order across shards.
-func (sp *ShardedPool) ExpireLeases(now time.Time) []Lease {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].ExpireLeases(now)
-	}
+// in deterministic (task, worker) order across shards. It stops at the
+// first shard whose journal refuses the sweep and returns what the shards
+// before it reclaimed.
+func (sp *ShardedPool) ExpireLeases(now time.Time) ([]Lease, error) {
 	var out []Lease
 	for _, s := range sp.shards {
-		out = append(out, s.ExpireLeases(now)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Task != out[j].Task {
-			return out[i].Task < out[j].Task
+		exp, err := s.ExpireLeases(now)
+		if err != nil {
+			return out, err
 		}
-		return out[i].Worker < out[j].Worker
-	})
-	return out
+		out = append(out, exp...)
+	}
+	if len(out) > 1 {
+		sortLeases(out)
+	}
+	return out, nil
 }
 
 // ActiveLeases returns the total outstanding leases across shards.
@@ -363,6 +312,35 @@ func (sp *ShardedPool) ViewAll(fn func(pools []*Pool)) {
 		pools[i] = s.pool
 	}
 	fn(pools)
+}
+
+// TaskIDsOf lists the tasks of the shard pools a ViewAll or ViewDelta
+// callback received, in the order a ShardedPool presents them: insertion
+// order for a single shard, ascending ID across several. The caller must
+// not mutate the result.
+func TaskIDsOf(pools []*Pool) []TaskID {
+	if len(pools) == 1 {
+		return pools[0].TaskIDs()
+	}
+	var out []TaskID
+	for _, p := range pools {
+		out = append(out, p.TaskIDs()...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// LeasesOf lists every outstanding lease of such shard pools, sorted by
+// (task, worker).
+func LeasesOf(pools []*Pool) []Lease {
+	var out []Lease
+	for _, p := range pools {
+		out = append(out, p.Leases()...)
+	}
+	if len(pools) > 1 {
+		sortLeases(out)
+	}
+	return out
 }
 
 // EnableDeltaLog turns on the per-shard answer-append log with the given

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -10,6 +11,14 @@ import (
 
 func multiTask(id TaskID) *Task {
 	return &Task{ID: id, Kind: MultiChoice, Options: []string{"a", "b", "c"}, GroundTruth: -1}
+}
+
+// record is Record with no trace and no charge.
+func record(p interface {
+	Record(context.Context, Answer, Charge) (uint64, error)
+}, a Answer) error {
+	_, err := p.Record(context.Background(), a, Charge{})
+	return err
 }
 
 // TestRecordResubmissionCap is the regression test for the budget-drain
@@ -39,54 +48,6 @@ func TestRecordResubmissionCap(t *testing.T) {
 		if err := p.Record(Answer{Task: id, Worker: "other", Option: 1}); err != nil {
 			t.Fatalf("%v: fresh worker rejected: %v", kind, err)
 		}
-	}
-}
-
-func TestUnrecordReversesRecord(t *testing.T) {
-	p := NewPool()
-	id := p.MustAdd(binaryTask(1, 1))
-	a := Answer{Task: id, Worker: "w", Option: 1}
-	if err := p.Record(a); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Unrecord(a) {
-		t.Fatal("Unrecord did not find the recorded answer")
-	}
-	if p.AnswerCount(id) != 0 {
-		t.Fatalf("answer count = %d after Unrecord, want 0", p.AnswerCount(id))
-	}
-	if p.HasAnswered("w", id) {
-		t.Fatal("worker still marked as having answered after Unrecord")
-	}
-	// The worker can resubmit (e.g. after the server rolled back a failed
-	// journal append and the client retried).
-	if err := p.Record(a); err != nil {
-		t.Fatalf("resubmission after Unrecord rejected: %v", err)
-	}
-	// Unrecord of an answer that is not present reports false.
-	if p.Unrecord(Answer{Task: id, Worker: "ghost", Option: 0}) {
-		t.Fatal("Unrecord of a never-recorded answer reported true")
-	}
-}
-
-func TestUnrecordRemovesMostRecentOnly(t *testing.T) {
-	p := NewPool()
-	id := p.MustAdd(multiTask(1))
-	first := Answer{Task: id, Worker: "w", Option: 0}
-	second := Answer{Task: id, Worker: "w", Option: 1}
-	for _, a := range []Answer{first, second} {
-		if err := p.Record(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !p.Unrecord(second) {
-		t.Fatal("Unrecord(second) failed")
-	}
-	if got := p.Answers(id); len(got) != 1 || got[0] != first {
-		t.Fatalf("answers after Unrecord = %v, want just %v", got, first)
-	}
-	if !p.HasAnswered("w", id) {
-		t.Fatal("per-worker count dropped to zero with one answer remaining")
 	}
 }
 
@@ -142,70 +103,47 @@ func populatedPool(t *testing.T) *Pool {
 	return p
 }
 
-func poolsEquivalent(t *testing.T, want, got *Pool) {
-	t.Helper()
-	wantIDs := append([]TaskID(nil), want.TaskIDs()...)
-	gotIDs := append([]TaskID(nil), got.TaskIDs()...)
-	if len(wantIDs) != len(gotIDs) {
-		t.Fatalf("task count: got %d, want %d", len(gotIDs), len(wantIDs))
-	}
-	seen := make(map[TaskID]bool, len(gotIDs))
-	for _, id := range gotIDs {
-		seen[id] = true
-	}
-	for _, id := range wantIDs {
-		if !seen[id] {
-			t.Fatalf("task %d missing after roundtrip", id)
-		}
-		if !reflect.DeepEqual(want.Answers(id), got.Answers(id)) {
-			t.Fatalf("task %d answers diverge: got %v, want %v", id, got.Answers(id), want.Answers(id))
-		}
-		if want.Closed(id) != got.Closed(id) {
-			t.Fatalf("task %d closed flag diverges", id)
-		}
-		if want.LeaseCount(id) != got.LeaseCount(id) {
-			t.Fatalf("task %d lease count diverges: got %d, want %d", id, got.LeaseCount(id), want.LeaseCount(id))
-		}
-	}
-	if !reflect.DeepEqual(want.Workers(), got.Workers()) {
-		t.Fatalf("workers diverge: got %v, want %v", got.Workers(), want.Workers())
-	}
-	for _, w := range want.Workers() {
-		for _, id := range wantIDs {
-			if want.HasAnswered(w, id) != got.HasAnswered(w, id) {
-				t.Fatalf("HasAnswered(%s,%d) diverges", w, id)
-			}
-		}
-	}
-}
-
-func TestSplitMergeRoundtrip(t *testing.T) {
+// TestSplitPoolPartitionsLosslessly: every task lands, with all of its
+// bookkeeping, in the part ShardIndex names and nowhere else, and the
+// parts expire the same leases the source does.
+func TestSplitPoolPartitionsLosslessly(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
 		src := populatedPool(t)
 		parts := SplitPool(src, n)
 		total := 0
-		for _, part := range parts {
+		for i, part := range parts {
 			total += part.Len()
+			for _, id := range part.TaskIDs() {
+				if ShardIndex(id, n) != i {
+					t.Fatalf("n=%d: task %d sits in part %d, ShardIndex says %d", n, id, i, ShardIndex(id, n))
+				}
+				if !reflect.DeepEqual(src.Answers(id), part.Answers(id)) ||
+					src.Closed(id) != part.Closed(id) || src.LeaseCount(id) != part.LeaseCount(id) {
+					t.Fatalf("n=%d: task %d bookkeeping diverges after the split", n, id)
+				}
+				for _, w := range src.Workers() {
+					if src.HasAnswered(w, id) != part.HasAnswered(w, id) {
+						t.Fatalf("n=%d: HasAnswered(%s,%d) diverges", n, w, id)
+					}
+				}
+			}
 		}
 		if total != src.Len() {
 			t.Fatalf("n=%d: shards hold %d tasks, source has %d", n, total, src.Len())
 		}
-		merged := MergePools(parts)
-		poolsEquivalent(t, src, merged)
-		// Lease expiry behaves identically on the merged pool.
-		wantExp := src.ExpireLeases(time.Now().Add(2 * time.Hour))
-		gotExp := merged.ExpireLeases(time.Now().Add(2 * time.Hour))
-		if !reflect.DeepEqual(wantExp, gotExp) {
-			t.Fatalf("n=%d: expiry after roundtrip diverges: got %v, want %v", n, gotExp, wantExp)
+		if n == 1 && !reflect.DeepEqual(src.TaskIDs(), parts[0].TaskIDs()) {
+			t.Fatalf("single part reordered tasks: got %v, want %v", parts[0].TaskIDs(), src.TaskIDs())
 		}
-	}
-}
-
-func TestMergeSinglePreservesInsertionOrder(t *testing.T) {
-	src := populatedPool(t)
-	merged := MergePools([]*Pool{src})
-	if !reflect.DeepEqual(src.TaskIDs(), merged.TaskIDs()) {
-		t.Fatalf("single-pool merge reordered tasks: got %v, want %v", merged.TaskIDs(), src.TaskIDs())
+		// Lease expiry behaves identically across the parts.
+		wantExp := src.ExpireLeases(time.Now().Add(2 * time.Hour))
+		var gotExp []Lease
+		for _, part := range parts {
+			gotExp = append(gotExp, part.ExpireLeases(time.Now().Add(2*time.Hour))...)
+		}
+		sortLeases(gotExp)
+		if !reflect.DeepEqual(wantExp, gotExp) {
+			t.Fatalf("n=%d: expiry after the split diverges: got %v, want %v", n, gotExp, wantExp)
+		}
 	}
 }
 
@@ -222,7 +160,7 @@ func TestShardedPoolMatchesUnsharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			for w := 0; w <= i%3; w++ {
-				if err := sp.Record(Answer{Task: id, Worker: fmt.Sprintf("w%d", w), Option: i % 2}); err != nil {
+				if err := record(sp, Answer{Task: id, Worker: fmt.Sprintf("w%d", w), Option: i % 2}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -275,7 +213,7 @@ func TestShardedPoolAssignLease(t *testing.T) {
 	got := make(map[TaskID]bool)
 	// One worker can be assigned every task exactly once across shards.
 	for range ids {
-		id, ok := sp.AssignLease(firstOpen, "w", deadline)
+		id, ok, _ := sp.AssignLease(firstOpen, "w", deadline)
 		if !ok {
 			t.Fatalf("assignment dried up after %d tasks, want %d", len(got), len(ids))
 		}
@@ -286,11 +224,11 @@ func TestShardedPoolAssignLease(t *testing.T) {
 		if !sp.HasLease("w", id) {
 			t.Fatalf("no lease recorded for assigned task %d", id)
 		}
-		if err := sp.Record(Answer{Task: id, Worker: "w", Option: 0}); err != nil {
+		if err := record(sp, Answer{Task: id, Worker: "w", Option: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := sp.AssignLease(firstOpen, "w", deadline); ok {
+	if _, ok, _ := sp.AssignLease(firstOpen, "w", deadline); ok {
 		t.Fatal("worker assigned a task it already answered")
 	}
 	if sp.ActiveLeases() != 0 {
@@ -306,12 +244,12 @@ func TestShardedPoolExpireLeasesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := sp.AssignLease(firstOpen, fmt.Sprintf("w%d", i), deadline); !ok {
+		if _, ok, _ := sp.AssignLease(firstOpen, fmt.Sprintf("w%d", i), deadline); !ok {
 			t.Fatalf("assignment %d failed", i)
 		}
 		_ = id
 	}
-	exp := sp.ExpireLeases(time.Now().Add(time.Hour))
+	exp, _ := sp.ExpireLeases(time.Now().Add(time.Hour))
 	if len(exp) != 10 {
 		t.Fatalf("expired %d leases, want 10", len(exp))
 	}
@@ -333,18 +271,19 @@ func TestShardedPoolVersionSumsShards(t *testing.T) {
 	if v1 <= v0 {
 		t.Fatalf("Add did not advance version: %d -> %d", v0, v1)
 	}
-	if err := sp.Record(Answer{Task: id, Worker: "w", Option: 0}); err != nil {
+	if err := record(sp, Answer{Task: id, Worker: "w", Option: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Version() <= v1 {
 		t.Fatal("Record did not advance version")
 	}
+	// A rejected answer changes nothing a cache could have derived from.
 	v2 := sp.Version()
-	if !sp.Unrecord(Answer{Task: id, Worker: "w", Option: 0}) {
-		t.Fatal("Unrecord failed")
+	if err := record(sp, Answer{Task: id, Worker: "w", Option: 1}); err == nil {
+		t.Fatal("duplicate answer accepted")
 	}
-	if sp.Version() <= v2 {
-		t.Fatal("Unrecord did not advance version (cached derived state would go stale)")
+	if sp.Version() != v2 {
+		t.Fatal("a rejected answer advanced the version")
 	}
 }
 
@@ -358,7 +297,7 @@ func TestShardedPoolRecordBatch(t *testing.T) {
 		{Task: id1, Worker: "w", Option: 1}, // duplicate: rejected
 		{Task: id1, Worker: "x", Option: 0},
 	}
-	errs := sp.RecordBatch(shard, batch)
+	errs, _ := sp.RecordBatch(shard, batch, make([]Charge, len(batch)))
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("valid batch items rejected: %v", errs)
 	}
@@ -393,7 +332,7 @@ func TestShardedPoolViewAllConsistent(t *testing.T) {
 			default:
 			}
 			id := sp.TaskIDs()[i%8]
-			_ = sp.Record(Answer{Task: id, Worker: fmt.Sprintf("bg%d", i), Option: 0})
+			_ = record(sp, Answer{Task: id, Worker: fmt.Sprintf("bg%d", i), Option: 0})
 			i++
 		}
 	}()

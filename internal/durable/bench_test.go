@@ -11,7 +11,7 @@ import (
 // BenchmarkAnswerDurable measures the cost of journaling one accepted
 // answer under each fsync policy — the per-ack durability tax the serving
 // layer pays on top of the in-memory Record. "off" is the upper bound on
-// WAL framing + replica-apply cost; "always" adds an fsync per answer;
+// validate + WAL framing + apply cost; "always" adds an fsync per answer;
 // "interval" amortizes the fsyncs onto a background flusher.
 func BenchmarkAnswerDurable(b *testing.B) {
 	policies := []struct {
@@ -29,12 +29,12 @@ func BenchmarkAnswerDurable(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			s.TaskAdded(&core.Task{ID: 0, Kind: core.Collection, Question: "q"})
+			mustAdd(b, s, &core.Task{ID: 0, Kind: core.Collection, Question: "q"})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := core.Answer{Task: 0, Worker: "w", Text: fmt.Sprintf("item-%d", i)}
-				if err := s.AnswerDurable(a, 1, nil); err != nil {
+				if err := answer(s, a, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,7 +53,7 @@ func writeRecoveryDir(tb testing.TB, dir string, opts Options, tasks, answers, b
 		tb.Fatal(err)
 	}
 	for i := 1; i <= tasks; i++ {
-		s.TaskAdded(&core.Task{
+		mustAdd(tb, s, &core.Task{
 			ID: core.TaskID(i), Kind: core.SingleChoice,
 			Question: fmt.Sprintf("Demo question %d: yes or no?", i), Options: []string{"no", "yes"},
 		})
@@ -67,7 +67,7 @@ func writeRecoveryDir(tb testing.TB, dir string, opts Options, tasks, answers, b
 			as[j] = core.Answer{Task: core.TaskID(k%tasks + 1), Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 2}
 			costs[j] = 1
 		}
-		if err := s.AnswerBatchDurable(as, costs, nil); err != nil {
+		if err := answerBatch(s, as, costs, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -176,8 +176,8 @@ func (s *Store) CQLQueryFinished(session, qid, status string) error {
 // The question-reservation appenders below ride the task's own WAL
 // segment and never sync by themselves: the gateway publishes and closes
 // questions a round at a time, appends every record of the round, and then
-// calls SyncTasks once — one fsync per touched segment, the
-// AnswerBatchDurable pattern.
+// calls SyncTasks once — one fsync per touched segment, as the batch
+// answer path does.
 
 // CQLQuestionPublished journals the gateway's reservation of k budget
 // units for a freshly published crowd question, ordered after the

@@ -49,7 +49,7 @@ func assertCQLFixture(t *testing.T, s *Store) {
 		questions[0].Reserved != 3 || questions[0].Refunded != 1 {
 		t.Fatalf("recovered questions %+v, want task 7 at reserved 3 refunded 1", questions)
 	}
-	if _, spent, _ := s.State(); spent != 2 {
+	if _, spent, _ := state(s); spent != 2 {
 		t.Fatalf("recovered spend %v, want 2 (k=3 reserved, 1 refunded)", spent)
 	}
 }

@@ -11,10 +11,13 @@
 //     at the first torn or corrupt record instead of failing — a crash
 //     mid-append loses at most the unacknowledged suffix.
 //
-// The central invariant is ack-implies-durable: the serving layer journals
-// an accepted answer after the pool records it and does not acknowledge
-// the client until the append (and, under FsyncAlways, the fsync)
-// succeeds. See DESIGN.md § Durability for the full protocol, including
+// The store owns the pool it persists (Store.Pool) and is that pool's
+// write-ahead journal: a mutation is appended after it validated and
+// before it is applied, under the owning shard's lock, so the log is the
+// pool's state and nothing else. The central invariant is
+// ack-implies-durable: the serving layer does not acknowledge an answer
+// until the append and, under FsyncAlways, the fsync (Store.Sync)
+// succeeded. See DESIGN.md § Durability for the full protocol, including
 // the fsync policy matrix and recovery semantics.
 package durable
 
@@ -51,7 +54,7 @@ const (
 	// charges that do not ride an answer record (bulk pricing, manual
 	// adjustments). The serving path itself never emits them: an accepted
 	// answer's cost travels on its EvAnswerRecorded event, so a charge
-	// whose Record fails (and is refunded) never touches the log.
+	// whose answer the pool rejects (and is refunded) never touches the log.
 	EvBudgetCharged  = "budget_charged"
 	EvBudgetRefunded = "budget_refunded"
 	// EvLeaseIssued / EvLeaseExpired track assignment leases so recovery

@@ -7,15 +7,17 @@ import "repro/internal/core"
 //
 //   - a cross-task part (budget spend, golden-screen tallies, the CrowdQL
 //     ledger), folded by Store.foldCross under the store mutex, and
-//   - a pool part (tasks, answers, closes, leases), folded by foldPool into
-//     the replica of the segment that owns each task.
+//   - a pool part (tasks, answers, closes, leases), which the live pool
+//     applies itself right after its journal hook appended the event, and
+//     which recovery applies through foldPool to the pool shard that owns
+//     each task — the shards the store then hands out as the live pool.
 //
-// The live append path calls both for the one segment it appended to;
-// recovery calls foldCross for every event in global sequence order on one
-// goroutine and foldPool for each segment on that segment's own goroutine.
-// Events were validated by the live pool before they were journaled, so
-// replica errors indicate either corruption replay already cut off or a
-// duplicate delivery; both are skipped rather than fatal.
+// The live append path calls foldCross for each event it appends; recovery
+// calls it for every event in global sequence order on one goroutine and
+// foldPool for each segment on that segment's own goroutine. Events were
+// validated by the live pool before they were journaled, so errors on
+// replay indicate either corruption replay already cut off or a duplicate
+// delivery; both are skipped rather than fatal.
 
 // foldCross folds the cross-task part of one event. Spend is a float sum
 // and the CrowdQL ledger is order-dependent, so callers must present events
@@ -103,12 +105,10 @@ func (ev *Event) poolTasks(yield func(core.TaskID)) {
 	}
 }
 
-// foldPool folds the pool part of one event into rep, the replica of
-// segment si of n, taking only the entries whose task that segment owns.
-// On the live path that is every entry (appends are routed and batches
-// grouped by segment before journaling); a batch or lease sweep journaled
-// under an older layout may span several current owners, and each takes
-// its own share.
+// foldPool replays the pool part of one event into rep, shard si of n,
+// taking only the entries whose task that shard owns. A batch or lease
+// sweep journaled under another layout may span several current owners,
+// and each takes its own share.
 func foldPool(rep *core.Pool, ev *Event, si, n int) {
 	owns := func(id core.TaskID) bool { return core.ShardIndex(id, n) == si }
 	switch ev.Type {
@@ -118,12 +118,12 @@ func foldPool(rep *core.Pool, ev *Event, si, n int) {
 		}
 	case EvAnswerRecorded:
 		if ev.Answer != nil && owns(ev.Answer.Task) {
-			recordReplica(rep, ev.Answer.answer())
+			_ = rep.ReplayAnswer(ev.Answer.answer())
 		}
 	case EvAnswerBatch:
 		for i := range ev.Answers {
 			if owns(ev.Answers[i].Task) {
-				recordReplica(rep, ev.Answers[i].answer())
+				_ = rep.ReplayAnswer(ev.Answers[i].answer())
 			}
 		}
 	case EvTaskClosed:
@@ -140,20 +140,5 @@ func foldPool(rep *core.Pool, ev *Event, si, n int) {
 				rep.ReleaseLease(ev.Leases[i].Task, ev.Leases[i].Worker)
 			}
 		}
-	}
-}
-
-// recordReplica folds a journaled answer into its segment's replica. The
-// live pool accepted every journaled answer, but the answer path journals
-// after it released the shard lock while a close journals under it, so the
-// record of a question's last answer can sit in the log behind the
-// task-closed record its arrival triggered. The replica takes such an
-// answer all the same; dropping it would leave a recovered pool one answer
-// short of the spend that paid for it.
-func recordReplica(rep *core.Pool, a core.Answer) {
-	if rep.Record(a) != nil && rep.Closed(a.Task) {
-		rep.Reopen(a.Task)
-		_ = rep.Record(a)
-		rep.Close(a.Task)
 	}
 }

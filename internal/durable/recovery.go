@@ -31,11 +31,11 @@ type RecoveryInfo struct {
 	ReplayDuration time.Duration
 	// SnapshotLoad, Decode, Merge, and Apply split ReplayDuration into the
 	// recovery pipeline's phases, which run one after another: reading
-	// pool.snap and restoring it into the segment replicas; reading,
+	// pool.snap and restoring it into the pool shards; reading,
 	// checking and JSON-decoding every WAL file (and truncating torn
 	// tails); merging the files by sequence number while folding the
 	// cross-task state and routing pool mutations to their segments; and
-	// applying each segment's mutations to its replica. What is left over
+	// applying each segment's mutations to its pool shard. What is left over
 	// (directory scan, opening the segment files, a forced reshard
 	// snapshot) is not attributed.
 	SnapshotLoad time.Duration
@@ -68,16 +68,18 @@ func (ri *RecoveryInfo) Empty() bool {
 // A torn or corrupt WAL tail is truncated, not an error: the discarded
 // suffix was never acknowledged.
 //
-// Recovery restores the snapshot straight into the per-segment replicas,
-// then replays every WAL segment file found in the directory — including
+// Recovery restores the snapshot straight into the pool's shards, one per
+// configured segment, then replays every WAL segment file found in the
+// directory — including
 // files from a previous layout with a different segment count, whose
 // events are re-routed to their current owners — as a three-step pipeline:
 // the files are decoded in parallel, merged by sequence number on one
 // goroutine (which folds the cross-task state and queues each pool
 // mutation for the segment owning its task), and the queues are applied
-// one goroutine per segment. Leftover files from a larger previous layout
-// are folded into a fresh snapshot and deleted, so the directory converges
-// to the configured layout.
+// one goroutine per segment. The shards recovery filled are the pool the
+// store then serves and journals (Store.Pool); nothing is copied. Leftover
+// files from a larger previous layout are folded into a fresh snapshot and
+// deleted, so the directory converges to the configured layout.
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
@@ -98,8 +100,10 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		repScreen: make(map[string]core.ScreenTally),
 		stop:      make(chan struct{}),
 	}
+	pools := make([]*core.Pool, len(s.segs))
 	for i := range s.segs {
-		s.segs[i] = &segment{rep: core.NewPool()}
+		s.segs[i] = &segment{}
+		pools[i] = core.NewPool()
 	}
 
 	snap, err := loadSnapshot(dir)
@@ -107,7 +111,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		return nil, nil, err
 	}
 	if snap != nil {
-		if err := s.restoreSnapshot(snap); err != nil {
+		if err := s.restoreSnapshot(snap, pools); err != nil {
 			return nil, nil, err
 		}
 		info.SnapshotLoaded = true
@@ -130,8 +134,9 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Merge = time.Since(phase)
 
 	phase = time.Now()
-	s.applyQueues(queues)
+	applyQueues(pools, queues)
 	info.Apply = time.Since(phase)
+	s.pool = core.ShardedFrom(pools, s)
 
 	if err := s.openSegments(files); err != nil {
 		// A failed Open hands no store back, so nothing else would ever
@@ -147,10 +152,8 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	s.skipped.Add(int64(info.Skipped))
 
 	info.ReplayDuration = time.Since(start)
-	for _, seg := range s.segs {
-		info.Tasks += seg.rep.Len()
-		info.Answers += seg.rep.TotalAnswers()
-	}
+	info.Tasks = s.pool.Len()
+	info.Answers = s.pool.TotalAnswers()
 	info.BudgetSpent = s.repSpent
 	info.CQLSessions = len(s.repCQL.sessions)
 	for _, sess := range s.repCQL.sessions {
@@ -171,15 +174,15 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 }
 
 // restoreSnapshot loads a snapshot image into a fresh store: the cross-task
-// state here, the pool state straight into the per-segment replicas.
-func (s *Store) restoreSnapshot(snap *Snapshot) error {
+// state here, the pool state straight into the pool shards.
+func (s *Store) restoreSnapshot(snap *Snapshot, pools []*core.Pool) error {
 	s.seq, s.snapSeq = snap.LastSeq, snap.LastSeq
 	s.repSpent = snap.BudgetSpent
 	for w, t := range snap.Screen {
 		s.repScreen[w] = t
 	}
 	s.repCQL = snap.restoreCQL()
-	return snap.restoreInto(s.replicas())
+	return snap.restoreInto(pools)
 }
 
 // walFile is one WAL segment file found in the data directory and, once
@@ -322,14 +325,14 @@ func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) [][]*Event {
 	}
 }
 
-// applyQueues folds each segment's queued events into its replica, one
-// goroutine per segment: the replicas are disjoint and each queue holds
+// applyQueues folds each segment's queued events into its pool shard, one
+// goroutine per segment: the shards are disjoint and each queue holds
 // its tasks' events in sequence order. An entry is cleared as soon as it
 // is folded, so a collection that runs mid-apply already reclaims the
 // decoded records behind it; holding them all until Open returns left the
 // process a quarter larger at boot (83 vs 66 MB resident on the
 // recovery_boot directory).
-func (s *Store) applyQueues(queues [][]*Event) {
+func applyQueues(pools []*core.Pool, queues [][]*Event) {
 	var wg sync.WaitGroup
 	for si, queue := range queues {
 		if len(queue) == 0 {
@@ -339,7 +342,7 @@ func (s *Store) applyQueues(queues [][]*Event) {
 		go func() {
 			defer wg.Done()
 			for _, ev := range queue {
-				foldPool(s.segs[si].rep, ev, si, len(s.segs))
+				foldPool(pools[si], ev, si, len(pools))
 				*ev = Event{}
 			}
 		}()
@@ -349,7 +352,7 @@ func (s *Store) applyQueues(queues [][]*Event) {
 
 // openSegments opens the configured layout's WAL files for appending and
 // retires files left over from a larger previous layout: their events are
-// in the replicas now, so a forced snapshot covers them and the files can
+// in the pool now, so a forced snapshot covers them and the files can
 // go — otherwise nothing would ever truncate them.
 func (s *Store) openSegments(files []*walFile) error {
 	for i, seg := range s.segs {
@@ -363,10 +366,7 @@ func (s *Store) openSegments(files []*walFile) error {
 	if len(stale) == 0 {
 		return nil
 	}
-	s.lockAll()
-	err := s.snapshotLocked()
-	s.unlockAll()
-	if err != nil {
+	if err := s.Snapshot(); err != nil {
 		return err
 	}
 	for _, f := range stale {

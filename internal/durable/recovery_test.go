@@ -33,7 +33,7 @@ type recoveryImage struct {
 }
 
 func imageOf(s *Store) recoveryImage {
-	pool, spent, screen := s.State()
+	pool, spent, screen := state(s)
 	img := recoveryImage{
 		Tasks:     map[core.TaskID]core.Task{},
 		Answers:   map[core.TaskID][]core.Answer{},
@@ -50,35 +50,31 @@ func imageOf(s *Store) recoveryImage {
 			img.Closed[id] = true
 		}
 	}
-	for _, l := range pool.Leases() {
-		img.Leases = append(img.Leases, *leaseRecord(l))
-	}
+	pool.ViewAll(func(pools []*core.Pool) {
+		for _, l := range core.LeasesOf(pools) {
+			img.Leases = append(img.Leases, *leaseRecord(l))
+		}
+	})
 	img.Sessions, img.Questions = s.CQLState()
 	return img
 }
 
-// driveRandom journals steps seeded-random mutations on s from one
-// goroutine (so call order is sequence order): task adds, single answers
-// and batches with non-dyadic costs and golden verdicts, closes — some
-// followed by an answer journaled behind the close — lease issues and
-// sweeps, budget adjustments, elimination markers and the CrowdQL
-// session / statement / query / question lifecycle. It keeps just enough
-// of a model to journal only what a live pool would have accepted. halfway
-// runs once, after half the steps.
+// driveRandom applies steps seeded-random mutations to s's live pool and
+// ledger from one goroutine (so call order is sequence order): task adds,
+// single answers and batches with non-dyadic costs and golden verdicts,
+// closes, lease issues and sweeps, budget adjustments, elimination markers
+// and the CrowdQL session / statement / query / question lifecycle. It
+// keeps just enough of a model to submit only what the pool accepts.
+// halfway runs once, after half the steps.
 func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	costs := []float64{0.1, 0.7, 1}
-	type lease struct {
-		task   core.TaskID
-		worker string
-	}
 	var (
 		nextID    core.TaskID = 1
 		open      []core.TaskID
 		golden    = map[core.TaskID]bool{}
 		answered  = map[core.TaskID]map[string]bool{}
-		leases    []lease
 		sessions  []string
 		running   = map[string][]string{}
 		questions []core.TaskID
@@ -95,7 +91,7 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 		id := nextID
 		nextID++
 		golden[id] = rng.Intn(4) == 0
-		s.TaskAdded(choiceTask(id, golden[id], int(id)%3))
+		mustAdd(t, s, choiceTask(id, golden[id], int(id)%3))
 		open = append(open, id)
 		answered[id] = map[string]bool{}
 		return id
@@ -132,7 +128,7 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 			addTask()
 		case op < 7:
 			if a, g, ok := freshAnswer(pick); ok {
-				must(s.AnswerDurable(a, costs[rng.Intn(len(costs))], g))
+				must(answer(s, a, costs[rng.Intn(len(costs))], g))
 			}
 		case op < 11:
 			var as []core.Answer
@@ -148,34 +144,27 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 			if !anyGolden {
 				gs = nil
 			}
-			must(s.AnswerBatchDurable(as, cs, gs))
+			must(answerBatch(s, as, cs, gs))
 		case op < 12:
-			s.TaskClosed(pick)
+			if rng.Intn(2) == 0 {
+				// The answer that completes the question, then its close.
+				if a, g, ok := freshAnswer(pick); ok {
+					must(answer(s, a, 0.7, g))
+				}
+			}
+			mustClose(t, s, pick)
 			for i, id := range open {
 				if id == pick {
 					open = append(open[:i], open[i+1:]...)
 					break
 				}
 			}
-			if rng.Intn(2) == 0 {
-				// The answer that completed the question, journaled behind the
-				// close its arrival triggered.
-				if a, g, ok := freshAnswer(pick); ok {
-					must(s.AnswerDurable(a, 0.7, g))
-				}
-			}
 		case op < 14:
-			l := lease{pick, fmt.Sprintf("lw%d", rng.Intn(6))}
-			s.LeaseIssued(core.Lease{Task: l.task, Worker: l.worker, Deadline: time.Unix(int64(1000+step), 0)})
-			leases = append(leases, l)
+			// Deadlines grow with the step, so a sweep reclaims the oldest.
+			mustLease(t, s, pick, fmt.Sprintf("lw%d", rng.Intn(6)), time.Unix(int64(1000+step), 0))
 		case op < 15:
-			var sweep []core.Lease
-			for n := 1 + rng.Intn(3); n > 0 && len(leases) > 0; n-- {
-				i := rng.Intn(len(leases))
-				sweep = append(sweep, core.Lease{Task: leases[i].task, Worker: leases[i].worker})
-				leases = append(leases[:i], leases[i+1:]...)
-			}
-			s.LeasesExpired(sweep)
+			_, err := s.Pool().ExpireLeases(time.Unix(int64(1000+step-rng.Intn(60)), 0))
+			must(err)
 		case op < 16:
 			if rng.Intn(3) == 0 {
 				must(s.BudgetRefunded(0.1))
@@ -273,6 +262,10 @@ func TestRecoveryEquivalence(t *testing.T) {
 			}
 			driveRandom(t, s, int64(42+written), steps, halfway)
 			want := imageOf(s)
+			if len(want.Leases) == 0 || len(want.Closed) == 0 || len(want.Questions) == 0 {
+				t.Fatalf("the random history left %d leases, %d closed tasks, %d open questions; recovery needs some of each",
+					len(want.Leases), len(want.Closed), len(want.Questions))
+			}
 			lastSeq := s.seq
 			s.Crash()
 			if overlap && snapSeq == 0 {
@@ -317,10 +310,10 @@ func TestUndecodableRecordCutsOnlyItsFile(t *testing.T) {
 	opts := Options{Fsync: FsyncNever, Segments: 3}
 	s, _ := mustOpen(t, dir, opts)
 	for i := 1; i <= 30; i++ {
-		s.TaskAdded(choiceTask(core.TaskID(i), false, 0))
+		mustAdd(t, s, choiceTask(core.TaskID(i), false, 0))
 	}
 	for i := 1; i <= 30; i++ {
-		if err := s.AnswerDurable(core.Answer{Task: core.TaskID(i), Worker: "w", Option: 0}, 1, nil); err != nil {
+		if err := answer(s, core.Answer{Task: core.TaskID(i), Worker: "w", Option: 0}, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 func driveScript(t *testing.T, s *Store) {
 	t.Helper()
 	for i := 0; i < 16; i++ {
-		s.TaskAdded(choiceTask(core.TaskID(i+1), i%4 == 0, i%3))
+		mustAdd(t, s, choiceTask(core.TaskID(i+1), i%4 == 0, i%3))
 	}
 	yes, no := true, false
 	for i := 0; i < 16; i++ {
@@ -31,14 +31,16 @@ func driveScript(t *testing.T, s *Store) {
 			}
 		}
 		a := core.Answer{Task: id, Worker: fmt.Sprintf("w%d", i%5), Option: i % 3}
-		if err := s.AnswerDurable(a, 1, g); err != nil {
+		if err := answer(s, a, 1, g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.LeaseIssued(core.Lease{Task: 2, Worker: "lw", Deadline: time.Unix(100, 0)})
-	s.LeaseIssued(core.Lease{Task: 3, Worker: "lw", Deadline: time.Unix(100, 0)})
-	s.LeasesExpired([]core.Lease{{Task: 3, Worker: "lw", Deadline: time.Unix(100, 0)}})
-	s.TaskClosed(5)
+	mustLease(t, s, 2, "lw", time.Unix(200, 0))
+	mustLease(t, s, 3, "lw", time.Unix(100, 0))
+	if exp, err := s.Pool().ExpireLeases(time.Unix(150, 0)); err != nil || len(exp) != 1 || exp[0].Task != 3 {
+		t.Fatalf("lease sweep reclaimed %v (err %v), want task 3's lease", exp, err)
+	}
+	mustClose(t, s, 5)
 	if err := s.BudgetCharged(3); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func driveScript(t *testing.T, s *Store) {
 // statesEquivalent compares two recovered states task by task,
 // order-insensitively (a 1-segment store presents insertion order, a
 // multi-segment store ascending IDs).
-func statesEquivalent(t *testing.T, label string, wp, gp *core.Pool, ws, gs float64, wscr, gscr map[string]core.ScreenTally) {
+func statesEquivalent(t *testing.T, label string, wp, gp *core.ShardedPool, ws, gs float64, wscr, gscr map[string]core.ScreenTally) {
 	t.Helper()
 	if wp.Len() != gp.Len() || wp.TotalAnswers() != gp.TotalAnswers() {
 		t.Fatalf("%s: shape diverges: %d/%d tasks, %d/%d answers",
@@ -108,8 +110,8 @@ func TestSegmentedRecoveryMatchesSingleWAL(t *testing.T) {
 	if info.Segments != 4 {
 		t.Fatalf("recovery reports %d segments, want 4", info.Segments)
 	}
-	wp, ws, wscr := ref2.State()
-	gp, gs, gscr := seg2.State()
+	wp, ws, wscr := state(ref2)
+	gp, gs, gscr := state(seg2)
 	statesEquivalent(t, "segmented vs single", wp, gp, ws, gs, wscr, gscr)
 }
 
@@ -123,11 +125,11 @@ func TestReshardRecovery(t *testing.T) {
 	s.Crash()
 
 	s4, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: 4})
-	wp, ws, wscr := s4.State()
+	wp, ws, wscr := state(s4)
 	s4.Crash()
 
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: 2})
-	gp, gs, gscr := s2.State()
+	gp, gs, gscr := state(s2)
 	statesEquivalent(t, "4->2 reshard", wp, gp, ws, gs, wscr, gscr)
 	// The segments of the old layout must be gone (their events live in
 	// the forced snapshot now).
@@ -137,14 +139,14 @@ func TestReshardRecovery(t *testing.T) {
 		}
 	}
 	// New appends post-reshard land in the new layout and survive.
-	if err := s2.AnswerDurable(core.Answer{Task: 7, Worker: "post", Option: 0}, 1, nil); err != nil {
+	if err := answer(s2, core.Answer{Task: 7, Worker: "post", Option: 0}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	s2.Crash()
 
 	s1, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: 1})
 	defer s1.Close()
-	gp2, gs2, _ := s1.State()
+	gp2, gs2, _ := state(s1)
 	if gp2.TotalAnswers() != wp.TotalAnswers()+1 {
 		t.Fatalf("2->1 reshard: %d answers, want %d", gp2.TotalAnswers(), wp.TotalAnswers()+1)
 	}
@@ -187,7 +189,7 @@ func TestSegmentedTornTailIsolated(t *testing.T) {
 	if info.TornBytes != 5 {
 		t.Fatalf("torn bytes = %d, want 5", info.TornBytes)
 	}
-	pool, _, _ := s2.State()
+	pool, _, _ := state(s2)
 	if pool.Len() != 16 || pool.TotalAnswers() != 16 {
 		t.Fatalf("torn-tail recovery lost records: %d tasks, %d answers", pool.Len(), pool.TotalAnswers())
 	}
@@ -213,7 +215,7 @@ func TestSegmentedSnapshotCompactsAllSegments(t *testing.T) {
 	if !info.SnapshotLoaded || info.Replayed != 0 {
 		t.Fatalf("recovery after snapshot: %+v, want snapshot only", info)
 	}
-	pool, _, _ := s2.State()
+	pool, _, _ := state(s2)
 	if pool.Len() != 16 || pool.TotalAnswers() != 16 {
 		t.Fatalf("snapshot recovery lost state: %d tasks, %d answers", pool.Len(), pool.TotalAnswers())
 	}
@@ -226,7 +228,7 @@ func TestAnswerBatchDurable(t *testing.T) {
 		dir := t.TempDir()
 		s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: segments})
 		for i := 0; i < 8; i++ {
-			s.TaskAdded(choiceTask(core.TaskID(i+1), i == 0, 0))
+			mustAdd(t, s, choiceTask(core.TaskID(i+1), i == 0, 0))
 		}
 		yes := true
 		as := make([]core.Answer, 8)
@@ -237,13 +239,13 @@ func TestAnswerBatchDurable(t *testing.T) {
 			costs[i] = 1
 		}
 		goldens[0] = &yes
-		if err := s.AnswerBatchDurable(as, costs, goldens); err != nil {
+		if err := answerBatch(s, as, costs, goldens); err != nil {
 			t.Fatal(err)
 		}
 		s.Crash()
 
 		s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: segments})
-		pool, spent, screen := s2.State()
+		pool, spent, screen := state(s2)
 		if pool.TotalAnswers() != 8 {
 			t.Fatalf("segments=%d: recovered %d batch answers, want 8", segments, pool.TotalAnswers())
 		}
@@ -262,9 +264,9 @@ func TestAnswerBatchDurable(t *testing.T) {
 func TestBatchAfterCrashFails(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: 2})
-	s.TaskAdded(choiceTask(1, false, 0))
+	mustAdd(t, s, choiceTask(1, false, 0))
 	s.Crash()
-	err := s.AnswerBatchDurable([]core.Answer{{Task: 1, Worker: "w", Option: 0}}, []float64{1}, nil)
+	err := answerBatch(s, []core.Answer{{Task: 1, Worker: "w", Option: 0}}, []float64{1}, nil)
 	if err == nil {
 		t.Fatal("batch append after Crash succeeded; the store must be sticky-failed")
 	}
@@ -277,7 +279,7 @@ func TestSegmentedFsyncAlwaysGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncAlways, Segments: 4})
 	for i := 0; i < 8; i++ {
-		s.TaskAdded(choiceTask(core.TaskID(i+1), false, -1))
+		mustAdd(t, s, choiceTask(core.TaskID(i+1), false, -1))
 	}
 	done := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -285,7 +287,7 @@ func TestSegmentedFsyncAlwaysGroupCommit(t *testing.T) {
 			var err error
 			for i := 0; i < 8 && err == nil; i++ {
 				a := core.Answer{Task: core.TaskID(i + 1), Worker: fmt.Sprintf("gc%d", w), Option: 0}
-				err = s.AnswerDurable(a, 1, nil)
+				err = answer(s, a, 1, nil)
 			}
 			done <- err
 		}(w)
@@ -298,7 +300,7 @@ func TestSegmentedFsyncAlwaysGroupCommit(t *testing.T) {
 	s.Crash()
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: 4})
 	defer s2.Close()
-	pool, _, _ := s2.State()
+	pool, _, _ := state(s2)
 	if pool.TotalAnswers() != 64 {
 		t.Fatalf("recovered %d acked answers, want 64", pool.TotalAnswers())
 	}

@@ -18,10 +18,11 @@ import (
 // never a partial one.
 const snapName = "pool.snap"
 
-// Snapshot is the durable image of the replicated state as of LastSeq.
-// Recovery loads it and replays only WAL events with Seq > LastSeq, which
-// makes a crash between snapshot publication and WAL truncation harmless
-// (the overlapping records are skipped, not double-applied).
+// Snapshot is the durable image of the pool and the cross-task state as of
+// LastSeq. Recovery loads it and replays only WAL events with Seq >
+// LastSeq, which makes a crash between snapshot publication and WAL
+// truncation harmless (the overlapping records are skipped, not
+// double-applied).
 type Snapshot struct {
 	Format      int                         `json:"format"`
 	LastSeq     uint64                      `json:"last_seq"`
@@ -37,7 +38,7 @@ type Snapshot struct {
 	CQL *CQLSnapshot `json:"cql,omitempty"`
 }
 
-// CQLSnapshot is the snapshot image of the CrowdQL replica.
+// CQLSnapshot is the snapshot image of the CrowdQL ledger.
 type CQLSnapshot struct {
 	Sessions  []CQLSessionSnap  `json:"sessions,omitempty"`
 	Questions []CQLQuestionSnap `json:"questions,omitempty"`
@@ -62,25 +63,28 @@ type CQLQuestionSnap struct {
 // from a future format instead of misreading them.
 const snapshotFormat = 1
 
-// buildSnapshot serializes the replica state. Answers keep task insertion
-// order then arrival order, so a pool rebuilt from the snapshot iterates
-// identically to the original.
-func buildSnapshot(p *core.Pool, spent float64, screen map[string]core.ScreenTally, lastSeq uint64, cql *cqlReplica) *Snapshot {
+// buildSnapshot serializes the pool shards and the cross-task state. Tasks
+// go out in insertion order from a single shard and in ascending ID order
+// across several; answers keep that task order, then arrival order, so a
+// pool rebuilt from the snapshot iterates identically to the original.
+// Leases are sorted by (task, worker).
+func buildSnapshot(pools []*core.Pool, spent float64, screen map[string]core.ScreenTally, lastSeq uint64, cql *cqlReplica) *Snapshot {
 	s := &Snapshot{
 		Format:      snapshotFormat,
 		LastSeq:     lastSeq,
 		BudgetSpent: spent,
 	}
-	for _, id := range p.TaskIDs() {
+	for _, id := range core.TaskIDsOf(pools) {
+		p := pools[core.ShardIndex(id, len(pools))]
 		s.Tasks = append(s.Tasks, *taskRecord(p.Task(id)))
 		if p.Closed(id) {
 			s.Closed = append(s.Closed, id)
 		}
+		for _, a := range p.Answers(id) {
+			s.Answers = append(s.Answers, *answerRecord(a))
+		}
 	}
-	for _, a := range p.AllAnswers() {
-		s.Answers = append(s.Answers, *answerRecord(a))
-	}
-	for _, l := range p.Leases() {
+	for _, l := range core.LeasesOf(pools) {
 		s.Leases = append(s.Leases, *leaseRecord(l))
 	}
 	if len(screen) > 0 {
@@ -146,10 +150,10 @@ func (s *Snapshot) restoreCQL() cqlReplica {
 	return r
 }
 
-// restoreInto rebuilds the pool state straight into the per-segment
-// replicas, one goroutine per segment: each adds the tasks, answers, leases
-// and closes it owns, in snapshot order, so a segment's replica iterates
-// as the matching slice of the snapshotted pool did. Closed tasks are
+// restoreInto rebuilds the pool state straight into the pool shards, one
+// goroutine per shard: each adds the tasks, answers, leases and closes it
+// owns, in snapshot order, so a shard iterates as the matching slice of
+// the snapshotted pool did. Closed tasks are
 // closed only after their answers are recorded, matching the original
 // event order well enough for replay (answers for closed tasks were
 // recorded before the close).

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,24 +27,23 @@ type Options struct {
 	// snapshot. Zero disables automatic snapshots; Close still writes one.
 	SnapshotEvery time.Duration
 	// Segments splits the WAL into this many task-hash segments, each with
-	// its own file, append mutex, and fsync pipeline, partitioned by the
-	// same core.ShardIndex the sharded serving pool uses — so two answers
-	// on different shards never serialize on one log lock or share an
-	// fsync queue. Zero or one keeps the single historical wal.log.
+	// its own file, append mutex, and fsync pipeline, and the store's pool
+	// into as many shards, both by core.ShardIndex — so two answers on
+	// different shards never serialize on one lock or share an fsync
+	// queue. Zero or one keeps the single historical wal.log.
 	// Recovery merge-replays whatever segment files the directory holds
 	// (ordered by the global sequence number), so a data dir written with
 	// one segment count opens correctly under another.
 	Segments int
 }
 
-// segment is one WAL shard: a log file plus the replica of the pool slice
-// whose events it holds. mu serializes sequence assignment, the framed
-// write, and the replica fold for this segment only — appends to
-// different segments run fully in parallel.
+// segment is one WAL shard: the log file holding the events of the pool
+// shard with the same index. mu serializes sequence assignment and the
+// framed write for this segment only — appends to different segments run
+// fully in parallel.
 type segment struct {
-	mu  sync.Mutex
-	w   *wal
-	rep *core.Pool
+	mu sync.Mutex
+	w  *wal
 
 	// Group-commit bookkeeping. appended is the highest sequence number
 	// written to this segment's file (stored under mu); synced is the
@@ -79,33 +77,41 @@ func (seg *segment) syncUpTo(seq uint64) error {
 	return nil
 }
 
-// Store journals pool mutations to a segmented WAL, maintains a replica
-// of the pool state the journal describes, and compacts the journal into
-// snapshots.
+// Store owns the serving pool and the segmented WAL that is its
+// write-ahead journal, and compacts the journal into snapshots.
 //
-// Events are routed to segments by task hash (core.ShardIndex — the same
-// function the sharded serving pool uses, so a pool shard and its WAL
-// segment always agree). Each segment folds its events into its own
-// single-threaded core.Pool replica under the segment mutex; cross-task
-// state (budget spend, golden-screen tallies) lives under the store
-// mutex. A global atomic sequence number is drawn while the owning
+// There is one copy of the pool: Pool() is what Open recovered, what the
+// server serves and what the next recovery will rebuild. The store is
+// attached to it as its core.Journal, so every pool mutation runs
+// validate → append → apply under the owning shard's write lock. Shard i's
+// events go to segment i (both sides route by core.ShardIndex). Cross-task
+// state (budget spend, golden-screen tallies, the CrowdQL ledger) has no
+// home in the pool and is folded here, under the store mutex, as each
+// event is appended. A global sequence number is drawn while the owning
 // segment's mutex is held, so sequence numbers are unique across segments
 // and monotonically increasing within each file — recovery k-way merges
 // the segment files by sequence number and replays a valid global order.
 //
+// Lock order is pool shard → segment mutex → store mutex. Appends to
+// pool-less events (budget, CrowdQL ledger) enter at the segment mutex;
+// snapshots take every shard's read lock, then every segment mutex, then
+// the store mutex. An fsync is never issued under any of them: the ack
+// path waits for its record through Sync after the shard lock is gone.
+//
 // All methods are safe for concurrent use. After a write error the store
 // is sticky-failed: every subsequent append returns the original error,
-// so the serving layer stops acknowledging work the log cannot hold.
+// so the pool stops accepting mutations the log cannot hold.
 type Store struct {
 	dir  string
 	opts Options
 	segs []*segment
 	ins  *walInstruments
+	pool *core.ShardedPool
 
 	// mu guards the store-global state: the sequence counter, snapshot
-	// bookkeeping, sticky error, and the cross-task replica (budget spend,
-	// screen tallies). Lock order is segment mutexes (ascending) before
-	// mu; mu is only ever held briefly and never across I/O.
+	// bookkeeping, sticky error, and the cross-task fold (budget spend,
+	// screen tallies, CrowdQL ledger). It is only ever held briefly and
+	// never across I/O other than a snapshot's.
 	mu        sync.Mutex
 	repSpent  float64
 	repScreen map[string]core.ScreenTally
@@ -138,46 +144,43 @@ func (s *Store) segForWorker(worker string) int {
 	return int(h.Sum64() % uint64(len(s.segs)))
 }
 
-// replicas returns the per-segment pool replicas in segment order.
-func (s *Store) replicas() []*core.Pool {
-	reps := make([]*core.Pool, len(s.segs))
-	for i, seg := range s.segs {
-		reps[i] = seg.rep
-	}
-	return reps
-}
+// Pool returns the live pool: the one Open recovered (empty on a fresh
+// directory), with the store attached as its journal. It has one shard per
+// WAL segment. Mutate it through its methods only; every accepted mutation
+// is in the log before it is in memory.
+func (s *Store) Pool() *core.ShardedPool { return s.pool }
 
-// lockAll acquires every segment mutex in ascending order, then the store
-// mutex — the global lock order. Used by snapshots and State, which need
-// a consistent cross-segment cut.
-func (s *Store) lockAll() {
-	for _, seg := range s.segs {
-		seg.mu.Lock()
-	}
+// Ledger returns the budget spend and a copy of the golden-screen tallies
+// the journal adds up to, for the serving layer to restore its budget and
+// worker screen from at boot.
+func (s *Store) Ledger() (spent float64, screen map[string]core.ScreenTally) {
 	s.mu.Lock()
-}
-
-func (s *Store) unlockAll() {
-	s.mu.Unlock()
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		s.segs[i].mu.Unlock()
-	}
-}
-
-// State returns a deep copy of the recovered pool (per-segment replicas
-// merged into one pool, in ascending task-ID order for multi-segment
-// stores) plus the durable budget spend and golden-screen tallies. The
-// serving layer adopts the copy as its live pool; the store keeps the
-// replicas, so the two evolve independently (the replicas only through
-// journaled events).
-func (s *Store) State() (*core.Pool, float64, map[string]core.ScreenTally) {
-	s.lockAll()
-	defer s.unlockAll()
-	screen := make(map[string]core.ScreenTally, len(s.repScreen))
+	defer s.mu.Unlock()
+	screen = make(map[string]core.ScreenTally, len(s.repScreen))
 	for w, t := range s.repScreen {
 		screen[w] = t
 	}
-	return core.MergePools(s.replicas()), s.repSpent, screen
+	return s.repSpent, screen
+}
+
+// consistentCut runs fn with every pool shard read-locked, every segment
+// mutex and the store mutex held, in that order — the global lock order.
+// No mutation can be between its append and its apply while fn runs, so
+// the pools fn receives are exactly what the log describes through s.seq.
+func (s *Store) consistentCut(fn func(pools []*core.Pool)) {
+	s.pool.ViewAll(func(pools []*core.Pool) {
+		for _, seg := range s.segs {
+			seg.mu.Lock()
+		}
+		s.mu.Lock()
+		defer func() {
+			s.mu.Unlock()
+			for i := len(s.segs) - 1; i >= 0; i-- {
+				s.segs[i].mu.Unlock()
+			}
+		}()
+		fn(pools)
+	})
 }
 
 // Err returns the sticky write error, or nil while the store is healthy.
@@ -197,12 +200,12 @@ func (s *Store) fail(err error) {
 }
 
 // appendSeg journals one event on segment si: assign the next global
-// sequence number, write the framed record, and fold the event into the
-// segment replica — all under the segment's mutex, so that segment's
-// replica state and log contents never diverge and its file stays in
+// sequence number, write the framed record, and fold the event's
+// cross-task part — all under the segment's mutex, so its file stays in
 // sequence order. sync selects whether the record must reach stable
-// storage before returning (the ack path passes true under FsyncAlways);
-// the fsync itself runs after the segment mutex is released, through the
+// storage before returning; pool mutations pass false (they run under a
+// shard lock) and their caller waits through Sync afterwards. The fsync
+// itself runs after the segment mutex is released, through the
 // group-commit path, so appends keep flowing while a flush is in flight.
 func (s *Store) appendSeg(si int, ev *Event, sync bool) error {
 	seg := s.segs[si]
@@ -235,141 +238,85 @@ func (s *Store) appendSeg(si int, ev *Event, sync bool) error {
 	}
 	seg.appended.Store(ev.Seq)
 	s.foldCross(ev)
-	foldPool(seg.rep, ev, si, len(s.segs))
 	seg.mu.Unlock()
 	if sync {
-		if err := seg.syncUpTo(ev.Seq); err != nil {
-			s.fail(err)
-			return err
-		}
+		return s.syncSeg(si, ev.Seq)
 	}
 	return nil
 }
 
-// AnswerDurable journals an accepted answer together with the budget units
-// it was charged and, for golden tasks, whether the worker got it right.
-// Under FsyncAlways it returns only after the record is on stable storage.
-// The serving layer calls this after Pool.Record succeeds and must not
-// acknowledge the client unless it returns nil — that is the
-// ack-implies-durable invariant.
-func (s *Store) AnswerDurable(a core.Answer, cost float64, golden *bool) error {
-	return s.appendSeg(s.segFor(a.Task), &Event{
-		Type:   EvAnswerRecorded,
-		Answer: answerRecord(a),
-		Worker: a.Worker,
-		Cost:   cost,
-		Golden: golden,
-	}, s.opts.Fsync == FsyncAlways)
-}
-
-// AnswerDurableCtx is AnswerDurable with trace spans: when ctx carries a
-// recording span (the serving layer's tracing mode), the WAL append and
-// the fsync record as separate child spans — wal.append and wal.fsync —
-// so a trace shows whether an answer's tail latency went to the log
-// write or to stable storage. Without a collector in ctx it is exactly
-// AnswerDurable: one call, no allocations, same sync path.
-func (s *Store) AnswerDurableCtx(ctx context.Context, a core.Answer, cost float64, golden *bool) error {
-	if obs.CollectorFrom(ctx) == nil {
-		return s.AnswerDurable(a, cost, golden)
-	}
+// AnswerRecorded implements core.Journal: it appends an accepted answer
+// together with the budget units it was charged and, for golden tasks,
+// whether the worker got it right, and returns the record's sequence
+// number for Sync. When ctx carries a recording span (the serving layer's
+// tracing mode) the append records as a wal.append child of it.
+func (s *Store) AnswerRecorded(ctx context.Context, a core.Answer, c core.Charge) (uint64, error) {
 	si := s.segFor(a.Task)
 	ev := &Event{
 		Type:   EvAnswerRecorded,
 		Answer: answerRecord(a),
 		Worker: a.Worker,
-		Cost:   cost,
-		Golden: golden,
+		Cost:   c.Cost,
+		Golden: c.Golden,
 	}
-	// Both spans parent to ctx's current span (the request root), not to
-	// each other: append and fsync are sequential phases of one durable
-	// write, and reading the trace as two siblings shows their split.
-	_, asp := obs.ChildSpan(ctx, "wal.append")
+	_, sp := obs.ChildSpan(ctx, "wal.append")
 	err := s.appendSeg(si, ev, false)
-	asp.SetAttr(obs.Int("segment", int64(si)), obs.Int("seq", int64(ev.Seq)))
-	asp.SetError(err)
-	asp.End()
-	if err != nil {
-		return err
+	if sp.Recording() {
+		sp.SetAttr(obs.Int("segment", int64(si)), obs.Int("seq", int64(ev.Seq)))
+		sp.SetError(err)
 	}
+	sp.End()
+	return ev.Seq, err
+}
+
+// AnswerBatch implements core.Journal: the answers one pool shard accepted
+// from a batch become one record on that shard's segment. Cost is the
+// batch's total charge; Goldens is index-aligned with the answers and
+// omitted when none of them was golden.
+func (s *Store) AnswerBatch(as []core.Answer, cs []core.Charge) (uint64, error) {
+	ev := &Event{Type: EvAnswerBatch, Answers: make([]AnswerRecord, len(as))}
+	for i := range as {
+		ev.Answers[i] = *answerRecord(as[i])
+		ev.Cost += cs[i].Cost
+		if cs[i].Golden != nil && ev.Goldens == nil {
+			ev.Goldens = make([]*bool, len(as))
+		}
+		if ev.Goldens != nil {
+			ev.Goldens[i] = cs[i].Golden
+		}
+	}
+	err := s.appendSeg(s.segFor(as[0].Task), ev, false)
+	return ev.Seq, err
+}
+
+// Sync is the durability wait of the ack path: under FsyncAlways it
+// returns once the record at sequence number pos of segment si (a pool
+// shard's index) is on stable storage, through the group commit — one
+// fsync acknowledges every record appended before it started. Under the
+// other policies it returns at once. It must be called with no shard lock
+// held. A failure leaves the store sticky-failed with the record appended:
+// memory equals the log, and whether the record survives a power loss is
+// not known. With a recording span in ctx the wait records as wal.fsync.
+func (s *Store) Sync(ctx context.Context, si int, pos uint64) error {
 	if s.opts.Fsync != FsyncAlways {
 		return nil
 	}
-	// Same split AnswerBatchDurable uses: append under the segment mutex,
-	// then group-commit the fsync — here under its own span.
-	_, fsp := obs.ChildSpan(ctx, "wal.fsync")
-	err = s.syncSeg(si, ev.Seq)
-	fsp.SetAttr(obs.Int("segment", int64(si)))
-	fsp.SetError(err)
-	fsp.End()
+	_, sp := obs.ChildSpan(ctx, "wal.fsync")
+	err := s.syncSeg(si, pos)
+	if sp.Recording() {
+		sp.SetAttr(obs.Int("segment", int64(si)))
+		sp.SetError(err)
+	}
+	sp.End()
 	return err
 }
 
 // syncSeg flushes segment si through seq, recording a failure as the
-// store's sticky error (matching appendSeg's sync path).
+// store's sticky error.
 func (s *Store) syncSeg(si int, seq uint64) error {
 	if err := s.segs[si].syncUpTo(seq); err != nil {
 		s.fail(err)
 		return err
-	}
-	return nil
-}
-
-// AnswerBatchDurable journals a batch of accepted answers with one append
-// (and, under FsyncAlways, one fsync) per touched WAL segment. costs and
-// goldens are index-aligned with as; either may be nil. The same
-// ack-implies-durable contract as AnswerDurable applies to the batch as a
-// whole: callers must not acknowledge any of the batch unless this
-// returns nil. When the serving pool's shard count equals the store's
-// segment count — how crowdserve always configures them — a per-shard
-// batch maps to exactly one segment, so the batch commits atomically; a
-// failed append leaves the store sticky-failed either way, and the caller
-// rolls the batch back.
-func (s *Store) AnswerBatchDurable(as []core.Answer, costs []float64, goldens []*bool) error {
-	if len(as) == 0 {
-		return nil
-	}
-	groups := make(map[int]*Event)
-	var order []int
-	anyGolden := false
-	for i := range as {
-		si := s.segFor(as[i].Task)
-		ev := groups[si]
-		if ev == nil {
-			ev = &Event{Type: EvAnswerBatch}
-			groups[si] = ev
-			order = append(order, si)
-		}
-		ev.Answers = append(ev.Answers, *answerRecord(as[i]))
-		if costs != nil {
-			ev.Cost += costs[i]
-		}
-		var g *bool
-		if goldens != nil {
-			g = goldens[i]
-		}
-		if g != nil {
-			anyGolden = true
-		}
-		ev.Goldens = append(ev.Goldens, g)
-	}
-	if !anyGolden {
-		for _, ev := range groups {
-			ev.Goldens = nil
-		}
-	}
-	sort.Ints(order)
-	for _, si := range order {
-		if err := s.appendSeg(si, groups[si], false); err != nil {
-			return err
-		}
-	}
-	if s.opts.Fsync == FsyncAlways {
-		for _, si := range order {
-			if err := s.segs[si].syncUpTo(groups[si].Seq); err != nil {
-				s.fail(err)
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -393,68 +340,55 @@ func (s *Store) BudgetRefunded(amount float64) error {
 	return s.appendSeg(0, &Event{Type: EvBudgetRefunded, Amount: amount}, s.opts.Fsync == FsyncAlways)
 }
 
-// TaskAdded, TaskClosed, LeaseIssued, and LeasesExpired implement
-// core.Journal, so the store can be attached to a ConcurrentPool (or each
-// shard of a ShardedPool) with SetJournal. They run under the pool's
-// write lock and therefore must not block on fsync; the records reach
-// disk with the next answer ack or background flush. Write failures go
-// sticky (visible through Err and the answer path) since the interface
-// cannot surface them.
-func (s *Store) TaskAdded(t *core.Task) {
-	_ = s.appendSeg(s.segFor(t.ID), &Event{Type: EvTaskAdded, Task: taskRecord(t)}, false)
+// TaskAdded, TaskClosed, LeaseIssued, and LeasesExpired implement the rest
+// of core.Journal. Like the answer hooks they run under a pool shard's
+// write lock and therefore never fsync; the records reach disk with the
+// next Sync, SyncTasks or background flush.
+func (s *Store) TaskAdded(t *core.Task) error {
+	return s.appendSeg(s.segFor(t.ID), &Event{Type: EvTaskAdded, Task: taskRecord(t)}, false)
 }
 
 // TaskClosed implements core.Journal.
-func (s *Store) TaskClosed(id core.TaskID) {
-	_ = s.appendSeg(s.segFor(id), &Event{Type: EvTaskClosed, TaskID: id}, false)
+func (s *Store) TaskClosed(id core.TaskID) error {
+	return s.appendSeg(s.segFor(id), &Event{Type: EvTaskClosed, TaskID: id}, false)
 }
 
 // LeaseIssued implements core.Journal.
-func (s *Store) LeaseIssued(l core.Lease) {
-	_ = s.appendSeg(s.segFor(l.Task), &Event{Type: EvLeaseIssued, Lease: leaseRecord(l)}, false)
+func (s *Store) LeaseIssued(l core.Lease) error {
+	return s.appendSeg(s.segFor(l.Task), &Event{Type: EvLeaseIssued, Lease: leaseRecord(l)}, false)
 }
 
-// LeasesExpired implements core.Journal. A sweep may reclaim leases on
-// several segments; each segment gets its own event so every record stays
-// on the log of the shard that owns its task.
-func (s *Store) LeasesExpired(ls []core.Lease) {
-	groups := make(map[int][]LeaseRecord)
-	var order []int
-	for _, l := range ls {
-		si := s.segFor(l.Task)
-		if _, ok := groups[si]; !ok {
-			order = append(order, si)
-		}
-		groups[si] = append(groups[si], *leaseRecord(l))
+// LeasesExpired implements core.Journal: one shard's sweep, one record on
+// that shard's segment.
+func (s *Store) LeasesExpired(ls []core.Lease) error {
+	ev := &Event{Type: EvLeaseExpired, Leases: make([]LeaseRecord, len(ls))}
+	for i, l := range ls {
+		ev.Leases[i] = *leaseRecord(l)
 	}
-	sort.Ints(order)
-	for _, si := range order {
-		_ = s.appendSeg(si, &Event{Type: EvLeaseExpired, Leases: groups[si]}, false)
-	}
+	return s.appendSeg(s.segFor(ls[0].Task), ev, false)
 }
 
-// Snapshot publishes the merged replicas as pool.snap and truncates every
-// WAL segment. It holds all segment mutexes for the duration, so
-// concurrent appends stall briefly rather than racing the truncation (a
-// record appended after the snapshot image was taken must not be
-// discarded with the pre-snapshot log). No-op when nothing was journaled
-// since the last snapshot.
+// Snapshot publishes the live pool as pool.snap and truncates every WAL
+// segment. It holds the consistent cut for the duration, so concurrent
+// mutations stall briefly rather than racing the truncation (a record
+// appended after the snapshot image was taken must not be discarded with
+// the pre-snapshot log). No-op when nothing was journaled since the last
+// snapshot.
 func (s *Store) Snapshot() error {
-	s.lockAll()
-	defer s.unlockAll()
-	return s.snapshotLocked()
+	var err error
+	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools) })
+	return err
 }
 
-// snapshotLocked requires every segment mutex and the store mutex
-// (lockAll).
-func (s *Store) snapshotLocked() error {
+// snapshotLocked runs inside consistentCut.
+func (s *Store) snapshotLocked(pools []*core.Pool) error {
 	if s.err != nil {
 		return s.err
 	}
 	if s.seq == s.snapSeq {
 		return nil
 	}
-	snap := buildSnapshot(core.MergePools(s.replicas()), s.repSpent, s.repScreen, s.seq, &s.repCQL)
+	snap := buildSnapshot(pools, s.repSpent, s.repScreen, s.seq, &s.repCQL)
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		s.snapErrs.Inc()
 		return err
@@ -477,13 +411,15 @@ func (s *Store) snapshotLocked() error {
 	return nil
 }
 
-// currentSnapshot builds (but does not publish) a snapshot of the replica
+// currentSnapshot builds (but does not publish) a snapshot of the live
 // state; tests use it to simulate a crash between snapshot publication
 // and WAL truncation.
 func (s *Store) currentSnapshot() *Snapshot {
-	s.lockAll()
-	defer s.unlockAll()
-	return buildSnapshot(core.MergePools(s.replicas()), s.repSpent, s.repScreen, s.seq, &s.repCQL)
+	var snap *Snapshot
+	s.consistentCut(func(pools []*core.Pool) {
+		snap = buildSnapshot(pools, s.repSpent, s.repScreen, s.seq, &s.repCQL)
+	})
+	return snap
 }
 
 // flusher batches fsyncs across all segments under FsyncInterval.
@@ -540,14 +476,15 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	s.bg.Wait()
 
-	s.lockAll()
-	defer s.unlockAll()
-	err := s.snapshotLocked()
-	for _, seg := range s.segs {
-		if cerr := seg.w.close(false); err == nil {
-			err = cerr
+	var err error
+	s.consistentCut(func(pools []*core.Pool) {
+		err = s.snapshotLocked(pools)
+		for _, seg := range s.segs {
+			if cerr := seg.w.close(false); err == nil {
+				err = cerr
+			}
 		}
-	}
+	})
 	return err
 }
 

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,6 +23,89 @@ func choiceTask(id core.TaskID, golden bool, truth int) *core.Task {
 		Golden:      golden,
 		GroundTruth: truth,
 	}
+}
+
+// The helpers below drive a bare store the way the server does: every
+// mutation goes through the store's live pool, whose journal hook appends
+// it before the pool applies it.
+
+func mustAdd(tb testing.TB, s *Store, task *core.Task) {
+	tb.Helper()
+	if _, err := s.Pool().Add(task); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func mustClose(tb testing.TB, s *Store, id core.TaskID) {
+	tb.Helper()
+	if err := s.Pool().Close(id); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// mustLease leases task id to worker until deadline.
+func mustLease(tb testing.TB, s *Store, id core.TaskID, worker string, deadline time.Time) {
+	tb.Helper()
+	pick := core.AssignerFunc(func(p *core.Pool, _ string) (core.TaskID, bool) { return id, p.Task(id) != nil })
+	if _, ok, err := s.Pool().AssignLease(pick, worker, deadline); !ok || err != nil {
+		tb.Fatalf("lease %d to %s: assigned %v, err %v", id, worker, ok, err)
+	}
+}
+
+// answer is the single-answer ack path: record, then wait for the record.
+func answer(s *Store, a core.Answer, cost float64, golden *bool) error {
+	pos, err := s.Pool().Record(context.Background(), a, core.Charge{Cost: cost, Golden: golden})
+	if err != nil {
+		return err
+	}
+	return s.Sync(context.Background(), s.Pool().ShardFor(a.Task), pos)
+}
+
+// answerBatch is the batch ack path: one RecordBatch per touched shard in
+// ascending order, then one Sync per shard. goldens may be nil. It returns
+// the first rejection or journal error.
+func answerBatch(s *Store, as []core.Answer, costs []float64, goldens []*bool) error {
+	pool := s.Pool()
+	byShard := make([][]int, pool.NumShards())
+	for i, a := range as {
+		sh := pool.ShardFor(a.Task)
+		byShard[sh] = append(byShard[sh], i)
+	}
+	pos := make([]uint64, len(byShard))
+	for sh, idxs := range byShard {
+		if len(idxs) == 0 {
+			continue
+		}
+		part := make([]core.Answer, len(idxs))
+		charges := make([]core.Charge, len(idxs))
+		for j, i := range idxs {
+			part[j], charges[j].Cost = as[i], costs[i]
+			if goldens != nil {
+				charges[j].Golden = goldens[i]
+			}
+		}
+		var errs []error
+		errs, pos[sh] = pool.RecordBatch(sh, part, charges)
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	for sh, idxs := range byShard {
+		if len(idxs) > 0 {
+			if err := s.Sync(context.Background(), sh, pos[sh]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// state is what a store persists: its live pool and the ledger.
+func state(s *Store) (*core.ShardedPool, float64, map[string]core.ScreenTally) {
+	spent, screen := s.Ledger()
+	return s.Pool(), spent, screen
 }
 
 func mustOpen(t *testing.T, dir string, opts Options) (*Store, *RecoveryInfo) {
@@ -192,19 +277,19 @@ func TestStoreRoundTripAcrossRestart(t *testing.T) {
 	}
 
 	yes, no := true, false
-	s.TaskAdded(choiceTask(0, false, 1))
-	s.TaskAdded(choiceTask(1, true, 2))
-	if err := s.AnswerDurable(core.Answer{Task: 0, Worker: "w1", Option: 1}, 1, nil); err != nil {
+	mustAdd(t, s, choiceTask(0, false, 1))
+	mustAdd(t, s, choiceTask(1, true, 2))
+	if err := answer(s, core.Answer{Task: 0, Worker: "w1", Option: 1}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AnswerDurable(core.Answer{Task: 1, Worker: "w1", Option: 2}, 1, &yes); err != nil {
+	if err := answer(s, core.Answer{Task: 1, Worker: "w1", Option: 2}, 1, &yes); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AnswerDurable(core.Answer{Task: 1, Worker: "w2", Option: 0}, 1, &no); err != nil {
+	if err := answer(s, core.Answer{Task: 1, Worker: "w2", Option: 0}, 1, &no); err != nil {
 		t.Fatal(err)
 	}
-	s.LeaseIssued(core.Lease{Task: 0, Worker: "w3", Deadline: time.Unix(100, 0)})
-	s.TaskClosed(1)
+	mustLease(t, s, 0, "w3", time.Unix(100, 0))
+	mustClose(t, s, 1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +300,7 @@ func TestStoreRoundTripAcrossRestart(t *testing.T) {
 	if !info.SnapshotLoaded || info.Replayed != 0 {
 		t.Fatalf("reopen after clean Close: %+v, want snapshot only", info)
 	}
-	pool, spent, screen := s2.State()
+	pool, spent, screen := state(s2)
 	if pool.Len() != 2 {
 		t.Fatalf("recovered %d tasks, want 2", pool.Len())
 	}
@@ -245,15 +330,15 @@ func TestStoreRoundTripAcrossRestart(t *testing.T) {
 func TestStoreCrashKeepsAcknowledgedAnswers(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	s.TaskAdded(choiceTask(0, false, -1))
+	mustAdd(t, s, choiceTask(0, false, -1))
 	for i := 0; i < 5; i++ {
 		a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: i % 3}
-		if err := s.AnswerDurable(a, 1, nil); err != nil {
+		if err := answer(s, a, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Crash()
-	if err := s.AnswerDurable(core.Answer{Task: 0, Worker: "late", Option: 0}, 1, nil); err == nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "late", Option: 0}, 1, nil); err == nil {
 		t.Fatal("append after Crash succeeded; the store must go sticky-failed")
 	}
 
@@ -262,7 +347,7 @@ func TestStoreCrashKeepsAcknowledgedAnswers(t *testing.T) {
 	if info.SnapshotLoaded || info.Replayed != 6 {
 		t.Fatalf("crash recovery: %+v, want 6 replayed records and no snapshot", info)
 	}
-	pool, spent, _ := s2.State()
+	pool, spent, _ := state(s2)
 	if n := pool.TotalAnswers(); n != 5 || spent != 5 {
 		t.Fatalf("recovered %d answers, spent %v; want 5 and 5", n, spent)
 	}
@@ -271,8 +356,8 @@ func TestStoreCrashKeepsAcknowledgedAnswers(t *testing.T) {
 func TestSnapshotCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	s.TaskAdded(choiceTask(0, false, -1))
-	if err := s.AnswerDurable(core.Answer{Task: 0, Worker: "w", Option: 0}, 1, nil); err != nil {
+	mustAdd(t, s, choiceTask(0, false, -1))
+	if err := answer(s, core.Answer{Task: 0, Worker: "w", Option: 0}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Snapshot(); err != nil {
@@ -291,7 +376,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	}
 	// Records appended after the snapshot land in the (truncated) log and
 	// replay on top of it.
-	if err := s.AnswerDurable(core.Answer{Task: 0, Worker: "w2", Option: 1}, 1, nil); err != nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "w2", Option: 1}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
@@ -301,7 +386,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	if !info.SnapshotLoaded || info.Replayed != 1 || info.Skipped != 0 {
 		t.Fatalf("recovery after snapshot+append: %+v", info)
 	}
-	pool, spent, _ := s2.State()
+	pool, spent, _ := state(s2)
 	if n := pool.TotalAnswers(); n != 2 || spent != 2 {
 		t.Fatalf("recovered %d answers, spent %v; want 2 and 2", n, spent)
 	}
@@ -313,10 +398,10 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	// snapshot and in the log, and replay must not double-apply it.
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	s.TaskAdded(choiceTask(0, false, -1))
+	mustAdd(t, s, choiceTask(0, false, -1))
 	for i := 0; i < 4; i++ {
 		a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}
-		if err := s.AnswerDurable(a, 1, nil); err != nil {
+		if err := answer(s, a, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +415,7 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	if !info.SnapshotLoaded || info.Skipped != 5 || info.Replayed != 0 {
 		t.Fatalf("overlap recovery: %+v, want 5 skipped", info)
 	}
-	pool, spent, _ := s2.State()
+	pool, spent, _ := state(s2)
 	if n := pool.TotalAnswers(); n != 4 || spent != 4 {
 		t.Fatalf("answers doubled or lost: %d answers, spent %v; want 4 and 4", n, spent)
 	}
@@ -339,8 +424,8 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 func TestOpenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	s.TaskAdded(choiceTask(0, false, -1))
-	if err := s.AnswerDurable(core.Answer{Task: 0, Worker: "w", Option: 0}, 1, nil); err != nil {
+	mustAdd(t, s, choiceTask(0, false, -1))
+	if err := answer(s, core.Answer{Task: 0, Worker: "w", Option: 0}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
@@ -366,7 +451,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatalf("WAL is %d bytes after open, want %d (tail truncated)", fi.Size(), dirtySize-3)
 	}
 	// The log must still be appendable and replayable after the cut.
-	if err := s2.AnswerDurable(core.Answer{Task: 0, Worker: "w2", Option: 1}, 1, nil); err != nil {
+	if err := answer(s2, core.Answer{Task: 0, Worker: "w2", Option: 1}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	s2.Crash()
@@ -389,7 +474,7 @@ func TestBudgetEventsAdjustSpend(t *testing.T) {
 	s.Crash()
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	defer s2.Close()
-	if _, spent, _ := s2.State(); spent != 6 {
+	if _, spent, _ := state(s2); spent != 6 {
 		t.Fatalf("recovered spend %v, want 6", spent)
 	}
 }
@@ -399,7 +484,7 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	// Collection tasks accept repeated answers from the same worker (up to
 	// the resubmission cap), so every goroutine can hammer the same task.
-	s.TaskAdded(&core.Task{ID: 0, Kind: core.Collection, Question: "enumerate"})
+	mustAdd(t, s, &core.Task{ID: 0, Kind: core.Collection, Question: "enumerate"})
 	const workers, each = 8, core.MaxRepeatAnswers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -408,7 +493,7 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", w), Text: fmt.Sprintf("item-%d-%d", w, i)}
-				if err := s.AnswerDurable(a, 1, nil); err != nil {
+				if err := answer(s, a, 1, nil); err != nil {
 					t.Errorf("worker %d append %d: %v", w, i, err)
 					return
 				}
@@ -423,7 +508,7 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 	if info.Replayed != workers*each+1 {
 		t.Fatalf("replayed %d records, want %d", info.Replayed, workers*each+1)
 	}
-	pool, spent, _ := s2.State()
+	pool, spent, _ := state(s2)
 	if n := pool.TotalAnswers(); n != workers*each || spent != workers*each {
 		t.Fatalf("recovered %d answers, spent %v; want %d", n, spent, workers*each)
 	}
@@ -434,8 +519,7 @@ func TestStoreImplementsJournalThroughConcurrentPool(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	var _ core.Journal = s
 
-	cp := core.NewConcurrentPool(nil)
-	cp.SetJournal(s)
+	cp := s.Pool()
 	id0, err := cp.Add(choiceTask(0, false, -1))
 	if err != nil {
 		t.Fatal(err)
@@ -445,20 +529,22 @@ func TestStoreImplementsJournalThroughConcurrentPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Unix(50, 0)
-	if _, ok := cp.AssignLease(core.AssignerFunc(func(p *core.Pool, w string) (core.TaskID, bool) {
+	if _, ok, err := cp.AssignLease(core.AssignerFunc(func(p *core.Pool, w string) (core.TaskID, bool) {
 		return id0, true
-	}), "w1", deadline); !ok {
-		t.Fatal("AssignLease failed")
+	}), "w1", deadline); !ok || err != nil {
+		t.Fatalf("AssignLease failed: %v", err)
 	}
-	if exp := cp.ExpireLeases(time.Unix(60, 0)); len(exp) != 1 {
-		t.Fatalf("expired %d leases, want 1", len(exp))
+	if exp, err := cp.ExpireLeases(time.Unix(60, 0)); len(exp) != 1 || err != nil {
+		t.Fatalf("expired %d leases (err %v), want 1", len(exp), err)
 	}
-	cp.Close(id1)
+	if err := cp.Close(id1); err != nil {
+		t.Fatal(err)
+	}
 	s.Crash()
 
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	defer s2.Close()
-	pool, _, _ := s2.State()
+	pool, _, _ := state(s2)
 	if pool.Len() != 2 {
 		t.Fatalf("recovered %d tasks, want 2", pool.Len())
 	}
@@ -473,10 +559,10 @@ func TestStoreImplementsJournalThroughConcurrentPool(t *testing.T) {
 func TestWorkerEliminationMarkerAndTallies(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	s.TaskAdded(choiceTask(0, true, 1))
+	mustAdd(t, s, choiceTask(0, true, 1))
 	no := false
 	for i := 0; i < 3; i++ {
-		if err := s.AnswerDurable(core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}, 1, &no); err != nil {
+		if err := answer(s, core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}, 1, &no); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -485,7 +571,7 @@ func TestWorkerEliminationMarkerAndTallies(t *testing.T) {
 
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	defer s2.Close()
-	_, _, screen := s2.State()
+	_, _, screen := state(s2)
 	for i := 0; i < 3; i++ {
 		w := fmt.Sprintf("w%d", i)
 		if screen[w] != (core.ScreenTally{Correct: 0, Total: 1}) {
@@ -503,10 +589,10 @@ func TestWorkerEliminationMarkerAndTallies(t *testing.T) {
 func TestFsyncIntervalFlusherAndGracefulClose(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncInterval, FsyncEvery: 5 * time.Millisecond, SnapshotEvery: 5 * time.Millisecond})
-	s.TaskAdded(choiceTask(0, false, -1))
+	mustAdd(t, s, choiceTask(0, false, -1))
 	for i := 0; i < 20; i++ {
 		a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}
-		if err := s.AnswerDurable(a, 1, nil); err != nil {
+		if err := answer(s, a, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -516,41 +602,64 @@ func TestFsyncIntervalFlusherAndGracefulClose(t *testing.T) {
 	}
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	defer s2.Close()
-	pool, spent, _ := s2.State()
+	pool, spent, _ := state(s2)
 	if n := pool.TotalAnswers(); n != 20 || spent != 20 {
 		t.Fatalf("recovered %d answers, spent %v; want 20", n, spent)
 	}
 }
 
-// The answer path journals after it released the shard lock, a close
-// journals under it: the record of the answer that completed a question can
-// land behind the task-closed record. Both the live replica (what snapshots
-// are cut from) and a crash replay must keep that answer.
+// Before answers were appended under the shard lock, the answer path
+// journaled after it released the lock while a close journaled under it:
+// the record of the answer that completed a question could land behind the
+// task-closed record. A directory such a build wrote must still open to
+// the state it was acked at — from the log, and from the snapshot the
+// reopened store cuts.
 func TestAnswerJournaledBehindCloseSurvives(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	s.TaskAdded(choiceTask(1, false, 0))
-	answer := func(w string) core.Answer { return core.Answer{Task: 1, Worker: w, Option: 1} }
-	for _, w := range []string{"w1", "w2"} {
-		if err := s.AnswerDurable(answer(w), 1, nil); err != nil {
+	w, err := openWAL(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := func(w string) *AnswerRecord { return answerRecord(core.Answer{Task: 1, Worker: w, Option: 1}) }
+	for i, ev := range []Event{
+		{Type: EvTaskAdded, Task: taskRecord(choiceTask(1, false, 0))},
+		{Type: EvAnswerRecorded, Answer: ans("w1"), Worker: "w1", Cost: 1},
+		{Type: EvAnswerRecorded, Answer: ans("w2"), Worker: "w2", Cost: 1},
+		{Type: EvTaskClosed, TaskID: 1},
+		{Type: EvAnswerRecorded, Answer: ans("w3"), Worker: "w3", Cost: 1},
+	} {
+		ev.Seq = uint64(i + 1)
+		payload, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.TaskClosed(1)
-	if err := s.AnswerDurable(answer("w3"), 1, nil); err != nil {
+	if err := w.close(false); err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string, s *Store) {
 		t.Helper()
-		pool, spent, _ := s.State()
+		pool, spent, _ := state(s)
 		if n := pool.AnswerCount(1); n != 3 || spent != 3 || !pool.Closed(1) {
 			t.Fatalf("%s: %d answers, spent %v, closed %v; want 3 answers paid by 3 units on a closed task",
 				when, n, spent, pool.Closed(1))
 		}
 	}
-	check("live replica", s)
-	s.Crash()
-	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s, info := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	if info.Replayed != 5 {
+		t.Fatalf("replayed %d records, want 5", info.Replayed)
+	}
+	check("after replay", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, info := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	defer s2.Close()
-	check("after replay", s2)
+	if !info.SnapshotLoaded || info.Replayed != 0 {
+		t.Fatalf("reopen after Close: %+v, want the snapshot alone", info)
+	}
+	check("from the snapshot", s2)
 }

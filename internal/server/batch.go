@@ -13,10 +13,10 @@ import (
 // request. The cost model is what justifies the endpoint — the request is
 // validated in one pass, answers are grouped by pool shard so each shard's
 // write lock is taken once (RecordBatch), and durability is one journal
-// append (one group-commit fsync under FsyncAlways) per touched WAL
-// segment instead of one per answer. Items succeed or fail independently:
-// the response carries a status per item in request order, so one
-// duplicate does not reject the rest of a crowd upload.
+// append under that lock (and one group-commit fsync under FsyncAlways)
+// per touched shard instead of one per answer. Items succeed or fail
+// independently: the response carries a status per item in request order,
+// so one duplicate does not reject the rest of a crowd upload.
 
 const (
 	// maxBatchBody bounds the /api/answers request body. Large enough for
@@ -31,8 +31,10 @@ const (
 // BatchItemDTO reports the outcome of one batch item, in request order.
 // Status is "recorded" (accepted and durable), "rejected" (this item was
 // refused — duplicate, unknown task, budget, elimination — others were
-// unaffected), or "failed" (accepted but the journal refused the batch;
-// the item was rolled back and may be resubmitted).
+// unaffected), or "failed": either the journal refused the item's shard
+// batch, in which case the item was never applied and may be resubmitted,
+// or the batch was appended and applied but its fsync failed, which leaves
+// the store failed with memory equal to the log (see handleAnswer).
 type BatchItemDTO struct {
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
@@ -50,14 +52,6 @@ const (
 	batchRejected = "rejected"
 	batchFailed   = "failed"
 )
-
-// batchItem tracks one accepted submission through the durability step so
-// it can be rolled back if the journal refuses the batch.
-type batchItem struct {
-	idx    int // position in the request
-	answer core.Answer
-	golden *bool
-}
 
 func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
@@ -105,14 +99,22 @@ func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Recording pass, shard by shard in ascending order (deterministic for
 	// a given request). Each item reserves budget individually, exactly as
-	// on the single-answer path, so a rejected item never spends.
-	var accepted []batchItem
+	// on the single-answer path, so a rejected item never spends; a shard's
+	// survivors are validated, appended as one record and applied under one
+	// hold of the shard lock.
+	code := http.StatusOK
+	fail := func(i int, err error) {
+		out.Results[i] = BatchItemDTO{Status: batchFailed, Error: "answer not persisted: " + err.Error()}
+		code = http.StatusInternalServerError
+	}
+	pos := make([]uint64, len(byShard))
 	for sh, idxs := range byShard {
 		if len(idxs) == 0 {
 			continue
 		}
 		charged := idxs[:0]
 		answers := make([]core.Answer, 0, len(idxs))
+		charges := make([]core.Charge, 0, len(idxs))
 		for _, i := range idxs {
 			// Re-check elimination: an earlier item in this batch may have
 			// tipped the worker over the golden threshold.
@@ -129,43 +131,46 @@ func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
 				Task: dtos[i].Task, Worker: dtos[i].Worker,
 				Option: dtos[i].Option, Text: dtos[i].Text, Score: dtos[i].Score,
 			})
+			charge := core.Charge{Cost: 1}
+			if s.screen != nil {
+				charge.Golden = s.gradeGolden(s.cpool.Task(dtos[i].Task), dtos[i].Option, dtos[i].Text)
+			}
+			charges = append(charges, charge)
 		}
-		errs := s.cpool.RecordBatch(sh, answers)
+		byShard[sh] = charged
+		var errs []error
+		errs, pos[sh] = s.cpool.RecordBatch(sh, answers, charges)
 		for j, i := range charged {
-			if err := errs[j]; err != nil {
+			switch err := errs[j]; {
+			case err == nil:
+				s.notifyCQL(answers[j].Task)
+				s.observeGolden(answers[j].Worker, charges[j].Golden)
+				out.Results[i] = BatchItemDTO{Status: batchRecorded}
+			case errors.Is(err, core.ErrNotJournaled):
+				s.budget.Refund(1)
+				fail(i, err)
+			default:
 				s.budget.Refund(1)
 				reject(i, err.Error())
-				continue
 			}
-			t := s.cpool.Task(answers[j].Task)
-			golden := s.observeGolden(t, answers[j].Worker, answers[j].Option, answers[j].Text)
-			accepted = append(accepted, batchItem{idx: i, answer: answers[j], golden: golden})
-			s.notifyCQL(answers[j].Task)
-			out.Results[i] = BatchItemDTO{Status: batchRecorded}
 		}
 	}
 
-	// Durability pass: one journal event per touched WAL segment. The
-	// store refusing the batch leaves nothing durable, so every accepted
-	// item is rolled back (reverse acceptance order) and reported failed —
-	// the ack-implies-durable contract of /api/answer, batch-wide.
-	code := http.StatusOK
-	if s.store != nil && len(accepted) > 0 {
-		answers := make([]core.Answer, len(accepted))
-		costs := make([]float64, len(accepted))
-		goldens := make([]*bool, len(accepted))
-		for j, it := range accepted {
-			answers[j], costs[j], goldens[j] = it.answer, 1, it.golden
-		}
-		if err := s.store.AnswerBatchDurable(answers, costs, goldens); err != nil {
-			for j := len(accepted) - 1; j >= 0; j-- {
-				it := accepted[j]
-				s.rollbackAnswer(it.answer, it.golden)
-				out.Results[it.idx] = BatchItemDTO{
-					Status: batchFailed, Error: "answer not persisted: " + err.Error(),
+	// Durability wait, with no lock held: one group-commit fsync per
+	// touched shard — the ack-implies-durable contract of /api/answer,
+	// batch-wide.
+	if s.store != nil {
+		for sh, idxs := range byShard {
+			if pos[sh] == 0 {
+				continue
+			}
+			if err := s.store.Sync(r.Context(), sh, pos[sh]); err != nil {
+				for _, i := range idxs {
+					if out.Results[i].Status == batchRecorded {
+						fail(i, err)
+					}
 				}
 			}
-			code = http.StatusInternalServerError
 		}
 	}
 

@@ -267,8 +267,8 @@ type cqlGateway struct {
 }
 
 // notify wakes the gateway round waiting on a task, if any. Called by the
-// answer paths after recording; spurious wakes are harmless (the collector
-// re-reads the pool), so no rollback ever needs to retract one.
+// answer paths once an answer is appended and applied; spurious wakes are
+// harmless (the collector re-reads the pool).
 func (g *cqlGateway) notify(id core.TaskID) {
 	g.mu.Lock()
 	ch := g.waiters[id]
@@ -282,8 +282,8 @@ func (g *cqlGateway) notify(id core.TaskID) {
 }
 
 // notifyCQL wakes the gateway round waiting on a task after an answer was
-// recorded (no-op when the query service is not mounted). Called from
-// the single and batch answer paths.
+// journaled and applied (no-op when the query service is not mounted).
+// Called from the single and batch answer paths.
 func (s *Server) notifyCQL(id core.TaskID) {
 	if s.cqlGw != nil {
 		s.cqlGw.notify(id)
@@ -349,7 +349,19 @@ func (g *cqlGateway) Ask(ctx context.Context, round []operators.Question, k int,
 	for {
 		closed, touched = closed[:0], touched[:0]
 		for i := range open {
-			if q := &open[i]; !q.done && g.collect(q, k) {
+			q := &open[i]
+			if q.done {
+				continue
+			}
+			done, err := g.collect(q, k)
+			if err != nil {
+				// The journal is gone: nothing can be closed or refunded in
+				// a way a restart would remember. Memory stays equal to the
+				// log — the round's questions open, their reservations held
+				// — and the next boot's recovery pass reconciles them.
+				return err
+			}
+			if done {
 				closed, touched = append(closed, i), append(touched, q.id)
 			}
 		}
@@ -374,7 +386,10 @@ func (g *cqlGateway) Ask(ctx context.Context, round []operators.Question, k int,
 				if q.done {
 					continue
 				}
-				s.cpool.Close(q.id)
+				if s.cpool.Close(q.id) != nil {
+					// Not closed in the log, so not refunded either.
+					continue
+				}
 				s.budget.Refund(float64(k - q.seen))
 				if s.store != nil {
 					_ = s.store.CQLQuestionClosed(q.id, float64(k-q.seen))
@@ -437,8 +452,11 @@ func (g *cqlGateway) publish(round []operators.Question, k int) ([]openQuestion,
 }
 
 // collect folds the pool's current state of one open question into its
-// ledger and reports whether it just closed.
-func (g *cqlGateway) collect(q *openQuestion, k int) bool {
+// ledger and reports whether it just closed. The pool only ever shows
+// answers the journal holds, so a submission that was refused (500) can
+// neither release a reserved unit nor close a question. The error is the
+// journal's refusal of the close.
+func (g *cqlGateway) collect(q *openQuestion, k int) (bool, error) {
 	s := g.srv
 	if q.span.Recording() {
 		if l := s.cpool.LeaseCount(q.id); l != q.leases {
@@ -467,9 +485,11 @@ func (g *cqlGateway) collect(q *openQuestion, k int) bool {
 		q.seen = n
 	}
 	if q.seen < k {
-		return false
+		return false, nil
 	}
-	s.cpool.Close(q.id)
+	if err := s.cpool.Close(q.id); err != nil {
+		return false, err
+	}
 	if s.store != nil {
 		// Fully consumed reservation: the closed event retires the
 		// question's durable ledger with a zero remainder.
@@ -477,7 +497,7 @@ func (g *cqlGateway) collect(q *openQuestion, k int) bool {
 	}
 	q.span.AddEvent("close", obs.Int("answers", int64(q.seen)))
 	q.done = true
-	return true
+	return true, nil
 }
 
 // --- HTTP handlers ---

@@ -7,17 +7,17 @@ import (
 	"repro/internal/cql"
 )
 
-// CQL crash recovery. The durable store replays EvCql* events into a
-// replica of the query service's state (open sessions with prepared
+// CQL crash recovery. The durable store replays EvCql* events into its
+// fold of the query service's state (open sessions with prepared
 // statements and running queries; open crowd questions with their budget
-// reservations). recoverCQL turns that replica back into live state at
+// reservations). recoverCQL turns that fold back into live state at
 // boot, in two phases:
 //
 //  1. Budget reconciliation. Every open question is an orphan: its query
 //     goroutine died with the process, so nothing will ever close its
 //     task or release the rest of its reservation. The pass closes the
-//     task (dropping outstanding leases, journaled through the pool
-//     journal) and refunds reserved − refunded — after which the live
+//     task if it is still open (dropping outstanding leases; journaled by
+//     the pool) and refunds reserved − refunded — after which the live
 //     budget's spent equals exactly the answers that were acked, the
 //     same spend a never-crashed control that canceled the question
 //     would report. This runs even when the query service is not mounted
@@ -32,7 +32,7 @@ import (
 //     handles' running markers are then retired in the journal so a
 //     second restart does not re-recover them.
 //
-// The pass runs from New after the pool journal is attached and initCQL
+// The pass runs from New after the store's pool was adopted and initCQL
 // built the manager, before any traffic. Without a store it is one nil
 // check.
 func (s *Server) recoverCQL() {
@@ -42,8 +42,15 @@ func (s *Server) recoverCQL() {
 	sessions, questions := s.store.CQLState()
 	orphans := make([]core.TaskID, 0, len(questions))
 	for _, q := range questions {
+		if err := s.cpool.Close(q.Task); err != nil {
+			// Not reconciled in the log, so not in memory either; the
+			// question stays an orphan for the next boot.
+			if s.reqLog != nil {
+				s.reqLog.Error("cql orphan question not closed", "task", q.Task, "error", err)
+			}
+			continue
+		}
 		orphans = append(orphans, q.Task)
-		s.cpool.Close(q.Task)
 		remainder := q.Reserved - q.Refunded
 		if remainder < 0 {
 			remainder = 0
@@ -52,7 +59,7 @@ func (s *Server) recoverCQL() {
 			s.budget.Refund(remainder)
 		}
 		// Retire the question's durable ledger with the same remainder, so
-		// the replica's spend tracks the refund we just issued.
+		// the journaled spend tracks the refund we just issued.
 		_ = s.store.CQLQuestionClosed(q.Task, remainder)
 		s.cqlRecQuestions.Inc()
 		s.cqlRecRefund.Add(int64(remainder))

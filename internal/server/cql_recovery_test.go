@@ -17,13 +17,12 @@ import (
 // in-process equivalent of `crowdserve -data-dir ... -cql-dir ...`.
 func durableCQLServer(t *testing.T, dataDir, cqlDir string, units float64) (*httptest.Server, *Server, *durable.Store, *durable.RecoveryInfo, *core.Budget) {
 	t.Helper()
-	store, info, err := durable.Open(dataDir, durable.Options{Fsync: durable.FsyncNever})
+	store, info, err := durable.Open(dataDir, durable.Options{Fsync: durable.FsyncNever, Segments: testShards()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := core.NewBudget(units)
-	pool := AdoptRecovered(store, budget, nil)
-	srv, err := New(pool, assign.FewestAnswers{}, budget, nil,
+	srv, err := New(nil, assign.FewestAnswers{}, budget, nil,
 		WithShards(testShards()),
 		WithDurability(store),
 		WithCQL(CQLConfig{Dir: cqlDir, Redundancy: 3, ExecuteGrace: 5 * time.Millisecond}),

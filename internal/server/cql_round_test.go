@@ -190,7 +190,7 @@ func TestCQLRoundCrashMixedProgressReconciles(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := core.NewBudget(50)
-		srv, err := New(AdoptRecovered(store, budget, nil), assign.FewestAnswers{}, budget, nil,
+		srv, err := New(nil, assign.FewestAnswers{}, budget, nil,
 			WithShards(shards), WithDurability(store), WithLeaseTTL(time.Minute),
 			WithCQL(CQLConfig{Dir: cqlDir, Redundancy: 3, ExecuteGrace: 5 * time.Millisecond}))
 		if err != nil {

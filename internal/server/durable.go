@@ -1,20 +1,25 @@
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/durable"
 )
 
-// WithDurability attaches a durable.Store: every pool mutation is
-// journaled to its write-ahead log, and /api/answer acknowledges a
-// submission only after the answer record is journaled (ack-implies-
-// durable; under FsyncAlways, only after it is fsynced). The server takes
-// ownership of the store — Close flushes, snapshots, and closes it.
+// WithDurability attaches a durable.Store. The server then serves the
+// store's own pool — the one durable.Open recovered, whose every mutation
+// is appended to the write-ahead log before it is applied — with one shard
+// per WAL segment, and /api/answer acknowledges a submission only after
+// its record's durability wait (under FsyncAlways, the fsync). The server
+// takes ownership of the store — Close flushes, snapshots, and closes it.
 //
-// The store only journals what flows through the server. The boot
-// sequence is therefore: open the store, and either adopt its recovered
-// state (see AdoptRecovered) or, on an empty data directory, seed the
-// pool and journal the seeds with SeedJournal before calling New.
+// New finishes the boot: the budget and the worker screen are set to the
+// spend and golden tallies the journal adds up to, and the tasks of New's
+// pool argument, if any, are added to the store's pool (and so journaled).
+// That is how a fresh data directory is seeded; over a directory that
+// already holds tasks pass nil or an empty pool — a second task set on top
+// of a recovered one is refused rather than guessed at.
 //
 // A server built without this option runs the exact in-memory handler
 // chain: the only durability cost on that path is one nil check.
@@ -22,29 +27,28 @@ func WithDurability(store *durable.Store) Option {
 	return func(s *Server) { s.store = store }
 }
 
-// AdoptRecovered applies a store's recovered state to the serving
-// collaborators: the returned pool becomes the live pool (hand it to New),
-// budget gets the durable spend, and screen gets the golden tallies.
-// budget and screen may be nil when the deployment does not use them.
-func AdoptRecovered(store *durable.Store, budget *core.Budget, screen *core.WorkerScreen) *core.Pool {
-	pool, spent, tallies := store.State()
-	if budget != nil {
-		budget.RestoreSpent(spent)
+// adoptStore makes the store's pool the served pool; see WithDurability.
+func (s *Server) adoptStore(seed *core.Pool) error {
+	if s.shards != 0 && max(s.shards, 1) != s.store.Segments() {
+		return fmt.Errorf("server: WithShards(%d) over a store with %d WAL segments: a durable server has one shard per segment",
+			s.shards, s.store.Segments())
 	}
-	if screen != nil {
-		screen.Restore(tallies)
+	s.cpool = s.store.Pool()
+	spent, tallies := s.store.Ledger()
+	s.budget.RestoreSpent(spent)
+	if s.screen != nil {
+		s.screen.Restore(tallies)
 	}
-	return pool
-}
-
-// SeedJournal journals every task already present in pool — the bootstrap
-// for a fresh data directory, where tasks were seeded directly into the
-// pool before the journal existed. Tasks added after New flow through the
-// pool's journal hook automatically. Returns the store's sticky error, if
-// journaling failed.
-func SeedJournal(store *durable.Store, pool *core.Pool) error {
-	for _, id := range pool.TaskIDs() {
-		store.TaskAdded(pool.Task(id))
+	if seed == nil || seed.Len() == 0 {
+		return nil
 	}
-	return store.Err()
+	if n := s.cpool.Len(); n > 0 {
+		return fmt.Errorf("server: the store already holds %d tasks; it cannot be seeded with %d more", n, seed.Len())
+	}
+	for _, id := range seed.TaskIDs() {
+		if _, err := s.cpool.Add(seed.Task(id)); err != nil {
+			return fmt.Errorf("server: seeding task %d: %w", id, err)
+		}
+	}
+	return nil
 }

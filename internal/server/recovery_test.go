@@ -199,12 +199,8 @@ func seededServer(t *testing.T, dir string, rngSeed uint64, nTasks int) (*Server
 	if !info.Empty() {
 		t.Fatalf("expected empty data dir, recovered %+v", info)
 	}
-	pool := testPool(stats.NewRNG(rngSeed), nTasks)
-	if err := SeedJournal(store, pool); err != nil {
-		t.Fatal(err)
-	}
 	budget := core.Unlimited()
-	srv, err := New(pool, assign.FewestAnswers{}, budget, nil,
+	srv, err := New(testPool(stats.NewRNG(rngSeed), nTasks), assign.FewestAnswers{}, budget, nil,
 		WithDurability(store), WithLeaseTTL(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -213,22 +209,21 @@ func seededServer(t *testing.T, dir string, rngSeed uint64, nTasks int) (*Server
 }
 
 // recoveredServer reopens dir and builds a server over the recovered
-// state, returning the adopted pool for direct inspection.
-func recoveredServer(t *testing.T, dir string) (*Client, *core.Pool, *core.Budget, *durable.RecoveryInfo) {
+// state, returning the served pool for direct inspection.
+func recoveredServer(t *testing.T, dir string) (*Client, *core.ShardedPool, *core.Budget, *durable.RecoveryInfo) {
 	t.Helper()
 	store, info, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := core.Unlimited()
-	pool := AdoptRecovered(store, budget, nil)
-	srv, err := New(pool, assign.FewestAnswers{}, budget, nil, WithDurability(store))
+	srv, err := New(nil, assign.FewestAnswers{}, budget, nil, WithDurability(store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return NewClient(ts.URL), pool, budget, info
+	return NewClient(ts.URL), store.Pool(), budget, info
 }
 
 // The acceptance test for the durability tentpole: kill the store mid-load
@@ -399,12 +394,8 @@ func TestEliminationSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := goldenPool(3, 1)
-	if err := SeedJournal(store, pool); err != nil {
-		t.Fatal(err)
-	}
 	screen := core.NewWorkerScreen(2, 0.9)
-	srv, err := New(pool, assign.FewestAnswers{}, nil, screen, WithDurability(store))
+	srv, err := New(goldenPool(3, 1), assign.FewestAnswers{}, nil, screen, WithDurability(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,13 +414,12 @@ func TestEliminationSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	screen2 := core.NewWorkerScreen(2, 0.9)
-	pool2 := AdoptRecovered(store2, nil, screen2)
-	if !screen2.Eliminated("bad") {
-		t.Fatal("elimination did not survive the restart")
-	}
-	srv2, err := New(pool2, assign.FewestAnswers{}, nil, screen2, WithDurability(store2))
+	srv2, err := New(nil, assign.FewestAnswers{}, nil, screen2, WithDurability(store2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !screen2.Eliminated("bad") {
+		t.Fatal("elimination did not survive the restart")
 	}
 	ts2 := httptest.NewServer(srv2)
 	t.Cleanup(func() { ts2.Close(); srv2.Close() })

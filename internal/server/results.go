@@ -424,7 +424,7 @@ func (s *Server) groupsFor(v *core.DeltaView) *groupSnap {
 		tasks: map[int][]*core.Task{},
 		kOf:   map[core.TaskID]int{},
 	}
-	for _, id := range view.taskIDs() {
+	for _, id := range core.TaskIDsOf(v.Pools) {
 		t := view.Task(id)
 		switch t.Kind {
 		case core.SingleChoice, core.MultiChoice, core.PairwiseComparison:

@@ -9,16 +9,23 @@
 //	GET  /api/results?method=mv|onecoin|ds|glad -> inferred labels
 //	GET  /healthz              -> 200 {"status":"ok"} liveness probe
 //
-// Concurrency model: there is no global server lock. The pool is wrapped
-// in a core.ConcurrentPool (RWMutex: parallel reads/assignments, exclusive
-// writes), the budget is atomic, and the worker screen locks internally,
-// so handlers run in parallel across as many goroutines as net/http
-// spawns. Answer accounting uses a reservation protocol: the handler
-// reserves one budget unit with TryCharge, records the answer, and refunds
-// the unit if the pool rejects the submission — rejected answers never
-// consume budget. /api/results memoizes inference per (method, option
-// count) keyed by the pool's mutation version, so repeated polls between
-// new answers skip EM entirely.
+// Concurrency model: there is no global server lock. The pool is a
+// core.ShardedPool (task-hash shards, each behind its own RWMutex:
+// parallel reads/assignments, exclusive writes per shard), the budget is
+// atomic, and the worker screen locks internally, so handlers run in
+// parallel across as many goroutines as net/http spawns. Answer accounting
+// uses a reservation protocol: the handler reserves one budget unit with
+// TryCharge, records the answer, and refunds the unit if the pool rejects
+// the submission — rejected answers never consume budget. /api/results
+// memoizes inference per (method, option count) keyed by the pool's
+// mutation version, so repeated polls between new answers skip EM
+// entirely.
+//
+// Durability (WithDurability, see durable.go): the served pool is then the
+// store's, and every mutation of it — answers included — is validated,
+// appended to the write-ahead log and only then applied, under the owning
+// shard's lock. An answer is acknowledged after its record's fsync wait;
+// one the log refused was never applied, so there is nothing to undo.
 //
 // Fault tolerance: with WithLeaseTTL set, every assignment from /api/task
 // carries a lease. A submission consumes the lease; a worker that vanishes
@@ -36,8 +43,7 @@
 // to a background loop so polls serve the last complete result immediately;
 // every response carries X-Results-Version, the pool version it was
 // computed at. Warm starts converge to the same labels/posteriors as cold
-// starts; with warm and delta off the handler reproduces the plain
-// memoizing cache byte-for-byte.
+// starts.
 //
 // Observability (all opt-in, see metrics.go): WithMetrics installs
 // per-endpoint request/latency instrumentation, budget/pool/lease gauges,
@@ -58,7 +64,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -113,8 +118,9 @@ type Server struct {
 	obsv       *serverObs
 	traceCol   *obs.Collector
 
-	// store, when set, journals every pool mutation and gates answer acks
-	// on durability (nil = the pure in-memory server; see durable.go).
+	// store, when set, owns cpool, journals its every mutation and gates
+	// answer acks on durability (nil = the pure in-memory server; see
+	// durable.go).
 	store *durable.Store
 
 	// CrowdQL query service (nil unless WithCQL; see cql.go).
@@ -153,9 +159,9 @@ func WithReaperInterval(d time.Duration) Option {
 // with its own lock, version counter, and lease heap, so answer recording
 // and assignment scale across cores instead of serializing on one RWMutex.
 // n <= 1 (the default) runs the single-shard pool, which is behaviorally
-// identical to the unsharded server. With durability enabled, configure
-// the store with the same number of WAL segments (durable.Options.Segments)
-// so a shard's group commit never contends with another shard's log.
+// identical to the unsharded server. With durability enabled the shard
+// count is the store's segment count (durable.Options.Segments); New
+// refuses a WithShards that disagrees with it.
 func WithShards(n int) Option {
 	return func(s *Server) { s.shards = n }
 }
@@ -196,12 +202,14 @@ func WithResultsRefresh(d time.Duration) Option {
 // means unlimited; screen nil disables golden-task elimination. The
 // server takes ownership of pool for writes: after New, other goroutines
 // must not mutate pool directly (read-only access stays safe — tasks are
-// immutable once added).
+// immutable once added). With WithDurability the server serves the store's
+// pool instead, and pool (which may then be nil) only seeds it; see
+// WithDurability.
 //
 // When leases are enabled (WithLeaseTTL) a background reaper goroutine is
 // started; call Close to stop it.
 func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *core.WorkerScreen, opts ...Option) (*Server, error) {
-	if pool == nil || assigner == nil {
+	if assigner == nil {
 		return nil, fmt.Errorf("server: pool and assigner are required")
 	}
 	if budget == nil {
@@ -218,18 +226,20 @@ func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *c
 	for _, opt := range opts {
 		opt(s)
 	}
-	// The pool wrapper is built after the options so WithShards is known;
-	// one shard wraps pool directly (the exact unsharded behavior).
-	s.cpool = core.NewShardedPool(pool, s.shards)
+	// The pool is settled after the options so WithShards and
+	// WithDurability are known; one in-memory shard wraps pool directly
+	// (the exact unsharded behavior).
+	if s.store != nil {
+		if err := s.adoptStore(pool); err != nil {
+			return nil, err
+		}
+	} else if pool == nil {
+		return nil, fmt.Errorf("server: pool and assigner are required")
+	} else {
+		s.cpool = core.NewShardedPool(pool, s.shards)
+	}
 	if s.resultsDelta {
 		s.cpool.EnableDeltaLog(defaultDeltaLogCap)
-	}
-	if s.store != nil {
-		// Attach before any handler runs: task adds, closes, and lease
-		// traffic flow into the journal under the pool's write lock, in
-		// application order. Answers are journaled by handleAnswer itself,
-		// where the charge and golden outcome are known.
-		s.cpool.SetJournal(s.store)
 	}
 	if err := s.initCQL(); err != nil {
 		return nil, err
@@ -324,14 +334,15 @@ func (s *Server) reapSweep() {
 	}
 	ctx := obs.WithCollector(context.Background(), s.traceCol)
 	ctx, sp := obs.StartSpan(ctx, "bg.lease-reaper")
-	exp := s.cpool.ExpireLeases(time.Now())
-	if len(exp) == 0 {
+	exp, err := s.cpool.ExpireLeases(time.Now())
+	if len(exp) == 0 && err == nil {
 		sp.Discard()
 		sp.End()
 		return
 	}
 	s.expired.Add(int64(len(exp)))
 	sp.SetAttr(obs.Int("expired", int64(len(exp))))
+	sp.SetError(err)
 	sp.End()
 	if s.reqLog != nil {
 		s.reqLog.LogAttrs(ctx, slog.LevelInfo, "lease sweep",
@@ -340,11 +351,13 @@ func (s *Server) reapSweep() {
 	}
 }
 
-// expireLeases sweeps expired leases now and accounts them.
+// expireLeases sweeps expired leases now and accounts them. A sweep the
+// journal refused reclaimed nothing on that shard and is retried by the
+// next one; the store's sticky error reaches clients through the
+// assignment and answer paths.
 func (s *Server) expireLeases() {
-	if exp := s.cpool.ExpireLeases(time.Now()); len(exp) > 0 {
-		s.expired.Add(int64(len(exp)))
-	}
+	exp, _ := s.cpool.ExpireLeases(time.Now())
+	s.expired.Add(int64(len(exp)))
 }
 
 // ExpiredLeases returns how many leases the server has reclaimed.
@@ -443,15 +456,16 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		id core.TaskID
-		ok bool
+		id  core.TaskID
+		ok  bool
+		err error
 	)
 	_, asp := obs.ChildSpan(r.Context(), "core.assign")
 	if s.leaseTTL > 0 {
 		// Lazy expiry first, so an assignment never waits a reaper tick to
 		// see reclaimed slots; then assign + lease atomically.
 		s.expireLeases()
-		id, ok = s.cpool.AssignLease(s.assigner, worker, time.Now().Add(s.leaseTTL))
+		id, ok, err = s.cpool.AssignLease(s.assigner, worker, time.Now().Add(s.leaseTTL))
 	} else {
 		id, ok = s.cpool.Assign(s.assigner, worker)
 	}
@@ -462,7 +476,12 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			asp.SetAttr(obs.Int("task", int64(id)),
 				obs.Int("shard", int64(s.cpool.ShardFor(id))))
 		}
+		asp.SetError(err)
 		asp.End()
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "lease not persisted: "+err.Error())
+		return
 	}
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
@@ -530,32 +549,31 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		Task: dto.Task, Worker: dto.Worker,
 		Option: dto.Option, Text: dto.Text, Score: dto.Score,
 	}
-	_, rsp := obs.ChildSpan(r.Context(), "core.record")
-	err := s.cpool.Record(a)
-	if rsp != nil {
-		rsp.SetAttr(obs.Int("task", int64(a.Task)), obs.Str("worker", a.Worker),
-			obs.Int("shard", int64(s.cpool.ShardFor(a.Task))))
-		rsp.SetError(err)
-		rsp.End()
-	}
+	golden := s.gradeGolden(t, dto.Option, dto.Text)
+	// Validate → append → apply, all under the task's shard lock: an answer
+	// the pool rejects or the journal refuses was never applied, so the
+	// only thing to hand back is the reservation.
+	pos, err := s.cpool.Record(r.Context(), a, core.Charge{Cost: 1, Golden: golden})
 	if err != nil {
 		s.budget.Refund(1)
-		httpError(w, http.StatusConflict, err.Error())
+		if errors.Is(err, core.ErrNotJournaled) {
+			httpError(w, http.StatusInternalServerError, "answer not persisted: "+err.Error())
+		} else {
+			httpError(w, http.StatusConflict, err.Error())
+		}
 		return
 	}
+	// The answer is in the log and in the pool; only now may anyone else
+	// learn of it.
 	s.notifyCQL(a.Task)
-	golden := s.observeGolden(t, dto.Worker, dto.Option, dto.Text)
-	// Ack-implies-durable: the answer (with its budget charge and golden
-	// outcome) must be journaled before the client hears "recorded". A
-	// journal failure must not leave the in-memory state ahead of the log
-	// (an answer the requester would see but a restart would lose), so the
-	// whole submission is rolled back — un-observe, un-record, refund — and
-	// the client's 500 means "as if it never happened, resubmit". The store
-	// is sticky-failed at that point, so no later answer can be
-	// acknowledged against a log that stopped accepting.
+	s.observeGolden(a.Worker, golden)
+	// Ack-implies-durable: wait for the record's fsync (group commit), with
+	// no lock held. A failure here is the one ambiguous outcome — the store
+	// is sticky-failed with the answer applied and appended, so memory still
+	// equals the log, but whether the record survives a power loss is not
+	// known; the client's 500 means "resubmit after the restart".
 	if s.store != nil {
-		if err := s.store.AnswerDurableCtx(r.Context(), a, 1, golden); err != nil {
-			s.rollbackAnswer(a, golden)
+		if err := s.store.Sync(r.Context(), s.cpool.ShardFor(a.Task), pos); err != nil {
 			httpError(w, http.StatusInternalServerError, "answer not persisted: "+err.Error())
 			return
 		}
@@ -563,11 +581,11 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, AnswerAckDTO{Status: "recorded"})
 }
 
-// observeGolden grades a submission against a golden task's planted truth
-// and feeds the worker screen. It returns the graded outcome (nil for
-// non-golden tasks or when screening is off) for the answer's journal
-// record.
-func (s *Server) observeGolden(t *core.Task, worker string, option int, text string) *bool {
+// gradeGolden grades a submission against a golden task's planted truth:
+// the outcome the answer's journal record carries and the worker screen is
+// fed once the answer is in. Nil for non-golden tasks or when screening is
+// off.
+func (s *Server) gradeGolden(t *core.Task, option int, text string) *bool {
 	if s.screen == nil || !t.Golden {
 		return nil
 	}
@@ -578,23 +596,15 @@ func (s *Server) observeGolden(t *core.Task, worker string, option int, text str
 	case core.FillIn:
 		correct = text == t.GroundTruthText
 	}
-	if s.screen.Observe(worker, correct) && s.store != nil {
-		s.store.WorkerEliminated(worker)
-	}
 	return &correct
 }
 
-// rollbackAnswer undoes an accepted-but-not-durable submission, in reverse
-// acceptance order: the golden observation, the pool record, the budget
-// reservation. After it returns, the in-memory state is as if the answer
-// had never been submitted, matching what recovery will reconstruct from
-// the log that rejected it.
-func (s *Server) rollbackAnswer(a core.Answer, golden *bool) {
-	if golden != nil && s.screen != nil {
-		s.screen.Unobserve(a.Worker, *golden)
+// observeGolden feeds a recorded golden answer's grade to the worker
+// screen and journals the audit marker if it eliminated the worker.
+func (s *Server) observeGolden(worker string, golden *bool) {
+	if golden != nil && s.screen.Observe(worker, *golden) && s.store != nil {
+		s.store.WorkerEliminated(worker)
 	}
-	s.cpool.Unrecord(a)
-	s.budget.Refund(1)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -639,21 +649,6 @@ func (v shardView) Task(id core.TaskID) *core.Task {
 
 func (v shardView) Answers(id core.TaskID) []core.Answer {
 	return v[core.ShardIndex(id, len(v))].Answers(id)
-}
-
-// taskIDs lists every task in the view: insertion order for a single
-// shard (the unsharded server's historical order), ascending ID order
-// across multiple shards.
-func (v shardView) taskIDs() []core.TaskID {
-	if len(v) == 1 {
-		return v[0].TaskIDs()
-	}
-	var out []core.TaskID
-	for _, p := range v {
-		out = append(out, p.TaskIDs()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // writeJSON answers 200 with v as JSON, or 500 when v cannot be encoded:

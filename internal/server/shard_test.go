@@ -216,8 +216,8 @@ func TestResubmissionBudgetDrain(t *testing.T) {
 // Regression for the journal-failure divergence bugfix: when the store
 // refuses an answer, the 500 used to leave the answer recorded in memory
 // with its budget charge and golden observation — memory ran ahead of disk
-// until the next restart silently dropped the answer. The fix rolls the
-// submission back, so a 500 means "as if never submitted".
+// until the next restart silently dropped the answer. An answer is now
+// appended before it is applied, so a 500 means "never happened".
 func TestJournalFailureRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	store, info, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever, Segments: testShards()})
@@ -227,13 +227,9 @@ func TestJournalFailureRollsBack(t *testing.T) {
 	if !info.Empty() {
 		t.Fatalf("expected empty data dir, got %+v", info)
 	}
-	pool := goldenPool(6, 1)
-	if err := SeedJournal(store, pool); err != nil {
-		t.Fatal(err)
-	}
 	budget := core.NewBudget(100)
 	screen := core.NewWorkerScreen(2, 0.9)
-	srv, err := New(pool, assign.FewestAnswers{}, budget, screen,
+	srv, err := New(goldenPool(6, 1), assign.FewestAnswers{}, budget, screen,
 		WithShards(testShards()), WithDurability(store))
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +320,8 @@ func TestShardedDurableRestart(t *testing.T) {
 	if !info.Empty() {
 		t.Fatalf("expected empty dir, got %+v", info)
 	}
-	pool := testPool(stats.NewRNG(41), 16)
-	if err := SeedJournal(store, pool); err != nil {
-		t.Fatal(err)
-	}
 	budget := core.Unlimited()
-	srv, err := New(pool, assign.FewestAnswers{}, budget, nil,
+	srv, err := New(testPool(stats.NewRNG(41), 16), assign.FewestAnswers{}, budget, nil,
 		WithShards(shards), WithDurability(store), WithLeaseTTL(time.Minute))
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +353,7 @@ func TestShardedDurableRestart(t *testing.T) {
 		t.Fatal("recovery found nothing")
 	}
 	budget2 := core.Unlimited()
-	pool2 := AdoptRecovered(store2, budget2, nil)
-	srv2, err := New(pool2, assign.FewestAnswers{}, budget2, nil,
+	srv2, err := New(nil, assign.FewestAnswers{}, budget2, nil,
 		WithShards(shards), WithDurability(store2))
 	if err != nil {
 		t.Fatal(err)

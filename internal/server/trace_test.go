@@ -47,7 +47,7 @@ func spanNames(dto TraceDTO) map[string]SpanDTO {
 // the trace by the echoed X-Trace-Id, and find linked spans from the
 // HTTP, pool-shard, and WAL layers in one tree.
 func TestAnswerTraceLinksLayers(t *testing.T) {
-	store, _, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncAlways})
+	store, _, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncAlways, Segments: testShards()})
 	if err != nil {
 		t.Fatal(err)
 	}
