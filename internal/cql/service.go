@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -27,18 +28,20 @@ var ErrSessionClosed = errors.New("cql: session closed")
 
 // SessionJournal observes session-lifecycle transitions for a durability
 // layer: session create/close, statement prepare, and query start/finish.
-// Methods are called synchronously on the mutating path, after the
-// in-memory transition is registered; implementations journal and return
-// (errors surface through the store's own sticky-error machinery, not
-// here). A nil journal is off — the manager makes no calls at all, so the
-// non-durable path is unchanged.
+// Methods are called synchronously on the mutating path. A create, prepare
+// or query start is journaled before anyone can see it, and one the journal
+// refuses fails with the error wrapped in core.ErrNotJournaled, leaving no
+// session, statement or handle behind. A nil journal is off — the manager
+// makes no calls at all, so the non-durable path is unchanged.
 type SessionJournal interface {
-	SessionCreated(name string)
-	SessionClosed(name string)
-	StatementPrepared(session, name, src string)
-	QueryStarted(session, qid, src string)
-	QueryFinished(session, qid string, status QueryStatus)
+	SessionCreated(name string) error
+	SessionClosed(name string) error
+	StatementPrepared(session, name, src string) error
+	QueryStarted(session, qid, src string) error
+	QueryFinished(session, qid string, status QueryStatus) error
 }
+
+func notJournaled(err error) error { return fmt.Errorf("%w: %w", core.ErrNotJournaled, err) }
 
 // ServiceConfig wires a SessionManager.
 type ServiceConfig struct {
@@ -166,6 +169,16 @@ func (m *SessionManager) Create(name string) (*ManagedSession, error) {
 		}
 		return nil, err
 	}
+	if j := m.cfg.Journal; j != nil {
+		// Journaled before the session is registered: a refused append
+		// leaves nothing a client or a restart could find.
+		if err := j.SessionCreated(name); err != nil {
+			m.mu.Lock()
+			delete(m.sessions, key)
+			m.mu.Unlock()
+			return nil, notJournaled(err)
+		}
+	}
 	ms := &ManagedSession{
 		name:     name,
 		mgr:      m,
@@ -182,14 +195,11 @@ func (m *SessionManager) Create(name string) (*ManagedSession, error) {
 		// reservation and shut the fresh session down immediately instead.
 		delete(m.sessions, key)
 		m.mu.Unlock()
-		ms.shutdown()
+		_ = ms.shutdown() // the caller learns ErrSessionClosed either way
 		return nil, ErrSessionClosed
 	}
 	m.sessions[key] = ms
 	m.mu.Unlock()
-	if j := m.cfg.Journal; j != nil {
-		j.SessionCreated(name)
-	}
 	return ms, nil
 }
 
@@ -263,7 +273,7 @@ func (m *SessionManager) Restore(name string, prepared map[string]string, querie
 	if m.closed {
 		delete(m.sessions, key)
 		m.mu.Unlock()
-		ms.shutdown()
+		_ = ms.shutdown() // the caller learns ErrSessionClosed either way
 		return nil, ErrSessionClosed
 	}
 	m.sessions[key] = ms
@@ -280,7 +290,9 @@ func (m *SessionManager) Get(name string) (*ManagedSession, bool) {
 }
 
 // CloseSession cancels the session's queries, runs the OnClose hook, and
-// removes it from the manager.
+// removes it from the manager. The session is gone even when the journal
+// refuses the close (the error wraps core.ErrNotJournaled); a restart then
+// restores it.
 func (m *SessionManager) CloseSession(name string) error {
 	key := strings.ToLower(name)
 	m.mu.Lock()
@@ -292,8 +304,7 @@ func (m *SessionManager) CloseSession(name string) error {
 	if !ok || ms == nil {
 		return fmt.Errorf("cql: unknown session %q", name)
 	}
-	ms.shutdown()
-	return nil
+	return ms.shutdown()
 }
 
 // SessionCount returns the number of live sessions (a metrics gauge).
@@ -342,7 +353,9 @@ func (m *SessionManager) Close() {
 		}
 		m.mu.Unlock()
 		for _, ms := range all {
-			ms.shutdown()
+			// Shutting down regardless: a close the journal refused
+			// restores the session at the next boot, as a crash would.
+			_ = ms.shutdown()
 		}
 	})
 }
@@ -384,7 +397,7 @@ func (m *SessionManager) sweepIdle(now time.Time) {
 	}
 	m.mu.Unlock()
 	for _, ms := range expired {
-		ms.shutdown()
+		_ = ms.shutdown() // as in Close: a refused close restores the session at the next boot
 	}
 	if sp != nil {
 		if len(expired) == 0 {
@@ -458,16 +471,20 @@ func (ms *ManagedSession) Prepare(name, src string) error {
 		return errors.New("cql: empty statement")
 	}
 	ms.meta.Lock()
-	if ms.closed {
-		ms.meta.Unlock()
+	closed := ms.closed
+	ms.meta.Unlock()
+	if closed {
 		return ErrSessionClosed
 	}
+	if j := ms.mgr.cfg.Journal; j != nil {
+		if err := j.StatementPrepared(ms.name, strings.ToLower(name), src); err != nil {
+			return notJournaled(err)
+		}
+	}
+	ms.meta.Lock()
 	ms.lastUsed = time.Now()
 	ms.prepared[strings.ToLower(name)] = preparedStmt{stmts: stmts, src: src}
 	ms.meta.Unlock()
-	if j := ms.mgr.cfg.Journal; j != nil {
-		j.StatementPrepared(ms.name, strings.ToLower(name), src)
-	}
 	return nil
 }
 
@@ -525,8 +542,16 @@ func (ms *ManagedSession) launch(stmts []Statement, src string) (*Query, error) 
 	if j := ms.mgr.cfg.Journal; j != nil {
 		// Journaled before the goroutine starts: a crash at any later point
 		// finds a started event, so the handle is resurrected as
-		// "recovered" rather than vanishing.
-		j.QueryStarted(ms.name, q.id, src)
+		// "recovered" rather than vanishing. A refused append withdraws the
+		// handle before any client learned its id.
+		if err := j.QueryStarted(ms.name, q.id, src); err != nil {
+			ms.meta.Lock()
+			delete(ms.queries, q.id)
+			ms.running--
+			ms.meta.Unlock()
+			q.cancel()
+			return nil, notJournaled(err)
+		}
 	}
 	go ms.run(q, stmts)
 	return q, nil
@@ -618,7 +643,10 @@ func (ms *ManagedSession) run(q *Query, stmts []Statement) {
 	ms.lastUsed = time.Now()
 	ms.meta.Unlock()
 	if j := ms.mgr.cfg.Journal; j != nil {
-		j.QueryFinished(ms.name, q.id, q.Status())
+		// Nothing to undo and nobody to tell: the handle is already
+		// terminal, and a lost finished record only makes a restart report
+		// the query as recovered.
+		_ = j.QueryFinished(ms.name, q.id, q.Status())
 	}
 	if hook := ms.mgr.cfg.OnQueryDone; hook != nil {
 		hook(q.Status(), time.Since(q.started))
@@ -667,13 +695,14 @@ func (ms *ManagedSession) CancelQuery(id string) (*Query, bool) {
 	return q, true
 }
 
-// shutdown cancels every query, waits for them to unwind, and runs the
-// OnClose hook with the session quiesced.
-func (ms *ManagedSession) shutdown() {
+// shutdown cancels every query, waits for them to unwind, runs the OnClose
+// hook with the session quiesced, and journals the close, returning the
+// journal's refusal.
+func (ms *ManagedSession) shutdown() error {
 	ms.meta.Lock()
 	if ms.closed {
 		ms.meta.Unlock()
-		return
+		return nil
 	}
 	ms.closed = true
 	qs := make([]*Query, 0, len(ms.queries))
@@ -697,8 +726,11 @@ func (ms *ManagedSession) shutdown() {
 		// re-restores the session on top of its saved catalog, which is
 		// merely redundant; the reverse order could mark a session closed
 		// whose catalog was never saved.
-		j.SessionClosed(ms.name)
+		if err := j.SessionClosed(ms.name); err != nil {
+			return notJournaled(err)
+		}
 	}
+	return nil
 }
 
 // QueryStatus is a query handle's lifecycle state.

@@ -69,8 +69,10 @@ func (ri *RecoveryInfo) Empty() bool {
 // suffix was never acknowledged.
 //
 // Recovery restores the snapshot straight into the pool's shards, one per
-// configured segment, then replays every WAL segment file found in the
-// directory — including
+// configured segment, each on its own goroutine decoding its own section of
+// pool.snap (or, when the snapshot was cut with another shard count, taking
+// its tasks from every section), then replays every WAL segment file found
+// in the directory — including
 // files from a previous layout with a different segment count, whose
 // events are re-routed to their current owners — as a three-step pipeline:
 // the files are decoded in parallel, merged by sequence number on one
@@ -106,16 +108,16 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		pools[i] = core.NewPool()
 	}
 
-	snap, err := loadSnapshot(dir)
+	snap, found, err := readSnapshot(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap != nil {
+	if found {
 		if err := s.restoreSnapshot(snap, pools); err != nil {
 			return nil, nil, err
 		}
 		info.SnapshotLoaded = true
-		info.SnapshotSeq = snap.LastSeq
+		info.SnapshotSeq = s.snapSeq
 	}
 	info.SnapshotLoad = time.Since(start)
 
@@ -171,18 +173,6 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		go s.snapshotter()
 	}
 	return s, info, nil
-}
-
-// restoreSnapshot loads a snapshot image into a fresh store: the cross-task
-// state here, the pool state straight into the pool shards.
-func (s *Store) restoreSnapshot(snap *Snapshot, pools []*core.Pool) error {
-	s.seq, s.snapSeq = snap.LastSeq, snap.LastSeq
-	s.repSpent = snap.BudgetSpent
-	for w, t := range snap.Screen {
-		s.repScreen[w] = t
-	}
-	s.repCQL = snap.restoreCQL()
-	return snap.restoreInto(pools)
 }
 
 // walFile is one WAL segment file found in the data directory and, once

@@ -253,9 +253,12 @@ func TestRecoveryEquivalence(t *testing.T) {
 			var halfway func()
 			if overlap {
 				halfway = func() {
-					snap := s.currentSnapshot()
-					snapSeq = snap.LastSeq
-					if err := writeSnapshot(master, snap); err != nil {
+					snap, err := s.currentSnapshot()
+					if err == nil {
+						snapSeq = snap.LastSeq
+						err = writeSnapshot(master, snap)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -1,12 +1,18 @@
 package durable
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 )
@@ -18,24 +24,73 @@ import (
 // never a partial one.
 const snapName = "pool.snap"
 
-// Snapshot is the durable image of the pool and the cross-task state as of
-// LastSeq. Recovery loads it and replays only WAL events with Seq >
-// LastSeq, which makes a crash between snapshot publication and WAL
-// truncation harmless (the overlapping records are skipped, not
-// double-applied).
-type Snapshot struct {
-	Format      int                         `json:"format"`
-	LastSeq     uint64                      `json:"last_seq"`
-	Tasks       []TaskRecord                `json:"tasks"`
-	Closed      []core.TaskID               `json:"closed,omitempty"`
-	Answers     []AnswerRecord              `json:"answers,omitempty"`
-	Leases      []LeaseRecord               `json:"leases,omitempty"`
-	BudgetSpent float64                     `json:"budget_spent"`
-	Screen      map[string]core.ScreenTally `json:"screen,omitempty"`
-	// CQL captures the query service's open sessions and in-flight crowd
-	// questions (omitted when the service journaled nothing, so snapshots
-	// from deployments without CrowdQL are byte-identical to format 1).
-	CQL *CQLSnapshot `json:"cql,omitempty"`
+// Snapshot format 2 is binary, so that recovery can decode it on every
+// core:
+//
+//	"CKSNAP" | uint16 LE format (2)
+//	frame: the cross-task section, JSON (snapCross)
+//	frame: pool shard 0's section
+//	...
+//	frame: pool shard Shards−1's section, then end of file
+//
+// Every frame is the WAL's [u32 length][u32 CRC32][payload], so every
+// section is checksummed on its own. A shard section is a worker-ID table
+// followed by the shard's task records:
+//
+//	uvarint workers, then each worker as uvarint length + bytes
+//	uvarint tasks, then each task as varint ID, u32 LE record length, record
+//
+// and a record is the task's fields, its answers in arrival order (the
+// worker as an index into the table) and its leases:
+//
+//	varint kind | string question | uvarint options, strings | byte flags |
+//	[f64 difficulty] | varint ground truth | [string truth text] | [f64 truth score] |
+//	uvarint answers, each: uvarint worker | varint option | byte flags |
+//	                       [string text] [f64 score] [f64 submitted] [f64 latency] |
+//	uvarint leases, each:  uvarint worker | varint deadline (Unix ns)
+//
+// Floats travel as their raw IEEE bits, present only when a flag bit says
+// so (a zero value is left out). Tasks are in the order format 1 listed
+// them: insertion order from a single shard, ascending ID within each of
+// several, so either format restores pools that iterate identically.
+//
+// A file that starts with '{' is a format-1 snapshot (one JSON Snapshot
+// document), which Open still reads; nothing writes it any more.
+const (
+	snapMagic  = "CKSNAP"
+	snapFormat = 2
+	snapHeader = len(snapMagic) + 2
+)
+
+// Task record flags.
+const (
+	snapGolden = 1 << iota
+	snapClosed
+	snapDifficulty
+	snapTruthText
+	snapTruthScore
+	snapTaskFlags = 1<<iota - 1
+)
+
+// Answer record flags.
+const (
+	snapText = 1 << iota
+	snapScore
+	snapSubmitted
+	snapLatency
+	snapAnswerFlags = 1<<iota - 1
+)
+
+// snapCross is the cross-task section of a format-2 snapshot: the log
+// position the image covers, the budget spend bit for bit, the number of
+// shard sections that follow, and the golden-screen tallies and CrowdQL
+// ledger, which are small enough to stay JSON.
+type snapCross struct {
+	LastSeq   uint64                      `json:"last_seq"`
+	SpentBits uint64                      `json:"spent_bits"`
+	Shards    int                         `json:"shards"`
+	Screen    map[string]core.ScreenTally `json:"screen,omitempty"`
+	CQL       *CQLSnapshot                `json:"cql,omitempty"`
 }
 
 // CQLSnapshot is the snapshot image of the CrowdQL ledger.
@@ -59,112 +114,476 @@ type CQLQuestionSnap struct {
 	Refunded float64     `json:"refunded,omitempty"`
 }
 
-// snapshotFormat is the current layout version; Open rejects snapshots
-// from a future format instead of misreading them.
-const snapshotFormat = 1
+// snapImage is an encoded format-2 snapshot: the file header with the
+// cross-task frame, then one frame per pool shard, to be written in order.
+type snapImage struct {
+	LastSeq uint64
+	parts   [][]byte
+}
 
-// buildSnapshot serializes the pool shards and the cross-task state. Tasks
-// go out in insertion order from a single shard and in ascending ID order
-// across several; answers keep that task order, then arrival order, so a
-// pool rebuilt from the snapshot iterates identically to the original.
-// Leases are sorted by (task, worker).
-func buildSnapshot(pools []*core.Pool, spent float64, screen map[string]core.ScreenTally, lastSeq uint64, cql *cqlReplica) *Snapshot {
-	s := &Snapshot{
-		Format:      snapshotFormat,
-		LastSeq:     lastSeq,
-		BudgetSpent: spent,
+// encodeSnapshot encodes the store's state as of s.seq straight from the
+// pool shards, one goroutine per shard. The caller is inside
+// consistentCut, so nothing mutates the pools or the cross-task state
+// while the goroutines read them.
+func (s *Store) encodeSnapshot(pools []*core.Pool) (*snapImage, error) {
+	cross, err := json.Marshal(&snapCross{
+		LastSeq:   s.seq,
+		SpentBits: math.Float64bits(s.repSpent),
+		Shards:    len(pools),
+		Screen:    s.repScreen,
+		CQL:       s.repCQL.snapshot(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("durable: encoding snapshot: %w", err)
 	}
-	for _, id := range core.TaskIDsOf(pools) {
-		p := pools[core.ShardIndex(id, len(pools))]
-		s.Tasks = append(s.Tasks, *taskRecord(p.Task(id)))
+	head := binary.LittleEndian.AppendUint16([]byte(snapMagic), snapFormat)
+	img := &snapImage{LastSeq: s.seq, parts: make([][]byte, 1+len(pools))}
+	img.parts[0] = appendFrame(head, cross)
+	err = inParallel(len(pools), func(i int) (err error) {
+		img.parts[1+i], err = encodeShard(pools[i], len(pools) > 1)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// encodeShard encodes one pool shard as a framed format-2 section; see the
+// layout above. ascending lists the tasks by ID instead of insertion order.
+func encodeShard(p *core.Pool, ascending bool) ([]byte, error) {
+	ids := p.TaskIDs()
+	if ascending {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+	}
+	leases := make(map[core.TaskID][]core.Lease)
+	for _, l := range p.Leases() {
+		leases[l.Task] = append(leases[l.Task], l)
+	}
+	var names []string
+	index := make(map[string]uint64)
+	worker := func(b []byte, w string) []byte {
+		i, ok := index[w]
+		if !ok {
+			i = uint64(len(names))
+			index[w] = i
+			names = append(names, w)
+		}
+		return binary.AppendUvarint(b, i)
+	}
+
+	body := make([]byte, 0, 64*len(ids)+4*p.TotalAnswers())
+	body = binary.AppendUvarint(body, uint64(len(ids)))
+	for _, id := range ids {
+		t := p.Task(id)
+		body = binary.AppendVarint(body, int64(id))
+		at := len(body)
+		body = append(body, 0, 0, 0, 0)
+
+		flags := floatFlag(t.Difficulty, snapDifficulty) | floatFlag(t.GroundTruthScore, snapTruthScore)
+		if t.Golden {
+			flags |= snapGolden
+		}
 		if p.Closed(id) {
-			s.Closed = append(s.Closed, id)
+			flags |= snapClosed
 		}
-		for _, a := range p.Answers(id) {
-			s.Answers = append(s.Answers, *answerRecord(a))
+		if t.GroundTruthText != "" {
+			flags |= snapTruthText
 		}
-	}
-	for _, l := range core.LeasesOf(pools) {
-		s.Leases = append(s.Leases, *leaseRecord(l))
-	}
-	if len(screen) > 0 {
-		s.Screen = make(map[string]core.ScreenTally, len(screen))
-		for w, t := range screen {
-			s.Screen[w] = t
+		body = binary.AppendVarint(body, int64(t.Kind))
+		body = appendString(body, t.Question)
+		body = binary.AppendUvarint(body, uint64(len(t.Options)))
+		for _, o := range t.Options {
+			body = appendString(body, o)
 		}
-	}
-	if cql != nil && (len(cql.sessions) > 0 || len(cql.questions) > 0) {
-		cs := &CQLSnapshot{}
-		for _, sess := range cql.sessions {
-			snap := CQLSessionSnap{Name: sess.Name}
-			if len(sess.Prepared) > 0 {
-				snap.Prepared = make(map[string]string, len(sess.Prepared))
-				for k, v := range sess.Prepared {
-					snap.Prepared[k] = v
-				}
+		body = append(body, flags)
+		body = appendOptFloat(body, t.Difficulty)
+		body = binary.AppendVarint(body, int64(t.GroundTruth))
+		if flags&snapTruthText != 0 {
+			body = appendString(body, t.GroundTruthText)
+		}
+		body = appendOptFloat(body, t.GroundTruthScore)
+
+		answers := p.Answers(id)
+		body = binary.AppendUvarint(body, uint64(len(answers)))
+		for i := range answers {
+			a := &answers[i]
+			body = worker(body, a.Worker)
+			body = binary.AppendVarint(body, int64(a.Option))
+			af := floatFlag(a.Score, snapScore) | floatFlag(a.Submitted, snapSubmitted) | floatFlag(a.Latency, snapLatency)
+			if a.Text != "" {
+				af |= snapText
 			}
-			if len(sess.Running) > 0 {
-				snap.Running = make(map[string]string, len(sess.Running))
-				for k, v := range sess.Running {
-					snap.Running[k] = v
-				}
+			body = append(body, af)
+			if af&snapText != 0 {
+				body = appendString(body, a.Text)
 			}
-			cs.Sessions = append(cs.Sessions, snap)
+			body = appendOptFloat(body, a.Score)
+			body = appendOptFloat(body, a.Submitted)
+			body = appendOptFloat(body, a.Latency)
 		}
-		sort.Slice(cs.Sessions, func(i, j int) bool { return cs.Sessions[i].Name < cs.Sessions[j].Name })
-		for _, q := range cql.questions {
-			cs.Questions = append(cs.Questions, CQLQuestionSnap{
-				Task: q.Task, Reserved: q.Reserved, Refunded: q.Refunded,
-			})
+		ls := leases[id]
+		body = binary.AppendUvarint(body, uint64(len(ls)))
+		for _, l := range ls {
+			body = worker(body, l.Worker)
+			body = binary.AppendVarint(body, l.Deadline.UnixNano())
 		}
-		sort.Slice(cs.Questions, func(i, j int) bool { return cs.Questions[i].Task < cs.Questions[j].Task })
-		s.CQL = cs
+		binary.LittleEndian.PutUint32(body[at:], uint32(len(body)-at-4))
 	}
-	return s
+
+	table := binary.AppendUvarint(nil, uint64(len(names)))
+	for _, w := range names {
+		table = appendString(table, w)
+	}
+	if n := len(table) + len(body); n > math.MaxUint32 {
+		return nil, fmt.Errorf("durable: encoding snapshot: a shard section of %d bytes does not fit its frame", n)
+	}
+	return appendFrame(nil, table, body), nil
 }
 
-// restoreCQL rebuilds the CrowdQL replica from the snapshot's CQL section
-// (an empty replica when the section is absent).
-func (s *Snapshot) restoreCQL() cqlReplica {
-	var r cqlReplica
-	if s.CQL == nil {
-		return r
-	}
-	for i := range s.CQL.Sessions {
-		snap := &s.CQL.Sessions[i]
-		st := r.session(snap.Name)
-		for k, v := range snap.Prepared {
-			st.Prepared[k] = v
-		}
-		for k, v := range snap.Running {
-			st.Running[k] = v
-		}
-	}
-	for i := range s.CQL.Questions {
-		q := s.CQL.Questions[i]
-		if r.questions == nil {
-			r.questions = make(map[core.TaskID]*CQLQuestionState)
-		}
-		r.questions[q.Task] = &CQLQuestionState{Task: q.Task, Reserved: q.Reserved, Refunded: q.Refunded}
-	}
-	return r
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// restoreInto rebuilds the pool state straight into the pool shards, one
-// goroutine per shard: each adds the tasks, answers, leases and closes it
-// owns, in snapshot order, so a shard iterates as the matching slice of
-// the snapshotted pool did. Closed tasks are
-// closed only after their answers are recorded, matching the original
-// event order well enough for replay (answers for closed tasks were
-// recorded before the close).
-func (s *Snapshot) restoreInto(reps []*core.Pool) error {
-	errs := make([]error, len(reps))
+// floatFlag returns flag when f has bits to write: a float equal to +0.0
+// is left out of the record and its flag bit stays clear.
+func floatFlag(f float64, flag byte) byte {
+	if math.Float64bits(f) == 0 {
+		return 0
+	}
+	return flag
+}
+
+// appendOptFloat appends f's raw bits unless floatFlag leaves it out.
+func appendOptFloat(b []byte, f float64) []byte {
+	if math.Float64bits(f) == 0 {
+		return b
+	}
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// errSnapMalformed marks a section whose checksum verified but whose
+// contents do not parse.
+var errSnapMalformed = errors.New("malformed record")
+
+// snapReader reads the fields of a format-2 section. The first malformed
+// field sets err and empties the input, so every later read returns a zero
+// value and callers check err once per record.
+type snapReader struct {
+	b   []byte
+	err error
+}
+
+func (r *snapReader) fail() {
+	if r.err == nil {
+		r.err = errSnapMalformed
+	}
+	r.b = nil
+}
+
+func (r *snapReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *snapReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// next consumes n bytes.
+func (r *snapReader) next(n int) []byte {
+	if n < 0 || n > len(r.b) {
+		r.fail()
+		return nil
+	}
+	b := r.b[:n:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *snapReader) byte() byte {
+	if b := r.next(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// optFloat reads a float whose flag bit is set in present; it is 0 when
+// the bit is clear.
+func (r *snapReader) optFloat(present byte) float64 {
+	if present == 0 {
+		return 0
+	}
+	if b := r.next(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+func (r *snapReader) u32() int {
+	if b := r.next(4); b != nil {
+		return int(binary.LittleEndian.Uint32(b))
+	}
+	return 0
+}
+
+func (r *snapReader) str() string { return string(r.next(r.count(1))) }
+
+// count reads an element count and rejects one the rest of the input
+// cannot hold at minSize bytes per element, so no count makes the decoder
+// allocate or loop beyond what its input justifies.
+func (r *snapReader) count(minSize int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/minSize) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// snapSection is one pool shard's section of a format-2 snapshot: its
+// worker table and its task records, each still undecoded.
+type snapSection struct {
+	shard   int
+	workers []string
+	tasks   []snapRecord
+}
+
+// snapRecord is one task record of a section.
+type snapRecord struct {
+	id  core.TaskID
+	sec *snapSection
+	rec []byte
+}
+
+// parseSection reads the worker table and splits off the task records of
+// the section that shard `shard` of `of` wrote, checking that the shard
+// owns every task in it.
+func parseSection(shard, of int, payload []byte) (*snapSection, error) {
+	r := snapReader{b: payload}
+	sec := &snapSection{shard: shard, workers: make([]string, r.count(1))}
+	for i := range sec.workers {
+		sec.workers[i] = r.str()
+	}
+	sec.tasks = make([]snapRecord, r.count(5)) // a varint ID and a u32 length at least
+	for i := range sec.tasks {
+		id := core.TaskID(r.varint())
+		sec.tasks[i] = snapRecord{id: id, sec: sec, rec: r.next(r.u32())}
+		if r.err == nil && core.ShardIndex(id, of) != shard {
+			r.fail()
+		}
+	}
+	if len(r.b) != 0 {
+		r.fail() // bytes after the last record
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("durable: snapshot corrupt: shard %d section: %w", shard, r.err)
+	}
+	return sec, nil
+}
+
+// restoreTask decodes one task record and replays it into p through the
+// pool's validating calls: Add, Record for each answer in arrival order,
+// Lease for each lease, and Close last — answers and leases of a closed
+// task were taken while it was open.
+func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) error {
+	r := snapReader{b: rec}
+	malformed := func() error {
+		return fmt.Errorf("durable: snapshot corrupt: shard %d section, task %d: %w", sec.shard, id, r.err)
+	}
+	worker := func() string {
+		i := r.uvarint()
+		if i >= uint64(len(sec.workers)) {
+			r.fail()
+			return ""
+		}
+		return sec.workers[i]
+	}
+	t := &core.Task{ID: id, Kind: core.TaskKind(r.varint()), Question: r.str()}
+	if n := r.count(1); n > 0 {
+		t.Options = make([]string, n)
+		for i := range t.Options {
+			t.Options[i] = r.str()
+		}
+	}
+	flags := r.byte()
+	t.Golden = flags&snapGolden != 0
+	t.Difficulty = r.optFloat(flags & snapDifficulty)
+	t.GroundTruth = int(r.varint())
+	if flags&snapTruthText != 0 {
+		t.GroundTruthText = r.str()
+	}
+	t.GroundTruthScore = r.optFloat(flags & snapTruthScore)
+	if flags&^snapTaskFlags != 0 {
+		r.fail()
+	}
+	if r.err != nil {
+		return malformed()
+	}
+	if got, err := p.Add(t); err != nil {
+		return fmt.Errorf("durable: snapshot task %d: %w", id, err)
+	} else if got != id {
+		return fmt.Errorf("durable: snapshot corrupt: task %d appears twice", id)
+	}
+
+	for n := r.count(3); n > 0 && r.err == nil; n-- {
+		a := core.Answer{Task: id, Worker: worker(), Option: int(r.varint())}
+		af := r.byte()
+		if af&snapText != 0 {
+			a.Text = r.str()
+		}
+		a.Score = r.optFloat(af & snapScore)
+		a.Submitted = r.optFloat(af & snapSubmitted)
+		a.Latency = r.optFloat(af & snapLatency)
+		if af&^snapAnswerFlags != 0 {
+			r.fail()
+		}
+		if r.err != nil {
+			break
+		}
+		if err := p.Record(a); err != nil {
+			return fmt.Errorf("durable: snapshot answer: %w", err)
+		}
+	}
+	for n := r.count(2); n > 0 && r.err == nil; n-- {
+		w, deadline := worker(), r.varint()
+		if r.err != nil {
+			break
+		}
+		if err := p.Lease(id, w, time.Unix(0, deadline)); err != nil {
+			return fmt.Errorf("durable: snapshot lease: %w", err)
+		}
+	}
+	if len(r.b) != 0 {
+		r.fail() // bytes after the record's last field
+	}
+	if r.err != nil {
+		return malformed()
+	}
+	if flags&snapClosed != 0 {
+		p.Close(id)
+	}
+	return nil
+}
+
+// restoreSnapshot loads a snapshot file's contents into a fresh store: the
+// cross-task state here, the pool state straight into the pool shards, one
+// goroutine per shard. Format 1 is recognised by its leading '{'. A
+// snapshot is all-or-nothing: any corrupt, truncated or unknown-format
+// input is an error, and the store that got a partial restore is dropped.
+func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
+	decode := decodeSnapshot
+	if len(data) > 0 && data[0] == '{' {
+		decode = decodeFormat1
+	}
+	cross, restore, err := decode(data, len(pools))
+	if err != nil {
+		return err
+	}
+	s.seq, s.snapSeq = cross.LastSeq, cross.LastSeq
+	s.repSpent = math.Float64frombits(cross.SpentBits)
+	for w, t := range cross.Screen {
+		s.repScreen[w] = t
+	}
+	s.repCQL = restoreCQL(cross.CQL)
+	return inParallel(len(pools), func(si int) error { return restore(pools[si], si) })
+}
+
+// restoreFunc rebuilds shard si of the store's pool from a decoded
+// snapshot; restoreSnapshot runs one per shard, concurrently.
+type restoreFunc func(p *core.Pool, si int) error
+
+// decodeSnapshot checks a format-2 file's header and every section's
+// checksum, decodes the cross-task section, and splits each shard section
+// into its worker table and task records, for a store of n shards.
+//
+// A snapshot written with n shards hands each shard its own section.
+// Otherwise every shard walks all records — in file order from a single
+// section, by ascending ID from several, the order format 1 listed tasks
+// in — and restores the ones it owns.
+func decodeSnapshot(data []byte, n int) (*snapCross, restoreFunc, error) {
+	if len(data) < snapHeader || string(data[:len(snapMagic)]) != snapMagic {
+		return nil, nil, errors.New("durable: snapshot corrupt: not a pool snapshot")
+	}
+	if f := binary.LittleEndian.Uint16(data[len(snapMagic):]); f != snapFormat {
+		if f > snapFormat {
+			return nil, nil, fmt.Errorf("durable: snapshot format %d is newer than this binary supports (%d)", f, snapFormat)
+		}
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: unknown format %d", f)
+	}
+	payload, rest, ok := splitFrame(data[snapHeader:], math.MaxUint32)
+	if !ok {
+		return nil, nil, errors.New("durable: snapshot corrupt: cross-task section fails its checksum")
+	}
+	var cross snapCross
+	if err := json.Unmarshal(payload, &cross); err != nil {
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: cross-task section: %w", err)
+	}
+	if cross.Shards < 1 || cross.Shards > len(rest)/frameHeader {
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: %d shard sections in %d bytes", cross.Shards, len(rest))
+	}
+	secs := make([]*snapSection, cross.Shards)
+	for i := range secs {
+		if payload, rest, ok = splitFrame(rest, math.MaxUint32); !ok {
+			return nil, nil, fmt.Errorf("durable: snapshot corrupt: shard %d section is truncated or fails its checksum", i)
+		}
+		var err error
+		if secs[i], err = parseSection(i, len(secs), payload); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: %d bytes after the last section", len(rest))
+	}
+
+	var all []snapRecord
+	if len(secs) != n {
+		for _, sec := range secs {
+			all = append(all, sec.tasks...)
+		}
+		if len(secs) > 1 {
+			slices.SortStableFunc(all, func(a, b snapRecord) int { return cmp.Compare(a.id, b.id) })
+		}
+	}
+	return &cross, func(p *core.Pool, si int) error {
+		recs := all
+		if len(secs) == n {
+			recs = secs[si].tasks
+		}
+		for _, r := range recs {
+			if core.ShardIndex(r.id, n) != si {
+				continue
+			}
+			if err := r.sec.restoreTask(p, r.id, r.rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil
+}
+
+// inParallel runs fn(0), …, fn(n−1) on a goroutine each and returns the
+// error of the lowest i that failed.
+func inParallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for si, rep := range reps {
+	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[si] = s.restoreSegment(rep, si, len(reps))
+			errs[i] = fn(i)
 		}()
 	}
 	wg.Wait()
@@ -176,8 +595,149 @@ func (s *Snapshot) restoreInto(reps []*core.Pool) error {
 	return nil
 }
 
+// snapshot returns the replica's snapshot image, sessions sorted by name
+// and questions by task, or nil when the service journaled nothing.
+func (r *cqlReplica) snapshot() *CQLSnapshot {
+	if len(r.sessions) == 0 && len(r.questions) == 0 {
+		return nil
+	}
+	cs := &CQLSnapshot{}
+	for _, sess := range r.sessions {
+		cs.Sessions = append(cs.Sessions, CQLSessionSnap{Name: sess.Name, Prepared: sess.Prepared, Running: sess.Running})
+	}
+	sort.Slice(cs.Sessions, func(i, j int) bool { return cs.Sessions[i].Name < cs.Sessions[j].Name })
+	for _, q := range r.questions {
+		cs.Questions = append(cs.Questions, CQLQuestionSnap{
+			Task: q.Task, Reserved: q.Reserved, Refunded: q.Refunded,
+		})
+	}
+	sort.Slice(cs.Questions, func(i, j int) bool { return cs.Questions[i].Task < cs.Questions[j].Task })
+	return cs
+}
+
+// restoreCQL rebuilds the CrowdQL replica from a snapshot image (an empty
+// replica when the snapshot holds none).
+func restoreCQL(cs *CQLSnapshot) cqlReplica {
+	var r cqlReplica
+	if cs == nil {
+		return r
+	}
+	for i := range cs.Sessions {
+		snap := &cs.Sessions[i]
+		st := r.session(snap.Name)
+		for k, v := range snap.Prepared {
+			st.Prepared[k] = v
+		}
+		for k, v := range snap.Running {
+			st.Running[k] = v
+		}
+	}
+	for _, q := range cs.Questions {
+		if r.questions == nil {
+			r.questions = make(map[core.TaskID]*CQLQuestionState)
+		}
+		r.questions[q.Task] = &CQLQuestionState{Task: q.Task, Reserved: q.Reserved, Refunded: q.Refunded}
+	}
+	return r
+}
+
+// syncDir fsyncs a directory, making a rename inside it survive a power
+// loss. Tests replace it to inject a failure.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// writeSnapshot atomically replaces dir/pool.snap. It returns an error
+// unless the new file and its directory entry are both on stable storage:
+// the caller truncates the WAL on success, and a rename lost to a power
+// loss behind a truncation that survived it would lose acked answers.
+func writeSnapshot(dir string, img *snapImage) error {
+	tmp, err := os.CreateTemp(dir, snapName+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("durable: snapshot temp file: %w", err)
+	}
+	tmpName := tmp.Name()
+	cleanup := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	for _, part := range img.parts {
+		if _, err := tmp.Write(part); err != nil {
+			return cleanup(fmt.Errorf("durable: writing snapshot: %w", err))
+		}
+	}
+	if err := tmp.Sync(); err != nil {
+		return cleanup(fmt.Errorf("durable: syncing snapshot: %w", err))
+	}
+	if err := tmp.Close(); err != nil {
+		return cleanup(fmt.Errorf("durable: closing snapshot: %w", err))
+	}
+	if err := os.Rename(tmpName, filepath.Join(dir, snapName)); err != nil {
+		return cleanup(fmt.Errorf("durable: publishing snapshot: %w", err))
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("durable: syncing data dir after publishing snapshot: %w", err)
+	}
+	return nil
+}
+
+// readSnapshot returns the contents of dir/pool.snap; found is false when
+// no snapshot has been published yet.
+func readSnapshot(dir string) (data []byte, found bool, err error) {
+	data, err = os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, false, nil
+		}
+		return nil, false, fmt.Errorf("durable: reading snapshot: %w", err)
+	}
+	return data, true, nil
+}
+
+// Snapshot is a format-1 snapshot, the one JSON document that builds
+// before format 2 wrote to pool.snap: the pool and the cross-task state as
+// of LastSeq. Open still reads it, so their data directories open
+// unchanged; the next snapshot rewrites them as format 2.
+type Snapshot struct {
+	Format      int                         `json:"format"`
+	LastSeq     uint64                      `json:"last_seq"`
+	Tasks       []TaskRecord                `json:"tasks"`
+	Closed      []core.TaskID               `json:"closed,omitempty"`
+	Answers     []AnswerRecord              `json:"answers,omitempty"`
+	Leases      []LeaseRecord               `json:"leases,omitempty"`
+	BudgetSpent float64                     `json:"budget_spent"`
+	Screen      map[string]core.ScreenTally `json:"screen,omitempty"`
+	CQL         *CQLSnapshot                `json:"cql,omitempty"`
+}
+
+// decodeFormat1 decodes a format-1 snapshot for a store of n shards; each
+// shard then takes its share of the document in document order.
+func decodeFormat1(data []byte, n int) (*snapCross, restoreFunc, error) {
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: %w", err)
+	}
+	if snap.Format > 1 {
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: a JSON snapshot of format %d (only format 1 is JSON)", snap.Format)
+	}
+	cross := &snapCross{
+		LastSeq:   snap.LastSeq,
+		SpentBits: math.Float64bits(snap.BudgetSpent),
+		Screen:    snap.Screen,
+		CQL:       snap.CQL,
+	}
+	return cross, func(p *core.Pool, si int) error { return snap.restoreSegment(p, si, n) }, nil
+}
+
 // restoreSegment restores the share of the snapshot that segment si of n
-// owns into p.
+// owns into p, in snapshot order, closing tasks only after their answers
+// and leases are in.
 func (s *Snapshot) restoreSegment(p *core.Pool, si, n int) error {
 	owns := func(id core.TaskID) bool { return core.ShardIndex(id, n) == si }
 	for i := range s.Tasks {
@@ -185,8 +745,10 @@ func (s *Snapshot) restoreSegment(p *core.Pool, si, n int) error {
 			continue
 		}
 		t := s.Tasks[i].task()
-		if _, err := p.Add(t); err != nil {
-			return fmt.Errorf("durable: snapshot task %d: %w", t.ID, err)
+		if got, err := p.Add(t); err != nil {
+			return fmt.Errorf("durable: snapshot task %d: %w", s.Tasks[i].ID, err)
+		} else if got != s.Tasks[i].ID {
+			return fmt.Errorf("durable: snapshot corrupt: task %d appears twice", s.Tasks[i].ID)
 		}
 	}
 	for i := range s.Answers {
@@ -212,60 +774,4 @@ func (s *Snapshot) restoreSegment(p *core.Pool, si, n int) error {
 		}
 	}
 	return nil
-}
-
-// writeSnapshot atomically replaces dir/pool.snap.
-func writeSnapshot(dir string, s *Snapshot) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("durable: encoding snapshot: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, snapName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("durable: snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(fmt.Errorf("durable: writing snapshot: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("durable: syncing snapshot: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("durable: closing snapshot: %w", err))
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, snapName)); err != nil {
-		return cleanup(fmt.Errorf("durable: publishing snapshot: %w", err))
-	}
-	// Sync the directory so the rename itself survives a power loss.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// loadSnapshot reads dir/pool.snap; a missing file means no snapshot has
-// been published yet (nil, nil).
-func loadSnapshot(dir string) (*Snapshot, error) {
-	data, err := os.ReadFile(filepath.Join(dir, snapName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("durable: reading snapshot: %w", err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("durable: snapshot corrupt: %w", err)
-	}
-	if s.Format > snapshotFormat {
-		return nil, fmt.Errorf("durable: snapshot format %d is newer than this binary supports (%d)", s.Format, snapshotFormat)
-	}
-	return &s, nil
 }

@@ -388,8 +388,13 @@ func (s *Store) snapshotLocked(pools []*core.Pool) error {
 	if s.seq == s.snapSeq {
 		return nil
 	}
-	snap := buildSnapshot(pools, s.repSpent, s.repScreen, s.seq, &s.repCQL)
-	if err := writeSnapshot(s.dir, snap); err != nil {
+	img, err := s.encodeSnapshot(pools)
+	if err == nil {
+		err = writeSnapshot(s.dir, img)
+	}
+	if err != nil {
+		// Nothing is truncated: the log still holds every record, and
+		// recovery skips whatever a published image already covers.
 		s.snapErrs.Inc()
 		return err
 	}
@@ -411,15 +416,14 @@ func (s *Store) snapshotLocked(pools []*core.Pool) error {
 	return nil
 }
 
-// currentSnapshot builds (but does not publish) a snapshot of the live
+// currentSnapshot encodes (but does not publish) a snapshot of the live
 // state; tests use it to simulate a crash between snapshot publication
 // and WAL truncation.
-func (s *Store) currentSnapshot() *Snapshot {
-	var snap *Snapshot
-	s.consistentCut(func(pools []*core.Pool) {
-		snap = buildSnapshot(pools, s.repSpent, s.repScreen, s.seq, &s.repCQL)
-	})
-	return snap
+func (s *Store) currentSnapshot() (*snapImage, error) {
+	var img *snapImage
+	var err error
+	s.consistentCut(func(pools []*core.Pool) { img, err = s.encodeSnapshot(pools) })
+	return img, err
 }
 
 // flusher batches fsyncs across all segments under FsyncInterval.

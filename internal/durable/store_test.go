@@ -405,7 +405,11 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := writeSnapshot(dir, s.currentSnapshot()); err != nil {
+	snap, err := s.currentSnapshot()
+	if err == nil {
+		err = writeSnapshot(dir, snap)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.Crash() // WAL still holds all 5 records

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +22,8 @@ import (
 // length, or checksum does not verify and reports how many trailing bytes
 // to discard; Open then truncates the file there, so the log ends on a
 // record boundary again and new appends cannot be corrupted by a stale
-// partial suffix.
+// partial suffix. Snapshot sections use the same frame (appendFrame,
+// splitFrame).
 const (
 	walName        = "wal.log"
 	frameHeader    = 8
@@ -163,14 +165,8 @@ func (w *wal) append(payload []byte) error {
 	if w.f == nil {
 		return fmt.Errorf("durable: append to closed WAL")
 	}
-	need := frameHeader + len(payload)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, 0, need*2)
-	}
-	frame := w.buf[:frameHeader]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := appendFrame(w.buf[:0], payload)
+	w.buf = frame
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("durable: WAL append: %w", err)
 	}
@@ -251,25 +247,48 @@ func readWAL(path string) (payloads [][]byte, validBytes int64, torn int64, err 
 		return nil, 0, 0, fmt.Errorf("durable: reading WAL: %w", err)
 	}
 	off := 0
-	for {
-		rest := len(data) - off
-		if rest == 0 {
-			return payloads, int64(off), 0, nil
-		}
-		if rest < frameHeader {
-			break // torn header
-		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n == 0 || n > maxRecordBytes || rest < frameHeader+n {
-			break // absurd length or torn payload
-		}
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.ChecksumIEEE(payload) != want {
-			break // corrupt payload
+	for off < len(data) {
+		payload, _, ok := splitFrame(data[off:], maxRecordBytes)
+		if !ok {
+			break
 		}
 		payloads = append(payloads, payload)
-		off += frameHeader + n
+		off += frameHeader + len(payload)
 	}
 	return payloads, int64(off), int64(len(data) - off), nil
+}
+
+// appendFrame appends one frame to dst whose payload is the concatenation
+// of parts.
+func appendFrame(dst []byte, parts ...[]byte) []byte {
+	n, crc := 0, uint32(0)
+	for _, p := range parts {
+		n += len(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	dst = slices.Grow(dst, frameHeader+n)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// splitFrame splits the frame at the start of b into its payload and the
+// bytes after it. ok is false when the header is torn, the length is zero
+// or above limit, the payload is torn, or its checksum does not match.
+func splitFrame(b []byte, limit uint32) (payload, rest []byte, ok bool) {
+	if len(b) < frameHeader {
+		return nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n == 0 || n > limit || uint64(n) > uint64(len(b)-frameHeader) {
+		return nil, nil, false
+	}
+	payload = b[frameHeader : frameHeader+int(n)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, nil, false
+	}
+	return payload, b[frameHeader+int(n):], true
 }

@@ -111,21 +111,29 @@ func (m *cqlMetrics) queryDone(status cql.QueryStatus, d time.Duration) {
 }
 
 // cqlJournal adapts the durable store to cql.SessionJournal: every
-// session-lifecycle transition becomes a WAL event. Append errors are
-// swallowed here — the store goes sticky-failed and the answer path (the
-// ack-gated one) surfaces it.
+// session-lifecycle transition becomes a WAL event, and a refused append
+// fails the transition (the handlers answer 500).
 type cqlJournal struct{ store *durable.Store }
 
-func (j cqlJournal) SessionCreated(name string) { _ = j.store.CQLSessionCreated(name) }
-func (j cqlJournal) SessionClosed(name string)  { _ = j.store.CQLSessionClosed(name) }
-func (j cqlJournal) StatementPrepared(session, name, src string) {
-	_ = j.store.CQLPrepared(session, name, src)
+func (j cqlJournal) SessionCreated(name string) error { return j.store.CQLSessionCreated(name) }
+func (j cqlJournal) SessionClosed(name string) error  { return j.store.CQLSessionClosed(name) }
+func (j cqlJournal) StatementPrepared(session, name, src string) error {
+	return j.store.CQLPrepared(session, name, src)
 }
-func (j cqlJournal) QueryStarted(session, qid, src string) {
-	_ = j.store.CQLQueryStarted(session, qid, src)
+func (j cqlJournal) QueryStarted(session, qid, src string) error {
+	return j.store.CQLQueryStarted(session, qid, src)
 }
-func (j cqlJournal) QueryFinished(session, qid string, status cql.QueryStatus) {
-	_ = j.store.CQLQueryFinished(session, qid, string(status))
+func (j cqlJournal) QueryFinished(session, qid string, status cql.QueryStatus) error {
+	return j.store.CQLQueryFinished(session, qid, string(status))
+}
+
+// cqlError answers a failed session operation: 500 when the journal
+// refused it, otherwise the caller's mistake with status code.
+func cqlError(w http.ResponseWriter, err error, code int) {
+	if errors.Is(err, core.ErrNotJournaled) {
+		code = http.StatusInternalServerError
+	}
+	httpError(w, code, err.Error())
 }
 
 // initCQL builds the gateway and session manager. Called by New once the
@@ -552,7 +560,7 @@ func (s *Server) handleCQLCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ms, err := s.cqlMgr.Create(dto.Session)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		cqlError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, CQLSessionDTO{Session: ms.Name(), Status: "created"})
@@ -569,7 +577,7 @@ func (s *Server) handleCQLList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCQLClose(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.cqlMgr.CloseSession(name); err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		cqlError(w, err, http.StatusNotFound)
 		return
 	}
 	writeJSON(w, CQLSessionDTO{Session: name, Status: "closed"})
@@ -585,7 +593,7 @@ func (s *Server) handleCQLPrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ms.Prepare(dto.Name, dto.Src); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		cqlError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, CQLSessionDTO{Session: ms.Name(), Status: "prepared"})
@@ -614,7 +622,7 @@ func (s *Server) handleCQLExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		cqlError(w, err, http.StatusBadRequest)
 		return
 	}
 	// Grace wait: machine statements finish in microseconds, so clients

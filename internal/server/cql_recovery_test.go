@@ -91,6 +91,48 @@ func TestCQLSessionsSurviveCrash(t *testing.T) {
 	}
 }
 
+// TestCQLRefusedAppendLeavesNothingBehind: once the store refuses appends,
+// creating a session, preparing a statement and executing a query answer
+// 500 and leave no session, statement or query handle that the log does
+// not hold; closing a session answers 500 too.
+func TestCQLRefusedAppendLeavesNothingBehind(t *testing.T) {
+	ts, srv, store, _, _ := durableCQLServer(t, t.TempDir(), t.TempDir(), 50)
+	cqlCreate(t, ts.URL, "live")
+	store.Crash()
+
+	if code := doJSON(t, "POST", ts.URL+"/api/cql/session", CQLSessionDTO{Session: "ghost"}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("create on a crashed store: status %d, want 500", code)
+	}
+	var list CQLSessionListDTO
+	if code := doJSON(t, "GET", ts.URL+"/api/cql/sessions", nil, &list); code != http.StatusOK {
+		t.Fatalf("list sessions: status %d", code)
+	}
+	if len(list.Sessions) != 1 || list.Sessions[0] != "live" {
+		t.Fatalf("sessions %v after a refused create, want [live]", list.Sessions)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/api/cql/session/live/prepare",
+		CQLExecuteDTO{Name: "p", Src: "CREATE TABLE t (id INT)"}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("prepare on a crashed store: status %d, want 500", code)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/api/cql/session/live/execute",
+		CQLExecuteDTO{Src: "CREATE TABLE t (id INT)"}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("execute on a crashed store: status %d, want 500", code)
+	}
+	ms, ok := srv.CQLSessions().Get("live")
+	if !ok {
+		t.Fatal("session live vanished")
+	}
+	if names := ms.PreparedNames(); len(names) != 0 {
+		t.Fatalf("prepared statements %v survive a refused prepare", names)
+	}
+	if _, ok := ms.Query("q1"); ok {
+		t.Fatal("a query handle survives a refused execute")
+	}
+	if code := doJSON(t, "DELETE", ts.URL+"/api/cql/session/live", nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("close on a crashed store: status %d, want 500", code)
+	}
+}
+
 // TestCQLCrashMidCrowdQueryReconcilesBudget is the budget-reconciliation
 // golden test from the issue: crash with a round of three questions open,
 // one of them at seen=1 of k=3, restart, and require /api/stats to match
