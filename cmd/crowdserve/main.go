@@ -14,8 +14,6 @@
 //	crowdserve -trace                            # span flight recorder + /api/trace endpoints
 //	crowdserve -trace -trace-sample 0.1          # keep errors/slow always, 10% of the rest
 //	crowdserve -shards 8                         # partition the pool into 8 task-hash shards
-//	crowdserve -results-warm=false               # cold-start EM on every /api/results recompute
-//	crowdserve -results-refresh 500ms            # refresh results in the background; polls never wait
 //	crowdserve -cql-dir ./cql                    # CrowdQL sessions on /api/cql, catalogs persisted in ./cql
 //
 // With -cql-dir, /api/cql exposes the CrowdQL query service: named
@@ -93,9 +91,7 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "random seed")
 		metrics = flag.Bool("metrics", false, "expose Prometheus metrics on /metrics and log requests")
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof (requires explicit opt-in)")
-		shards  = flag.Int("shards", runtime.GOMAXPROCS(0), "task-hash shards for the serving pool (and WAL segments with -data-dir); 1 = the unsharded server")
-		warm    = flag.Bool("results-warm", true, "seed /api/results EM from the previous converged state (false = cold start per recompute)")
-		refresh = flag.Duration("results-refresh", 0, "background results refresh interval; polls serve the last complete result immediately (0 = compute inline)")
+		shards  = flag.Int("shards", runtime.GOMAXPROCS(0), "task-hash shards for the serving pool (and WAL segments with -data-dir)")
 		dataDir = flag.String("data-dir", "", "directory for the write-ahead log and snapshots; answers survive a crash or restart (empty = in-memory only)")
 		cqlDir  = flag.String("cql-dir", "", "mount the CrowdQL query service under /api/cql, persisting session catalogs here (\"mem\" = mount without persistence)")
 		cqlTTL  = flag.Duration("cql-idle", 0, "close CrowdQL sessions idle for this long (with -cql-dir; 0 = only explicit close)")
@@ -119,8 +115,9 @@ func main() {
 
 	var store *durable.Store
 	pool := core.NewPool()
-	// served is where the served tasks can be read: pool, or the store's
-	// pool when the workload was recovered rather than seeded.
+	// served is where the served tasks can be read: the seed pool (whose
+	// task pointers the server's pool shares), or the store's pool when the
+	// workload was recovered rather than seeded.
 	var served interface {
 		Task(core.TaskID) *core.Task
 		Len() int
@@ -162,7 +159,7 @@ func main() {
 		}
 	}
 	if seedDemo {
-		// With a store, server.New adds these to the store's pool, which
+		// server.New adds these to the served pool, and with a store
 		// journals them.
 		for i := 0; i < *nTasks; i++ {
 			pool.MustAdd(&core.Task{
@@ -173,11 +170,7 @@ func main() {
 			})
 		}
 	}
-	opts := []server.Option{
-		server.WithShards(*shards),
-		server.WithResultsWarm(*warm),
-		server.WithResultsRefresh(*refresh),
-	}
+	opts := []server.Option{server.WithShards(*shards)}
 	if store != nil {
 		opts = append(opts, server.WithDurability(store))
 	}

@@ -504,7 +504,7 @@ func TestBudgetConcurrentTryCharge(t *testing.T) {
 }
 
 func TestConcurrentPoolDelegation(t *testing.T) {
-	cp := NewConcurrentPool(nil)
+	cp := newSharded(1)
 	v0 := cp.Version()
 	id, err := cp.Add(binaryTask(0, 1))
 	if err != nil {
@@ -531,32 +531,33 @@ func TestConcurrentPoolDelegation(t *testing.T) {
 	if cp.Version() != v2 {
 		t.Fatal("rejected Record bumped the version")
 	}
-	if cp.AnswerCount(id) != 1 || cp.TotalAnswers() != 1 {
+	p := flat(cp)
+	if cp.AnswerCount(id) != 1 || p.TotalAnswers() != 1 {
 		t.Fatal("answer counts wrong through wrapper")
 	}
-	if !cp.HasAnswered("w1", id) || cp.HasAnswered("w2", id) {
+	if !p.HasAnswered("w1", id) || p.HasAnswered("w2", id) {
 		t.Fatal("HasAnswered wrong through wrapper")
 	}
 	if got := cp.Answers(id); len(got) != 1 || got[0].Worker != "w1" {
 		t.Fatalf("Answers = %v", got)
 	}
-	if votes := cp.OptionVotes(id); votes[1] != 1 {
+	if votes := p.OptionVotes(id); votes[1] != 1 {
 		t.Fatalf("OptionVotes = %v", votes)
 	}
-	if ws := cp.Workers(); len(ws) != 1 || ws[0] != "w1" {
+	if ws := p.Workers(); len(ws) != 1 || ws[0] != "w1" {
 		t.Fatalf("Workers = %v", ws)
 	}
 	cp.Close(id)
-	if !cp.Closed(id) || len(cp.OpenTasks()) != 0 {
+	if p := flat(cp); !p.Closed(id) || len(p.OpenTasks()) != 0 {
 		t.Fatal("Close not visible through wrapper")
 	}
-	if len(cp.EligibleFor("w2")) != 0 {
+	if len(flat(cp).EligibleFor("w2")) != 0 {
 		t.Fatal("closed task still eligible")
 	}
 }
 
 func TestConcurrentPoolParallelAccess(t *testing.T) {
-	cp := NewConcurrentPool(nil)
+	cp := newSharded(1)
 	const tasks = 40
 	ids := make([]TaskID, tasks)
 	for i := 0; i < tasks; i++ {
@@ -584,9 +585,9 @@ func TestConcurrentPoolParallelAccess(t *testing.T) {
 					return
 				}
 				// Interleave reads with the writes.
-				_ = cp.TotalAnswers()
-				_ = cp.TaskIDs()
-				cp.View(func(p *Pool) { _ = p.OpenTasks() })
+				_ = cp.Len()
+				_ = cp.Answers(id)
+				cp.ViewAll(func(pools []*Pool) { _ = pools[0].OpenTasks() })
 			}
 		}(w)
 	}
@@ -595,7 +596,7 @@ func TestConcurrentPoolParallelAccess(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := cp.TotalAnswers(); got != tasks*workers {
+	if got := flat(cp).TotalAnswers(); got != tasks*workers {
 		t.Fatalf("answers = %d, want %d", got, tasks*workers)
 	}
 	for _, id := range ids {

@@ -11,14 +11,14 @@ func choiceTask(id TaskID) *Task {
 }
 
 func TestAnswerLogCoversAppends(t *testing.T) {
-	cp := NewConcurrentPool(nil)
+	sp := newSharded(1)
+	cp := sp.shards[0]
 	for i := 1; i <= 4; i++ {
-		if _, err := cp.Add(choiceTask(TaskID(i))); err != nil {
+		if _, err := sp.Add(choiceTask(TaskID(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cp.EnableAnswerLog(64)
-	v0 := cp.Version()
+	v0 := sp.Version()
 
 	// Before anything lands, the delta from v0 is empty but covered.
 	cp.mu.RLock()
@@ -30,19 +30,19 @@ func TestAnswerLogCoversAppends(t *testing.T) {
 
 	a1 := Answer{Task: 1, Worker: "w1", Option: 0}
 	a2 := Answer{Task: 2, Worker: "w1", Option: 1}
-	if err := record(cp, a1); err != nil {
+	if err := record(sp, a1); err != nil {
 		t.Fatal(err)
 	}
-	v1 := cp.Version()
+	v1 := sp.Version()
 	// A batch shares one post-bump version.
 	batch := []Answer{a2, {Task: 2, Worker: "w1", Option: 1}} // duplicate rejected
-	errs, _ := cp.RecordAll(batch, make([]Charge, len(batch)))
+	errs, _ := sp.RecordBatch(0, batch, make([]Charge, len(batch)))
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("batch errors = %v", errs)
 	}
 	// Closing a task bumps the version but appends no answers; the log
 	// stays valid across it.
-	cp.Close(4)
+	sp.Close(4)
 
 	cp.mu.RLock()
 	defer cp.mu.RUnlock()
@@ -52,32 +52,32 @@ func TestAnswerLogCoversAppends(t *testing.T) {
 	if got, ok := cp.appendedSinceLocked(v1, nil); !ok || !reflect.DeepEqual(got, []Answer{a2}) {
 		t.Fatalf("delta since v1 = (%v, %v), want the batch answer", got, ok)
 	}
-	if got, ok := cp.appendedSinceLocked(cp.Version(), nil); !ok || len(got) != 0 {
+	if got, ok := cp.appendedSinceLocked(sp.Version(), nil); !ok || len(got) != 0 {
 		t.Fatalf("delta since head = (%v, %v), want empty", got, ok)
 	}
-	// A window starting before the log was enabled is not covered.
+	// A window starting before the last task add is not covered.
 	if _, ok := cp.appendedSinceLocked(v0-1, nil); ok {
-		t.Fatal("window predating EnableAnswerLog reported as covered")
+		t.Fatal("window predating the last task add reported as covered")
 	}
 }
 
 func TestAnswerLogStructuralInvalidation(t *testing.T) {
-	cp := NewConcurrentPool(nil)
-	if _, err := cp.Add(choiceTask(1)); err != nil {
+	sp := newSharded(1)
+	cp := sp.shards[0]
+	if _, err := sp.Add(choiceTask(1)); err != nil {
 		t.Fatal(err)
 	}
-	cp.EnableAnswerLog(64)
-	v0 := cp.Version()
+	v0 := sp.Version()
 	a := Answer{Task: 1, Worker: "w1", Option: 0}
-	if err := record(cp, a); err != nil {
+	if err := record(sp, a); err != nil {
 		t.Fatal(err)
 	}
 
 	// Adding a task is structural: old windows die, new ones work.
-	if _, err := cp.Add(choiceTask(2)); err != nil {
+	if _, err := sp.Add(choiceTask(2)); err != nil {
 		t.Fatal(err)
 	}
-	vAdd := cp.Version()
+	vAdd := sp.Version()
 	cp.mu.RLock()
 	if cp.canDeltaLocked(v0) {
 		t.Fatal("window across a task add reported as covered")
@@ -87,7 +87,7 @@ func TestAnswerLogStructuralInvalidation(t *testing.T) {
 	}
 	cp.mu.RUnlock()
 
-	if err := record(cp, Answer{Task: 2, Worker: "w1", Option: 1}); err != nil {
+	if err := record(sp, Answer{Task: 2, Worker: "w1", Option: 1}); err != nil {
 		t.Fatal(err)
 	}
 	cp.mu.RLock()
@@ -98,18 +98,19 @@ func TestAnswerLogStructuralInvalidation(t *testing.T) {
 }
 
 func TestAnswerLogTrim(t *testing.T) {
-	cp := NewConcurrentPool(nil)
-	if _, err := cp.Add(&Task{ID: 1, Kind: MultiChoice, Options: []string{"a", "b"}}); err != nil {
+	sp := newSharded(1)
+	cp := sp.shards[0]
+	cp.alogCap = 8
+	if _, err := sp.Add(&Task{ID: 1, Kind: MultiChoice, Options: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
-	cp.EnableAnswerLog(8)
-	v0 := cp.Version()
+	v0 := sp.Version()
 	var vers []uint64
 	for i := 0; i < 12; i++ {
-		if err := record(cp, Answer{Task: 1, Worker: fmt.Sprintf("w%d", i), Option: i % 2}); err != nil {
+		if err := record(sp, Answer{Task: 1, Worker: fmt.Sprintf("w%d", i), Option: i % 2}); err != nil {
 			t.Fatal(err)
 		}
-		vers = append(vers, cp.Version())
+		vers = append(vers, sp.Version())
 	}
 	cp.mu.RLock()
 	defer cp.mu.RUnlock()
@@ -129,13 +130,12 @@ func TestAnswerLogTrim(t *testing.T) {
 }
 
 func TestShardedViewDelta(t *testing.T) {
-	sp := NewShardedPool(nil, 4)
+	sp := newSharded(4)
 	for i := 1; i <= 32; i++ {
 		if _, err := sp.Add(choiceTask(TaskID(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sp.EnableDeltaLog(64)
 
 	var snap []uint64
 	sp.ViewDelta(func(v *DeltaView) {

@@ -5,9 +5,9 @@ import (
 	"errors"
 )
 
-// Journal is the write-ahead hook of a ConcurrentPool. Every mutation —
-// task add, answer, answer batch, close, lease issue, lease expiry — runs
-// validate → journal → apply under the pool's write lock: the hook is
+// Journal is the write-ahead hook of a ShardedPool's shards. Every mutation
+// — task add, answer, answer batch, close, lease issue, lease expiry — runs
+// validate → journal → apply under the owning shard's write lock: the hook is
 // called after the mutation passed the platform rules and before it
 // touches memory, and a hook error leaves the pool exactly as it was (the
 // caller gets the error wrapped in ErrNotJournaled). The journal therefore
@@ -25,7 +25,7 @@ type Journal interface {
 	// AnswerRecorded journals one accepted answer with its charge. ctx
 	// carries the request's trace, nothing else.
 	AnswerRecorded(ctx context.Context, a Answer, c Charge) (pos uint64, err error)
-	// AnswerBatch journals the accepted answers of one RecordAll call as a
+	// AnswerBatch journals the accepted answers of one RecordBatch call as a
 	// single record; cs is index-aligned with as.
 	AnswerBatch(as []Answer, cs []Charge) (pos uint64, err error)
 	// TaskClosed journals the close of an open task.

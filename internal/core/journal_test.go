@@ -101,7 +101,7 @@ func TestJournalRunsBetweenValidateAndApply(t *testing.T) {
 // leaves the pool — tasks, answers, leases, closes, version — untouched.
 func TestJournalRefusalAppliesNothing(t *testing.T) {
 	j := &scriptJournal{}
-	sp := ShardedFrom(SplitPool(NewPool(), 2), j)
+	sp := ShardedFrom([]*Pool{NewPool(), NewPool()}, j)
 	id, err := sp.Add(binaryTask(1, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +143,10 @@ func TestJournalRefusalAppliesNothing(t *testing.T) {
 		t.Fatalf("ExpireLeases reclaimed %v with the journal down", exp)
 	}
 
-	if sp.Len() != 1 || sp.TotalAnswers() != 0 || sp.Closed(id) || sp.ActiveLeases() != 1 ||
-		!sp.HasLease("holder", id) || sp.Version() != version {
+	if p := flat(sp); p.Len() != 1 || p.TotalAnswers() != 0 || p.Closed(id) || p.ActiveLeases() != 1 ||
+		!p.HasLease("holder", id) || sp.Version() != version {
 		t.Fatalf("refused mutations left a mark: %d tasks, %d answers, closed %v, %d leases, version %d -> %d",
-			sp.Len(), sp.TotalAnswers(), sp.Closed(id), sp.ActiveLeases(), version, sp.Version())
+			p.Len(), p.TotalAnswers(), p.Closed(id), p.ActiveLeases(), version, sp.Version())
 	}
 }
 
@@ -163,8 +163,8 @@ func TestCloseUnknownTaskIsNoop(t *testing.T) {
 	if err := sp.Close(7); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.calls) != 0 || sp.Version() != v || sp.Closed(7) {
-		t.Fatalf("closing an unknown task journaled %q, version %d -> %d, closed %v", j.calls, v, sp.Version(), sp.Closed(7))
+	if len(j.calls) != 0 || sp.Version() != v || p.Closed(7) {
+		t.Fatalf("closing an unknown task journaled %q, version %d -> %d, closed %v", j.calls, v, sp.Version(), p.Closed(7))
 	}
 }
 
@@ -183,7 +183,7 @@ func TestCloseClosedTaskIsNoop(t *testing.T) {
 	if err := sp.Close(id); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.calls) != n || sp.Version() != v || !sp.Closed(id) {
+	if len(j.calls) != n || sp.Version() != v || !flat(sp).Closed(id) {
 		t.Fatalf("second close journaled %q, version %d -> %d", j.calls[n:], v, sp.Version())
 	}
 }

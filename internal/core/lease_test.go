@@ -137,7 +137,7 @@ func TestConcurrentPoolAssignLease(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.MustAdd(binaryTask(TaskID(i+1), 1))
 	}
-	cp := NewConcurrentPool(p)
+	cp := ShardedFrom([]*Pool{p}, nil)
 	deadline := time.Now().Add(time.Hour)
 	v0 := cp.Version()
 
@@ -170,8 +170,8 @@ func TestConcurrentPoolAssignLease(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if cp.ActiveLeases() != 4 {
-		t.Fatalf("active leases = %d, want 4", cp.ActiveLeases())
+	if n := flat(cp).ActiveLeases(); n != 4 {
+		t.Fatalf("active leases = %d, want 4", n)
 	}
 	// Lease bookkeeping must not bump the version: the inference cache
 	// keys on it and assignments never change the answer set.
@@ -191,7 +191,7 @@ func TestConcurrentPoolLeaseRace(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.MustAdd(binaryTask(TaskID(i+1), 1))
 	}
-	cp := NewConcurrentPool(p)
+	cp := ShardedFrom([]*Pool{p}, nil)
 	deadline := time.Now().Add(time.Hour)
 
 	var wg sync.WaitGroup
@@ -211,7 +211,7 @@ func TestConcurrentPoolLeaseRace(t *testing.T) {
 	wg.Wait()
 	// Every lease was either consumed by its Record or still outstanding;
 	// the sweep found none expired (deadline is an hour out).
-	if got := cp.ActiveLeases(); got != 0 {
+	if got := flat(cp).ActiveLeases(); got != 0 {
 		t.Fatalf("unconsumed leases after all submissions: %d", got)
 	}
 }

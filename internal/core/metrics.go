@@ -26,25 +26,9 @@ func (b *Budget) RegisterMetrics(reg *obs.Registry) {
 //	crowdkit_pool_active_leases  outstanding (issued, unconsumed) leases
 //	crowdkit_pool_in_flight      answers + leases (what assigners balance on)
 //	crowdkit_pool_version        mutation counter (cache-invalidation epoch)
+//	crowdkit_pool_shards         shard count
 //
-// Each callback takes the pool read lock when scraped; nothing is added
-// to the assignment or recording paths. No-op on a nil registry.
-func (cp *ConcurrentPool) RegisterMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("crowdkit_pool_tasks", func() float64 { return float64(cp.Len()) })
-	reg.GaugeFunc("crowdkit_pool_open_tasks", func() float64 { return float64(len(cp.OpenTasks())) })
-	reg.GaugeFunc("crowdkit_pool_answers", func() float64 { return float64(cp.TotalAnswers()) })
-	reg.GaugeFunc("crowdkit_pool_active_leases", func() float64 { return float64(cp.ActiveLeases()) })
-	reg.GaugeFunc("crowdkit_pool_in_flight", func() float64 {
-		var n int
-		cp.View(func(p *Pool) { n = p.TotalAnswers() + p.ActiveLeases() })
-		return float64(n)
-	})
-	reg.GaugeFunc("crowdkit_pool_version", func() float64 { return float64(cp.Version()) })
-}
-
-// RegisterMetrics publishes the sharded pool's shape under the same gauge
-// names ConcurrentPool uses (aggregated across shards, so dashboards work
-// unchanged), plus per-shard breakdowns labeled by shard index:
+// plus per-shard breakdowns labeled by shard index:
 //
 //	crowdkit_shard_tasks{shard="i"}          tasks owned by shard i
 //	crowdkit_shard_answers{shard="i"}        committed answers on shard i
@@ -52,32 +36,41 @@ func (cp *ConcurrentPool) RegisterMetrics(reg *obs.Registry) {
 //	crowdkit_shard_version{shard="i"}        shard i's mutation counter
 //
 // The per-shard gauges make routing skew visible: a hot shard shows up as
-// one label outrunning the others. No-op on a nil registry.
+// one label outrunning the others. Each pool gauge is computed inside one
+// ViewAll when scraped, each shard gauge under that shard's read lock;
+// nothing is added to the assignment or recording paths. No-op on a nil
+// registry.
 func (sp *ShardedPool) RegisterMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("crowdkit_pool_tasks", func() float64 { return float64(sp.Len()) })
-	reg.GaugeFunc("crowdkit_pool_open_tasks", func() float64 { return float64(len(sp.OpenTasks())) })
-	reg.GaugeFunc("crowdkit_pool_answers", func() float64 { return float64(sp.TotalAnswers()) })
-	reg.GaugeFunc("crowdkit_pool_active_leases", func() float64 { return float64(sp.ActiveLeases()) })
-	reg.GaugeFunc("crowdkit_pool_in_flight", func() float64 {
-		var n int
-		sp.ViewAll(func(pools []*Pool) {
-			for _, p := range pools {
-				n += p.TotalAnswers() + p.ActiveLeases()
-			}
-		})
-		return float64(n)
-	})
+	total := func(f func(*Pool) int) func() float64 {
+		return func() float64 {
+			n := 0
+			sp.ViewAll(func(pools []*Pool) {
+				for _, p := range pools {
+					n += f(p)
+				}
+			})
+			return float64(n)
+		}
+	}
+	reg.GaugeFunc("crowdkit_pool_tasks", total((*Pool).Len))
+	reg.GaugeFunc("crowdkit_pool_open_tasks", total(func(p *Pool) int { return len(p.OpenTasks()) }))
+	reg.GaugeFunc("crowdkit_pool_answers", total((*Pool).TotalAnswers))
+	reg.GaugeFunc("crowdkit_pool_active_leases", total((*Pool).ActiveLeases))
+	reg.GaugeFunc("crowdkit_pool_in_flight", total(func(p *Pool) int { return p.TotalAnswers() + p.ActiveLeases() }))
 	reg.GaugeFunc("crowdkit_pool_version", func() float64 { return float64(sp.Version()) })
 	reg.GaugeFunc("crowdkit_pool_shards", func() float64 { return float64(sp.NumShards()) })
-	if sp.NumShards() == 1 {
-		return
-	}
 	for i, s := range sp.shards {
-		s := s
+		one := func(f func(*Pool) int) func() float64 {
+			return func() float64 {
+				s.mu.RLock()
+				defer s.mu.RUnlock()
+				return float64(f(s.pool))
+			}
+		}
 		label := obs.L("shard", strconv.Itoa(i))
-		reg.GaugeFunc("crowdkit_shard_tasks", func() float64 { return float64(s.Len()) }, label)
-		reg.GaugeFunc("crowdkit_shard_answers", func() float64 { return float64(s.TotalAnswers()) }, label)
-		reg.GaugeFunc("crowdkit_shard_active_leases", func() float64 { return float64(s.ActiveLeases()) }, label)
-		reg.GaugeFunc("crowdkit_shard_version", func() float64 { return float64(s.Version()) }, label)
+		reg.GaugeFunc("crowdkit_shard_tasks", one((*Pool).Len), label)
+		reg.GaugeFunc("crowdkit_shard_answers", one((*Pool).TotalAnswers), label)
+		reg.GaugeFunc("crowdkit_shard_active_leases", one((*Pool).ActiveLeases), label)
+		reg.GaugeFunc("crowdkit_shard_version", func() float64 { return float64(s.version.Load()) }, label)
 	}
 }

@@ -11,8 +11,9 @@ import (
 // platform loop, assignment policies, and truth inference.
 //
 // Pool is not safe for concurrent use; it stays lock-free so simulator
-// hot loops pay no synchronization cost. Concurrent callers (the HTTP
-// serving layer) wrap it in a ConcurrentPool instead.
+// hot loops pay no synchronization cost. The serving layer holds one Pool
+// per shard of a ShardedPool, which locks it; assigners, truth inference
+// and journal replay read and fill those per-shard Pools directly.
 type Pool struct {
 	tasks   map[TaskID]*Task
 	order   []TaskID // insertion order, for deterministic iteration
@@ -57,16 +58,24 @@ func (p *Pool) Add(t *Task) (TaskID, error) {
 // prepareAdd is the validation half of Add: it settles t.ID and checks the
 // task. An ID it reserved stays reserved if the task is never inserted.
 func (p *Pool) prepareAdd(t *Task) error {
-	if _, exists := p.tasks[t.ID]; exists || t.ID == 0 && len(p.tasks) > 0 {
-		t.ID = p.nextID
-	}
-	if t.ID >= p.nextID {
-		p.nextID = t.ID + 1
-	} else if t.ID == 0 {
-		t.ID = p.nextID
-		p.nextID++
-	}
+	_, taken := p.tasks[t.ID]
+	settleID(t, taken, len(p.tasks) > 0, &p.nextID)
 	return t.Validate()
+}
+
+// settleID is the ID rule of Add, shared by Pool and ShardedPool: an ID
+// that is taken, or ID 0 once the pool holds tasks, is replaced by *next,
+// and *next moves past whatever ID t ends up with.
+func settleID(t *Task, taken, nonEmpty bool, next *TaskID) {
+	if taken || t.ID == 0 && nonEmpty {
+		t.ID = *next
+	}
+	if t.ID >= *next {
+		*next = t.ID + 1
+	} else if t.ID == 0 {
+		t.ID = *next
+		*next++
+	}
 }
 
 // insert registers a task prepareAdd accepted.

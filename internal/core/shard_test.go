@@ -73,86 +73,12 @@ func TestShardIndexDeterministicAndInRange(t *testing.T) {
 	}
 }
 
-// populatedPool builds a pool exercising every bookkeeping dimension:
-// answers (including repeats), closed tasks, and outstanding leases.
-func populatedPool(t *testing.T) *Pool {
-	t.Helper()
-	p := NewPool()
-	deadline := time.Now().Add(time.Hour)
-	for i := 0; i < 20; i++ {
-		id := p.MustAdd(binaryTask(TaskID(i+1), i%2))
-		for w := 0; w <= i%3; w++ {
-			if err := p.Record(Answer{Task: id, Worker: fmt.Sprintf("w%d", w), Option: i % 2}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i%5 == 0 {
-			p.Close(id)
-		} else if i%4 == 0 {
-			if err := p.Lease(id, "leaser", deadline); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	mid := p.MustAdd(multiTask(100))
-	for i := 0; i < 3; i++ {
-		if err := p.Record(Answer{Task: mid, Worker: "rep", Option: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return p
-}
-
-// TestSplitPoolPartitionsLosslessly: every task lands, with all of its
-// bookkeeping, in the part ShardIndex names and nowhere else, and the
-// parts expire the same leases the source does.
-func TestSplitPoolPartitionsLosslessly(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7} {
-		src := populatedPool(t)
-		parts := SplitPool(src, n)
-		total := 0
-		for i, part := range parts {
-			total += part.Len()
-			for _, id := range part.TaskIDs() {
-				if ShardIndex(id, n) != i {
-					t.Fatalf("n=%d: task %d sits in part %d, ShardIndex says %d", n, id, i, ShardIndex(id, n))
-				}
-				if !reflect.DeepEqual(src.Answers(id), part.Answers(id)) ||
-					src.Closed(id) != part.Closed(id) || src.LeaseCount(id) != part.LeaseCount(id) {
-					t.Fatalf("n=%d: task %d bookkeeping diverges after the split", n, id)
-				}
-				for _, w := range src.Workers() {
-					if src.HasAnswered(w, id) != part.HasAnswered(w, id) {
-						t.Fatalf("n=%d: HasAnswered(%s,%d) diverges", n, w, id)
-					}
-				}
-			}
-		}
-		if total != src.Len() {
-			t.Fatalf("n=%d: shards hold %d tasks, source has %d", n, total, src.Len())
-		}
-		if n == 1 && !reflect.DeepEqual(src.TaskIDs(), parts[0].TaskIDs()) {
-			t.Fatalf("single part reordered tasks: got %v, want %v", parts[0].TaskIDs(), src.TaskIDs())
-		}
-		// Lease expiry behaves identically across the parts.
-		wantExp := src.ExpireLeases(time.Now().Add(2 * time.Hour))
-		var gotExp []Lease
-		for _, part := range parts {
-			gotExp = append(gotExp, part.ExpireLeases(time.Now().Add(2*time.Hour))...)
-		}
-		sortLeases(gotExp)
-		if !reflect.DeepEqual(wantExp, gotExp) {
-			t.Fatalf("n=%d: expiry after the split diverges: got %v, want %v", n, gotExp, wantExp)
-		}
-	}
-}
-
 // TestShardedPoolMatchesUnsharded drives the same operation sequence
 // through 1-shard and N-shard pools and requires identical observable
 // state — the core of the -shards=N ≡ -shards=1 contract.
 func TestShardedPoolMatchesUnsharded(t *testing.T) {
-	build := func(n int) *ShardedPool {
-		sp := NewShardedPool(nil, n)
+	build := func(n int) *Pool {
+		sp := newSharded(n)
 		for i := 0; i < 30; i++ {
 			task := binaryTask(0, i%2)
 			id, err := sp.Add(task)
@@ -168,7 +94,7 @@ func TestShardedPoolMatchesUnsharded(t *testing.T) {
 				sp.Close(id)
 			}
 		}
-		return sp
+		return flat(sp)
 	}
 	ref := build(1)
 	for _, n := range []int{2, 4, 8} {
@@ -200,7 +126,7 @@ func TestShardedPoolMatchesUnsharded(t *testing.T) {
 }
 
 func TestShardedPoolAssignLease(t *testing.T) {
-	sp := NewShardedPool(nil, 4)
+	sp := newSharded(4)
 	var ids []TaskID
 	for i := 0; i < 12; i++ {
 		id, err := sp.Add(binaryTask(0, 0))
@@ -221,7 +147,7 @@ func TestShardedPoolAssignLease(t *testing.T) {
 			t.Fatalf("task %d assigned twice", id)
 		}
 		got[id] = true
-		if !sp.HasLease("w", id) {
+		if !flat(sp).HasLease("w", id) {
 			t.Fatalf("no lease recorded for assigned task %d", id)
 		}
 		if err := record(sp, Answer{Task: id, Worker: "w", Option: 0}); err != nil {
@@ -231,13 +157,13 @@ func TestShardedPoolAssignLease(t *testing.T) {
 	if _, ok, _ := sp.AssignLease(firstOpen, "w", deadline); ok {
 		t.Fatal("worker assigned a task it already answered")
 	}
-	if sp.ActiveLeases() != 0 {
-		t.Fatalf("%d leases outstanding after all answers consumed them", sp.ActiveLeases())
+	if n := flat(sp).ActiveLeases(); n != 0 {
+		t.Fatalf("%d leases outstanding after all answers consumed them", n)
 	}
 }
 
 func TestShardedPoolExpireLeasesDeterministic(t *testing.T) {
-	sp := NewShardedPool(nil, 4)
+	sp := newSharded(4)
 	deadline := time.Now().Add(time.Millisecond)
 	for i := 0; i < 10; i++ {
 		id, err := sp.Add(binaryTask(0, 0))
@@ -261,7 +187,7 @@ func TestShardedPoolExpireLeasesDeterministic(t *testing.T) {
 }
 
 func TestShardedPoolVersionSumsShards(t *testing.T) {
-	sp := NewShardedPool(nil, 4)
+	sp := newSharded(4)
 	v0 := sp.Version()
 	id, err := sp.Add(binaryTask(0, 0))
 	if err != nil {
@@ -288,7 +214,7 @@ func TestShardedPoolVersionSumsShards(t *testing.T) {
 }
 
 func TestShardedPoolRecordBatch(t *testing.T) {
-	sp := NewShardedPool(nil, 4)
+	sp := newSharded(4)
 	id1, _ := sp.Add(binaryTask(0, 0))
 	id2, _ := sp.Add(binaryTask(0, 0))
 	shard := sp.ShardFor(id1)
@@ -313,11 +239,14 @@ func TestShardedPoolRecordBatch(t *testing.T) {
 }
 
 func TestShardedPoolViewAllConsistent(t *testing.T) {
-	sp := NewShardedPool(nil, 4)
+	sp := newSharded(4)
+	var ids []TaskID
 	for i := 0; i < 8; i++ {
-		if _, err := sp.Add(binaryTask(0, 0)); err != nil {
+		id, err := sp.Add(binaryTask(0, 0))
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -331,7 +260,7 @@ func TestShardedPoolViewAllConsistent(t *testing.T) {
 				return
 			default:
 			}
-			id := sp.TaskIDs()[i%8]
+			id := ids[i%8]
 			_ = record(sp, Answer{Task: id, Worker: fmt.Sprintf("bg%d", i), Option: 0})
 			i++
 		}
@@ -364,13 +293,103 @@ func TestShardedPoolSingleShardDelegates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.MustAdd(binaryTask(TaskID(i+1), 0))
 	}
-	sp := NewShardedPool(p, 1)
-	// Single shard preserves insertion order exactly (the unsharded
-	// contract), not sorted order.
-	if !reflect.DeepEqual(sp.TaskIDs(), []TaskID{1, 2, 3, 4, 5}) {
-		t.Fatalf("single-shard TaskIDs = %v", sp.TaskIDs())
+	sp := ShardedFrom([]*Pool{p}, nil)
+	// A single shard serves the caller's pool itself, not a copy of it.
+	sp.ViewAll(func(pools []*Pool) {
+		if len(pools) != 1 || pools[0] != p {
+			t.Fatalf("single-shard view = %v, want the wrapped pool", pools)
+		}
+	})
+	if ids := flat(sp).TaskIDs(); !reflect.DeepEqual(ids, []TaskID{1, 2, 3, 4, 5}) {
+		t.Fatalf("single-shard TaskIDs = %v", ids)
 	}
 	if sp.NumShards() != 1 {
 		t.Fatalf("NumShards = %d", sp.NumShards())
 	}
+}
+
+// TestShardedPoolAddSameIDConcurrently: Adds racing on one explicit ID
+// settle on distinct IDs, each task on the shard its ID hashes to. The ID
+// used to be chosen under the pool's add lock but inserted after it, so
+// two racers could both keep the ID; the shard then re-assigned the loser
+// from its own counter, onto an ID the pool handed out again.
+func TestShardedPoolAddSameIDConcurrently(t *testing.T) {
+	const shards, racers = 4, 64
+	for it := 0; it < 2000; it++ {
+		sp := newSharded(shards)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < racers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := sp.Add(binaryTask(5, 0)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		seen := map[TaskID]bool{}
+		sp.ViewAll(func(pools []*Pool) {
+			for i, p := range pools {
+				for _, id := range p.TaskIDs() {
+					if seen[id] {
+						t.Errorf("iteration %d: two tasks share ID %d", it, id)
+					}
+					seen[id] = true
+					if ShardIndex(id, shards) != i {
+						t.Errorf("iteration %d: task %d sits on shard %d, ShardIndex says %d", it, id, i, ShardIndex(id, shards))
+					}
+				}
+			}
+		})
+		if len(seen) != racers {
+			t.Errorf("iteration %d: %d distinct tasks after %d Adds", it, len(seen), racers)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// newSharded returns an empty, unjournaled pool of n shards.
+func newSharded(n int) *ShardedPool {
+	parts := make([]*Pool, n)
+	for i := range parts {
+		parts[i] = NewPool()
+	}
+	return ShardedFrom(parts, nil)
+}
+
+// flat copies sp into one unlocked Pool under ViewAll — tasks in ID order
+// with their answers, leases and closes — so a test reads the served state
+// through the Pool API.
+func flat(sp *ShardedPool) *Pool {
+	out := NewPool()
+	sp.ViewAll(func(pools []*Pool) {
+		ids := TaskIDsOf(pools)
+		for _, id := range ids {
+			p := pools[ShardIndex(id, len(pools))]
+			task := *p.Task(id)
+			out.MustAdd(&task)
+			for _, a := range p.Answers(id) {
+				if err := out.ReplayAnswer(a); err != nil {
+					panic(err)
+				}
+			}
+		}
+		for _, l := range LeasesOf(pools) {
+			if err := out.Lease(l.Task, l.Worker, l.Deadline); err != nil {
+				panic(err)
+			}
+		}
+		for _, id := range ids {
+			if pools[ShardIndex(id, len(pools))].Closed(id) {
+				out.Close(id)
+			}
+		}
+	})
+	return out
 }

@@ -154,8 +154,10 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	s.skipped.Add(int64(info.Skipped))
 
 	info.ReplayDuration = time.Since(start)
-	info.Tasks = s.pool.Len()
-	info.Answers = s.pool.TotalAnswers()
+	for _, p := range pools {
+		info.Tasks += p.Len()
+		info.Answers += p.TotalAnswers()
+	}
 	info.BudgetSpent = s.repSpent
 	info.CQLSessions = len(s.repCQL.sessions)
 	for _, sess := range s.repCQL.sessions {

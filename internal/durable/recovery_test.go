@@ -50,11 +50,9 @@ func imageOf(s *Store) recoveryImage {
 			img.Closed[id] = true
 		}
 	}
-	pool.ViewAll(func(pools []*core.Pool) {
-		for _, l := range core.LeasesOf(pools) {
-			img.Leases = append(img.Leases, *leaseRecord(l))
-		}
-	})
+	for _, l := range pool.Leases() {
+		img.Leases = append(img.Leases, *leaseRecord(l))
+	}
 	img.Sessions, img.Questions = s.CQLState()
 	return img
 }

@@ -50,10 +50,8 @@ func driveScript(t *testing.T, s *Store) {
 	s.WorkerEliminated("w0")
 }
 
-// statesEquivalent compares two recovered states task by task,
-// order-insensitively (a 1-segment store presents insertion order, a
-// multi-segment store ascending IDs).
-func statesEquivalent(t *testing.T, label string, wp, gp *core.ShardedPool, ws, gs float64, wscr, gscr map[string]core.ScreenTally) {
+// statesEquivalent compares two recovered states task by task.
+func statesEquivalent(t *testing.T, label string, wp, gp *core.Pool, ws, gs float64, wscr, gscr map[string]core.ScreenTally) {
 	t.Helper()
 	if wp.Len() != gp.Len() || wp.TotalAnswers() != gp.TotalAnswers() {
 		t.Fatalf("%s: shape diverges: %d/%d tasks, %d/%d answers",

@@ -102,10 +102,42 @@ func answerBatch(s *Store, as []core.Answer, costs []float64, goldens []*bool) e
 	return nil
 }
 
-// state is what a store persists: its live pool and the ledger.
-func state(s *Store) (*core.ShardedPool, float64, map[string]core.ScreenTally) {
+// state is what a store persists: its live pool, copied flat, and the
+// ledger.
+func state(s *Store) (*core.Pool, float64, map[string]core.ScreenTally) {
 	spent, screen := s.Ledger()
-	return s.Pool(), spent, screen
+	return flat(s.Pool()), spent, screen
+}
+
+// flat copies a sharded pool into one unlocked core.Pool under ViewAll —
+// tasks in ID order with their answers, leases and closes — so a test
+// reads the state through the Pool API.
+func flat(sp *core.ShardedPool) *core.Pool {
+	out := core.NewPool()
+	sp.ViewAll(func(pools []*core.Pool) {
+		ids := core.TaskIDsOf(pools)
+		for _, id := range ids {
+			p := pools[core.ShardIndex(id, len(pools))]
+			task := *p.Task(id)
+			out.MustAdd(&task)
+			for _, a := range p.Answers(id) {
+				if err := out.ReplayAnswer(a); err != nil {
+					panic(err)
+				}
+			}
+		}
+		for _, l := range core.LeasesOf(pools) {
+			if err := out.Lease(l.Task, l.Worker, l.Deadline); err != nil {
+				panic(err)
+			}
+		}
+		for _, id := range ids {
+			if pools[core.ShardIndex(id, len(pools))].Closed(id) {
+				out.Close(id)
+			}
+		}
+	})
+	return out
 }
 
 func mustOpen(t *testing.T, dir string, opts Options) (*Store, *RecoveryInfo) {

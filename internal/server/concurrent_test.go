@@ -120,11 +120,11 @@ func TestConcurrentLoadMixed(t *testing.T) {
 		t.Fatalf("budget spent = %v, want %v (refund leak under load)", st.BudgetSpent, want)
 	}
 	// One answer per worker per task survived the concurrency. Read via
-	// the server's pool: the seed pool is split (and thus stale) when the
-	// suite runs sharded.
-	for _, id := range srv.cpool.TaskIDs() {
+	// the server's pool: the seed pool only seeded it.
+	served := flat(srv.cpool)
+	for _, id := range served.TaskIDs() {
 		seen := map[string]bool{}
-		for _, a := range srv.cpool.Answers(id) {
+		for _, a := range served.Answers(id) {
 			if seen[a.Worker] {
 				t.Fatalf("task %d has duplicate answers from %s", id, a.Worker)
 			}
@@ -369,7 +369,7 @@ func BenchmarkResultsPoll(b *testing.B) {
 	})
 	b.Run("invalidated", func(b *testing.B) {
 		srv := setup(b)
-		ids := srv.cpool.TaskIDs()
+		ids := flat(srv.cpool).TaskIDs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w := fmt.Sprintf("inv-%d", i)

@@ -27,8 +27,9 @@ func openQuestions(t *testing.T, srv *Server, n int) map[string]core.TaskID {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		byKind := map[string]core.TaskID{}
-		for _, id := range srv.cpool.OpenTasks() {
-			q := srv.cpool.Task(id).Question
+		served := flat(srv.cpool)
+		for _, id := range served.OpenTasks() {
+			q := served.Task(id).Question
 			byKind[q[strings.LastIndexByte(q, ' ')+1:]] = id
 		}
 		if len(byKind) == n {

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/durable"
 )
 
@@ -27,8 +26,9 @@ func WithDurability(store *durable.Store) Option {
 	return func(s *Server) { s.store = store }
 }
 
-// adoptStore makes the store's pool the served pool; see WithDurability.
-func (s *Server) adoptStore(seed *core.Pool) error {
+// adoptStore makes the store's pool the served pool, with the budget and
+// screen the journal adds up to; New then seeds it. See WithDurability.
+func (s *Server) adoptStore() error {
 	if s.shards != 0 && max(s.shards, 1) != s.store.Segments() {
 		return fmt.Errorf("server: WithShards(%d) over a store with %d WAL segments: a durable server has one shard per segment",
 			s.shards, s.store.Segments())
@@ -38,17 +38,6 @@ func (s *Server) adoptStore(seed *core.Pool) error {
 	s.budget.RestoreSpent(spent)
 	if s.screen != nil {
 		s.screen.Restore(tallies)
-	}
-	if seed == nil || seed.Len() == 0 {
-		return nil
-	}
-	if n := s.cpool.Len(); n > 0 {
-		return fmt.Errorf("server: the store already holds %d tasks; it cannot be seeded with %d more", n, seed.Len())
-	}
-	for _, id := range seed.TaskIDs() {
-		if _, err := s.cpool.Add(seed.Task(id)); err != nil {
-			return fmt.Errorf("server: seeding task %d: %w", id, err)
-		}
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ func TestLeaseReissueAfterDropout(t *testing.T) {
 		t.Fatalf("budget spent = %v, want %d (only committed answers pay)", st.BudgetSpent, tasks*k)
 	}
 	srv.Close() // stop the reaper before touching the pool directly
-	for _, id := range srv.cpool.TaskIDs() {
+	for _, id := range flat(srv.cpool).TaskIDs() {
 		if got := srv.cpool.AnswerCount(id); got != k {
 			t.Fatalf("task %d has %d answers, want redundancy %d", id, got, k)
 		}
@@ -228,7 +228,7 @@ func TestConcurrentChurnReachesRedundancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close() // stop the reaper before direct pool reads
-	for _, id := range srv.cpool.TaskIDs() {
+	for _, id := range flat(srv.cpool).TaskIDs() {
 		if got := srv.cpool.AnswerCount(id); got != honest {
 			t.Fatalf("task %d has %d answers, want %d", id, got, honest)
 		}

@@ -349,9 +349,9 @@ func TestRefusedAnswerInvisibleToWaitingRound(t *testing.T) {
 	if got := cqlPoll(t, ts.URL, "s", page.Query, "", 0); got.Status != cql.QueryRunning || len(got.Rows) != 0 {
 		t.Fatalf("the round resolved on a refused answer: status %s, rows %v", got.Status, got.Rows)
 	}
-	if srv.cpool.Closed(open["beagle"]) || srv.cpool.AnswerCount(open["beagle"]) != 2 {
+	if served := flat(srv.cpool); served.Closed(open["beagle"]) || served.AnswerCount(open["beagle"]) != 2 {
 		t.Fatalf("question closed=%v with %d answers; want open with the 2 acked ones",
-			srv.cpool.Closed(open["beagle"]), srv.cpool.AnswerCount(open["beagle"]))
+			served.Closed(open["beagle"]), served.AnswerCount(open["beagle"]))
 	}
 }
 

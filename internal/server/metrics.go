@@ -154,7 +154,6 @@ type resultsMetrics struct {
 	fullBuilds   *obs.Counter // datasets rebuilt from the full answer set (FromAnswers)
 	groupSkips   *obs.Counter // groups re-served unchanged (no build, no inference)
 	flightShared *obs.Counter // pollers that piggybacked on another's run
-	staleServes  *obs.Counter // responses served from the last complete result
 }
 
 // wireObservability mounts the exposition and profiling endpoints and
@@ -179,7 +178,6 @@ func (s *Server) wireObservability() {
 			fullBuilds:   reg.Counter("crowdkit_results_full_builds_total"),
 			groupSkips:   reg.Counter("crowdkit_results_group_skips_total"),
 			flightShared: reg.Counter("crowdkit_results_flight_shared_total"),
-			staleServes:  reg.Counter("crowdkit_results_stale_serves_total"),
 		}
 		if s.store != nil {
 			s.store.RegisterMetrics(s.metricsReg)

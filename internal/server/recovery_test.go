@@ -42,7 +42,7 @@ func TestEliminatedWorkerCannotSubmitAnswers(t *testing.T) {
 	pool := goldenPool(3, 1)
 	budget := core.NewBudget(100)
 	screen := core.NewWorkerScreen(2, 0.9)
-	_, client := newTestServer(t, pool, budget, screen)
+	_, srv, client := newServed(t, pool, budget, screen)
 
 	// Two golden misses eliminate the worker.
 	for id := core.TaskID(1); id <= 2; id++ {
@@ -60,7 +60,7 @@ func TestEliminatedWorkerCannotSubmitAnswers(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusForbidden {
 		t.Fatalf("eliminated worker's answer: err = %v, want HTTP 403", err)
 	}
-	if n := pool.AnswerCount(3); n != 0 {
+	if n := srv.cpool.AnswerCount(3); n != 0 {
 		t.Fatalf("eliminated worker's answer was recorded (%d answers)", n)
 	}
 	if budget.Spent() != spent {
@@ -309,13 +309,12 @@ func TestCrashRecoveryLosesNoAckedAnswers(t *testing.T) {
 
 	// /api/results over the recovered pool agrees with a control server
 	// that never crashed: same tasks, same acked answers, no journal.
-	ctrlPool := testPool(stats.NewRNG(rngSeed), nTasks)
+	_, ctrlClient := newTestServer(t, testPool(stats.NewRNG(rngSeed), nTasks), nil, nil)
 	for _, a := range acked {
-		if err := ctrlPool.Record(core.Answer{Task: a.Task, Worker: a.Worker, Option: a.Option}); err != nil {
-			t.Fatalf("control record %+v: %v", a, err)
+		if err := ctrlClient.SubmitAnswer(a); err != nil {
+			t.Fatalf("control answer %+v: %v", a, err)
 		}
 	}
-	_, ctrlClient := newTestServer(t, ctrlPool, nil, nil)
 	got, err := client2.Results("mv")
 	if err != nil {
 		t.Fatal(err)

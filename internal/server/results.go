@@ -17,18 +17,10 @@ import (
 )
 
 // ResultsVersionHeader stamps every /api/results response with the pool
-// version the served result was computed at, so staleness-aware clients
-// (and the background-refresh mode, which serves the last complete result
-// immediately) can tell exactly how fresh their labels are: compare
-// against a version observed after your last submission, or just watch it
-// move.
+// version the served result was computed at, so clients can tell exactly
+// how fresh their labels are: compare against a version observed after
+// your last submission, or just watch it move.
 const ResultsVersionHeader = "X-Results-Version"
-
-// defaultDeltaLogCap is the per-shard answer-log capacity backing the
-// delta path. At the default 8 shards this retains the last ~64k answers;
-// a results poll cadence that falls further behind than that simply falls
-// back to a full rebuild.
-const defaultDeltaLogCap = 8192
 
 // groupSnap caches the option-count grouping of the choice tasks: which
 // tasks belong to each inference group, with their *Task pointers hoisted
@@ -106,25 +98,12 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown method "+method)
 		return
 	}
-
-	root := obs.CurrentSpan(r.Context())
-	if s.refreshEvery > 0 {
-		// Background-refresh mode: register the method with the refresher
-		// and serve the last complete result immediately — pollers never
-		// wait on inference. Until the first refresh completes there is
-		// nothing to serve, so fall through to the inline path once.
-		s.noteRefreshMethod(method)
-		if s.serveStale(w, root, method) {
-			return
-		}
-	}
-
 	groups, version, err := s.computeResults(r.Context(), method)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeResults(w, root, groups, version)
+	writeResults(w, obs.CurrentSpan(r.Context()), groups, version)
 }
 
 // writeResults renders one ResultDTO per task straight from the results'
@@ -144,20 +123,9 @@ func writeResults(w http.ResponseWriter, root *obs.Span, groups []*resultGroup, 
 	}
 	enc := resultsEncoder{buf: append(make([]byte, 0, 80*nTasks+3), '[')}
 	for _, g := range groups {
-		ds := g.res.Dataset()
+		// A group's ids are the very list its result was computed over.
 		for i, id := range g.ids {
-			// A group's ids are normally the very list its result was
-			// computed over; only a stale serve across a task-set change
-			// needs the lookup, and then a task the result has not seen
-			// renders as label 0 with no confidence.
-			ti := i
-			if ti >= len(ds.TaskIDs) || ds.TaskIDs[ti] != id {
-				ti = ds.TaskIndex(id)
-			}
-			lbl, conf := 0, 0.0
-			if ti >= 0 {
-				lbl, conf = g.res.LabelAt(ti), g.res.ConfidenceAt(ti)
-			}
+			lbl, conf := g.res.LabelAt(i), g.res.ConfidenceAt(i)
 			opt := ""
 			if opts := g.tasks[i].Options; lbl >= 0 && lbl < len(opts) {
 				opt = opts[lbl]
@@ -275,7 +243,7 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 				g.res = e.Res // exact hit: nothing to copy, nothing to run
 				continue
 			}
-			if ok && s.resultsWarm {
+			if ok {
 				g.warm = e.Res.Warm // nil for non-iterative methods
 			}
 			if ok && e.DS != nil && len(e.Shards) == len(v.Versions) {
@@ -441,108 +409,4 @@ func (s *Server) groupsFor(v *core.DeltaView) *groupSnap {
 	sort.Ints(gs.ks)
 	s.groups = gs
 	return gs
-}
-
-// --- background refresh -------------------------------------------------
-
-// noteRefreshMethod registers a method with the background refresher the
-// first time a client asks for it, so the refresher only burns cycles on
-// methods somebody actually polls.
-func (s *Server) noteRefreshMethod(method string) {
-	s.refreshMu.Lock()
-	if s.refreshMethods == nil {
-		s.refreshMethods = make(map[string]bool)
-	}
-	s.refreshMethods[method] = true
-	s.refreshMu.Unlock()
-}
-
-// serveStale renders the last complete result for method from the cache,
-// whatever version it is at, and reports whether it could. The version
-// header carries the oldest version across the groups — the conservative
-// bound on how stale the payload is.
-func (s *Server) serveStale(w http.ResponseWriter, root *obs.Span, method string) bool {
-	s.groupMu.Lock()
-	gs := s.groups
-	s.groupMu.Unlock()
-	if gs == nil || len(gs.ks) == 0 {
-		return false
-	}
-	groups := make([]*resultGroup, 0, len(gs.ks))
-	minVer := ^uint64(0)
-	for _, k := range gs.ks {
-		e, ok := s.cache.Latest(truth.ResultKey{Method: method, K: k})
-		if !ok {
-			return false
-		}
-		if e.Version < minVer {
-			minVer = e.Version
-		}
-		groups = append(groups, &resultGroup{k: k, ids: gs.ids[k], tasks: gs.tasks[k], res: e.Res})
-	}
-	s.resM.staleServes.Inc()
-	writeResults(w, root, groups, minVer)
-	return true
-}
-
-// refreshLoop keeps the result cache fresh so pollers in refresh mode
-// always hit serveStale. One recompute per tick per polled method, and
-// only when the pool actually moved.
-func (s *Server) refreshLoop() {
-	t := time.NewTicker(s.refreshEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopRefresher:
-			return
-		case <-t.C:
-			s.refreshAll()
-		}
-	}
-}
-
-func (s *Server) refreshAll() {
-	s.refreshMu.Lock()
-	methods := make([]string, 0, len(s.refreshMethods))
-	for m := range s.refreshMethods {
-		methods = append(methods, m)
-	}
-	s.refreshMu.Unlock()
-	sort.Strings(methods)
-
-	// Each sweep that does work is its own trace; idle ticks discard the
-	// span so they never occupy the kept ring.
-	ctx := context.Background()
-	var sweep *obs.Span
-	if s.traceCol != nil {
-		ctx, sweep = obs.StartSpan(obs.WithCollector(ctx, s.traceCol), "bg.results-refresh")
-	}
-	refreshed := 0
-	for _, m := range methods {
-		s.refreshMu.Lock()
-		last := s.refreshVer[m]
-		s.refreshMu.Unlock()
-		if s.cpool.Version() == last {
-			continue
-		}
-		_, version, err := s.computeResults(ctx, m)
-		if err != nil {
-			continue // transient (e.g. heterogeneous group mid-add); retry next tick
-		}
-		refreshed++
-		s.refreshMu.Lock()
-		if s.refreshVer == nil {
-			s.refreshVer = make(map[string]uint64)
-		}
-		s.refreshVer[m] = version
-		s.refreshMu.Unlock()
-	}
-	if sweep != nil {
-		if refreshed == 0 {
-			sweep.Discard()
-		} else {
-			sweep.SetAttr(obs.Int("methods", int64(refreshed)))
-		}
-		sweep.End()
-	}
 }

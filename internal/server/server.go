@@ -10,16 +10,22 @@
 //	GET  /healthz              -> 200 {"status":"ok"} liveness probe
 //
 // Concurrency model: there is no global server lock. The pool is a
-// core.ShardedPool (task-hash shards, each behind its own RWMutex:
-// parallel reads/assignments, exclusive writes per shard), the budget is
-// atomic, and the worker screen locks internally, so handlers run in
-// parallel across as many goroutines as net/http spawns. Answer accounting
-// uses a reservation protocol: the handler reserves one budget unit with
-// TryCharge, records the answer, and refunds the unit if the pool rejects
-// the submission — rejected answers never consume budget. /api/results
-// memoizes inference per (method, option count) keyed by the pool's
-// mutation version, so repeated polls between new answers skip EM
-// entirely.
+// core.ShardedPool (task-hash shards, each a plain core.Pool behind its
+// own RWMutex: parallel reads/assignments, exclusive writes per shard),
+// the budget is atomic, and the worker screen locks internally, so
+// handlers run in parallel across as many goroutines as net/http spawns.
+// Answer accounting uses a reservation protocol: the handler reserves one
+// budget unit with TryCharge, records the answer, and refunds the unit if
+// the pool rejects the submission — rejected answers never consume
+// budget. /api/results memoizes inference per (method, option count)
+// keyed by the pool's mutation version, so repeated polls between new
+// answers skip EM entirely.
+//
+// Seeding: New's pool argument only seeds the served pool. Its tasks are
+// added to the server's own shards through ShardedPool.Add (and so
+// journaled, with durability on); a seed that already holds answers,
+// leases or closed tasks is refused. Read served state through the server,
+// never through the seed.
 //
 // Durability (WithDurability, see durable.go): the served pool is then the
 // store's, and every mutation of it — answers included — is validated,
@@ -35,15 +41,14 @@
 // — the legacy behavior — so lease-free servers behave exactly as before.
 //
 // Results serving is incremental under continuous ingest (see results.go):
-// cache misses seed EM from the previous converged state (WithResultsWarm),
-// grow the cached dense dataset from the shards' answer-append logs instead
-// of re-extracting the pool (WithResultsDelta; groups with no new answers
-// skip inference), and concurrent misses for the same (method, k, version)
-// collapse onto a single computation. WithResultsRefresh moves recomputes
-// to a background loop so polls serve the last complete result immediately;
-// every response carries X-Results-Version, the pool version it was
-// computed at. Warm starts converge to the same labels/posteriors as cold
-// starts.
+// cache misses seed EM from the previous converged state, grow the cached
+// dense dataset from the shards' answer-append logs instead of
+// re-extracting the pool (groups with no new answers skip inference), and
+// concurrent misses for the same (method, k, version) collapse onto a
+// single computation. Every response carries X-Results-Version, the pool
+// version it was computed at. Labels equal a cold inference over the same
+// answers; confidences agree with it within the EM tolerance (README,
+// /api/results).
 //
 // Observability (all opt-in, see metrics.go): WithMetrics installs
 // per-endpoint request/latency instrumentation, budget/pool/lease gauges,
@@ -93,22 +98,11 @@ type Server struct {
 	stopReaper  chan struct{}
 	closeOnce   sync.Once
 
-	// Incremental results serving (see results.go). resultsWarm seeds EM
-	// from the previous converged state; resultsDelta maintains per-shard
-	// answer logs so unchanged groups skip dataset rebuilds; refreshEvery
-	// > 0 recomputes in the background and serves the last complete
-	// result immediately.
-	resultsWarm    bool
-	resultsDelta   bool
-	refreshEvery   time.Duration
-	flight         resultFlight
-	groupMu        sync.Mutex
-	groups         *groupSnap
-	refreshMu      sync.Mutex
-	refreshMethods map[string]bool
-	refreshVer     map[string]uint64
-	stopRefresher  chan struct{}
-	resM           resultsMetrics
+	// Incremental results serving (see results.go).
+	flight  resultFlight
+	groupMu sync.Mutex
+	groups  *groupSnap
+	resM    resultsMetrics
 
 	// Observability (nil/false = off; see metrics.go). traceCol is the
 	// span flight recorder (nil = tracing off; see trace.go).
@@ -158,8 +152,7 @@ func WithReaperInterval(d time.Duration) Option {
 // WithShards partitions the serving pool into n task-hash shards, each
 // with its own lock, version counter, and lease heap, so answer recording
 // and assignment scale across cores instead of serializing on one RWMutex.
-// n <= 1 (the default) runs the single-shard pool, which is behaviorally
-// identical to the unsharded server. With durability enabled the shard
+// n <= 1 (the default) runs one shard. With durability enabled the shard
 // count is the store's segment count (durable.Options.Segments); New
 // refuses a WithShards that disagrees with it.
 func WithShards(n int) Option {
@@ -169,42 +162,11 @@ func WithShards(n int) Option {
 // Shards returns the number of pool shards the server runs.
 func (s *Server) Shards() int { return s.cpool.NumShards() }
 
-// WithResultsWarm toggles warm-started inference on /api/results: when
-// on (the default), iterative methods seed from the previous converged
-// estimates whenever the pool version moves, cutting iterations to
-// convergence; off pins the historical cold-start behavior (every
-// recompute starts from the uniform/vote-fraction init).
-func WithResultsWarm(on bool) Option {
-	return func(s *Server) { s.resultsWarm = on }
-}
-
-// WithResultsDelta toggles incremental dataset maintenance on
-// /api/results: when on (the default), each shard keeps an answer-append
-// log and a recompute copies only the answers recorded since the cached
-// snapshot — unchanged groups skip the rebuild entirely. Off pins the
-// historical full-rebuild-per-version behavior, kept for benchmarking
-// the delta path's contribution.
-func WithResultsDelta(on bool) Option {
-	return func(s *Server) { s.resultsDelta = on }
-}
-
-// WithResultsRefresh enables the background result refresher: every d,
-// the server recomputes results for each method clients have polled, and
-// /api/results serves the last complete result immediately instead of
-// computing inline — pollers trade staleness (bounded by d plus one
-// inference run, observable via the X-Results-Version header) for
-// constant-time responses. d <= 0 (the default) disables the refresher.
-func WithResultsRefresh(d time.Duration) Option {
-	return func(s *Server) { s.refreshEvery = d }
-}
-
 // New wires a server around pool. assigner must not be nil; budget nil
-// means unlimited; screen nil disables golden-task elimination. The
-// server takes ownership of pool for writes: after New, other goroutines
-// must not mutate pool directly (read-only access stays safe — tasks are
-// immutable once added). With WithDurability the server serves the store's
-// pool instead, and pool (which may then be nil) only seeds it; see
-// WithDurability.
+// means unlimited; screen nil disables golden-task elimination. pool seeds
+// the served pool with its tasks (see the package comment); it must hold
+// no answers, leases or closed tasks. With WithDurability the server
+// serves the store's pool, and pool may be nil; see WithDurability.
 //
 // When leases are enabled (WithLeaseTTL) a background reaper goroutine is
 // started; call Close to stop it.
@@ -216,30 +178,31 @@ func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *c
 		budget = core.Unlimited()
 	}
 	s := &Server{
-		assigner:     assigner,
-		budget:       budget,
-		screen:       screen,
-		cache:        truth.NewResultCache(),
-		resultsWarm:  true,
-		resultsDelta: true,
+		assigner: assigner,
+		budget:   budget,
+		screen:   screen,
+		cache:    truth.NewResultCache(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	// The pool is settled after the options so WithShards and
-	// WithDurability are known; one in-memory shard wraps pool directly
-	// (the exact unsharded behavior).
+	// WithDurability are known.
 	if s.store != nil {
-		if err := s.adoptStore(pool); err != nil {
+		if err := s.adoptStore(); err != nil {
 			return nil, err
 		}
 	} else if pool == nil {
 		return nil, fmt.Errorf("server: pool and assigner are required")
 	} else {
-		s.cpool = core.NewShardedPool(pool, s.shards)
+		parts := make([]*core.Pool, max(s.shards, 1))
+		for i := range parts {
+			parts[i] = core.NewPool()
+		}
+		s.cpool = core.ShardedFrom(parts, nil)
 	}
-	if s.resultsDelta {
-		s.cpool.EnableDeltaLog(defaultDeltaLogCap)
+	if err := s.seed(pool); err != nil {
+		return nil, err
 	}
 	if err := s.initCQL(); err != nil {
 		return nil, err
@@ -274,11 +237,30 @@ func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *c
 		s.stopReaper = make(chan struct{})
 		go s.reap()
 	}
-	if s.refreshEvery > 0 {
-		s.stopRefresher = make(chan struct{})
-		go s.refreshLoop()
-	}
 	return s, nil
+}
+
+// seed adds the tasks of New's pool argument to the served pool through
+// Add, in the seed's order, so they keep their IDs and — with a store —
+// are journaled. A seed carries tasks only: answers, leases and closes
+// have no journal record to ride in on, so a seed holding any is refused,
+// as is a second task set on top of tasks the store recovered.
+func (s *Server) seed(pool *core.Pool) error {
+	if pool == nil || pool.Len() == 0 {
+		return nil
+	}
+	if pool.TotalAnswers() > 0 || pool.ActiveLeases() > 0 || len(pool.OpenTasks()) < pool.Len() {
+		return fmt.Errorf("server: a seed pool holds tasks only, not answers, leases or closed tasks")
+	}
+	if n := s.cpool.Len(); n > 0 {
+		return fmt.Errorf("server: the store already holds %d tasks; it cannot be seeded with %d more", n, pool.Len())
+	}
+	for _, id := range pool.TaskIDs() {
+		if _, err := s.cpool.Add(pool.Task(id)); err != nil {
+			return fmt.Errorf("server: seeding task %d: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // Close shuts down the CrowdQL session manager (if mounted — canceling
@@ -296,9 +278,6 @@ func (s *Server) Close() {
 		}
 		if s.stopReaper != nil {
 			close(s.stopReaper)
-		}
-		if s.stopRefresher != nil {
-			close(s.stopRefresher)
 		}
 		if s.store != nil {
 			_ = s.store.Close()

@@ -44,13 +44,52 @@ func testShards() int {
 
 func newTestServer(t *testing.T, pool *core.Pool, budget *core.Budget, screen *core.WorkerScreen) (*httptest.Server, *Client) {
 	t.Helper()
+	ts, _, client := newServed(t, pool, budget, screen)
+	return ts, client
+}
+
+// newServed is newTestServer that also hands back the server, whose pool
+// is the served state (the seed pool is not).
+func newServed(t *testing.T, pool *core.Pool, budget *core.Budget, screen *core.WorkerScreen) (*httptest.Server, *Server, *Client) {
+	t.Helper()
 	srv, err := New(pool, assign.FewestAnswers{}, budget, screen, WithShards(testShards()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts, NewClient(ts.URL)
+	return ts, srv, NewClient(ts.URL)
+}
+
+// flat copies a served pool into one unlocked core.Pool under ViewAll —
+// tasks in ID order with their answers, leases and closes — so a test
+// reads the served state through the Pool API.
+func flat(sp *core.ShardedPool) *core.Pool {
+	out := core.NewPool()
+	sp.ViewAll(func(pools []*core.Pool) {
+		ids := core.TaskIDsOf(pools)
+		for _, id := range ids {
+			p := pools[core.ShardIndex(id, len(pools))]
+			task := *p.Task(id)
+			out.MustAdd(&task)
+			for _, a := range p.Answers(id) {
+				if err := out.ReplayAnswer(a); err != nil {
+					panic(err)
+				}
+			}
+		}
+		for _, l := range core.LeasesOf(pools) {
+			if err := out.Lease(l.Task, l.Worker, l.Deadline); err != nil {
+				panic(err)
+			}
+		}
+		for _, id := range ids {
+			if pools[core.ShardIndex(id, len(pools))].Closed(id) {
+				out.Close(id)
+			}
+		}
+	})
+	return out
 }
 
 func TestServerRequiresPoolAndAssigner(t *testing.T) {
@@ -278,7 +317,7 @@ func TestEndToEndCrowdOverHTTP(t *testing.T) {
 func TestConcurrentDriveTransport(t *testing.T) {
 	rng := stats.NewRNG(7)
 	pool := testPool(rng, 80)
-	_, client := newTestServer(t, pool, nil, nil)
+	_, srv, client := newServed(t, pool, nil, nil)
 	workers := crowd.NewPopulation(rng, 20, crowd.RegimeMixed)
 
 	var wg sync.WaitGroup
@@ -307,9 +346,10 @@ func TestConcurrentDriveTransport(t *testing.T) {
 		t.Fatalf("answers = %d, want 600", st.TotalAnswers)
 	}
 	// No task may exceed one answer per worker.
-	for _, id := range pool.TaskIDs() {
+	served := flat(srv.cpool)
+	for _, id := range served.TaskIDs() {
 		seen := map[string]bool{}
-		for _, a := range pool.Answers(id) {
+		for _, a := range served.Answers(id) {
 			if seen[a.Worker] {
 				t.Fatalf("task %d has duplicate answers from %s", id, a.Worker)
 			}

@@ -51,7 +51,7 @@ func getBody(t *testing.T, url string) []byte {
 
 // The sharding acceptance test: the same task set and the same submission
 // script must produce byte-identical /api/stats and /api/results responses
-// whether the pool runs unsharded or split across several shards.
+// whether the pool runs on one shard or is split across several.
 func TestShardEquivalence(t *testing.T) {
 	const (
 		tasks   = 40

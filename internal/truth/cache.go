@@ -84,10 +84,10 @@ func (c *ResultCache) Latest(key ResultKey) (CacheEntry, bool) {
 
 // Put stores the entry for key, replacing any entry at an older or equal
 // version. An entry older than what is already cached is dropped: with
-// single-flight recomputes racing a background refresher, a slow
-// computation from version v must not clobber a completed one from v' >
-// v, or pollers would see results go backwards. A nil cache drops the
-// entry.
+// single-flight recomputes for different versions racing each other, a
+// slow computation from version v must not clobber a completed one from
+// v' > v, or pollers would see results go backwards. A nil cache drops
+// the entry.
 func (c *ResultCache) Put(key ResultKey, e CacheEntry) {
 	if c == nil || e.Res == nil {
 		return
