@@ -3,13 +3,16 @@
 // the crowd for. It follows the classic log-structured recipe:
 //
 //   - every committed mutation is appended to a write-ahead log (an
-//     append-only file of length-prefixed, CRC32-checksummed JSON events),
+//     append-only file of length-prefixed, CRC32-checksummed binary
+//     records, laid out in codec.go),
 //   - the log is periodically compacted into a snapshot (pool.snap,
 //     written atomically via temp file + rename, after which the WAL is
 //     truncated), and
 //   - Open loads the latest snapshot, replays the WAL tail, and truncates
 //     at the first torn or corrupt record instead of failing — a crash
-//     mid-append loses at most the unacknowledged suffix.
+//     mid-append loses at most the unacknowledged suffix. A directory an
+//     older build left in JSON (legacy.go) is replayed once and rewritten
+//     in the current format before Open returns.
 //
 // The store owns the pool it persists (Store.Pool) and is that pool's
 // write-ahead journal: a mutation is appended after it validated and
@@ -45,10 +48,11 @@ const (
 	EvAnswerBatch = "answer_batch"
 	// EvTaskClosed marks a task as no longer accepting answers.
 	EvTaskClosed = "task_closed"
-	// EvWorkerEliminated is an audit marker written when a golden-task
-	// observation tips a worker over the elimination threshold. Replay
-	// derives eliminations from the tallies, so the marker carries no
-	// state of its own.
+	// EvWorkerEliminated is an audit marker older builds journaled when a
+	// golden-task observation tipped a worker over the elimination
+	// threshold. Nothing writes it any more and it has no binary record:
+	// replay derives eliminations from the tallies, so a JSON one folds to
+	// nothing.
 	EvWorkerEliminated = "worker_eliminated"
 	// EvBudgetCharged / EvBudgetRefunded adjust the durable spend for
 	// charges that do not ride an answer record (bulk pricing, manual
@@ -177,7 +181,9 @@ func (r *LeaseRecord) deadline() time.Time { return time.Unix(0, r.Deadline) }
 // Event is one WAL record. Seq is assigned by the store and strictly
 // increases across snapshots and restarts; recovery replays only events
 // with Seq greater than the snapshot's LastSeq, which makes a crash
-// between snapshot publication and WAL truncation harmless.
+// between snapshot publication and WAL truncation harmless. Records are
+// written in codec.go's binary layout; the JSON field names are the
+// record format of older builds, which legacy.go still reads.
 type Event struct {
 	Seq     uint64         `json:"seq"`
 	Type    string         `json:"type"`

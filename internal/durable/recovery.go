@@ -1,7 +1,7 @@
 package durable
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,17 +31,21 @@ type RecoveryInfo struct {
 	ReplayDuration time.Duration
 	// SnapshotLoad, Decode, Merge, and Apply split ReplayDuration into the
 	// recovery pipeline's phases, which run one after another: reading
-	// pool.snap and restoring it into the pool shards; reading,
-	// checking and JSON-decoding every WAL file (and truncating torn
-	// tails); merging the files by sequence number while folding the
+	// pool.snap and restoring it into the pool shards; reading, checking
+	// and decoding every WAL file (and truncating torn tails); merging the
+	// files by sequence number while folding the
 	// cross-task state and routing pool mutations to their segments; and
 	// applying each segment's mutations to its pool shard. What is left over
-	// (directory scan, opening the segment files, a forced reshard
-	// snapshot) is not attributed.
+	// (directory scan, opening the segment files, a forced reshard or
+	// conversion snapshot) is not attributed.
 	SnapshotLoad time.Duration
 	Decode       time.Duration
 	Merge        time.Duration
 	Apply        time.Duration
+	// Converted is true when the directory held data in a format nothing
+	// writes any more — JSON WAL records or a format-1 pool.snap — and Open
+	// checkpointed it, so it now holds a format-2 snapshot and empty WALs.
+	Converted bool
 	// Segments is the number of WAL segments the store operates with.
 	Segments int
 	// Tasks, Answers, and BudgetSpent describe the recovered state.
@@ -81,7 +85,11 @@ func (ri *RecoveryInfo) Empty() bool {
 // one goroutine per segment. The shards recovery filled are the pool the
 // store then serves and journals (Store.Pool); nothing is copied. Leftover
 // files from a larger previous layout are folded into a fresh snapshot and
-// deleted, so the directory converges to the configured layout.
+// deleted, so the directory converges to the configured layout. A
+// directory that held JSON WAL records or a format-1 pool.snap is
+// checkpointed the same way (RecoveryInfo.Converted), so Open never leaves
+// a legacy record for a binary one to be appended behind; a directory
+// already in the current format is not.
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
@@ -118,6 +126,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		}
 		info.SnapshotLoaded = true
 		info.SnapshotSeq = s.snapSeq
+		info.Converted = legacyJSON(snap)
 	}
 	info.SnapshotLoad = time.Since(start)
 
@@ -128,6 +137,9 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	phase := time.Now()
 	if info.TornBytes, err = decodeWALs(files); err != nil {
 		return nil, nil, err
+	}
+	for _, f := range files {
+		info.Converted = info.Converted || f.legacy
 	}
 	info.Decode = time.Since(phase)
 
@@ -140,7 +152,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Apply = time.Since(phase)
 	s.pool = core.ShardedFrom(pools, s)
 
-	if err := s.openSegments(files); err != nil {
+	if err := s.openSegments(files, info.Converted); err != nil {
 		// A failed Open hands no store back, so nothing else would ever
 		// close the segment files already opened.
 		for _, seg := range s.segs {
@@ -184,6 +196,7 @@ type walFile struct {
 	path string
 
 	events     []Event // decoded records, in file order (ascending Seq)
+	legacy     bool    // some of them were JSON records
 	validBytes int64   // where the readable, decodable prefix ends
 	torn       int64   // bytes past validBytes: torn, corrupt or undecodable
 	err        error
@@ -206,8 +219,9 @@ func findWALs(dir string) ([]*walFile, error) {
 	return files, nil
 }
 
-// decode reads the file, verifies every frame, and JSON-decodes the
-// payloads into f.events.
+// decode reads the file, verifies every frame, and decodes the payloads
+// into f.events: a binary record through decodeEvent, a JSON one through
+// legacy.go.
 func (f *walFile) decode() {
 	payloads, validBytes, torn, err := readWAL(f.path)
 	if err != nil {
@@ -217,7 +231,12 @@ func (f *walFile) decode() {
 	events := make([]Event, len(payloads))
 	off := int64(0)
 	for i, payload := range payloads {
-		if json.Unmarshal(payload, &events[i]) != nil {
+		decode := decodeEvent
+		if legacyJSON(payload) {
+			decode = decodeLegacyEvent
+			f.legacy = true
+		}
+		if decode(payload, &events[i]) != nil {
 			// The frame checksum verified but the payload does not decode:
 			// treat it like a torn tail and cut this file here. Everything
 			// after an undecodable record in the same file is unreachable
@@ -344,9 +363,12 @@ func applyQueues(pools []*core.Pool, queues [][]*Event) {
 
 // openSegments opens the configured layout's WAL files for appending and
 // retires files left over from a larger previous layout: their events are
-// in the pool now, so a forced snapshot covers them and the files can
-// go — otherwise nothing would ever truncate them.
-func (s *Store) openSegments(files []*walFile) error {
+// in the pool now, so a snapshot covers them and the files can go —
+// otherwise nothing would ever truncate them. convert checkpoints the
+// directory even when nothing is left over, and even when the log holds
+// nothing the snapshot does not cover: a legacy record or snapshot must
+// not outlive Open.
+func (s *Store) openSegments(files []*walFile, convert bool) error {
 	for i, seg := range s.segs {
 		w, err := openWALShared(filepath.Join(s.dir, segWALName(i)), s.ins)
 		if err != nil {
@@ -355,10 +377,12 @@ func (s *Store) openSegments(files []*walFile) error {
 		seg.w = w
 	}
 	stale := files[sort.Search(len(files), func(i int) bool { return files[i].idx >= len(s.segs) }):]
-	if len(stale) == 0 {
+	if len(stale) == 0 && !convert {
 		return nil
 	}
-	if err := s.Snapshot(); err != nil {
+	var err error
+	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools, convert) })
+	if err != nil {
 		return err
 	}
 	for _, f := range stale {
@@ -367,4 +391,29 @@ func (s *Store) openSegments(files []*walFile) error {
 		}
 	}
 	return nil
+}
+
+// ReadLog decodes every WAL segment file in dir, in either record format,
+// and returns each file's events in file order, keyed by file name. It
+// only reads: a torn or undecodable tail, which Open would cut, is
+// reported as an error, and the events before it are still returned.
+func ReadLog(dir string) (map[string][]Event, error) {
+	files, err := findWALs(dir)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]Event, len(files))
+	var errs []error
+	for _, f := range files {
+		f.decode()
+		if f.err != nil {
+			return nil, f.err
+		}
+		name := filepath.Base(f.path)
+		out[name] = f.events
+		if f.torn > 0 {
+			errs = append(errs, fmt.Errorf("durable: %s: %d bytes from offset %d on do not decode", name, f.torn, f.validBytes))
+		}
+	}
+	return out, errors.Join(errs...)
 }

@@ -47,7 +47,6 @@ func driveScript(t *testing.T, s *Store) {
 	if err := s.BudgetRefunded(1); err != nil {
 		t.Fatal(err)
 	}
-	s.WorkerEliminated("w0")
 }
 
 // statesEquivalent compares two recovered states task by task.

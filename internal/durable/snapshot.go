@@ -41,7 +41,8 @@ const snapName = "pool.snap"
 //	uvarint tasks, then each task as varint ID, u32 LE record length, record
 //
 // and a record is the task's fields, its answers in arrival order (the
-// worker as an index into the table) and its leases:
+// worker as an index into the table) and its leases, built from the same
+// fields as WAL records (codec.go):
 //
 //	varint kind | string question | uvarint options, strings | byte flags |
 //	[f64 difficulty] | varint ground truth | [string truth text] | [f64 truth score] |
@@ -55,30 +56,12 @@ const snapName = "pool.snap"
 // several, so either format restores pools that iterate identically.
 //
 // A file that starts with '{' is a format-1 snapshot (one JSON Snapshot
-// document), which Open still reads; nothing writes it any more.
+// document): legacy.go reads it, and Open rewrites the directory in the
+// current format at once; nothing writes format 1 any more.
 const (
 	snapMagic  = "CKSNAP"
 	snapFormat = 2
 	snapHeader = len(snapMagic) + 2
-)
-
-// Task record flags.
-const (
-	snapGolden = 1 << iota
-	snapClosed
-	snapDifficulty
-	snapTruthText
-	snapTruthScore
-	snapTaskFlags = 1<<iota - 1
-)
-
-// Answer record flags.
-const (
-	snapText = 1 << iota
-	snapScore
-	snapSubmitted
-	snapLatency
-	snapAnswerFlags = 1<<iota - 1
 )
 
 // snapCross is the cross-task section of a format-2 snapshot: the log
@@ -181,47 +164,16 @@ func encodeShard(p *core.Pool, ascending bool) ([]byte, error) {
 		at := len(body)
 		body = append(body, 0, 0, 0, 0)
 
-		flags := floatFlag(t.Difficulty, snapDifficulty) | floatFlag(t.GroundTruthScore, snapTruthScore)
-		if t.Golden {
-			flags |= snapGolden
-		}
+		var closed byte
 		if p.Closed(id) {
-			flags |= snapClosed
+			closed = taskClosed
 		}
-		if t.GroundTruthText != "" {
-			flags |= snapTruthText
-		}
-		body = binary.AppendVarint(body, int64(t.Kind))
-		body = appendString(body, t.Question)
-		body = binary.AppendUvarint(body, uint64(len(t.Options)))
-		for _, o := range t.Options {
-			body = appendString(body, o)
-		}
-		body = append(body, flags)
-		body = appendOptFloat(body, t.Difficulty)
-		body = binary.AppendVarint(body, int64(t.GroundTruth))
-		if flags&snapTruthText != 0 {
-			body = appendString(body, t.GroundTruthText)
-		}
-		body = appendOptFloat(body, t.GroundTruthScore)
-
+		body = appendTask(body, taskRecord(t), closed)
 		answers := p.Answers(id)
 		body = binary.AppendUvarint(body, uint64(len(answers)))
 		for i := range answers {
 			a := &answers[i]
-			body = worker(body, a.Worker)
-			body = binary.AppendVarint(body, int64(a.Option))
-			af := floatFlag(a.Score, snapScore) | floatFlag(a.Submitted, snapSubmitted) | floatFlag(a.Latency, snapLatency)
-			if a.Text != "" {
-				af |= snapText
-			}
-			body = append(body, af)
-			if af&snapText != 0 {
-				body = appendString(body, a.Text)
-			}
-			body = appendOptFloat(body, a.Score)
-			body = appendOptFloat(body, a.Submitted)
-			body = appendOptFloat(body, a.Latency)
+			body = appendAnswer(worker(body, a.Worker), a, 0)
 		}
 		ls := leases[id]
 		body = binary.AppendUvarint(body, uint64(len(ls)))
@@ -240,117 +192,6 @@ func encodeShard(p *core.Pool, ascending bool) ([]byte, error) {
 		return nil, fmt.Errorf("durable: encoding snapshot: a shard section of %d bytes does not fit its frame", n)
 	}
 	return appendFrame(nil, table, body), nil
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// floatFlag returns flag when f has bits to write: a float equal to +0.0
-// is left out of the record and its flag bit stays clear.
-func floatFlag(f float64, flag byte) byte {
-	if math.Float64bits(f) == 0 {
-		return 0
-	}
-	return flag
-}
-
-// appendOptFloat appends f's raw bits unless floatFlag leaves it out.
-func appendOptFloat(b []byte, f float64) []byte {
-	if math.Float64bits(f) == 0 {
-		return b
-	}
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// errSnapMalformed marks a section whose checksum verified but whose
-// contents do not parse.
-var errSnapMalformed = errors.New("malformed record")
-
-// snapReader reads the fields of a format-2 section. The first malformed
-// field sets err and empties the input, so every later read returns a zero
-// value and callers check err once per record.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) fail() {
-	if r.err == nil {
-		r.err = errSnapMalformed
-	}
-	r.b = nil
-}
-
-func (r *snapReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *snapReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// next consumes n bytes.
-func (r *snapReader) next(n int) []byte {
-	if n < 0 || n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	b := r.b[:n:n]
-	r.b = r.b[n:]
-	return b
-}
-
-func (r *snapReader) byte() byte {
-	if b := r.next(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// optFloat reads a float whose flag bit is set in present; it is 0 when
-// the bit is clear.
-func (r *snapReader) optFloat(present byte) float64 {
-	if present == 0 {
-		return 0
-	}
-	if b := r.next(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
-}
-
-func (r *snapReader) u32() int {
-	if b := r.next(4); b != nil {
-		return int(binary.LittleEndian.Uint32(b))
-	}
-	return 0
-}
-
-func (r *snapReader) str() string { return string(r.next(r.count(1))) }
-
-// count reads an element count and rejects one the rest of the input
-// cannot hold at minSize bytes per element, so no count makes the decoder
-// allocate or loop beyond what its input justifies.
-func (r *snapReader) count(minSize int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/minSize) {
-		r.fail()
-		return 0
-	}
-	return int(n)
 }
 
 // snapSection is one pool shard's section of a format-2 snapshot: its
@@ -372,7 +213,7 @@ type snapRecord struct {
 // the section that shard `shard` of `of` wrote, checking that the shard
 // owns every task in it.
 func parseSection(shard, of int, payload []byte) (*snapSection, error) {
-	r := snapReader{b: payload}
+	r := reader{b: payload}
 	sec := &snapSection{shard: shard, workers: make([]string, r.count(1))}
 	for i := range sec.workers {
 		sec.workers[i] = r.str()
@@ -399,7 +240,7 @@ func parseSection(shard, of int, payload []byte) (*snapSection, error) {
 // Lease for each lease, and Close last — answers and leases of a closed
 // task were taken while it was open.
 func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) error {
-	r := snapReader{b: rec}
+	r := reader{b: rec}
 	malformed := func() error {
 		return fmt.Errorf("durable: snapshot corrupt: shard %d section, task %d: %w", sec.shard, id, r.err)
 	}
@@ -411,43 +252,23 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 		}
 		return sec.workers[i]
 	}
-	t := &core.Task{ID: id, Kind: core.TaskKind(r.varint()), Question: r.str()}
-	if n := r.count(1); n > 0 {
-		t.Options = make([]string, n)
-		for i := range t.Options {
-			t.Options[i] = r.str()
-		}
-	}
-	flags := r.byte()
-	t.Golden = flags&snapGolden != 0
-	t.Difficulty = r.optFloat(flags & snapDifficulty)
-	t.GroundTruth = int(r.varint())
-	if flags&snapTruthText != 0 {
-		t.GroundTruthText = r.str()
-	}
-	t.GroundTruthScore = r.optFloat(flags & snapTruthScore)
+	tr := TaskRecord{ID: id}
+	flags := r.task(&tr)
 	if flags&^snapTaskFlags != 0 {
 		r.fail()
 	}
 	if r.err != nil {
 		return malformed()
 	}
-	if got, err := p.Add(t); err != nil {
+	if got, err := p.Add(tr.task()); err != nil {
 		return fmt.Errorf("durable: snapshot task %d: %w", id, err)
 	} else if got != id {
 		return fmt.Errorf("durable: snapshot corrupt: task %d appears twice", id)
 	}
 
 	for n := r.count(3); n > 0 && r.err == nil; n-- {
-		a := core.Answer{Task: id, Worker: worker(), Option: int(r.varint())}
-		af := r.byte()
-		if af&snapText != 0 {
-			a.Text = r.str()
-		}
-		a.Score = r.optFloat(af & snapScore)
-		a.Submitted = r.optFloat(af & snapSubmitted)
-		a.Latency = r.optFloat(af & snapLatency)
-		if af&^snapAnswerFlags != 0 {
+		a := core.Answer{Task: id, Worker: worker()}
+		if r.answer(&a)&^snapAnswerFlags != 0 {
 			r.fail()
 		}
 		if r.err != nil {
@@ -472,7 +293,7 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 	if r.err != nil {
 		return malformed()
 	}
-	if flags&snapClosed != 0 {
+	if flags&taskClosed != 0 {
 		p.Close(id)
 	}
 	return nil
@@ -485,7 +306,7 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 // input is an error, and the store that got a partial restore is dropped.
 func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
 	decode := decodeSnapshot
-	if len(data) > 0 && data[0] == '{' {
+	if legacyJSON(data) {
 		decode = decodeFormat1
 	}
 	cross, restore, err := decode(data, len(pools))
@@ -698,80 +519,4 @@ func readSnapshot(dir string) (data []byte, found bool, err error) {
 		return nil, false, fmt.Errorf("durable: reading snapshot: %w", err)
 	}
 	return data, true, nil
-}
-
-// Snapshot is a format-1 snapshot, the one JSON document that builds
-// before format 2 wrote to pool.snap: the pool and the cross-task state as
-// of LastSeq. Open still reads it, so their data directories open
-// unchanged; the next snapshot rewrites them as format 2.
-type Snapshot struct {
-	Format      int                         `json:"format"`
-	LastSeq     uint64                      `json:"last_seq"`
-	Tasks       []TaskRecord                `json:"tasks"`
-	Closed      []core.TaskID               `json:"closed,omitempty"`
-	Answers     []AnswerRecord              `json:"answers,omitempty"`
-	Leases      []LeaseRecord               `json:"leases,omitempty"`
-	BudgetSpent float64                     `json:"budget_spent"`
-	Screen      map[string]core.ScreenTally `json:"screen,omitempty"`
-	CQL         *CQLSnapshot                `json:"cql,omitempty"`
-}
-
-// decodeFormat1 decodes a format-1 snapshot for a store of n shards; each
-// shard then takes its share of the document in document order.
-func decodeFormat1(data []byte, n int) (*snapCross, restoreFunc, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, nil, fmt.Errorf("durable: snapshot corrupt: %w", err)
-	}
-	if snap.Format > 1 {
-		return nil, nil, fmt.Errorf("durable: snapshot corrupt: a JSON snapshot of format %d (only format 1 is JSON)", snap.Format)
-	}
-	cross := &snapCross{
-		LastSeq:   snap.LastSeq,
-		SpentBits: math.Float64bits(snap.BudgetSpent),
-		Screen:    snap.Screen,
-		CQL:       snap.CQL,
-	}
-	return cross, func(p *core.Pool, si int) error { return snap.restoreSegment(p, si, n) }, nil
-}
-
-// restoreSegment restores the share of the snapshot that segment si of n
-// owns into p, in snapshot order, closing tasks only after their answers
-// and leases are in.
-func (s *Snapshot) restoreSegment(p *core.Pool, si, n int) error {
-	owns := func(id core.TaskID) bool { return core.ShardIndex(id, n) == si }
-	for i := range s.Tasks {
-		if !owns(s.Tasks[i].ID) {
-			continue
-		}
-		t := s.Tasks[i].task()
-		if got, err := p.Add(t); err != nil {
-			return fmt.Errorf("durable: snapshot task %d: %w", s.Tasks[i].ID, err)
-		} else if got != s.Tasks[i].ID {
-			return fmt.Errorf("durable: snapshot corrupt: task %d appears twice", s.Tasks[i].ID)
-		}
-	}
-	for i := range s.Answers {
-		if !owns(s.Answers[i].Task) {
-			continue
-		}
-		if err := p.Record(s.Answers[i].answer()); err != nil {
-			return fmt.Errorf("durable: snapshot answer: %w", err)
-		}
-	}
-	for i := range s.Leases {
-		l := &s.Leases[i]
-		if !owns(l.Task) {
-			continue
-		}
-		if err := p.Lease(l.Task, l.Worker, l.deadline()); err != nil {
-			return fmt.Errorf("durable: snapshot lease: %w", err)
-		}
-	}
-	for _, id := range s.Closed {
-		if owns(id) {
-			p.Close(id)
-		}
-	}
-	return nil
 }

@@ -87,9 +87,14 @@ func snapshotImageOf(t *testing.T, s *Store) snapshotImage {
 // exactly the state the same history reopens to from this build's format-2
 // snapshot — tasks and answers in iteration order, leases, closes, the next
 // task ID, the spend to the last bit, tallies and the CrowdQL ledger — and
-// the next snapshot rewrites it as format 2.
+// Open converts it: the directory holds a format-2 snapshot before Open
+// returns, and the next Open converts nothing.
 func TestFormat1SnapshotOpensToSameState(t *testing.T) {
 	f1 := readFormat1(t)
+	var doc Snapshot
+	if err := json.Unmarshal(f1, &doc); err != nil {
+		t.Fatal(err)
+	}
 	master := t.TempDir()
 	s, _ := mustOpen(t, master, Options{Fsync: FsyncNever, Segments: format1Segments})
 	driveRandom(t, s, format1Seed, format1Steps, nil)
@@ -103,8 +108,10 @@ func TestFormat1SnapshotOpensToSameState(t *testing.T) {
 
 	for _, segments := range []int{1, 2, 3, 8} {
 		open := func(data []byte) (snapshotImage, *RecoveryInfo) {
-			s, info := mustOpen(t, snapDir(t, data), Options{Fsync: FsyncNever, Segments: segments})
+			dir := snapDir(t, data)
+			s, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: segments})
 			defer s.Crash()
+			assertConverted(t, fmt.Sprintf("segments=%d", segments), dir)
 			return snapshotImageOf(t, s), info
 		}
 		got, info1 := open(f1)
@@ -117,21 +124,27 @@ func TestFormat1SnapshotOpensToSameState(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("segments=%d: format 1 restores\n %+v\nformat 2 restores\n %+v", segments, got, want)
 		}
-		if !info1.SnapshotLoaded || info1.SnapshotSeq != info2.SnapshotSeq || info1.Replayed != 0 {
-			t.Fatalf("segments=%d: format-1 recovery %+v, format-2 recovery %+v", segments, info1, info2)
+		// The format-1 writer also journaled elimination markers, so its
+		// sequence numbers run ahead of this build's for the same history.
+		if !info1.SnapshotLoaded || info1.SnapshotSeq != doc.LastSeq || info1.Replayed != 0 || !info1.Converted {
+			t.Fatalf("segments=%d: format-1 recovery %+v, want the snapshot at seq %d, converted", segments, info1, doc.LastSeq)
+		}
+		if !info2.SnapshotLoaded || info2.Converted {
+			t.Fatalf("segments=%d: format-2 recovery %+v, want the snapshot, not converted", segments, info2)
 		}
 	}
 
 	dir := snapDir(t, f1)
 	s, _ = mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: format1Segments})
-	if err := s.BudgetCharged(1); err != nil {
-		t.Fatal(err)
+	want := imageOf(s)
+	s.Crash()
+	s, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: format1Segments})
+	defer s.Close()
+	if !info.SnapshotLoaded || info.SnapshotSeq != doc.LastSeq || info.Converted || info.Replayed != 0 {
+		t.Fatalf("second Open of a converted directory: %+v, want its snapshot alone", info)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(filepath.Join(dir, snapName)); err != nil || string(data[:len(snapMagic)]) != snapMagic {
-		t.Fatalf("the snapshot after a format-1 boot is not format 2 (err %v)", err)
+	if got := imageOf(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the converted directory reopens to\n %+v\nwant\n %+v", got, want)
 	}
 }
 

@@ -2,9 +2,8 @@ package durable
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -133,17 +132,6 @@ type Store struct {
 // segFor returns the index of the segment owning a task's events.
 func (s *Store) segFor(id core.TaskID) int { return core.ShardIndex(id, len(s.segs)) }
 
-// segForWorker routes worker-keyed events (elimination markers) that have
-// no task affinity.
-func (s *Store) segForWorker(worker string) int {
-	if len(s.segs) == 1 {
-		return 0
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(worker))
-	return int(h.Sum64() % uint64(len(s.segs)))
-}
-
 // Pool returns the live pool: the one Open recovered (empty on a fresh
 // directory), with the store attached as its journal. It has one shard per
 // WAL segment. Mutate it through its methods only; every accepted mutation
@@ -199,49 +187,58 @@ func (s *Store) fail(err error) {
 	s.mu.Unlock()
 }
 
-// appendSeg journals one event on segment si: assign the next global
-// sequence number, write the framed record, and fold the event's
-// cross-task part — all under the segment's mutex, so its file stays in
-// sequence order. sync selects whether the record must reach stable
-// storage before returning; pool mutations pass false (they run under a
-// shard lock) and their caller waits through Sync afterwards. The fsync
-// itself runs after the segment mutex is released, through the
-// group-commit path, so appends keep flowing while a flush is in flight.
+// bodyBufs recycles the buffers appendSeg encodes record bodies into.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendSeg journals one event on segment si. The record's body — every
+// field but the sequence number — is encoded first, outside every lock;
+// then, under the segment's mutex, the event draws the next global
+// sequence number, its framed record is written and its cross-task part
+// is folded, so the file stays in sequence order. sync selects whether the
+// record must reach stable storage before returning; pool mutations pass
+// false (they run under a shard lock) and their caller waits through Sync
+// afterwards. The fsync itself runs after the segment mutex is released,
+// through the group-commit path, so appends keep flowing while a flush is
+// in flight.
 func (s *Store) appendSeg(si int, ev *Event, sync bool) error {
+	tag := eventTag(ev.Type)
+	buf := bodyBufs.Get().(*[]byte)
+	body := appendEventBody((*buf)[:0], ev)
 	seg := s.segs[si]
 	seg.mu.Lock()
+	err := s.writeLocked(seg, tag, ev, body)
+	seg.mu.Unlock()
+	*buf = body
+	bodyBufs.Put(buf)
+	if err != nil || !sync {
+		return err
+	}
+	return s.syncSeg(si, ev.Seq)
+}
+
+// writeLocked assigns ev its sequence number, writes its record — tag,
+// sequence number, body — and folds its cross-task part. The caller holds
+// seg.mu.
+func (s *Store) writeLocked(seg *segment, tag byte, ev *Event, body []byte) error {
 	s.mu.Lock()
 	if err := s.err; err != nil {
 		s.mu.Unlock()
-		seg.mu.Unlock()
 		return err
 	}
 	if s.closed {
 		s.mu.Unlock()
-		seg.mu.Unlock()
 		return fmt.Errorf("durable: store is closed")
 	}
 	s.seq++
 	ev.Seq = s.seq
 	s.mu.Unlock()
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		// The sequence number is abandoned; gaps are harmless, replay only
-		// needs relative order.
-		seg.mu.Unlock()
-		return fmt.Errorf("durable: encoding %s event: %w", ev.Type, err)
-	}
-	if err := seg.w.append(payload); err != nil {
-		seg.mu.Unlock()
+	var head [1 + binary.MaxVarintLen64]byte
+	if err := seg.w.append(binary.AppendUvarint(append(head[:0], tag), ev.Seq), body); err != nil {
 		s.fail(err)
 		return err
 	}
 	seg.appended.Store(ev.Seq)
 	s.foldCross(ev)
-	seg.mu.Unlock()
-	if sync {
-		return s.syncSeg(si, ev.Seq)
-	}
 	return nil
 }
 
@@ -321,13 +318,6 @@ func (s *Store) syncSeg(si int, seq uint64) error {
 	return nil
 }
 
-// WorkerEliminated journals the audit marker for a worker crossing the
-// elimination threshold. Best-effort: the tallies that imply the
-// elimination ride the answer records, so losing the marker loses nothing.
-func (s *Store) WorkerEliminated(worker string) {
-	_ = s.appendSeg(s.segForWorker(worker), &Event{Type: EvWorkerEliminated, Worker: worker}, false)
-}
-
 // BudgetCharged journals a budget charge that does not ride an answer
 // record (bulk pricing, manual adjustment). Budget events have no task
 // affinity and always land on segment 0.
@@ -376,16 +366,17 @@ func (s *Store) LeasesExpired(ls []core.Lease) error {
 // snapshot.
 func (s *Store) Snapshot() error {
 	var err error
-	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools) })
+	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools, false) })
 	return err
 }
 
-// snapshotLocked runs inside consistentCut.
-func (s *Store) snapshotLocked(pools []*core.Pool) error {
+// snapshotLocked runs inside consistentCut. Unless forced, it does nothing
+// when nothing was journaled since the last snapshot.
+func (s *Store) snapshotLocked(pools []*core.Pool, force bool) error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.seq == s.snapSeq {
+	if s.seq == s.snapSeq && !force {
 		return nil
 	}
 	img, err := s.encodeSnapshot(pools)
@@ -482,7 +473,7 @@ func (s *Store) Close() error {
 
 	var err error
 	s.consistentCut(func(pools []*core.Pool) {
-		err = s.snapshotLocked(pools)
+		err = s.snapshotLocked(pools, false)
 		for _, seg := range s.segs {
 			if cerr := seg.w.close(false); err == nil {
 				err = cerr

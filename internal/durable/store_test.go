@@ -602,7 +602,6 @@ func TestWorkerEliminationMarkerAndTallies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.WorkerEliminated("w0")
 	s.Crash()
 
 	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})

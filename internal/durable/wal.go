@@ -153,11 +153,16 @@ func openWALShared(path string, ins *walInstruments) (*wal, error) {
 	return &wal{f: f, ins: ins}, nil
 }
 
-// append frames payload and writes it in a single write call, so a crash
-// tears at most the final record.
-func (w *wal) append(payload []byte) error {
-	if len(payload) == 0 || len(payload) > maxRecordBytes {
-		return fmt.Errorf("durable: record of %d bytes outside (0, %d]", len(payload), maxRecordBytes)
+// append frames one record whose payload is the concatenation of parts
+// and writes it in a single write call, so a crash tears at most the final
+// record.
+func (w *wal) append(parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 || n > maxRecordBytes {
+		return fmt.Errorf("durable: record of %d bytes outside (0, %d]", n, maxRecordBytes)
 	}
 	start := time.Now()
 	w.mu.Lock()
@@ -165,7 +170,7 @@ func (w *wal) append(payload []byte) error {
 	if w.f == nil {
 		return fmt.Errorf("durable: append to closed WAL")
 	}
-	frame := appendFrame(w.buf[:0], payload)
+	frame := appendFrame(w.buf[:0], parts...)
 	w.buf = frame
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("durable: WAL append: %w", err)

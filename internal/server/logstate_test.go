@@ -1,11 +1,10 @@
 package server
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -82,29 +81,9 @@ func answerers(base string, n int, stop <-chan struct{}) (wait func()) {
 // readSegments decodes every WAL segment file in dir, in file order.
 func readSegments(t *testing.T, dir string) map[string][]durable.Event {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "wal*.log"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no WAL files in %s (%v)", dir, err)
-	}
-	out := map[string][]durable.Event{}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Frame: payload length and CRC-32, little endian, then the JSON.
-		for len(data) >= 8 {
-			n := int(binary.LittleEndian.Uint32(data[0:4]))
-			if len(data) < 8+n || crc32.ChecksumIEEE(data[8:8+n]) != binary.LittleEndian.Uint32(data[4:8]) {
-				t.Fatalf("%s: bad frame %d bytes from the end", path, len(data))
-			}
-			var ev durable.Event
-			if err := json.Unmarshal(data[8:8+n], &ev); err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			out[filepath.Base(path)] = append(out[filepath.Base(path)], ev)
-			data = data[8+n:]
-		}
+	out, err := durable.ReadLog(dir)
+	if err != nil || len(out) == 0 {
+		t.Fatalf("reading the WAL files in %s: %d files, %v", dir, len(out), err)
 	}
 	return out
 }
@@ -391,5 +370,69 @@ func TestDurableServerShardsAreTheStoresSegments(t *testing.T) {
 	defer srv.Close()
 	if srv.Shards() != 3 || srv.cpool.Len() != 5 {
 		t.Fatalf("reopened under 3 segments: %d shards, %d tasks; want 3 and 5", srv.Shards(), srv.cpool.Len())
+	}
+}
+
+// (d) Upgrade. A data directory an older build left in JSON — WAL records
+// only, every event type, written by a crashed 2-segment store — boots,
+// and its recovery converts it. A second boot, of the directory as the
+// first one left it, serves byte-identical /api/stats and /api/results.
+func TestJSONEraDirectoryServesTheSameAfterConversion(t *testing.T) {
+	dir := t.TempDir()
+	fixture := filepath.Join("..", "durable", "testdata", "jsonwal")
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot := func() (map[string][]byte, *durable.RecoveryInfo) {
+		store, info, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever, Segments: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(nil, assign.FewestAnswers{}, core.Unlimited(), core.NewWorkerScreen(1, 0.5),
+			WithDurability(store), WithCQL(CQLConfig{Redundancy: 3, ExecuteGrace: time.Millisecond}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer func() { ts.Close(); srv.Close() }()
+		bodies := map[string][]byte{}
+		for _, path := range []string{"/api/stats", "/api/results?method=mv", "/api/results?method=onecoin",
+			"/api/results?method=ds", "/api/results?method=glad"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: %d %s (%v)", path, resp.StatusCode, body, err)
+			}
+			bodies[path] = body
+		}
+		store.Crash()
+		return bodies, info
+	}
+	first, info := boot()
+	if !info.Converted || info.Replayed == 0 || info.Tasks == 0 || info.Answers == 0 {
+		t.Fatalf("first boot: %+v, want the JSON records replayed and the directory converted", info)
+	}
+	second, info := boot()
+	if info.Converted || !info.SnapshotLoaded {
+		t.Fatalf("second boot: %+v, want the converted snapshot and nothing left to convert", info)
+	}
+	for path, body := range first {
+		if !bytes.Equal(second[path], body) {
+			t.Fatalf("GET %s after conversion:\n%s\nbefore:\n%s", path, second[path], body)
+		}
 	}
 }

@@ -579,10 +579,11 @@ func (s *Server) gradeGolden(t *core.Task, option int, text string) *bool {
 }
 
 // observeGolden feeds a recorded golden answer's grade to the worker
-// screen and journals the audit marker if it eliminated the worker.
+// screen. Nothing journals the elimination itself: the grade rides the
+// answer's record, and recovery re-derives eliminations from the tallies.
 func (s *Server) observeGolden(worker string, golden *bool) {
-	if golden != nil && s.screen.Observe(worker, *golden) && s.store != nil {
-		s.store.WorkerEliminated(worker)
+	if golden != nil {
+		s.screen.Observe(worker, *golden)
 	}
 }
 
