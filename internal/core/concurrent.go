@@ -125,7 +125,7 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 	_, sp := obs.ChildSpan(ctx, "core.record")
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err = s.pool.checkRecord(a, 0, false)
+	e, err := s.pool.checkRecord(a, 0, false)
 	if sp.Recording() {
 		sp.SetAttr(obs.Int("task", int64(a.Task)), obs.Str("worker", a.Worker),
 			obs.Int("shard", int64(s.index)))
@@ -140,7 +140,7 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 			return 0, notJournaled(err)
 		}
 	}
-	s.pool.applyRecord(a)
+	s.pool.applyRecord(e, a)
 	s.logAnswerLocked(s.version.Add(1), a)
 	return pos, nil
 }
@@ -168,7 +168,7 @@ func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 	charges := make([]Charge, 0, len(as))
 	for i, a := range as {
 		k := slot{a.Task, a.Worker}
-		if errs[i] = s.pool.checkRecord(a, pending[k], false); errs[i] != nil {
+		if _, errs[i] = s.pool.checkRecord(a, pending[k], false); errs[i] != nil {
 			continue
 		}
 		pending[k]++
@@ -192,7 +192,7 @@ func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 	}
 	ver := s.version.Add(1)
 	for _, a := range accepted {
-		s.pool.applyRecord(a)
+		s.pool.applyRecord(s.pool.tasks[a.Task], a)
 		s.logAnswerLocked(ver, a)
 	}
 	return errs, pos

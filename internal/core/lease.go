@@ -40,10 +40,11 @@ func (p *Pool) checkLease(id TaskID, worker string) error {
 	if worker == "" {
 		return fmt.Errorf("core: lease needs a worker id")
 	}
-	if _, ok := p.tasks[id]; !ok {
+	e := p.tasks[id]
+	if e == nil {
 		return fmt.Errorf("core: lease for unknown task %d", id)
 	}
-	if p.closed[id] {
+	if e.closed {
 		return fmt.Errorf("core: lease for closed task %d", id)
 	}
 	return nil
@@ -106,7 +107,7 @@ func (p *Pool) ActiveLeases() int {
 // handed out again while other tasks need answers. Redundancy targets must
 // keep using AnswerCount: only committed answers satisfy them.
 func (p *Pool) InFlight(id TaskID) int {
-	return len(p.answers[id]) + len(p.leases[id])
+	return len(p.Answers(id)) + len(p.leases[id])
 }
 
 // ExpireLeases removes every lease whose deadline is at or before now and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 )
@@ -10,19 +11,21 @@ import (
 // answers collected so far. It is the shared blackboard between the
 // platform loop, assignment policies, and truth inference.
 //
+// Each task has one entry (taskEntry): the task, its answers in arrival
+// order, its closed flag and its voter index, so every per-task call pays
+// one map lookup, and scans in insertion order (OpenTasks, EligibleFor,
+// AllAnswers) walk the entries without any. Grow sizes an entry ahead of
+// a known number of answers; recovery uses it so that every task's answer
+// slice and voter index are allocated once, at their final size.
+//
 // Pool is not safe for concurrent use; it stays lock-free so simulator
 // hot loops pay no synchronization cost. The serving layer holds one Pool
 // per shard of a ShardedPool, which locks it; assigners, truth inference
 // and journal replay read and fill those per-shard Pools directly.
 type Pool struct {
-	tasks   map[TaskID]*Task
-	order   []TaskID // insertion order, for deterministic iteration
-	answers map[TaskID][]Answer
-	// perWorker counts how many answers each worker has submitted per
-	// task, to enforce the one-answer-per-worker-per-task platform rule
-	// (and, for the repeatable kinds, the MaxRepeatAnswers cap).
-	perWorker map[string]map[TaskID]int
-	closed    map[TaskID]bool
+	tasks   map[TaskID]*taskEntry
+	order   []TaskID     // insertion order, for deterministic iteration
+	entries []*taskEntry // entries[i] is tasks[order[i]]
 	// leases tracks outstanding assignments per task: worker -> deadline.
 	// See lease.go for the lease state machine.
 	leases map[TaskID]map[string]time.Time
@@ -33,14 +36,22 @@ type Pool struct {
 	nextID    TaskID
 }
 
+// taskEntry is everything the pool holds about one task.
+type taskEntry struct {
+	task    *Task
+	answers []Answer
+	closed  bool
+	// voters counts the task's answers per worker, to enforce the
+	// one-answer-per-worker-per-task platform rule (and, for the repeatable
+	// kinds, the MaxRepeatAnswers cap). nil until the first answer or Grow.
+	voters map[string]int
+}
+
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{
-		tasks:     make(map[TaskID]*Task),
-		answers:   make(map[TaskID][]Answer),
-		perWorker: make(map[string]map[TaskID]int),
-		closed:    make(map[TaskID]bool),
-		leases:    make(map[TaskID]map[string]time.Time),
+		tasks:  make(map[TaskID]*taskEntry),
+		leases: make(map[TaskID]map[string]time.Time),
 	}
 }
 
@@ -80,8 +91,10 @@ func settleID(t *Task, taken, nonEmpty bool, next *TaskID) {
 
 // insert registers a task prepareAdd accepted.
 func (p *Pool) insert(t *Task) {
-	p.tasks[t.ID] = t
+	e := &taskEntry{task: t}
+	p.tasks[t.ID] = e
 	p.order = append(p.order, t.ID)
+	p.entries = append(p.entries, e)
 }
 
 // MustAdd adds and panics on error; for tests and generators.
@@ -94,7 +107,12 @@ func (p *Pool) MustAdd(t *Task) TaskID {
 }
 
 // Task returns the task with the given id, or nil.
-func (p *Pool) Task(id TaskID) *Task { return p.tasks[id] }
+func (p *Pool) Task(id TaskID) *Task {
+	if e := p.tasks[id]; e != nil {
+		return e.task
+	}
+	return nil
+}
 
 // Len returns the number of tasks.
 func (p *Pool) Len() int { return len(p.tasks) }
@@ -102,6 +120,29 @@ func (p *Pool) Len() int { return len(p.tasks) }
 // TaskIDs returns all task ids in insertion order. The caller must not
 // mutate the returned slice.
 func (p *Pool) TaskIDs() []TaskID { return p.order }
+
+// Grow is a capacity hint, like slices.Grow: it sizes task id's answer
+// slice and voter index for n more answers, so that the next n answers
+// recorded on it allocate nothing. It never changes what the pool holds;
+// an unknown task or n <= 0 leaves the pool as it is. A map has no
+// capacity to check, so every call rebuilds the voter index: a caller that
+// knows a task's answer count should grow it once, by the whole count.
+func (p *Pool) Grow(id TaskID, n int) {
+	e := p.tasks[id]
+	if e == nil || n <= 0 {
+		return
+	}
+	if cap(e.answers)-len(e.answers) < n {
+		// make, not slices.Grow: the capacity stays exactly what was
+		// asked for instead of rounding up to an allocation size class.
+		grown := make([]Answer, len(e.answers), len(e.answers)+n)
+		copy(grown, e.answers)
+		e.answers = grown
+	}
+	voters := make(map[string]int, len(e.voters)+n)
+	maps.Copy(voters, e.voters)
+	e.voters = voters
+}
 
 // MaxRepeatAnswers caps how many answers one worker may submit for one
 // repeatable (MultiChoice, Collection) task. Legitimate uses stay small —
@@ -114,10 +155,11 @@ const MaxRepeatAnswers = 8
 // exist, must be open, and the worker must not have answered it before
 // (repeatable kinds allow up to MaxRepeatAnswers submissions).
 func (p *Pool) Record(a Answer) error {
-	if err := p.checkRecord(a, 0, false); err != nil {
+	e, err := p.checkRecord(a, 0, false)
+	if err != nil {
 		return err
 	}
-	p.applyRecord(a)
+	p.applyRecord(e, a)
 	return nil
 }
 
@@ -127,78 +169,84 @@ func (p *Pool) Record(a Answer) error {
 // the task_closed record its arrival triggered; dropping it would leave
 // the recovered pool one answer short of the spend that paid for it.
 func (p *Pool) ReplayAnswer(a Answer) error {
-	if err := p.checkRecord(a, 0, true); err != nil {
+	e, err := p.checkRecord(a, 0, true)
+	if err != nil {
 		return err
 	}
-	p.applyRecord(a)
+	p.applyRecord(e, a)
 	return nil
 }
 
-// checkRecord is the validation half of Record. pending counts answers by
-// the same worker on the same task that were accepted but not applied yet
-// (earlier items of one batch); closedOK admits a closed task.
-func (p *Pool) checkRecord(a Answer, pending int, closedOK bool) error {
-	t, ok := p.tasks[a.Task]
-	if !ok {
-		return fmt.Errorf("core: answer for unknown task %d", a.Task)
+// checkRecord is the validation half of Record; it returns the entry of
+// the answer's task for applyRecord. pending counts answers by the same
+// worker on the same task that were accepted but not applied yet (earlier
+// items of one batch); closedOK admits a closed task.
+func (p *Pool) checkRecord(a Answer, pending int, closedOK bool) (*taskEntry, error) {
+	e := p.tasks[a.Task]
+	if e == nil {
+		return nil, fmt.Errorf("core: answer for unknown task %d", a.Task)
 	}
-	if p.closed[a.Task] && !closedOK {
-		return fmt.Errorf("core: answer for closed task %d", a.Task)
+	if e.closed && !closedOK {
+		return nil, fmt.Errorf("core: answer for closed task %d", a.Task)
 	}
-	n := p.perWorker[a.Worker][a.Task] + pending
-	if t.Kind == MultiChoice || t.Kind == Collection {
+	n := e.voters[a.Worker] + pending
+	if k := e.task.Kind; k == MultiChoice || k == Collection {
 		if n >= MaxRepeatAnswers {
-			return fmt.Errorf("core: worker %s hit the %d-answer resubmission cap on task %d",
+			return nil, fmt.Errorf("core: worker %s hit the %d-answer resubmission cap on task %d",
 				a.Worker, MaxRepeatAnswers, a.Task)
 		}
 	} else if n > 0 {
-		return fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
+		return nil, fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
 	}
-	return nil
+	return e, nil
 }
 
-// applyRecord stores an answer checkRecord accepted.
-func (p *Pool) applyRecord(a Answer) {
-	wt := p.perWorker[a.Worker]
-	if wt == nil {
-		wt = make(map[TaskID]int)
-		p.perWorker[a.Worker] = wt
+// applyRecord stores an answer checkRecord accepted into its task's entry.
+func (p *Pool) applyRecord(e *taskEntry, a Answer) {
+	if e.voters == nil {
+		e.voters = make(map[string]int)
 	}
-	wt[a.Task]++
-	p.answers[a.Task] = append(p.answers[a.Task], a)
+	e.voters[a.Worker]++
+	e.answers = append(e.answers, a)
 	// The submission consumes any outstanding lease for this assignment.
 	p.releaseLease(a.Task, a.Worker)
 }
 
 // Answers returns the answers recorded for a task (possibly nil). The
 // caller must not mutate the returned slice.
-func (p *Pool) Answers(id TaskID) []Answer { return p.answers[id] }
+func (p *Pool) Answers(id TaskID) []Answer {
+	if e := p.tasks[id]; e != nil {
+		return e.answers
+	}
+	return nil
+}
 
 // AllAnswers returns every recorded answer, ordered by task insertion
 // order then arrival order.
 func (p *Pool) AllAnswers() []Answer {
 	var out []Answer
-	for _, id := range p.order {
-		out = append(out, p.answers[id]...)
+	for _, e := range p.entries {
+		out = append(out, e.answers...)
 	}
 	return out
 }
 
 // AnswerCount returns the number of answers for a task.
-func (p *Pool) AnswerCount(id TaskID) int { return len(p.answers[id]) }
+func (p *Pool) AnswerCount(id TaskID) int { return len(p.Answers(id)) }
 
 // TotalAnswers returns the number of answers across all tasks.
 func (p *Pool) TotalAnswers() int {
 	n := 0
-	for _, as := range p.answers {
-		n += len(as)
+	for _, e := range p.entries {
+		n += len(e.answers)
 	}
 	return n
 }
 
 // HasAnswered reports whether the worker already answered the task.
 func (p *Pool) HasAnswered(worker string, id TaskID) bool {
-	return p.perWorker[worker][id] > 0
+	e := p.tasks[id]
+	return e != nil && e.voters[worker] > 0
 }
 
 // Close marks an open task as finished: no further answers are accepted
@@ -206,28 +254,31 @@ func (p *Pool) HasAnswered(worker string, id TaskID) bool {
 // late submission would be rejected anyway. Closing an unknown or already
 // closed task does nothing.
 func (p *Pool) Close(id TaskID) {
-	if p.closable(id) {
-		p.closed[id] = true
+	if e := p.tasks[id]; e != nil && !e.closed {
+		e.closed = true
 		delete(p.leases, id)
 	}
 }
 
 // closable reports whether Close(id) would change anything.
 func (p *Pool) closable(id TaskID) bool {
-	_, ok := p.tasks[id]
-	return ok && !p.closed[id]
+	e := p.tasks[id]
+	return e != nil && !e.closed
 }
 
 // Closed reports whether the task has been closed.
-func (p *Pool) Closed(id TaskID) bool { return p.closed[id] }
+func (p *Pool) Closed(id TaskID) bool {
+	e := p.tasks[id]
+	return e != nil && e.closed
+}
 
 // OpenTasks returns the ids of tasks that are not closed, in insertion
 // order.
 func (p *Pool) OpenTasks() []TaskID {
 	out := make([]TaskID, 0, len(p.order))
-	for _, id := range p.order {
-		if !p.closed[id] {
-			out = append(out, id)
+	for i, e := range p.entries {
+		if !e.closed {
+			out = append(out, p.order[i])
 		}
 	}
 	return out
@@ -237,34 +288,49 @@ func (p *Pool) OpenTasks() []TaskID {
 // in insertion order.
 func (p *Pool) EligibleFor(worker string) []TaskID {
 	out := make([]TaskID, 0, len(p.order))
-	for _, id := range p.order {
-		if !p.closed[id] && p.perWorker[worker][id] == 0 {
-			out = append(out, id)
+	for i, e := range p.entries {
+		if !e.closed && e.voters[worker] == 0 {
+			out = append(out, p.order[i])
 		}
 	}
 	return out
 }
 
 // Workers returns the ids of all workers that submitted at least one
-// answer, sorted for determinism.
+// answer, sorted for determinism. It is derived from the tasks' voter
+// indexes, so it costs a walk over them.
 func (p *Pool) Workers() []string {
-	out := make([]string, 0, len(p.perWorker))
-	for w := range p.perWorker {
+	set := workerSet([]*Pool{p})
+	out := make([]string, 0, len(set))
+	for w := range set {
 		out = append(out, w)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// workerSet returns the workers that answered a task of any of pools.
+func workerSet(pools []*Pool) map[string]bool {
+	set := make(map[string]bool)
+	for _, p := range pools {
+		for _, e := range p.entries {
+			for w := range e.voters {
+				set[w] = true
+			}
+		}
+	}
+	return set
+}
+
 // OptionVotes tallies, for a choice-type task, how many answers selected
 // each option. The slice is indexed by option.
 func (p *Pool) OptionVotes(id TaskID) []int {
-	t := p.tasks[id]
-	if t == nil || len(t.Options) == 0 {
+	e := p.tasks[id]
+	if e == nil || len(e.task.Options) == 0 {
 		return nil
 	}
-	votes := make([]int, len(t.Options))
-	for _, a := range p.answers[id] {
+	votes := make([]int, len(e.task.Options))
+	for _, a := range e.answers {
 		if a.Option >= 0 && a.Option < len(votes) {
 			votes[a.Option]++
 		}

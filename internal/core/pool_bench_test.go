@@ -1,0 +1,83 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+)
+
+// The pool at worker_loop's shape (bench/workloads.json): 1,000 tasks,
+// answered by 512 workers, about 15 answers per task by the end of a run.
+const (
+	benchTasks          = 1000
+	benchWorkers        = 512
+	benchAnswersPerTask = 15
+)
+
+var benchWorkerIDs = func() []string {
+	ids := make([]string, benchWorkers)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("worker-%03d", i)
+	}
+	return ids
+}()
+
+// benchAnswer is the j-th answer to task i of a benchmark pool: j < 512
+// answers to one task come from distinct workers (37 is odd, so j ↦ 37j
+// is one-to-one mod 512).
+func benchAnswer(i, j int) Answer {
+	return Answer{Task: TaskID(i + 1), Worker: benchWorkerIDs[(7*i+37*j)%benchWorkers], Option: (i + j) % 2}
+}
+
+// benchPool returns a pool of benchTasks tasks with the first perTask
+// answers of each recorded, round-robin over the tasks.
+func benchPool(b *testing.B, perTask int) *Pool {
+	b.Helper()
+	p := NewPool()
+	for i := 0; i < benchTasks; i++ {
+		p.MustAdd(&Task{ID: TaskID(i + 1), Kind: SingleChoice, Question: "q", Options: []string{"no", "yes"}})
+	}
+	for j := 0; j < perTask; j++ {
+		for i := 0; i < benchTasks; i++ {
+			if err := p.Record(benchAnswer(i, j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return p
+}
+
+// BenchmarkPoolRecord measures Record as the live path meets it: tasks
+// filling from no answers to benchAnswersPerTask, round-robin, each answer
+// checked against the platform rules and stored. One op is one answer; a
+// fresh pool is built, off the clock, every benchTasks·benchAnswersPerTask
+// answers.
+func BenchmarkPoolRecord(b *testing.B) {
+	const round = benchTasks * benchAnswersPerTask
+	var p *Pool
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		k := n % round
+		if k == 0 {
+			b.StopTimer()
+			p = benchPool(b, 0)
+			b.StartTimer()
+		}
+		if err := p.Record(benchAnswer(k%benchTasks, k/benchTasks)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPoolEligibleFor measures the scan every assignment starts with:
+// the open tasks one worker has not answered, on a pool holding
+// benchAnswersPerTask answers per task.
+func BenchmarkPoolEligibleFor(b *testing.B) {
+	p := benchPool(b, benchAnswersPerTask)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if len(p.EligibleFor(benchWorkerIDs[n%benchWorkers])) == 0 {
+			b.Fatal("no eligible task")
+		}
+	}
+}

@@ -1,0 +1,241 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+)
+
+// refPool restates the pool's platform rules over plain maps, one per
+// concern, the way the pool kept them before it held one entry per task.
+// TestPoolMatchesReferenceModel drives it and a Pool with the same calls.
+type refPool struct {
+	tasks     map[TaskID]*Task
+	order     []TaskID
+	answers   map[TaskID][]Answer
+	perWorker map[string]map[TaskID]int
+	closed    map[TaskID]bool
+	leases    map[TaskID]map[string]time.Time
+}
+
+func newRefPool() *refPool {
+	return &refPool{
+		tasks:     map[TaskID]*Task{},
+		answers:   map[TaskID][]Answer{},
+		perWorker: map[string]map[TaskID]int{},
+		closed:    map[TaskID]bool{},
+		leases:    map[TaskID]map[string]time.Time{},
+	}
+}
+
+func (r *refPool) add(t *Task) {
+	r.tasks[t.ID] = t
+	r.order = append(r.order, t.ID)
+}
+
+func (r *refPool) record(a Answer) error {
+	t := r.tasks[a.Task]
+	switch n := r.perWorker[a.Worker][a.Task]; {
+	case t == nil:
+		return fmt.Errorf("unknown task")
+	case r.closed[a.Task]:
+		return fmt.Errorf("closed task")
+	case (t.Kind == MultiChoice || t.Kind == Collection) && n >= MaxRepeatAnswers:
+		return errRefCap
+	case t.Kind != MultiChoice && t.Kind != Collection && n > 0:
+		return fmt.Errorf("already answered")
+	}
+	if r.perWorker[a.Worker] == nil {
+		r.perWorker[a.Worker] = map[TaskID]int{}
+	}
+	r.perWorker[a.Worker][a.Task]++
+	r.answers[a.Task] = append(r.answers[a.Task], a)
+	delete(r.leases[a.Task], a.Worker)
+	return nil
+}
+
+var errRefCap = errors.New("resubmission cap")
+
+func (r *refPool) close(id TaskID) {
+	if r.tasks[id] != nil {
+		r.closed[id] = true
+		delete(r.leases, id)
+	}
+}
+
+func (r *refPool) lease(id TaskID, worker string, deadline time.Time) error {
+	if r.tasks[id] == nil || r.closed[id] {
+		return fmt.Errorf("unknown or closed task")
+	}
+	if r.leases[id] == nil {
+		r.leases[id] = map[string]time.Time{}
+	}
+	r.leases[id][worker] = deadline
+	return nil
+}
+
+func (r *refPool) expire(now time.Time) []Lease {
+	var out []Lease
+	for id, m := range r.leases {
+		for w, d := range m {
+			if !d.After(now) {
+				out = append(out, Lease{Task: id, Worker: w, Deadline: d})
+				delete(m, w)
+			}
+		}
+	}
+	sortLeases(out)
+	return out
+}
+
+func (r *refPool) eligibleFor(worker string) []TaskID {
+	out := []TaskID{}
+	for _, id := range r.order {
+		if !r.closed[id] && r.perWorker[worker][id] == 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+func (r *refPool) openTasks() []TaskID {
+	out := []TaskID{}
+	for _, id := range r.order {
+		if !r.closed[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+func (r *refPool) workers() []string {
+	out := []string{}
+	for w := range r.perWorker {
+		out = append(out, w)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (r *refPool) optionVotes(id TaskID) []int {
+	t := r.tasks[id]
+	if t == nil || len(t.Options) == 0 {
+		return nil
+	}
+	votes := make([]int, len(t.Options))
+	for _, a := range r.answers[id] {
+		votes[a.Option]++
+	}
+	return votes
+}
+
+// TestPoolMatchesReferenceModel drives seeded random sequences of Add,
+// Record, Close, Lease, ExpireLeases and Grow into a Pool and into
+// refPool, over single-choice, pairwise and the repeatable kinds (so the
+// MaxRepeatAnswers cap is reached), and after every step checks that the
+// two agree on whether the call was refused and on every per-worker and
+// per-task read: HasAnswered, EligibleFor, OpenTasks, InFlight, Workers,
+// OptionVotes and the answers themselves.
+func TestPoolMatchesReferenceModel(t *testing.T) {
+	kinds := []TaskKind{SingleChoice, MultiChoice, Collection, PairwiseComparison}
+	workers := []string{"w0", "w1", "w2", "w3"}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, ref := NewPool(), newRefPool()
+		capped := 0 // refusals at the MaxRepeatAnswers cap, which the run must reach
+		now := time.Unix(1e9, 0)
+		pick := func() TaskID { // an added task, or now and then one that is not
+			if len(ref.order) == 0 || rng.Intn(20) == 0 {
+				return TaskID(1000 + rng.Intn(3))
+			}
+			return ref.order[rng.Intn(len(ref.order))]
+		}
+		for step := 0; step < 800; step++ {
+			now = now.Add(time.Second)
+			worker := workers[rng.Intn(len(workers))]
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 3 || len(ref.order) == 0:
+				op = "add"
+				task := &Task{Kind: kinds[rng.Intn(len(kinds))], Question: "q"}
+				if task.Kind != Collection {
+					task.Options = []string{"a", "b"}
+					if task.Kind != PairwiseComparison {
+						task.Options = append(task.Options, "c")
+					}
+				}
+				id, err := p.Add(task)
+				if err != nil {
+					t.Fatalf("seed %d step %d: Add: %v", seed, step, err)
+				}
+				ref.add(task)
+				if id != task.ID {
+					t.Fatalf("seed %d step %d: Add returned %d for task %d", seed, step, id, task.ID)
+				}
+			case r < 70:
+				id := pick()
+				a := Answer{Task: id, Worker: worker}
+				if task := ref.tasks[id]; task != nil && len(task.Options) > 0 {
+					a.Option = rng.Intn(len(task.Options))
+				}
+				op = fmt.Sprintf("record %+v", a)
+				got, want := p.Record(a), ref.record(a)
+				if (got == nil) != (want == nil) {
+					t.Fatalf("seed %d step %d: %s: pool says %v, model %v", seed, step, op, got, want)
+				}
+				if want == errRefCap {
+					capped++
+				}
+			case r < 72:
+				id := pick()
+				op = fmt.Sprintf("close %d", id)
+				p.Close(id)
+				ref.close(id)
+			case r < 88:
+				id, deadline := pick(), now.Add(time.Duration(1+rng.Intn(5))*time.Second)
+				op = fmt.Sprintf("lease %d to %s", id, worker)
+				if got, want := p.Lease(id, worker, deadline), ref.lease(id, worker, deadline); (got == nil) != (want == nil) {
+					t.Fatalf("seed %d step %d: %s: pool says %v, model %v", seed, step, op, got, want)
+				}
+			case r < 96:
+				op = "expire"
+				if got, want := p.ExpireLeases(now), ref.expire(now); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: expired %v, model %v", seed, step, got, want)
+				}
+			default:
+				id := pick()
+				op = fmt.Sprintf("grow %d", id)
+				p.Grow(id, rng.Intn(4))
+			}
+
+			check := func(got, want any, what string, args ...any) {
+				t.Helper()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d, after %s: %s = %v, model %v", seed, step, op, fmt.Sprintf(what, args...), got, want)
+				}
+			}
+			check(p.OpenTasks(), ref.openTasks(), "OpenTasks")
+			check(p.Workers(), ref.workers(), "Workers")
+			for _, w := range workers {
+				check(p.EligibleFor(w), ref.eligibleFor(w), "EligibleFor(%s)", w)
+			}
+			for _, id := range ref.order {
+				for _, w := range workers {
+					check(p.HasAnswered(w, id), ref.perWorker[w][id] > 0, "HasAnswered(%s, %d)", w, id)
+				}
+				check(p.InFlight(id), len(ref.answers[id])+len(ref.leases[id]), "InFlight(%d)", id)
+				check(p.OptionVotes(id), ref.optionVotes(id), "OptionVotes(%d)", id)
+				check(slices.Equal(p.Answers(id), ref.answers[id]), true, "Answers(%d) equal", id)
+				check(p.Closed(id), ref.closed[id], "Closed(%d)", id)
+			}
+		}
+		if capped == 0 {
+			t.Fatalf("seed %d: no answer reached the MaxRepeatAnswers cap", seed)
+		}
+	}
+}

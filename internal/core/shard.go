@@ -279,6 +279,10 @@ func LeasesOf(pools []*Pool) []Lease {
 	return out
 }
 
+// WorkerCount returns how many distinct workers answered a task of the
+// shard pools a ViewAll or ViewDelta callback received.
+func WorkerCount(pools []*Pool) int { return len(workerSet(pools)) }
+
 // DeltaView is the read surface ViewDelta hands to its callback: the
 // shard pools and versions of a consistent cross-shard snapshot, plus
 // incremental accessors over each shard's answer log. Valid only inside

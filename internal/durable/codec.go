@@ -184,9 +184,10 @@ func appendEventBody(b []byte, ev *Event) []byte {
 
 // decodeEvent decodes one binary WAL record payload into ev, replacing
 // whatever ev held. Every field of the record's type must parse and the
-// payload must end with the last one.
-func decodeEvent(payload []byte, ev *Event) error {
-	r := reader{b: payload}
+// payload must end with the last one. names, when not nil, interns worker
+// names across the records decoded with it (see reader.name).
+func decodeEvent(payload []byte, ev *Event, names map[string]string) error {
+	r := reader{b: payload, names: names}
 	tag := r.byte()
 	if tag == 0 || tag >= numTags {
 		return errMalformed
@@ -340,7 +341,7 @@ func appendWALAnswer(b []byte, a *AnswerRecord, golden *bool) []byte {
 // grade, nil when it has none.
 func (r *reader) walAnswer(a *AnswerRecord) *bool {
 	a.Task = core.TaskID(r.varint())
-	a.Worker = r.str()
+	a.Worker = r.name()
 	flags := r.answer((*core.Answer)(a))
 	if flags&^walAnswerFlags != 0 || flags&(answerGolden|answerCorrect) == answerCorrect {
 		r.fail()
@@ -361,7 +362,7 @@ func appendLease(b []byte, l *LeaseRecord) []byte {
 
 func (r *reader) lease(l *LeaseRecord) {
 	l.Task = core.TaskID(r.varint())
-	l.Worker = r.str()
+	l.Worker = r.name()
 	l.Deadline = r.varint()
 }
 
@@ -399,8 +400,9 @@ var errMalformed = errors.New("malformed record")
 // malformed field sets err and empties the input, so every later read
 // returns a zero value and callers check err once per record.
 type reader struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names map[string]string // worker names read so far, for name; nil: none kept
 }
 
 func (r *reader) fail() {
@@ -472,6 +474,22 @@ func (r *reader) u32() int {
 }
 
 func (r *reader) str() string { return string(r.next(r.count(1))) }
+
+// name reads a worker name. With a names table it returns the table's copy
+// of a name it has read before, so the answers of a WAL file share one
+// string per worker instead of allocating one each.
+func (r *reader) name() string {
+	b := r.next(r.count(1))
+	if r.names == nil {
+		return string(b)
+	}
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	r.names[s] = s
+	return s
+}
 
 // count reads an element count and rejects one the rest of the input
 // cannot hold at minSize bytes per element, so no count makes the decoder

@@ -62,23 +62,24 @@ func TestWALRecordsRoundTripEveryField(t *testing.T) {
 	}
 	samples := recordSamples()
 	tags := map[byte]bool{}
+	names := map[string]string{} // shared, as walFile.decode shares one per file
 	for i := range samples {
 		ev := &samples[i]
 		rec := appendEvent(nil, ev)
 		tags[rec[0]] = true
 		var got Event
-		if err := decodeEvent(rec, &got); err != nil {
+		if err := decodeEvent(rec, &got, names); err != nil {
 			t.Fatalf("%s: %v", ev.Type, err)
 		}
 		if !reflect.DeepEqual(&got, ev) {
 			t.Fatalf("%s: round trip\n got %+v\nwant %+v", ev.Type, got, *ev)
 		}
 		for cut := range rec {
-			if decodeEvent(rec[:cut], &got) == nil {
+			if decodeEvent(rec[:cut], &got, nil) == nil {
 				t.Fatalf("%s: the record's first %d of %d bytes decode", ev.Type, cut, len(rec))
 			}
 		}
-		if decodeEvent(append(rec, 0), &got) == nil {
+		if decodeEvent(append(rec, 0), &got, nil) == nil {
 			t.Fatalf("%s: a record with a trailing byte decodes", ev.Type)
 		}
 	}
@@ -104,7 +105,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var ev Event
-		if err := decodeEvent(payload, &ev); err != nil {
+		if err := decodeEvent(payload, &ev, nil); err != nil {
 			return
 		}
 		if legacyJSON(payload) {
@@ -112,7 +113,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 		}
 		rec := appendEvent(nil, &ev)
 		var again Event
-		if err := decodeEvent(rec, &again); err != nil {
+		if err := decodeEvent(rec, &again, nil); err != nil {
 			t.Fatalf("re-encoded %+v does not decode: %v", ev, err)
 		}
 		// A NaN is not DeepEqual to itself, so byte-equal re-encodings

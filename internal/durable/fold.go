@@ -1,6 +1,10 @@
 package durable
 
-import "repro/internal/core"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // What a journaled event means is defined here and nowhere else. Every
 // event has up to two parts:
@@ -15,9 +19,9 @@ import "repro/internal/core"
 // The live append path calls foldCross for each event it appends; recovery
 // calls it for every event in global sequence order on one goroutine and
 // foldPool for each segment on that segment's own goroutine. Events were
-// validated by the live pool before they were journaled, so errors on
-// replay indicate either corruption replay already cut off or a duplicate
-// delivery; both are skipped rather than fatal.
+// validated by the live pool before they were journaled, so a pool part
+// the recovered pool refuses fails recovery, as a snapshot record the
+// pool refuses does.
 
 // foldCross folds the cross-task part of one event. Spend is a float sum
 // and the CrowdQL ledger is order-dependent, so callers must present events
@@ -108,22 +112,31 @@ func (ev *Event) poolTasks(yield func(core.TaskID)) {
 // foldPool replays the pool part of one event into rep, shard si of n,
 // taking only the entries whose task that shard owns. A batch or lease
 // sweep journaled under another layout may span several current owners,
-// and each takes its own share.
-func foldPool(rep *core.Pool, ev *Event, si, n int) {
+// and each takes its own share. It returns the first mutation rep refuses:
+// the live pool validated every event before journaling it, so a refusal
+// means the log does not describe a history the pool could have had, and
+// recovery must not open a pool that silently differs from it.
+func foldPool(rep *core.Pool, ev *Event, si, n int) error {
 	owns := func(id core.TaskID) bool { return core.ShardIndex(id, n) == si }
 	switch ev.Type {
 	case EvTaskAdded:
 		if ev.Task != nil && owns(ev.Task.ID) {
-			_, _ = rep.Add(ev.Task.task())
+			if got, err := rep.Add(ev.Task.task()); err != nil {
+				return err
+			} else if got != ev.Task.ID {
+				return fmt.Errorf("task %d added twice", ev.Task.ID)
+			}
 		}
 	case EvAnswerRecorded:
 		if ev.Answer != nil && owns(ev.Answer.Task) {
-			_ = rep.ReplayAnswer(ev.Answer.answer())
+			return rep.ReplayAnswer(ev.Answer.answer())
 		}
 	case EvAnswerBatch:
 		for i := range ev.Answers {
 			if owns(ev.Answers[i].Task) {
-				_ = rep.ReplayAnswer(ev.Answers[i].answer())
+				if err := rep.ReplayAnswer(ev.Answers[i].answer()); err != nil {
+					return err
+				}
 			}
 		}
 	case EvTaskClosed:
@@ -132,7 +145,7 @@ func foldPool(rep *core.Pool, ev *Event, si, n int) {
 		}
 	case EvLeaseIssued:
 		if ev.Lease != nil && owns(ev.Lease.Task) {
-			_ = rep.Lease(ev.Lease.Task, ev.Lease.Worker, ev.Lease.deadline())
+			return rep.Lease(ev.Lease.Task, ev.Lease.Worker, ev.Lease.deadline())
 		}
 	case EvLeaseExpired:
 		for i := range ev.Leases {
@@ -141,4 +154,5 @@ func foldPool(rep *core.Pool, ev *Event, si, n int) {
 			}
 		}
 	}
+	return nil
 }

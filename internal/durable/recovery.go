@@ -34,10 +34,11 @@ type RecoveryInfo struct {
 	// pool.snap and restoring it into the pool shards; reading, checking
 	// and decoding every WAL file (and truncating torn tails); merging the
 	// files by sequence number while folding the
-	// cross-task state and routing pool mutations to their segments; and
-	// applying each segment's mutations to its pool shard. What is left over
-	// (directory scan, opening the segment files, a forced reshard or
-	// conversion snapshot) is not attributed.
+	// cross-task state and routing pool mutations to their segments; and,
+	// per segment, counting its queued answers per task, sizing each task
+	// once for them, and applying its mutations to its pool shard. What is
+	// left over (directory scan, opening the segment files, a forced
+	// reshard or conversion snapshot) is not attributed.
 	SnapshotLoad time.Duration
 	Decode       time.Duration
 	Merge        time.Duration
@@ -148,7 +149,9 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Merge = time.Since(phase)
 
 	phase = time.Now()
-	applyQueues(pools, queues)
+	if err := applyQueues(pools, queues); err != nil {
+		return nil, nil, err
+	}
 	info.Apply = time.Since(phase)
 	s.pool = core.ShardedFrom(pools, s)
 
@@ -221,7 +224,7 @@ func findWALs(dir string) ([]*walFile, error) {
 
 // decode reads the file, verifies every frame, and decodes the payloads
 // into f.events: a binary record through decodeEvent, a JSON one through
-// legacy.go.
+// legacy.go. Worker names are interned per file.
 func (f *walFile) decode() {
 	payloads, validBytes, torn, err := readWAL(f.path)
 	if err != nil {
@@ -229,14 +232,17 @@ func (f *walFile) decode() {
 		return
 	}
 	events := make([]Event, len(payloads))
+	names := make(map[string]string)
 	off := int64(0)
 	for i, payload := range payloads {
-		decode := decodeEvent
+		var err error
 		if legacyJSON(payload) {
-			decode = decodeLegacyEvent
+			err = decodeLegacyEvent(payload, &events[i])
 			f.legacy = true
+		} else {
+			err = decodeEvent(payload, &events[i], names)
 		}
-		if decode(payload, &events[i]) != nil {
+		if err != nil {
 			// The frame checksum verified but the payload does not decode:
 			// treat it like a torn tail and cut this file here. Everything
 			// after an undecodable record in the same file is unreachable
@@ -294,11 +300,11 @@ func decodeWALs(files []*walFile) (tornBytes int64, err error) {
 // alone: an event with several owners (a batch or lease sweep from an
 // older layout) is queued as the decoded record for the first and as a
 // copy of it for each further one.
-func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) [][]*Event {
-	queues := make([][]*Event, len(s.segs))
-	// queued[si] is the last replayed event (by count) already in queue si,
+func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) [][]queued {
+	queues := make([][]queued, len(s.segs))
+	// last[si] is the last replayed event (by count) already in queue si,
 	// so a batch with several answers on one segment is queued there once.
-	queued := make([]int, len(s.segs))
+	last := make([]int, len(s.segs))
 	heads := make([]int, len(files))
 	for {
 		var ev *Event
@@ -323,42 +329,74 @@ func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) [][]*Event {
 		s.foldCross(ev)
 		owners := 0
 		ev.poolTasks(func(id core.TaskID) {
-			if si := s.segFor(id); queued[si] != info.Replayed {
-				queued[si] = info.Replayed
+			if si := s.segFor(id); last[si] != info.Replayed {
+				last[si] = info.Replayed
 				entry := ev
 				if owners++; owners > 1 {
 					cp := *ev
 					entry = &cp
 				}
-				queues[si] = append(queues[si], entry)
+				queues[si] = append(queues[si], queued{entry, files[from]})
 			}
 		})
 	}
 }
 
+// queued is one event in a segment's apply queue, with the WAL file it
+// was read from, for the error that reports it if the pool refuses it.
+type queued struct {
+	ev   *Event
+	file *walFile
+}
+
 // applyQueues folds each segment's queued events into its pool shard, one
 // goroutine per segment: the shards are disjoint and each queue holds
-// its tasks' events in sequence order. An entry is cleared as soon as it
+// its tasks' events in sequence order. Each applier counts its queue's
+// answers per task and grows each task once by its count (core.Pool.Grow):
+// a task restored from the snapshot before the first event, a task the
+// queue adds right after its add, so no answer slice or voter index is
+// reallocated while the answers land. An entry is cleared as soon as it
 // is folded, so a collection that runs mid-apply already reclaims the
 // decoded records behind it; holding them all until Open returns left the
 // process a quarter larger at boot (83 vs 66 MB resident on the
-// recovery_boot directory).
-func applyQueues(pools []*core.Pool, queues [][]*Event) {
-	var wg sync.WaitGroup
-	for si, queue := range queues {
-		if len(queue) == 0 {
-			continue
+// recovery_boot directory). The first event a shard refuses fails
+// recovery, naming its WAL file and sequence number.
+func applyQueues(pools []*core.Pool, queues [][]queued) error {
+	return inParallel(len(queues), func(si int) error {
+		p, queue := pools[si], queues[si]
+		need := answersPerTask(queue)
+		for id, n := range need {
+			p.Grow(id, n) // a task the queue adds is not in p yet: no-op
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, ev := range queue {
-				foldPool(pools[si], ev, si, len(pools))
-				*ev = Event{}
+		for _, q := range queue {
+			if err := foldPool(p, q.ev, si, len(pools)); err != nil {
+				return fmt.Errorf("durable: replaying %s, record seq %d: %w", filepath.Base(q.file.path), q.ev.Seq, err)
 			}
-		}()
+			if q.ev.Type == EvTaskAdded {
+				p.Grow(q.ev.Task.ID, need[q.ev.Task.ID])
+			}
+			*q.ev = Event{}
+		}
+		return nil
+	})
+}
+
+// answersPerTask counts the answers a segment's queue holds for each task.
+// A batch from another layout may carry answers for tasks other segments
+// own; their counts go unused, since those tasks never enter this shard.
+func answersPerTask(queue []queued) map[core.TaskID]int {
+	need := make(map[core.TaskID]int)
+	for _, q := range queue {
+		switch ev := q.ev; ev.Type {
+		case EvAnswerRecorded:
+			need[ev.Answer.Task]++
+		case EvAnswerBatch:
+			for i := range ev.Answers {
+				need[ev.Answers[i].Task]++
+			}
+		}
 	}
-	wg.Wait()
+	return need
 }
 
 // openSegments opens the configured layout's WAL files for appending and

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -424,5 +426,116 @@ func TestOpenFailureClosesSegments(t *testing.T) {
 	}
 	if after := openFDs(); after != before {
 		t.Fatalf("failed Open left %d descriptors open", after-before)
+	}
+}
+
+// openRefusing journals a valid history plus one record that bad writes
+// straight through the store's journal hooks, so the live pool never sees
+// it, crashes the store, and checks that Open refuses the directory with
+// an error naming the WAL file and sequence number of that record — the
+// one with the highest sequence number.
+func openRefusing(t *testing.T, bad func(s *Store) error) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	s, _ := mustOpen(t, dir, opts)
+	for id := core.TaskID(1); id <= 4; id++ {
+		mustAdd(t, s, choiceTask(id, false, 0))
+		if err := answer(s, core.Answer{Task: id, Worker: "w1", Option: 1}, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bad(s); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+	log, err := ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file string
+	var seq uint64
+	for name, events := range log {
+		for _, ev := range events {
+			if ev.Seq > seq {
+				file, seq = name, ev.Seq
+			}
+		}
+	}
+	s, _, err = Open(dir, opts)
+	if err == nil {
+		s.Crash()
+		t.Fatal("Open accepted a log the pool refuses")
+	}
+	if want := fmt.Sprintf("%s, record seq %d", file, seq); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open error %q does not name %q", err, want)
+	}
+}
+
+// TestReplayRefusesAnswerToUnknownTask: an answer to a task the log never
+// added fails Open instead of being dropped after its cost was counted.
+func TestReplayRefusesAnswerToUnknownTask(t *testing.T) {
+	openRefusing(t, func(s *Store) error {
+		_, err := s.AnswerRecorded(context.Background(), core.Answer{Task: 99, Worker: "w2", Option: 1}, core.Charge{Cost: 1})
+		return err
+	})
+}
+
+// TestReplayRefusesDuplicateTaskAdd: a second add of a task ID fails Open
+// instead of landing under a fresh ID.
+func TestReplayRefusesDuplicateTaskAdd(t *testing.T) {
+	openRefusing(t, func(s *Store) error { return s.TaskAdded(choiceTask(3, false, 1)) })
+}
+
+// TestReplayRefusesLeaseOnUnknownTask: a lease on a task the log never
+// added fails Open.
+func TestReplayRefusesLeaseOnUnknownTask(t *testing.T) {
+	openRefusing(t, func(s *Store) error {
+		return s.LeaseIssued(core.Lease{Task: 99, Worker: "w2", Deadline: time.Unix(1e9, 0)})
+	})
+}
+
+// TestRecoverySizesEachTaskOnce: recovery grows every task for all of its
+// answers before the first one lands (core.Pool.Grow), so each answer
+// slice is allocated once at its final size and no task is left with
+// spare capacity. Checked from the WAL, from a snapshot, and from a
+// snapshot with more answers in the WAL behind it, at the directory's own
+// 2 segments and resharded to 1 and 3.
+func TestRecoverySizesEachTaskOnce(t *testing.T) {
+	const tasks, answers = 300, 6000
+	for _, source := range []string{"wal", "snapshot", "snapshot+wal"} {
+		base := t.TempDir()
+		written := Options{Fsync: FsyncNever, Segments: 2}
+		writeRecoveryDir(t, base, written, tasks, answers, 10, source != "wal")
+		want := answers
+		if source == "snapshot+wal" {
+			s, _ := mustOpen(t, base, written)
+			for id := core.TaskID(1); id <= tasks; id += 3 {
+				if err := answer(s, core.Answer{Task: id, Worker: "late", Option: 1}, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+				want++
+			}
+			s.Crash()
+		}
+		for _, segments := range []int{1, 2, 3} {
+			dir := t.TempDir()
+			copyDir(t, base, dir)
+			s, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: segments})
+			if info.Tasks != tasks || info.Answers != want {
+				t.Fatalf("%s at %d segments: recovered %d tasks, %d answers", source, segments, info.Tasks, info.Answers)
+			}
+			s.Pool().ViewAll(func(pools []*core.Pool) {
+				for _, p := range pools {
+					for _, id := range p.TaskIDs() {
+						if as := p.Answers(id); cap(as) != len(as) {
+							t.Fatalf("%s at %d segments: task %d holds %d answers in a slice of capacity %d",
+								source, segments, id, len(as), cap(as))
+						}
+					}
+				}
+			})
+			s.Crash()
+		}
 	}
 }

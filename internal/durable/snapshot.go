@@ -238,7 +238,8 @@ func parseSection(shard, of int, payload []byte) (*snapSection, error) {
 // restoreTask decodes one task record and replays it into p through the
 // pool's validating calls: Add, Record for each answer in arrival order,
 // Lease for each lease, and Close last — answers and leases of a closed
-// task were taken while it was open.
+// task were taken while it was open. The task is grown for its answer
+// count before the first one, so its entry is allocated once.
 func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) error {
 	r := reader{b: rec}
 	malformed := func() error {
@@ -266,7 +267,9 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 		return fmt.Errorf("durable: snapshot corrupt: task %d appears twice", id)
 	}
 
-	for n := r.count(3); n > 0 && r.err == nil; n-- {
+	n := r.count(3)
+	p.Grow(id, n)
+	for ; n > 0 && r.err == nil; n-- {
 		a := core.Answer{Task: id, Worker: worker()}
 		if r.answer(&a)&^snapAnswerFlags != 0 {
 			r.fail()

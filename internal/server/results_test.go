@@ -462,7 +462,8 @@ func (w discardWriter) WriteHeader(int)             {}
 
 // TestWriteResultsAllocsIndependentOfTaskCount: rendering allocates the
 // body, the header values and one quoted form per distinct option — not a
-// DTO, a string or a map read per task.
+// DTO, a string or a map read per task. Under the race detector the render
+// still runs but the counts are not checked (see raceEnabled).
 func TestWriteResultsAllocsIndependentOfTaskCount(t *testing.T) {
 	render := func(nTasks int) float64 {
 		groups := handBuiltGroup(t, nTasks, 0.25)
@@ -472,6 +473,11 @@ func TestWriteResultsAllocsIndependentOfTaskCount(t *testing.T) {
 	}
 	small, large := render(200), render(2000)
 	t.Logf("allocations per render: %.0f at 200 tasks, %.0f at 2000", small, large)
+	if raceEnabled {
+		// quote's json.Marshal gets its encoder state from a sync.Pool,
+		// which the race detector makes miss at random.
+		t.Skip("allocation counts are checked only without the race detector")
+	}
 	if small != large || large > 16 {
 		t.Fatalf("render allocates %.0f times at 200 tasks and %.0f at 2000; want equal and <= 16", small, large)
 	}

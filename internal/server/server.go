@@ -590,17 +590,13 @@ func (s *Server) observeGolden(worker string, golden *bool) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var st StatsDTO
 	s.cpool.ViewAll(func(pools []*core.Pool) {
-		workers := make(map[string]bool)
 		for _, p := range pools {
 			st.Tasks += p.Len()
 			st.OpenTasks += len(p.OpenTasks())
 			st.TotalAnswers += p.TotalAnswers()
 			st.ActiveLeases += p.ActiveLeases()
-			for _, w := range p.Workers() {
-				workers[w] = true
-			}
 		}
-		st.Workers = len(workers)
+		st.Workers = core.WorkerCount(pools)
 	})
 	st.BudgetSpent = s.budget.Spent()
 	st.ExpiredLeases = s.expired.Value()
