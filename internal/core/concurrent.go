@@ -93,21 +93,33 @@ func (s *shard) appendedSinceLocked(since uint64, dst []Answer) ([]Answer, bool)
 	return dst, true
 }
 
-// notJournaled marks err as the journal's refusal of a valid mutation.
-func notJournaled(err error) error { return fmt.Errorf("%w: %w", ErrNotJournaled, err) }
+// commit journals a mutation its shard path checked and then applies it,
+// under the write lock the caller holds. pos is the mutation's journal
+// position (0 without a journal); when the journal refuses the mutation,
+// nothing is applied.
+func (s *shard) commit(ctx context.Context, m *Mutation) (pos uint64, err error) {
+	if s.journal != nil {
+		if pos, err = s.journal.Append(ctx, m); err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrNotJournaled, err)
+		}
+	}
+	s.pool.apply(m)
+	return pos, nil
+}
 
-// add journals and inserts a validated task whose ID the ShardedPool has
+// add checks, journals and inserts a task whose ID the ShardedPool has
 // settled; the shard never re-assigns it. A task add is structural, so no
 // answer-log window may span it.
 func (s *shard) add(t *Task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.journal != nil {
-		if err := s.journal.TaskAdded(t); err != nil {
-			return notJournaled(err)
-		}
+	m := &Mutation{Kind: MutAddTask, Task: t}
+	if err := s.pool.check(m); err != nil {
+		return err
 	}
-	s.pool.insert(t)
+	if _, err := s.commit(context.Background(), m); err != nil {
+		return err
+	}
 	s.alog = s.alog[:0]
 	s.alogTrim = s.version.Add(1)
 	return nil
@@ -125,7 +137,7 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 	_, sp := obs.ChildSpan(ctx, "core.record")
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, err := s.pool.checkRecord(a, 0, false)
+	_, err = s.pool.checkRecord(a, 0, false)
 	if sp.Recording() {
 		sp.SetAttr(obs.Int("task", int64(a.Task)), obs.Str("worker", a.Worker),
 			obs.Int("shard", int64(s.index)))
@@ -135,12 +147,13 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 	if err != nil {
 		return 0, err
 	}
-	if s.journal != nil {
-		if pos, err = s.journal.AnswerRecorded(ctx, a, c); err != nil {
-			return 0, notJournaled(err)
-		}
+	m := &Mutation{Kind: MutAnswers, Answers: []Answer{a}, Cost: c.Cost}
+	if c.Golden != nil {
+		m.Golden = []*bool{c.Golden}
 	}
-	s.pool.applyRecord(e, a)
+	if pos, err = s.commit(ctx, m); err != nil {
+		return 0, err
+	}
 	s.logAnswerLocked(s.version.Add(1), a)
 	return pos, nil
 }
@@ -164,35 +177,36 @@ func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 		worker string
 	}
 	pending := make(map[slot]int)
-	accepted := make([]Answer, 0, len(as))
-	charges := make([]Charge, 0, len(as))
+	m := &Mutation{Kind: MutAnswers, Batch: true, Answers: make([]Answer, 0, len(as))}
 	for i, a := range as {
 		k := slot{a.Task, a.Worker}
 		if _, errs[i] = s.pool.checkRecord(a, pending[k], false); errs[i] != nil {
 			continue
 		}
 		pending[k]++
-		accepted = append(accepted, a)
-		charges = append(charges, cs[i])
+		if cs[i].Golden != nil && m.Golden == nil {
+			m.Golden = make([]*bool, len(m.Answers), len(as))
+		}
+		if m.Golden != nil {
+			m.Golden = append(m.Golden, cs[i].Golden)
+		}
+		m.Answers = append(m.Answers, a)
+		m.Cost += cs[i].Cost
 	}
-	if len(accepted) == 0 {
+	if len(m.Answers) == 0 {
 		return errs, 0
 	}
-	if s.journal != nil {
-		var err error
-		if pos, err = s.journal.AnswerBatch(accepted, charges); err != nil {
-			err = notJournaled(err)
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = err
-				}
+	pos, err := s.commit(context.Background(), m)
+	if err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
 			}
-			return errs, 0
 		}
+		return errs, 0
 	}
 	ver := s.version.Add(1)
-	for _, a := range accepted {
-		s.pool.applyRecord(s.pool.tasks[a.Task], a)
+	for _, a := range m.Answers {
 		s.logAnswerLocked(ver, a)
 	}
 	return errs, pos
@@ -206,15 +220,13 @@ func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 func (s *shard) close(id TaskID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.pool.closable(id) {
+	m := &Mutation{Kind: MutClose, ID: id}
+	if s.pool.check(m) != nil {
 		return nil
 	}
-	if s.journal != nil {
-		if err := s.journal.TaskClosed(id); err != nil {
-			return notJournaled(err)
-		}
+	if _, err := s.commit(context.Background(), m); err != nil {
+		return err
 	}
-	s.pool.Close(id)
 	s.version.Add(1)
 	return nil
 }
@@ -235,15 +247,16 @@ func (s *shard) assignLease(a Assigner, worker string, deadline time.Time, fresh
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id, ok := a.Assign(s.pool, worker)
-	if !ok || fresh && s.pool.HasLease(worker, id) || s.pool.checkLease(id, worker) != nil {
+	if !ok || fresh && s.pool.HasLease(worker, id) {
 		return 0, false, nil
 	}
-	if s.journal != nil {
-		if err := s.journal.LeaseIssued(Lease{Task: id, Worker: worker, Deadline: deadline}); err != nil {
-			return 0, false, notJournaled(err)
-		}
+	m := &Mutation{Kind: MutLease, Leases: []Lease{{Task: id, Worker: worker, Deadline: deadline}}}
+	if s.pool.check(m) != nil {
+		return 0, false, nil
 	}
-	s.pool.applyLease(id, worker, deadline)
+	if _, err := s.commit(context.Background(), m); err != nil {
+		return 0, false, err
+	}
 	return id, true, nil
 }
 
@@ -254,11 +267,15 @@ func (s *shard) expireLeases(now time.Time) ([]Lease, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	due := s.pool.dueLeases(now)
-	if len(due) > 0 && s.journal != nil {
-		if err := s.journal.LeasesExpired(due); err != nil {
-			return nil, notJournaled(err)
+	if len(due) > 0 {
+		m := &Mutation{Kind: MutExpire, Leases: due}
+		if err := s.pool.check(m); err != nil {
+			return nil, err
+		}
+		if _, err := s.commit(context.Background(), m); err != nil {
+			return nil, err
 		}
 	}
-	s.pool.reclaim(due, now)
+	s.pool.dropDueEntries(now)
 	return due, nil
 }

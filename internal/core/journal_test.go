@@ -31,17 +31,24 @@ func (j *scriptJournal) hook(format string, args ...any) error {
 	return nil
 }
 
-func (j *scriptJournal) TaskAdded(t *Task) error { return j.hook("add %d", t.ID) }
-func (j *scriptJournal) AnswerRecorded(_ context.Context, a Answer, c Charge) (uint64, error) {
-	return uint64(len(j.calls) + 1), j.hook("answer %d %s cost %v", a.Task, a.Worker, c.Cost)
-}
-func (j *scriptJournal) AnswerBatch(as []Answer, cs []Charge) (uint64, error) {
-	return uint64(len(j.calls) + 1), j.hook("batch %d answers %d charges", len(as), len(cs))
-}
-func (j *scriptJournal) TaskClosed(id TaskID) error { return j.hook("close %d", id) }
-func (j *scriptJournal) LeaseIssued(l Lease) error  { return j.hook("lease %d %s", l.Task, l.Worker) }
-func (j *scriptJournal) LeasesExpired(ls []Lease) error {
-	return j.hook("expire %d", len(ls))
+func (j *scriptJournal) Append(_ context.Context, m *Mutation) (uint64, error) {
+	pos := uint64(len(j.calls) + 1)
+	switch m.Kind {
+	case MutAddTask:
+		return pos, j.hook("add %d", m.Task.ID)
+	case MutAnswers:
+		if m.Batch {
+			return pos, j.hook("batch %d answers cost %v", len(m.Answers), m.Cost)
+		}
+		return pos, j.hook("answer %d %s cost %v", m.Answers[0].Task, m.Answers[0].Worker, m.Cost)
+	case MutClose:
+		return pos, j.hook("close %d", m.ID)
+	case MutLease:
+		return pos, j.hook("lease %d %s", m.Leases[0].Task, m.Leases[0].Worker)
+	case MutExpire:
+		return pos, j.hook("expire %d", len(m.Leases))
+	}
+	return 0, fmt.Errorf("mutation of kind %d", m.Kind)
 }
 
 // Every mutation reaches the journal after it validated and before it is
@@ -91,7 +98,7 @@ func TestJournalRunsBetweenValidateAndApply(t *testing.T) {
 	}
 	expect("close", [4]int{1, 2, 0, 1})
 
-	want := []string{"add 1", "lease 1 w1", "answer 1 w2 cost 0.7", "batch 1 answers 1 charges", "expire 1", "close 1"}
+	want := []string{"add 1", "lease 1 w1", "answer 1 w2 cost 0.7", "batch 1 answers cost 0", "expire 1", "close 1"}
 	if !reflect.DeepEqual(j.calls, want) {
 		t.Fatalf("journal saw %q, want %q", j.calls, want)
 	}

@@ -28,58 +28,48 @@ type Lease struct {
 // Lease records (or extends) a lease on the task for the worker until
 // deadline. The task must exist and be open.
 func (p *Pool) Lease(id TaskID, worker string, deadline time.Time) error {
-	if err := p.checkLease(id, worker); err != nil {
-		return err
-	}
-	p.applyLease(id, worker, deadline)
-	return nil
+	return p.mutate(&Mutation{Kind: MutLease, Leases: []Lease{{Task: id, Worker: worker, Deadline: deadline}}})
 }
 
-// checkLease is the validation half of Lease.
-func (p *Pool) checkLease(id TaskID, worker string) error {
-	if worker == "" {
+// checkLease is the validation half of a lease.
+func (p *Pool) checkLease(l Lease) error {
+	e := p.tasks[l.Task]
+	switch {
+	case l.Worker == "":
 		return fmt.Errorf("core: lease needs a worker id")
-	}
-	e := p.tasks[id]
-	if e == nil {
-		return fmt.Errorf("core: lease for unknown task %d", id)
-	}
-	if e.closed {
-		return fmt.Errorf("core: lease for closed task %d", id)
+	case e == nil:
+		return fmt.Errorf("core: lease for unknown task %d", l.Task)
+	case e.closed:
+		return fmt.Errorf("core: lease for closed task %d", l.Task)
 	}
 	return nil
 }
 
 // applyLease records a lease checkLease accepted.
-func (p *Pool) applyLease(id TaskID, worker string, deadline time.Time) {
-	m := p.leases[id]
+func (p *Pool) applyLease(l Lease) {
+	m := p.leases[l.Task]
 	if m == nil {
 		m = make(map[string]time.Time)
-		p.leases[id] = m
+		p.leases[l.Task] = m
 	}
-	m[worker] = deadline
+	m[l.Worker] = l.Deadline
 	// Mirror every (deadline, task, worker) into the expiry heap. Released
 	// or re-leased entries go stale in the heap and are discarded lazily
 	// when their deadline pops — see ExpireLeases.
-	p.pushLeaseEntry(leaseEntry{deadline: deadline, task: id, worker: worker})
+	p.pushLeaseEntry(leaseEntry{deadline: l.Deadline, task: l.Task, worker: l.Worker})
 }
 
-// releaseLease drops the (task, worker) lease if one exists, reporting
-// whether it did. Called when a submission consumes the lease, when a
-// sweep expires it, and when the task closes.
-func (p *Pool) releaseLease(id TaskID, worker string) bool {
+// releaseLease drops the (task, worker) lease if one exists. Called when
+// a submission consumes the lease and when a sweep expires it.
+func (p *Pool) releaseLease(id TaskID, worker string) {
 	m := p.leases[id]
 	if m == nil {
-		return false
-	}
-	if _, ok := m[worker]; !ok {
-		return false
+		return
 	}
 	delete(m, worker)
 	if len(m) == 0 {
 		delete(p.leases, id)
 	}
-	return true
 }
 
 // HasLease reports whether the worker currently holds a lease on the task
@@ -122,18 +112,19 @@ func (p *Pool) InFlight(id TaskID) int {
 // deadline reaches the top of the heap.
 func (p *Pool) ExpireLeases(now time.Time) []Lease {
 	due := p.dueLeases(now)
-	p.reclaim(due, now)
+	p.apply(&Mutation{Kind: MutExpire, Leases: due})
+	p.dropDueEntries(now)
 	return due
 }
 
-// reclaim applies a sweep dueLeases computed: it releases the due leases
-// and drops every heap entry at or before now, the stale ones included.
-func (p *Pool) reclaim(due []Lease, now time.Time) {
+// dropDueEntries is a sweep's heap housekeeping, after its due leases were
+// released: it drops every heap entry at or before now, the stale ones
+// included. Skipping it changes nothing a caller can observe — lazy
+// deletion tolerates stale entries — so recovery, which replays sweeps
+// without their sweep time, leaves them for the first live sweep.
+func (p *Pool) dropDueEntries(now time.Time) {
 	for len(p.leaseHeap) > 0 && !p.leaseHeap[0].deadline.After(now) {
 		p.popLeaseEntry()
-	}
-	for _, l := range due {
-		p.releaseLease(l.Task, l.Worker)
 	}
 }
 
@@ -194,14 +185,6 @@ func (p *Pool) Leases() []Lease {
 	}
 	sortLeases(out)
 	return out
-}
-
-// ReleaseLease drops the (task, worker) lease if one exists, reporting
-// whether it did. Exported for journal replay, which must re-apply
-// recorded expiries exactly; live code paths release leases through
-// Record, Close, and ExpireLeases.
-func (p *Pool) ReleaseLease(id TaskID, worker string) bool {
-	return p.releaseLease(id, worker)
 }
 
 // leaseEntry is one element of the expiry min-heap: the deadline a lease

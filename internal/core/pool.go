@@ -57,21 +57,15 @@ func NewPool() *Pool {
 
 // Add validates t, assigns it a fresh ID if it has none (ID 0 with an
 // existing task 0 present counts as unset), and registers it. It returns
-// the task's ID.
+// the task's ID; an ID it settled on stays used if the task fails
+// validation.
 func (p *Pool) Add(t *Task) (TaskID, error) {
-	if err := p.prepareAdd(t); err != nil {
-		return 0, err
-	}
-	p.insert(t)
-	return t.ID, nil
-}
-
-// prepareAdd is the validation half of Add: it settles t.ID and checks the
-// task. An ID it reserved stays reserved if the task is never inserted.
-func (p *Pool) prepareAdd(t *Task) error {
 	_, taken := p.tasks[t.ID]
 	settleID(t, taken, len(p.tasks) > 0, &p.nextID)
-	return t.Validate()
+	if err := p.mutate(&Mutation{Kind: MutAddTask, Task: t}); err != nil {
+		return 0, err
+	}
+	return t.ID, nil
 }
 
 // settleID is the ID rule of Add, shared by Pool and ShardedPool: an ID
@@ -89,12 +83,14 @@ func settleID(t *Task, taken, nonEmpty bool, next *TaskID) {
 	}
 }
 
-// insert registers a task prepareAdd accepted.
+// insert registers a task check accepted, and moves the next free ID
+// past it.
 func (p *Pool) insert(t *Task) {
 	e := &taskEntry{task: t}
 	p.tasks[t.ID] = e
 	p.order = append(p.order, t.ID)
 	p.entries = append(p.entries, e)
+	p.nextID = max(p.nextID, t.ID+1)
 }
 
 // MustAdd adds and panics on error; for tests and generators.
@@ -154,22 +150,11 @@ const MaxRepeatAnswers = 8
 // Record stores an answer after checking the platform rules: the task must
 // exist, must be open, and the worker must not have answered it before
 // (repeatable kinds allow up to MaxRepeatAnswers submissions).
-func (p *Pool) Record(a Answer) error {
-	e, err := p.checkRecord(a, 0, false)
-	if err != nil {
-		return err
-	}
-	p.applyRecord(e, a)
-	return nil
-}
+func (p *Pool) Record(a Answer) error { return p.record(a, false) }
 
-// ReplayAnswer applies an answer read back from a journal: Record, except
-// that the task may already be closed. Logs written before answers were
-// journaled under the shard lock can hold a question's last answer behind
-// the task_closed record its arrival triggered; dropping it would leave
-// the recovered pool one answer short of the spend that paid for it.
-func (p *Pool) ReplayAnswer(a Answer) error {
-	e, err := p.checkRecord(a, 0, true)
+// record checks and applies one answer; closedOK admits a closed task.
+func (p *Pool) record(a Answer, closedOK bool) error {
+	e, err := p.checkRecord(a, 0, closedOK)
 	if err != nil {
 		return err
 	}
@@ -199,6 +184,83 @@ func (p *Pool) checkRecord(a Answer, pending int, closedOK bool) (*taskEntry, er
 		return nil, fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
 	}
 	return e, nil
+}
+
+// Replay checks and applies a mutation read back from a journal with the
+// functions the live shard paths use. Answers are checked and applied one
+// at a time, so each is checked against the ones before it in its batch
+// as the live batch path's pending counts did, and may land on a closed
+// task: logs written before answers were journaled under the shard lock
+// can hold a question's last answer behind the close its arrival
+// triggered, and dropping it would leave the recovered pool one answer
+// short of the spend that paid for it.
+func (p *Pool) Replay(m *Mutation) error {
+	if m.Kind != MutAnswers {
+		return p.mutate(m)
+	}
+	for _, a := range m.Answers {
+		if err := p.record(a, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mutate checks m and, if the pool accepts it, applies it.
+func (p *Pool) mutate(m *Mutation) error {
+	if err := p.check(m); err != nil {
+		return err
+	}
+	p.apply(m)
+	return nil
+}
+
+// check is the validation half of a mutation: it reports why the pool
+// refuses m, or nil. Answers are validated one at a time by checkRecord.
+func (p *Pool) check(m *Mutation) error {
+	switch m.Kind {
+	case MutAddTask:
+		if p.tasks[m.Task.ID] != nil {
+			return fmt.Errorf("core: task %d added twice", m.Task.ID)
+		}
+		return m.Task.Validate()
+	case MutClose:
+		if e := p.tasks[m.ID]; e == nil || e.closed {
+			return fmt.Errorf("core: close of task %d, which is unknown or closed", m.ID)
+		}
+		return nil
+	case MutLease:
+		return p.checkLease(m.Leases[0])
+	case MutExpire:
+		for _, l := range m.Leases {
+			if !p.HasLease(l.Worker, l.Task) {
+				return fmt.Errorf("core: expiry of a lease worker %s does not hold on task %d", l.Worker, l.Task)
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("core: no check for a mutation of kind %d", m.Kind)
+}
+
+// apply is the apply half of every mutation: it changes the pool as m
+// says, which check accepted.
+func (p *Pool) apply(m *Mutation) {
+	switch m.Kind {
+	case MutAddTask:
+		p.insert(m.Task)
+	case MutAnswers:
+		for _, a := range m.Answers {
+			p.applyRecord(p.tasks[a.Task], a)
+		}
+	case MutClose:
+		p.Close(m.ID)
+	case MutLease:
+		p.applyLease(m.Leases[0])
+	case MutExpire:
+		for _, l := range m.Leases {
+			p.releaseLease(l.Task, l.Worker)
+		}
+	}
 }
 
 // applyRecord stores an answer checkRecord accepted into its task's entry.
@@ -258,12 +320,6 @@ func (p *Pool) Close(id TaskID) {
 		e.closed = true
 		delete(p.leases, id)
 	}
-}
-
-// closable reports whether Close(id) would change anything.
-func (p *Pool) closable(id TaskID) bool {
-	e := p.tasks[id]
-	return e != nil && !e.closed
 }
 
 // Closed reports whether the task has been closed.

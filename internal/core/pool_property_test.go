@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -134,6 +135,20 @@ func (r *refPool) optionVotes(id TaskID) []int {
 	return votes
 }
 
+// randomTask draws a task of single-choice, pairwise or one of the
+// repeatable kinds, so the MaxRepeatAnswers cap can be reached.
+func randomTask(rng *rand.Rand) *Task {
+	kinds := []TaskKind{SingleChoice, MultiChoice, Collection, PairwiseComparison}
+	task := &Task{Kind: kinds[rng.Intn(len(kinds))], Question: "q"}
+	if task.Kind != Collection {
+		task.Options = []string{"a", "b"}
+		if task.Kind != PairwiseComparison {
+			task.Options = append(task.Options, "c")
+		}
+	}
+	return task
+}
+
 // TestPoolMatchesReferenceModel drives seeded random sequences of Add,
 // Record, Close, Lease, ExpireLeases and Grow into a Pool and into
 // refPool, over single-choice, pairwise and the repeatable kinds (so the
@@ -142,7 +157,6 @@ func (r *refPool) optionVotes(id TaskID) []int {
 // per-task read: HasAnswered, EligibleFor, OpenTasks, InFlight, Workers,
 // OptionVotes and the answers themselves.
 func TestPoolMatchesReferenceModel(t *testing.T) {
-	kinds := []TaskKind{SingleChoice, MultiChoice, Collection, PairwiseComparison}
 	workers := []string{"w0", "w1", "w2", "w3"}
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -162,13 +176,7 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 3 || len(ref.order) == 0:
 				op = "add"
-				task := &Task{Kind: kinds[rng.Intn(len(kinds))], Question: "q"}
-				if task.Kind != Collection {
-					task.Options = []string{"a", "b"}
-					if task.Kind != PairwiseComparison {
-						task.Options = append(task.Options, "c")
-					}
-				}
+				task := randomTask(rng)
 				id, err := p.Add(task)
 				if err != nil {
 					t.Fatalf("seed %d step %d: Add: %v", seed, step, err)
@@ -236,6 +244,153 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 		}
 		if capped == 0 {
 			t.Fatalf("seed %d: no answer reached the MaxRepeatAnswers cap", seed)
+		}
+	}
+}
+
+// captureJournal keeps every mutation its pool journals, in order.
+type captureJournal struct{ muts []*Mutation }
+
+func (j *captureJournal) Append(_ context.Context, m *Mutation) (uint64, error) {
+	j.muts = append(j.muts, m)
+	return uint64(len(j.muts)), nil
+}
+
+// routeTo splits a journaled mutation into the part each of n shards
+// owns, as recovery routes a mutation journaled under another layout.
+func routeTo(m *Mutation, n int) map[int]*Mutation {
+	parts := map[int]*Mutation{}
+	part := func(id TaskID) *Mutation {
+		si := ShardIndex(id, n)
+		if parts[si] == nil {
+			parts[si] = &Mutation{Kind: m.Kind, Batch: m.Batch}
+		}
+		return parts[si]
+	}
+	switch m.Kind {
+	case MutAnswers:
+		for _, a := range m.Answers {
+			p := part(a.Task)
+			p.Answers = append(p.Answers, a)
+		}
+	case MutLease, MutExpire:
+		for _, l := range m.Leases {
+			p := part(l.Task)
+			p.Leases = append(p.Leases, l)
+		}
+	default:
+		m.Tasks(func(id TaskID) { parts[ShardIndex(id, n)] = m })
+	}
+	return parts
+}
+
+// poolImage is what replay must rebuild: tasks in ID order with their
+// answers in arrival order, closes, and leases.
+type poolImage struct {
+	Tasks   []*Task
+	Answers map[TaskID][]Answer
+	Closed  map[TaskID]bool
+	Leases  []Lease
+}
+
+func imageOfPool(sp *ShardedPool) poolImage {
+	p := flat(sp)
+	img := poolImage{Answers: map[TaskID][]Answer{}, Closed: map[TaskID]bool{}, Leases: p.Leases()}
+	for _, id := range p.TaskIDs() {
+		img.Tasks = append(img.Tasks, p.Task(id))
+		img.Answers[id] = p.Answers(id)
+		img.Closed[id] = p.Closed(id)
+	}
+	return img
+}
+
+// TestReplayMatchesLivePool: seeded random Add, Record, RecordBatch,
+// Close, AssignLease and ExpireLeases calls — refused ones included — on a
+// 3-shard pool whose journal captures every mutation. Replaying the
+// captured mutations through Pool.Replay into fresh pools of 1, 2 and 4
+// shards, each mutation split among the shards that own its tasks as
+// recovery splits it, rebuilds the live pool: the same tasks, answers in
+// order, closes, leases and next task ID.
+func TestReplayMatchesLivePool(t *testing.T) {
+	ctx := context.Background()
+	workers := []string{"w0", "w1", "w2", "w3"}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		j := &captureJournal{}
+		live := ShardedFrom([]*Pool{NewPool(), NewPool(), NewPool()}, j)
+		var ids []TaskID
+		now := time.Unix(1e9, 0)
+		answer := func() Answer {
+			a := Answer{Task: ids[rng.Intn(len(ids))], Worker: workers[rng.Intn(len(workers))]}
+			if n := len(live.Task(a.Task).Options); n > 0 {
+				a.Option = rng.Intn(n)
+			}
+			return a
+		}
+		for step := 0; step < 800; step++ {
+			now = now.Add(time.Second)
+			switch r := rng.Intn(100); {
+			case r < 5 || len(ids) == 0:
+				id, err := live.Add(randomTask(rng))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			case r < 45:
+				_, _ = live.Record(ctx, answer(), Charge{Cost: 1})
+			case r < 65:
+				as := []Answer{answer()}
+				for len(as) < 4 && rng.Intn(2) == 0 {
+					as = append(as, answer())
+				}
+				live.RecordBatch(live.ShardFor(as[0].Task), as, make([]Charge, len(as)))
+			case r < 68:
+				if err := live.Close(ids[rng.Intn(len(ids))]); err != nil {
+					t.Fatal(err)
+				}
+			case r < 88:
+				id := ids[rng.Intn(len(ids))]
+				pick := AssignerFunc(func(p *Pool, _ string) (TaskID, bool) { return id, p.Task(id) != nil })
+				if _, _, err := live.AssignLease(pick, workers[rng.Intn(len(workers))], now.Add(time.Duration(1+rng.Intn(60))*time.Second)); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				if _, err := live.ExpireLeases(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := imageOfPool(live)
+		kinds := map[MutationKind]bool{}
+		for _, m := range j.muts {
+			kinds[m.Kind] = true
+		}
+		if len(kinds) != 5 || len(want.Leases) == 0 {
+			t.Fatalf("seed %d: the history journaled %d kinds of mutation and left %d leases; want all 5 and some", seed, len(kinds), len(want.Leases))
+		}
+		next, err := live.Add(randomTask(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 4} {
+			parts := make([]*Pool, n)
+			for i := range parts {
+				parts[i] = NewPool()
+			}
+			for _, m := range j.muts[:len(j.muts)-1] {
+				for si, part := range routeTo(m, n) {
+					if err := parts[si].Replay(part); err != nil {
+						t.Fatalf("seed %d, %d shards: replaying %+v: %v", seed, n, *part, err)
+					}
+				}
+			}
+			replayed := ShardedFrom(parts, nil)
+			if got := imageOfPool(replayed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %d shards: replay rebuilt\n %+v\nthe live pool is\n %+v", seed, n, got, want)
+			}
+			if id, err := replayed.Add(randomTask(rng)); err != nil || id != next {
+				t.Fatalf("seed %d, %d shards: the replayed pool's next task is %d (err %v), the live pool's %d", seed, n, id, err, next)
+			}
 		}
 	}
 }

@@ -106,9 +106,6 @@ func (sp *ShardedPool) Add(t *Task) (TaskID, error) {
 	sp.addMu.Lock()
 	defer sp.addMu.Unlock()
 	settleID(t, sp.Task(t.ID) != nil, sp.Len() > 0, &sp.nextID)
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
 	if err := sp.shardOf(t.ID).add(t); err != nil {
 		return 0, err
 	}

@@ -375,7 +375,7 @@ func flat(sp *ShardedPool) *Pool {
 			task := *p.Task(id)
 			out.MustAdd(&task)
 			for _, a := range p.Answers(id) {
-				if err := out.ReplayAnswer(a); err != nil {
+				if err := out.Record(a); err != nil {
 					panic(err)
 				}
 			}

@@ -12,7 +12,9 @@ import (
 // answer under each fsync policy — the per-ack durability tax the serving
 // layer pays on top of the in-memory Record. "off" is the upper bound on
 // validate + WAL framing + apply cost; "always" adds an fsync per answer;
-// "interval" amortizes the fsyncs onto a background flusher.
+// "interval" amortizes the fsyncs onto a background flusher. Every
+// answer goes to one Collection task; the worker changes every
+// core.MaxRepeatAnswers answers, so none hits the resubmission cap.
 func BenchmarkAnswerDurable(b *testing.B) {
 	policies := []struct {
 		name string
@@ -30,10 +32,14 @@ func BenchmarkAnswerDurable(b *testing.B) {
 			}
 			defer s.Close()
 			mustAdd(b, s, &core.Task{ID: 0, Kind: core.Collection, Question: "q"})
+			workers := make([]string, b.N/core.MaxRepeatAnswers+1)
+			for i := range workers {
+				workers[i] = fmt.Sprintf("w%d", i)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := core.Answer{Task: 0, Worker: "w", Text: fmt.Sprintf("item-%d", i)}
+				a := core.Answer{Task: 0, Worker: workers[i/core.MaxRepeatAnswers], Text: fmt.Sprintf("item-%d", i)}
 				if err := answer(s, a, 1, nil); err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"time"
 
 	"repro/internal/core"
 )
@@ -12,16 +13,20 @@ import (
 // answer fields, and WAL records. Format-2 snapshot sections (snapshot.go)
 // and WAL records are both built from it.
 //
-// A WAL record's payload is one tag byte naming the event type, the
-// uvarint sequence number, then the type's fields:
+// A WAL record's payload is one tag byte naming the record's kind, the
+// uvarint sequence number, then the kind's fields. A pool mutation's kind
+// is its core.MutationKind, with a batch of answers apart:
 //
-//	task_added                    varint ID | task
-//	answer_recorded               answer | f64 cost
-//	answer_batch                  uvarint answers, each an answer | f64 cost (the batch's total)
-//	task_closed                   varint task
+//	task_added      MutAddTask        varint ID | task
+//	answer_recorded MutAnswers        answer | f64 cost
+//	answer_batch    MutAnswers, Batch uvarint answers, each an answer | f64 cost (the batch's total)
+//	task_closed     MutClose          varint task
+//	lease_issued    MutLease          lease
+//	lease_expired   MutExpire         uvarint leases, each a lease
+//
+// and a cross-task record's kind is its Record.Type:
+//
 //	budget_charged, _refunded     f64 amount
-//	lease_issued                  lease
-//	lease_expired                 uvarint leases, each a lease
 //	cql_session_created, _closed  string session
 //	cql_prepared                  string session | string name | string source
 //	cql_query_started             string session | string query | string source
@@ -47,7 +52,7 @@ import (
 // No tag is '{': a payload that starts with it is a JSON record of the
 // format before this one, which legacy.go reads.
 
-// Event tags. Tag 0 is unused, so a zeroed payload does not decode.
+// Record tags. Tag 0 is unused, so a zeroed payload does not decode.
 const (
 	tagTaskAdded = 1 + iota
 	tagAnswerRecorded
@@ -68,16 +73,10 @@ const (
 	numTags
 )
 
-// eventTypes names the event type of each tag.
-var eventTypes = [numTags]string{
-	tagTaskAdded:            EvTaskAdded,
-	tagAnswerRecorded:       EvAnswerRecorded,
-	tagAnswerBatch:          EvAnswerBatch,
-	tagTaskClosed:           EvTaskClosed,
+// crossTypes names the cross-task record type of each tag that has one.
+var crossTypes = [numTags]string{
 	tagBudgetCharged:        EvBudgetCharged,
 	tagBudgetRefunded:       EvBudgetRefunded,
-	tagLeaseIssued:          EvLeaseIssued,
-	tagLeaseExpired:         EvLeaseExpired,
 	tagCqlSessionCreated:    EvCqlSessionCreated,
 	tagCqlSessionClosed:     EvCqlSessionClosed,
 	tagCqlPrepared:          EvCqlPrepared,
@@ -86,27 +85,6 @@ var eventTypes = [numTags]string{
 	tagCqlQuestionPublished: EvCqlQuestionPublished,
 	tagCqlQuestionRefund:    EvCqlQuestionRefund,
 	tagCqlQuestionClosed:    EvCqlQuestionClosed,
-}
-
-// eventTags is eventTypes inverted.
-var eventTags = func() map[string]byte {
-	m := make(map[string]byte, numTags)
-	for tag, typ := range eventTypes {
-		if typ != "" {
-			m[typ] = byte(tag)
-		}
-	}
-	return m
-}()
-
-// eventTag returns the tag of an event type. Every event the store builds
-// has one, so a miss is a programming error.
-func eventTag(typ string) byte {
-	tag, ok := eventTags[typ]
-	if !ok {
-		panic("durable: no WAL record tag for event type " + typ)
-	}
-	return tag
 }
 
 // Task flags.
@@ -132,112 +110,125 @@ const (
 	snapAnswerFlags = walAnswerFlags &^ (answerGolden | answerCorrect)
 )
 
-// appendEvent appends ev as one WAL record payload.
-func appendEvent(dst []byte, ev *Event) []byte {
-	dst = binary.AppendUvarint(append(dst, eventTag(ev.Type)), ev.Seq)
-	return appendEventBody(dst, ev)
+// appendRecord appends rec as one WAL record payload.
+func appendRecord(dst []byte, rec *Record) []byte {
+	tag, body := appendRecordBody(nil, rec)
+	return append(binary.AppendUvarint(append(dst, tag), rec.Seq), body...)
 }
 
-// appendEventBody appends the fields of ev's type, the part of its record
-// after the tag and sequence number.
-func appendEventBody(b []byte, ev *Event) []byte {
-	switch ev.Type {
-	case EvTaskAdded:
-		return appendTask(binary.AppendVarint(b, int64(ev.Task.ID)), ev.Task, 0)
-	case EvAnswerRecorded:
-		return appendFloat(appendWALAnswer(b, ev.Answer, ev.Golden), ev.Cost)
-	case EvAnswerBatch:
-		b = binary.AppendUvarint(b, uint64(len(ev.Answers)))
-		for i := range ev.Answers {
+// appendRecordBody appends the fields of rec's record, the part after the
+// tag and sequence number, and returns the record's tag with them. Every
+// record the store builds has a layout, so a miss is a programming error.
+func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
+	switch m := &rec.Mut; m.Kind {
+	case core.MutAddTask:
+		return tagTaskAdded, appendTask(binary.AppendVarint(b, int64(m.Task.ID)), m.Task, 0)
+	case core.MutAnswers:
+		tag := byte(tagAnswerRecorded)
+		if m.Batch {
+			tag, b = tagAnswerBatch, binary.AppendUvarint(b, uint64(len(m.Answers)))
+		}
+		for i := range m.Answers {
 			var golden *bool
-			if i < len(ev.Goldens) {
-				golden = ev.Goldens[i]
+			if m.Golden != nil {
+				golden = m.Golden[i]
 			}
-			b = appendWALAnswer(b, &ev.Answers[i], golden)
+			b = appendWALAnswer(b, &m.Answers[i], golden)
 		}
-		return appendFloat(b, ev.Cost)
-	case EvTaskClosed:
-		return binary.AppendVarint(b, int64(ev.TaskID))
-	case EvBudgetCharged, EvBudgetRefunded:
-		return appendFloat(b, ev.Amount)
-	case EvLeaseIssued:
-		return appendLease(b, ev.Lease)
-	case EvLeaseExpired:
-		b = binary.AppendUvarint(b, uint64(len(ev.Leases)))
-		for i := range ev.Leases {
-			b = appendLease(b, &ev.Leases[i])
+		return tag, appendFloat(b, m.Cost)
+	case core.MutClose:
+		return tagTaskClosed, binary.AppendVarint(b, int64(m.ID))
+	case core.MutLease:
+		return tagLeaseIssued, appendLease(b, &m.Leases[0])
+	case core.MutExpire:
+		b = binary.AppendUvarint(b, uint64(len(m.Leases)))
+		for i := range m.Leases {
+			b = appendLease(b, &m.Leases[i])
 		}
-		return b
-	case EvCqlSessionCreated, EvCqlSessionClosed:
-		return appendString(b, ev.Session)
-	case EvCqlPrepared:
-		return appendString(appendString(appendString(b, ev.Session), ev.Name), ev.Src)
-	case EvCqlQueryStarted:
-		return appendString(appendString(appendString(b, ev.Session), ev.Query), ev.Src)
-	case EvCqlQueryFinished:
-		return appendString(appendString(appendString(b, ev.Session), ev.Query), ev.Status)
-	case EvCqlQuestionPublished, EvCqlQuestionRefund, EvCqlQuestionClosed:
-		return appendFloat(binary.AppendVarint(b, int64(ev.TaskID)), ev.Amount)
+		return tagLeaseExpired, b
 	}
-	panic("durable: no WAL record layout for event type " + ev.Type)
+	switch rec.Type {
+	case EvBudgetCharged:
+		return tagBudgetCharged, appendFloat(b, rec.Amount)
+	case EvBudgetRefunded:
+		return tagBudgetRefunded, appendFloat(b, rec.Amount)
+	case EvCqlSessionCreated:
+		return tagCqlSessionCreated, appendString(b, rec.Session)
+	case EvCqlSessionClosed:
+		return tagCqlSessionClosed, appendString(b, rec.Session)
+	case EvCqlPrepared:
+		return tagCqlPrepared, appendString(appendString(appendString(b, rec.Session), rec.Name), rec.Src)
+	case EvCqlQueryStarted:
+		return tagCqlQueryStarted, appendString(appendString(appendString(b, rec.Session), rec.Query), rec.Src)
+	case EvCqlQueryFinished:
+		return tagCqlQueryFinished, appendString(appendString(appendString(b, rec.Session), rec.Query), rec.Status)
+	case EvCqlQuestionPublished:
+		return tagCqlQuestionPublished, appendFloat(binary.AppendVarint(b, int64(rec.TaskID)), rec.Amount)
+	case EvCqlQuestionRefund:
+		return tagCqlQuestionRefund, appendFloat(binary.AppendVarint(b, int64(rec.TaskID)), rec.Amount)
+	case EvCqlQuestionClosed:
+		return tagCqlQuestionClosed, appendFloat(binary.AppendVarint(b, int64(rec.TaskID)), rec.Amount)
+	}
+	panic("durable: no WAL record layout for record type " + rec.Type)
 }
 
-// decodeEvent decodes one binary WAL record payload into ev, replacing
-// whatever ev held. Every field of the record's type must parse and the
+// decodeRecord decodes one binary WAL record payload into rec, replacing
+// whatever rec held. Every field of the record's type must parse and the
 // payload must end with the last one. names, when not nil, interns worker
 // names across the records decoded with it (see reader.name).
-func decodeEvent(payload []byte, ev *Event, names map[string]string) error {
+func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	r := reader{b: payload, names: names}
 	tag := r.byte()
 	if tag == 0 || tag >= numTags {
 		return errMalformed
 	}
-	*ev = Event{Type: eventTypes[tag], Seq: r.uvarint()}
+	*rec = Record{Seq: r.uvarint(), Type: crossTypes[tag]}
+	m := &rec.Mut
 	switch tag {
 	case tagTaskAdded:
-		t := &TaskRecord{ID: core.TaskID(r.varint())}
-		if r.task(t)&^walTaskFlags != 0 {
+		m.Kind, m.Task = core.MutAddTask, &core.Task{ID: core.TaskID(r.varint())}
+		if r.task(m.Task)&^walTaskFlags != 0 {
 			r.fail()
 		}
-		ev.Task = t
-	case tagAnswerRecorded:
-		a := &AnswerRecord{}
-		ev.Golden = r.walAnswer(a)
-		ev.Answer, ev.Worker, ev.Cost = a, a.Worker, r.float()
-	case tagAnswerBatch:
-		ev.Answers = make([]AnswerRecord, r.count(4)) // task, worker, option and flags take a byte each at least
-		for i := range ev.Answers {
-			if g := r.walAnswer(&ev.Answers[i]); g != nil {
-				if ev.Goldens == nil {
-					ev.Goldens = make([]*bool, len(ev.Answers))
+	case tagAnswerRecorded, tagAnswerBatch:
+		m.Kind, m.Batch = core.MutAnswers, tag == tagAnswerBatch
+		n := 1
+		if m.Batch {
+			n = r.count(4) // task, worker, option and flags take a byte each at least
+		}
+		m.Answers = make([]core.Answer, n)
+		for i := range m.Answers {
+			if g := r.walAnswer(&m.Answers[i]); g != nil {
+				if m.Golden == nil {
+					m.Golden = make([]*bool, n)
 				}
-				ev.Goldens[i] = g
+				m.Golden[i] = g
 			}
 		}
-		ev.Cost = r.float()
+		m.Cost = r.float()
 	case tagTaskClosed:
-		ev.TaskID = core.TaskID(r.varint())
-	case tagBudgetCharged, tagBudgetRefunded:
-		ev.Amount = r.float()
+		m.Kind, m.ID = core.MutClose, core.TaskID(r.varint())
 	case tagLeaseIssued:
-		ev.Lease = &LeaseRecord{}
-		r.lease(ev.Lease)
+		m.Kind, m.Leases = core.MutLease, make([]core.Lease, 1)
+		r.lease(&m.Leases[0])
 	case tagLeaseExpired:
-		ev.Leases = make([]LeaseRecord, r.count(3)) // task, worker and deadline take a byte each at least
-		for i := range ev.Leases {
-			r.lease(&ev.Leases[i])
+		m.Kind, m.Leases = core.MutExpire, make([]core.Lease, r.count(3)) // task, worker and deadline take a byte each at least
+		for i := range m.Leases {
+			r.lease(&m.Leases[i])
 		}
+	case tagBudgetCharged, tagBudgetRefunded:
+		rec.Amount = r.float()
 	case tagCqlSessionCreated, tagCqlSessionClosed:
-		ev.Session = r.str()
+		rec.Session = r.str()
 	case tagCqlPrepared:
-		ev.Session, ev.Name, ev.Src = r.str(), r.str(), r.str()
+		rec.Session, rec.Name, rec.Src = r.str(), r.str(), r.str()
 	case tagCqlQueryStarted:
-		ev.Session, ev.Query, ev.Src = r.str(), r.str(), r.str()
+		rec.Session, rec.Query, rec.Src = r.str(), r.str(), r.str()
 	case tagCqlQueryFinished:
-		ev.Session, ev.Query, ev.Status = r.str(), r.str(), r.str()
+		rec.Session, rec.Query, rec.Status = r.str(), r.str(), r.str()
 	case tagCqlQuestionPublished, tagCqlQuestionRefund, tagCqlQuestionClosed:
-		ev.TaskID = core.TaskID(r.varint())
-		ev.Amount = r.float()
+		rec.TaskID = core.TaskID(r.varint())
+		rec.Amount = r.float()
 	}
 	if len(r.b) != 0 {
 		r.fail() // bytes after the record's last field
@@ -245,9 +236,9 @@ func decodeEvent(payload []byte, ev *Event, names map[string]string) error {
 	return r.err
 }
 
-// appendTask appends a task's fields; flags carries the caller's bits
-// (taskClosed) beside the ones the fields imply.
-func appendTask(b []byte, t *TaskRecord, flags byte) []byte {
+// appendTask appends a task's fields but its ID; flags carries the
+// caller's bits (taskClosed) beside the ones the fields imply.
+func appendTask(b []byte, t *core.Task, flags byte) []byte {
 	flags |= floatFlag(t.Difficulty, taskDifficulty) | floatFlag(t.GroundTruthScore, taskTruthScore)
 	if t.Golden {
 		flags |= taskGolden
@@ -272,8 +263,8 @@ func appendTask(b []byte, t *TaskRecord, flags byte) []byte {
 
 // task reads a task's fields into t (all but its ID) and returns the flags
 // byte for the caller to check.
-func (r *reader) task(t *TaskRecord) byte {
-	t.Kind = int(r.varint())
+func (r *reader) task(t *core.Task) byte {
+	t.Kind = core.TaskKind(r.varint())
 	t.Question = r.str()
 	if n := r.count(1); n > 0 {
 		t.Options = make([]string, n)
@@ -324,7 +315,7 @@ func (r *reader) answer(a *core.Answer) byte {
 }
 
 // appendWALAnswer appends a WAL record's answer with its golden grade.
-func appendWALAnswer(b []byte, a *AnswerRecord, golden *bool) []byte {
+func appendWALAnswer(b []byte, a *core.Answer, golden *bool) []byte {
 	var flags byte
 	if golden != nil {
 		flags = answerGolden
@@ -334,15 +325,15 @@ func appendWALAnswer(b []byte, a *AnswerRecord, golden *bool) []byte {
 	}
 	b = binary.AppendVarint(b, int64(a.Task))
 	b = appendString(b, a.Worker)
-	return appendAnswer(b, (*core.Answer)(a), flags)
+	return appendAnswer(b, a, flags)
 }
 
 // walAnswer reads a WAL record's answer into a and returns its golden
 // grade, nil when it has none.
-func (r *reader) walAnswer(a *AnswerRecord) *bool {
+func (r *reader) walAnswer(a *core.Answer) *bool {
 	a.Task = core.TaskID(r.varint())
 	a.Worker = r.name()
-	flags := r.answer((*core.Answer)(a))
+	flags := r.answer(a)
 	if flags&^walAnswerFlags != 0 || flags&(answerGolden|answerCorrect) == answerCorrect {
 		r.fail()
 		return nil
@@ -354,16 +345,16 @@ func (r *reader) walAnswer(a *AnswerRecord) *bool {
 	return &correct
 }
 
-func appendLease(b []byte, l *LeaseRecord) []byte {
+func appendLease(b []byte, l *core.Lease) []byte {
 	b = binary.AppendVarint(b, int64(l.Task))
 	b = appendString(b, l.Worker)
-	return binary.AppendVarint(b, l.Deadline)
+	return binary.AppendVarint(b, l.Deadline.UnixNano())
 }
 
-func (r *reader) lease(l *LeaseRecord) {
+func (r *reader) lease(l *core.Lease) {
 	l.Task = core.TaskID(r.varint())
 	l.Worker = r.name()
-	l.Deadline = r.varint()
+	l.Deadline = time.Unix(0, r.varint())
 }
 
 func appendString(b []byte, s string) []byte {

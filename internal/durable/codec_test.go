@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,34 +10,37 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
 
-// recordSamples returns one event of every type with a binary record, each
-// with every field its record carries set — optional floats and strings,
-// a negative-zero float, negative integers, golden grades both ways — and
-// sequence numbers from 1 to past 32 bits.
-func recordSamples() []Event {
+// recordSamples returns one record of every kind, each with every field
+// its record carries set — optional floats and strings, a negative-zero
+// float, negative integers, golden grades both ways — and sequence numbers
+// from 1 to past 32 bits.
+func recordSamples() []Record {
 	yes, no := true, false
 	negZero := math.Copysign(0, -1)
-	evs := []Event{
-		{Type: EvTaskAdded, Task: &TaskRecord{
-			ID: 7, Kind: int(core.FillIn), Question: "name?", Options: []string{"a", "b"}, Difficulty: 0.25,
+	recs := []Record{
+		{Mut: core.Mutation{Kind: core.MutAddTask, Task: &core.Task{
+			ID: 7, Kind: core.FillIn, Question: "name?", Options: []string{"a", "b"}, Difficulty: 0.25,
 			Golden: true, GroundTruth: -1, GroundTruthText: "Ada", GroundTruthScore: 4.5,
-		}},
-		{Type: EvAnswerRecorded, Worker: "w1", Cost: 0.1, Golden: &yes, Answer: &AnswerRecord{
-			Task: 7, Worker: "w1", Option: -1, Text: "Ada", Score: 3.5, Submitted: 1.5, Latency: negZero,
-		}},
-		{Type: EvAnswerBatch, Cost: 0.7 + 0.1, Goldens: []*bool{nil, &no}, Answers: []AnswerRecord{
+		}}},
+		{Mut: core.Mutation{Kind: core.MutAnswers, Cost: 0.1, Golden: []*bool{&yes}, Answers: []core.Answer{
+			{Task: 7, Worker: "w1", Option: -1, Text: "Ada", Score: 3.5, Submitted: 1.5, Latency: negZero},
+		}}},
+		{Mut: core.Mutation{Kind: core.MutAnswers, Batch: true, Cost: 0.7 + 0.1, Golden: []*bool{nil, &no}, Answers: []core.Answer{
 			{Task: 1, Worker: "w1", Option: 1},
 			{Task: -2, Worker: "w2", Option: 0, Submitted: 2},
-		}},
-		{Type: EvTaskClosed, TaskID: 3},
+		}}},
+		{Mut: core.Mutation{Kind: core.MutClose, ID: 3}},
 		{Type: EvBudgetCharged, Amount: 0.7},
 		{Type: EvBudgetRefunded, Amount: 0.1},
-		{Type: EvLeaseIssued, Lease: &LeaseRecord{Task: 2, Worker: "lw", Deadline: -5}},
-		{Type: EvLeaseExpired, Leases: []LeaseRecord{{Task: 2, Worker: "lw", Deadline: 100}, {Task: 9, Worker: "x", Deadline: 1 << 62}}},
+		{Mut: core.Mutation{Kind: core.MutLease, Leases: []core.Lease{{Task: 2, Worker: "lw", Deadline: time.Unix(0, -5)}}}},
+		{Mut: core.Mutation{Kind: core.MutExpire, Leases: []core.Lease{
+			{Task: 2, Worker: "lw", Deadline: time.Unix(0, 100)}, {Task: 9, Worker: "x", Deadline: time.Unix(0, 1<<62)},
+		}}},
 		{Type: EvCqlSessionCreated, Session: "Sess"},
 		{Type: EvCqlSessionClosed, Session: "Sess"},
 		{Type: EvCqlPrepared, Session: "Sess", Name: "p", Src: "SELECT 1"},
@@ -48,14 +50,14 @@ func recordSamples() []Event {
 		{Type: EvCqlQuestionRefund, TaskID: 4, Amount: 0.7},
 		{Type: EvCqlQuestionClosed, TaskID: 4, Amount: 0.1},
 	}
-	for i := range evs {
-		evs[i].Seq = uint64(i+1) << (2 * i)
+	for i := range recs {
+		recs[i].Seq = uint64(i+1) << (2 * i)
 	}
-	return evs
+	return recs
 }
 
-// TestWALRecordsRoundTripEveryField: every event type has a record, and
-// every field a record carries comes back from it exactly.
+// TestWALRecordsRoundTripEveryField: every record kind has a binary
+// record, and every field a record carries comes back from it exactly.
 func TestWALRecordsRoundTripEveryField(t *testing.T) {
 	if numTags > '{' {
 		t.Fatal("a record tag reaches '{', the first byte of a JSON record")
@@ -64,23 +66,23 @@ func TestWALRecordsRoundTripEveryField(t *testing.T) {
 	tags := map[byte]bool{}
 	names := map[string]string{} // shared, as walFile.decode shares one per file
 	for i := range samples {
-		ev := &samples[i]
-		rec := appendEvent(nil, ev)
-		tags[rec[0]] = true
-		var got Event
-		if err := decodeEvent(rec, &got, names); err != nil {
-			t.Fatalf("%s: %v", ev.Type, err)
+		rec := &samples[i]
+		payload := appendRecord(nil, rec)
+		tags[payload[0]] = true
+		var got Record
+		if err := decodeRecord(payload, &got, names); err != nil {
+			t.Fatalf("tag %d: %v", payload[0], err)
 		}
-		if !reflect.DeepEqual(&got, ev) {
-			t.Fatalf("%s: round trip\n got %+v\nwant %+v", ev.Type, got, *ev)
+		if !reflect.DeepEqual(&got, rec) {
+			t.Fatalf("tag %d: round trip\n got %+v\nwant %+v", payload[0], got, *rec)
 		}
-		for cut := range rec {
-			if decodeEvent(rec[:cut], &got, nil) == nil {
-				t.Fatalf("%s: the record's first %d of %d bytes decode", ev.Type, cut, len(rec))
+		for cut := range payload {
+			if decodeRecord(payload[:cut], &got, nil) == nil {
+				t.Fatalf("tag %d: the record's first %d of %d bytes decode", payload[0], cut, len(payload))
 			}
 		}
-		if decodeEvent(append(rec, 0), &got, nil) == nil {
-			t.Fatalf("%s: a record with a trailing byte decodes", ev.Type)
+		if decodeRecord(append(payload, 0), &got, nil) == nil {
+			t.Fatalf("tag %d: a record with a trailing byte decodes", payload[0])
 		}
 	}
 	if len(tags) != numTags-1 {
@@ -89,39 +91,44 @@ func TestWALRecordsRoundTripEveryField(t *testing.T) {
 }
 
 // FuzzWALRecordDecode feeds arbitrary payloads to the binary record
-// decoder, seeded with one record of every type and one JSON record. No
-// input may panic, none starting with '{' may decode, and a record that
-// decodes must survive a round trip: encoding the event and decoding that
-// gives the event back.
+// decoder, seeded with one record of every kind, one JSON record and every
+// record of testdata/binwal. No input may panic, none starting with '{'
+// may decode, and a record that decodes must survive a round trip:
+// encoding the record and decoding that gives the record back.
 func FuzzWALRecordDecode(f *testing.F) {
 	samples := recordSamples()
 	for i := range samples {
-		f.Add(appendEvent(nil, &samples[i]))
+		f.Add(appendRecord(nil, &samples[i]))
 	}
-	legacy, err := json.Marshal(&samples[1])
-	if err != nil {
-		f.Fatal(err)
+	f.Add([]byte(`{"seq":2,"type":"answer_recorded","worker":"w1","answer":{"task":7,"worker":"w1","option":-1,"text":"Ada"},"cost":0.1,"golden":true}`))
+	for _, payload := range binWALPayloads(f) {
+		f.Add(payload)
 	}
-	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var ev Event
-		if err := decodeEvent(payload, &ev, nil); err != nil {
+		var rec Record
+		if err := decodeRecord(payload, &rec, nil); err != nil {
 			return
 		}
 		if legacyJSON(payload) {
-			t.Fatalf("a payload starting with '{' decoded as a binary record: %+v", ev)
+			t.Fatalf("a payload starting with '{' decoded as a binary record: %+v", rec)
 		}
-		rec := appendEvent(nil, &ev)
-		var again Event
-		if err := decodeEvent(rec, &again, nil); err != nil {
-			t.Fatalf("re-encoded %+v does not decode: %v", ev, err)
-		}
+		again := roundTrip(t, &rec)
 		// A NaN is not DeepEqual to itself, so byte-equal re-encodings
-		// count as the same event too.
-		if !reflect.DeepEqual(again, ev) && !bytes.Equal(appendEvent(nil, &again), rec) {
-			t.Fatalf("round trip\n got %+v\nwant %+v", again, ev)
+		// count as the same record too.
+		if !reflect.DeepEqual(again, rec) && !bytes.Equal(appendRecord(nil, &again), appendRecord(nil, &rec)) {
+			t.Fatalf("round trip\n got %+v\nwant %+v", again, rec)
 		}
 	})
+}
+
+// roundTrip encodes rec as a binary record and decodes it again.
+func roundTrip(t *testing.T, rec *Record) Record {
+	t.Helper()
+	var again Record
+	if err := decodeRecord(appendRecord(nil, rec), &again, nil); err != nil {
+		t.Fatalf("re-encoded %+v does not decode: %v", *rec, err)
+	}
+	return again
 }
 
 // TestWALRecordCountsBoundedByInput: a checksummed record whose counts or
@@ -149,7 +156,7 @@ func TestWALRecordCountsBoundedByInput(t *testing.T) {
 		log, err := ReadLog(dir)
 		runtime.ReadMemStats(&after)
 		if err == nil || len(log[walName]) != 0 {
-			t.Fatalf("%s: a count past the end of the record decoded (%d events, err %v)", label, len(log[walName]), err)
+			t.Fatalf("%s: a count past the end of the record decoded (%d records, err %v)", label, len(log[walName]), err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
 			t.Fatalf("%s: rejecting a %d-byte record allocated %d bytes", label, len(payload), grew)

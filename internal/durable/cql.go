@@ -1,5 +1,5 @@
 // CrowdQL durability: the store journals session-lifecycle and
-// crowd-question reservation events alongside the pool WAL and folds them
+// crowd-question reservation records alongside the pool WAL and folds them
 // into a replica of the query service's state, so recovery can reopen the
 // sessions that were live at crash time and reconcile the budget held by
 // questions that never closed. See DESIGN.md § CrowdQL durability.
@@ -32,7 +32,7 @@ type CQLQuestionState struct {
 	Refunded float64
 }
 
-// cqlReplica is the store's fold of the EvCql* events, guarded by s.mu
+// cqlReplica is the store's fold of the EvCql* records, guarded by s.mu
 // like the other cross-task replica state. Maps are allocated lazily: a
 // deployment that never mounts the query service pays nothing.
 type cqlReplica struct {
@@ -57,9 +57,9 @@ func (r *cqlReplica) session(name string) *CQLSessionState {
 	return st
 }
 
-// applyCQLEvent folds one EvCql* event; caller holds s.mu. Returns false
-// for non-CQL event types so foldCross can fall through.
-func (r *cqlReplica) apply(ev *Event) bool {
+// apply folds one EvCql* record; caller holds s.mu. Returns false for
+// other record types so foldCross can fall through.
+func (r *cqlReplica) apply(ev *Record) bool {
 	switch ev.Type {
 	case EvCqlSessionCreated:
 		r.session(ev.Session)
@@ -88,11 +88,11 @@ func (r *cqlReplica) apply(ev *Event) bool {
 	return true
 }
 
-// spendDelta is how an event moves the durable budget spend: the publish
+// cqlSpendDelta is how a record moves the durable budget spend: the publish
 // charge and the per-answer / close refunds mirror the live gateway's
 // reservation protocol, so the replica's spend equals the live budget's at
 // every journaled instant.
-func cqlSpendDelta(ev *Event) float64 {
+func cqlSpendDelta(ev *Record) float64 {
 	switch ev.Type {
 	case EvCqlQuestionPublished:
 		return ev.Amount
@@ -133,7 +133,7 @@ func (s *Store) CQLState() ([]CQLSessionState, []CQLQuestionState) {
 }
 
 // The session-lifecycle appenders below land on segment 0 (no task
-// affinity, like budget events). Under FsyncAlways they sync before
+// affinity, like budget records). Under FsyncAlways they sync before
 // returning: the HTTP acks that follow them (session created, statement
 // prepared, query handle returned) then imply the transition is on disk,
 // extending the ack-implies-durable contract to the query service. These
@@ -141,26 +141,26 @@ func (s *Store) CQLState() ([]CQLSessionState, []CQLQuestionState) {
 
 // CQLSessionCreated journals that a named session opened.
 func (s *Store) CQLSessionCreated(name string) error {
-	return s.appendSeg(0, &Event{Type: EvCqlSessionCreated, Session: name},
+	return s.appendSeg(0, &Record{Type: EvCqlSessionCreated, Session: name},
 		s.opts.Fsync == FsyncAlways)
 }
 
 // CQLSessionClosed journals that a named session closed gracefully;
 // recovery will not restore it.
 func (s *Store) CQLSessionClosed(name string) error {
-	return s.appendSeg(0, &Event{Type: EvCqlSessionClosed, Session: name},
+	return s.appendSeg(0, &Record{Type: EvCqlSessionClosed, Session: name},
 		s.opts.Fsync == FsyncAlways)
 }
 
 // CQLPrepared journals a prepared statement's source under its name.
 func (s *Store) CQLPrepared(session, name, src string) error {
-	return s.appendSeg(0, &Event{Type: EvCqlPrepared, Session: session, Name: name, Src: src},
+	return s.appendSeg(0, &Record{Type: EvCqlPrepared, Session: session, Name: name, Src: src},
 		s.opts.Fsync == FsyncAlways)
 }
 
 // CQLQueryStarted journals that a query handle began executing src.
 func (s *Store) CQLQueryStarted(session, qid, src string) error {
-	return s.appendSeg(0, &Event{Type: EvCqlQueryStarted, Session: session, Query: qid, Src: src},
+	return s.appendSeg(0, &Record{Type: EvCqlQueryStarted, Session: session, Query: qid, Src: src},
 		s.opts.Fsync == FsyncAlways)
 }
 
@@ -168,7 +168,7 @@ func (s *Store) CQLQueryStarted(session, qid, src string) error {
 // losing it re-marks an already-finished query as recovered after a
 // crash, which is harmless.
 func (s *Store) CQLQueryFinished(session, qid, status string) error {
-	return s.appendSeg(0, &Event{
+	return s.appendSeg(0, &Record{
 		Type: EvCqlQueryFinished, Session: session, Query: qid, Status: status,
 	}, false)
 }
@@ -183,7 +183,7 @@ func (s *Store) CQLQueryFinished(session, qid, status string) error {
 // units for a freshly published crowd question, ordered after the
 // task-added record on the same segment.
 func (s *Store) CQLQuestionPublished(id core.TaskID, k float64) error {
-	return s.appendSeg(s.segFor(id), &Event{
+	return s.appendSeg(s.segFor(id), &Record{
 		Type: EvCqlQuestionPublished, TaskID: id, Amount: k,
 	}, false)
 }
@@ -191,9 +191,9 @@ func (s *Store) CQLQuestionPublished(id core.TaskID, k float64) error {
 // CQLQuestionRefunded journals the release of part of a question's
 // reservation as answers arrive. Never synced: the matching answer records
 // are what acks gate on, and recovery refunds any remainder a lost refund
-// event would have covered.
+// record would have covered.
 func (s *Store) CQLQuestionRefunded(id core.TaskID, amount float64) error {
-	return s.appendSeg(s.segFor(id), &Event{
+	return s.appendSeg(s.segFor(id), &Record{
 		Type: EvCqlQuestionRefund, TaskID: id, Amount: amount,
 	}, false)
 }
@@ -202,7 +202,7 @@ func (s *Store) CQLQuestionRefunded(id core.TaskID, amount float64) error {
 // unconsumed remainder of its reservation (0 for a question that reached
 // full redundancy).
 func (s *Store) CQLQuestionClosed(id core.TaskID, refund float64) error {
-	return s.appendSeg(s.segFor(id), &Event{
+	return s.appendSeg(s.segFor(id), &Record{
 		Type: EvCqlQuestionClosed, TaskID: id, Amount: refund,
 	}, false)
 }

@@ -1,7 +1,7 @@
 package durable
 
 import (
-	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -45,7 +45,7 @@ func jsonWALHistory(t *testing.T, s *Store) {
 	if closed == 0 {
 		t.Fatal("the history closed no task")
 	}
-	if _, err := s.AnswerRecorded(context.Background(), core.Answer{Task: closed, Worker: "late", Option: 1}, core.Charge{Cost: 0.7}); err != nil {
+	if err := appendMutation(s, core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: closed, Worker: "late", Option: 1}}, Cost: 0.7}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,23 +61,23 @@ func jsonWALFixture(t *testing.T) (string, int) {
 	}
 	types := map[string]bool{}
 	records := 0
-	for name, events := range log {
+	for name := range log {
 		payloads, _, _, err := readWAL(filepath.Join(jsonWALDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range payloads {
-			if !legacyJSON(p) {
+			var ev Event
+			if !legacyJSON(p) || json.Unmarshal(p, &ev) != nil {
 				t.Fatalf("%s holds a record that is not JSON", name)
 			}
-		}
-		for _, ev := range events {
 			types[ev.Type] = true
 		}
-		records += len(events)
+		records += len(log[name])
 	}
-	for _, typ := range append(eventTypes[1:], EvWorkerEliminated) {
-		if !types[typ] {
+	for _, typ := range append(crossTypes[tagBudgetCharged:], EvTaskAdded, EvAnswerRecorded, EvAnswerBatch,
+		EvTaskClosed, EvLeaseIssued, EvLeaseExpired, EvWorkerEliminated) {
+		if typ != "" && !types[typ] {
 			t.Fatalf("%s has no %s record", jsonWALDir, typ)
 		}
 	}
@@ -212,4 +212,34 @@ func TestJSONWALConversionCrashBeforeTruncate(t *testing.T) {
 		t.Fatalf("recovered state diverges\n got %+v\nwant %+v", got, want)
 	}
 	assertConverted(t, "after the second Open", dir)
+}
+
+// FuzzLegacyWALRecord feeds arbitrary payloads to the JSON record reader,
+// seeded with every record of testdata/jsonwal. No input may panic, and a
+// record that decodes must re-encode as a binary record that decodes to
+// the same record — the same mutation, or the same cross-task entry. The
+// elimination marker, which has no binary record, is the one exception.
+func FuzzLegacyWALRecord(f *testing.F) {
+	files, err := findWALs(jsonWALDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range files {
+		payloads, _, _, err := readWAL(file.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range payloads {
+			f.Add(p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var rec Record
+		if decodeLegacyRecord(payload, &rec) != nil || rec.Type == EvWorkerEliminated {
+			return
+		}
+		if again := roundTrip(t, &rec); !reflect.DeepEqual(again, rec) {
+			t.Fatalf("a JSON record decodes to\n %+v\nand through a binary record to\n %+v", rec, again)
+		}
+	})
 }

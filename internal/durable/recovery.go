@@ -18,9 +18,9 @@ type RecoveryInfo struct {
 	SnapshotLoaded bool
 	// SnapshotSeq is the loaded snapshot's LastSeq (0 without a snapshot).
 	SnapshotSeq uint64
-	// Replayed counts WAL events applied on top of the snapshot.
+	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
-	// Skipped counts WAL events at or below SnapshotSeq (a crash landed
+	// Skipped counts WAL records at or below SnapshotSeq (a crash landed
 	// between snapshot publication and WAL truncation) that were not
 	// re-applied.
 	Skipped int
@@ -79,7 +79,7 @@ func (ri *RecoveryInfo) Empty() bool {
 // its tasks from every section), then replays every WAL segment file found
 // in the directory — including
 // files from a previous layout with a different segment count, whose
-// events are re-routed to their current owners — as a three-step pipeline:
+// records are re-routed to their current owners — as a three-step pipeline:
 // the files are decoded in parallel, merged by sequence number on one
 // goroutine (which folds the cross-task state and queues each pool
 // mutation for the segment owning its task), and the queues are applied
@@ -145,7 +145,10 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Decode = time.Since(phase)
 
 	phase = time.Now()
-	queues := s.mergeRoute(files, info)
+	queues, err := s.mergeRoute(files, info)
+	if err != nil {
+		return nil, nil, err
+	}
 	info.Merge = time.Since(phase)
 
 	phase = time.Now()
@@ -193,15 +196,15 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 }
 
 // walFile is one WAL segment file found in the data directory and, once
-// decoded, the events it holds.
+// decoded, the records it holds.
 type walFile struct {
 	idx  int // segment index the file name encodes
 	path string
 
-	events     []Event // decoded records, in file order (ascending Seq)
-	legacy     bool    // some of them were JSON records
-	validBytes int64   // where the readable, decodable prefix ends
-	torn       int64   // bytes past validBytes: torn, corrupt or undecodable
+	records    []Record // decoded, in file order (ascending Seq)
+	legacy     bool     // some of them were JSON records
+	validBytes int64    // where the readable, decodable prefix ends
+	torn       int64    // bytes past validBytes: torn, corrupt or undecodable
 	err        error
 }
 
@@ -223,7 +226,7 @@ func findWALs(dir string) ([]*walFile, error) {
 }
 
 // decode reads the file, verifies every frame, and decodes the payloads
-// into f.events: a binary record through decodeEvent, a JSON one through
+// into f.records: a binary record through decodeRecord, a JSON one through
 // legacy.go. Worker names are interned per file.
 func (f *walFile) decode() {
 	payloads, validBytes, torn, err := readWAL(f.path)
@@ -231,16 +234,16 @@ func (f *walFile) decode() {
 		f.err = err
 		return
 	}
-	events := make([]Event, len(payloads))
+	records := make([]Record, len(payloads))
 	names := make(map[string]string)
 	off := int64(0)
 	for i, payload := range payloads {
 		var err error
 		if legacyJSON(payload) {
-			err = decodeLegacyEvent(payload, &events[i])
+			err = decodeLegacyRecord(payload, &records[i])
 			f.legacy = true
 		} else {
-			err = decodeEvent(payload, &events[i], names)
+			err = decodeRecord(payload, &records[i], names)
 		}
 		if err != nil {
 			// The frame checksum verified but the payload does not decode:
@@ -249,12 +252,12 @@ func (f *walFile) decode() {
 			// anyway — replay could not order it.
 			torn += validBytes - off
 			validBytes = off
-			events = events[:i]
+			records = records[:i]
 			break
 		}
 		off += frameHeader + int64(len(payload))
 	}
-	f.events, f.validBytes, f.torn = events, validBytes, torn
+	f.records, f.validBytes, f.torn = records, validBytes, torn
 }
 
 // decodeWALs decodes every file on its own goroutine — the files share
@@ -289,118 +292,145 @@ func decodeWALs(files []*walFile) (tornBytes int64, err error) {
 
 // mergeRoute is the serial middle of recovery. Sequence numbers are unique
 // globally and ascending within each file, so a k-way merge of the decoded
-// files visits every event in a valid interleaving of the original
-// mutation order. Events the snapshot already covers are skipped; for the
+// files visits every record in a valid interleaving of the original
+// mutation order. Records the snapshot already covers are skipped; for the
 // rest the cross-task part is folded here, in that order — the spend is a
 // float sum and the CrowdQL ledger depends on publish/refund/close order,
-// so neither can be split across goroutines — and the event is queued for
-// every segment that owns one of its tasks under the current layout. All
-// of a task's events land in one queue in sequence order, which is all the
-// per-segment appliers need. Every queue entry belongs to its applier
-// alone: an event with several owners (a batch or lease sweep from an
-// older layout) is queued as the decoded record for the first and as a
-// copy of it for each further one.
-func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) [][]queued {
+// so neither can be split across goroutines — and the pool mutation is
+// queued for the segment that owns its tasks under the current layout
+// (route). All of a task's mutations land in one queue in sequence order,
+// which is all the per-segment appliers need.
+//
+// A directory with one WAL file holds every sequence number from the
+// first record on, so a record that does not follow its predecessor, or a
+// first record past the snapshot's LastSeq + 1, fails recovery. With
+// several files a gap is a legal crash outcome: sequence numbers are drawn
+// under the store mutex and written under each segment's own, so a crash
+// or a failed write can lose n in one file while n+1 reached another.
+func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) ([][]queued, error) {
 	queues := make([][]queued, len(s.segs))
-	// last[si] is the last replayed event (by count) already in queue si,
-	// so a batch with several answers on one segment is queued there once.
-	last := make([]int, len(s.segs))
 	heads := make([]int, len(files))
+	prev := uint64(0) // the single file's previous record
 	for {
-		var ev *Event
+		var rec *Record
 		from := -1
 		for i, f := range files {
-			if heads[i] < len(f.events) && (ev == nil || f.events[heads[i]].Seq < ev.Seq) {
-				ev, from = &f.events[heads[i]], i
+			if heads[i] < len(f.records) && (rec == nil || f.records[heads[i]].Seq < rec.Seq) {
+				rec, from = &f.records[heads[i]], i
 			}
 		}
-		if ev == nil {
-			return queues
+		if rec == nil {
+			return queues, nil
 		}
 		heads[from]++
-		if ev.Seq <= s.snapSeq {
+		if len(files) == 1 {
+			if prev != 0 && rec.Seq != prev+1 || prev == 0 && rec.Seq > s.snapSeq+1 {
+				return nil, fmt.Errorf("durable: %s: record seq %d follows seq %d; the sequence numbers of a single WAL file have no gaps",
+					filepath.Base(files[0].path), rec.Seq, max(prev, s.snapSeq))
+			}
+			prev = rec.Seq
+		}
+		if rec.Seq <= s.snapSeq {
 			info.Skipped++
 			continue
 		}
 		info.Replayed++
-		if ev.Seq > s.seq {
-			s.seq = ev.Seq
+		if rec.Seq > s.seq {
+			s.seq = rec.Seq
 		}
-		s.foldCross(ev)
-		owners := 0
-		ev.poolTasks(func(id core.TaskID) {
-			if si := s.segFor(id); last[si] != info.Replayed {
-				last[si] = info.Replayed
-				entry := ev
-				if owners++; owners > 1 {
-					cp := *ev
-					entry = &cp
-				}
-				queues[si] = append(queues[si], queued{entry, files[from]})
-			}
-		})
+		s.foldCross(rec)
+		if rec.Mut.Kind != 0 {
+			s.route(queues, rec, files[from])
+		}
 	}
 }
 
-// queued is one event in a segment's apply queue, with the WAL file it
+// route queues rec's pool mutation for the segment owning its tasks. A
+// mutation whose tasks all have one owner — every mutation the current
+// layout journaled — is queued as decoded. A batch or lease sweep an
+// older layout journaled across several current owners is split: each
+// owner gets a record of its own tasks' part.
+func (s *Store) route(queues [][]queued, rec *Record, file *walFile) {
+	owner, split := -1, false
+	rec.Mut.Tasks(func(id core.TaskID) {
+		if si := s.segFor(id); owner < 0 {
+			owner = si
+		} else if si != owner {
+			split = true
+		}
+	})
+	switch {
+	case owner < 0: // a batch of no answers
+	case !split:
+		queues[owner] = append(queues[owner], queued{rec, file})
+	default:
+		parts := make([]*Record, len(queues))
+		part := func(id core.TaskID) *core.Mutation {
+			si := s.segFor(id)
+			if parts[si] == nil {
+				parts[si] = &Record{Seq: rec.Seq, Mut: core.Mutation{Kind: rec.Mut.Kind, Batch: rec.Mut.Batch}}
+				queues[si] = append(queues[si], queued{parts[si], file})
+			}
+			return &parts[si].Mut
+		}
+		for _, a := range rec.Mut.Answers {
+			p := part(a.Task)
+			p.Answers = append(p.Answers, a)
+		}
+		for _, l := range rec.Mut.Leases {
+			p := part(l.Task)
+			p.Leases = append(p.Leases, l)
+		}
+	}
+}
+
+// queued is one record in a segment's apply queue, with the WAL file it
 // was read from, for the error that reports it if the pool refuses it.
 type queued struct {
-	ev   *Event
+	rec  *Record
 	file *walFile
 }
 
-// applyQueues folds each segment's queued events into its pool shard, one
-// goroutine per segment: the shards are disjoint and each queue holds
-// its tasks' events in sequence order. Each applier counts its queue's
-// answers per task and grows each task once by its count (core.Pool.Grow):
-// a task restored from the snapshot before the first event, a task the
-// queue adds right after its add, so no answer slice or voter index is
-// reallocated while the answers land. An entry is cleared as soon as it
-// is folded, so a collection that runs mid-apply already reclaims the
-// decoded records behind it; holding them all until Open returns left the
-// process a quarter larger at boot (83 vs 66 MB resident on the
-// recovery_boot directory). The first event a shard refuses fails
-// recovery, naming its WAL file and sequence number.
+// applyQueues replays each segment's queued mutations into its pool shard
+// (core.Pool.Replay), one goroutine per segment: the shards are disjoint
+// and each queue holds its tasks' mutations in sequence order. Each
+// applier counts its queue's answers per task and grows each task once by
+// its count (core.Pool.Grow): a task restored from the snapshot before
+// the first mutation, a task the queue adds right after its add, so no
+// answer slice or voter index is reallocated while the answers land. An
+// entry is cleared as soon as it is replayed, so a collection that runs
+// mid-apply already reclaims the decoded records behind it; holding them
+// all until Open returns left the process a quarter larger at boot (83 vs
+// 66 MB resident on the recovery_boot directory). The first mutation a
+// shard refuses fails recovery, naming its WAL file and sequence number.
 func applyQueues(pools []*core.Pool, queues [][]queued) error {
 	return inParallel(len(queues), func(si int) error {
 		p, queue := pools[si], queues[si]
-		need := answersPerTask(queue)
+		need := make(map[core.TaskID]int)
+		for _, q := range queue {
+			for _, a := range q.rec.Mut.Answers {
+				need[a.Task]++
+			}
+		}
 		for id, n := range need {
 			p.Grow(id, n) // a task the queue adds is not in p yet: no-op
 		}
 		for _, q := range queue {
-			if err := foldPool(p, q.ev, si, len(pools)); err != nil {
-				return fmt.Errorf("durable: replaying %s, record seq %d: %w", filepath.Base(q.file.path), q.ev.Seq, err)
+			m := &q.rec.Mut
+			if err := p.Replay(m); err != nil {
+				return fmt.Errorf("durable: replaying %s, record seq %d: %w", filepath.Base(q.file.path), q.rec.Seq, err)
 			}
-			if q.ev.Type == EvTaskAdded {
-				p.Grow(q.ev.Task.ID, need[q.ev.Task.ID])
+			if m.Kind == core.MutAddTask {
+				p.Grow(m.Task.ID, need[m.Task.ID])
 			}
-			*q.ev = Event{}
+			*q.rec = Record{}
 		}
 		return nil
 	})
 }
 
-// answersPerTask counts the answers a segment's queue holds for each task.
-// A batch from another layout may carry answers for tasks other segments
-// own; their counts go unused, since those tasks never enter this shard.
-func answersPerTask(queue []queued) map[core.TaskID]int {
-	need := make(map[core.TaskID]int)
-	for _, q := range queue {
-		switch ev := q.ev; ev.Type {
-		case EvAnswerRecorded:
-			need[ev.Answer.Task]++
-		case EvAnswerBatch:
-			for i := range ev.Answers {
-				need[ev.Answers[i].Task]++
-			}
-		}
-	}
-	return need
-}
-
 // openSegments opens the configured layout's WAL files for appending and
-// retires files left over from a larger previous layout: their events are
+// retires files left over from a larger previous layout: their records are
 // in the pool now, so a snapshot covers them and the files can go —
 // otherwise nothing would ever truncate them. convert checkpoints the
 // directory even when nothing is left over, and even when the log holds
@@ -432,15 +462,15 @@ func (s *Store) openSegments(files []*walFile, convert bool) error {
 }
 
 // ReadLog decodes every WAL segment file in dir, in either record format,
-// and returns each file's events in file order, keyed by file name. It
+// and returns each file's records in file order, keyed by file name. It
 // only reads: a torn or undecodable tail, which Open would cut, is
-// reported as an error, and the events before it are still returned.
-func ReadLog(dir string) (map[string][]Event, error) {
+// reported as an error, and the records before it are still returned.
+func ReadLog(dir string) (map[string][]Record, error) {
 	files, err := findWALs(dir)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]Event, len(files))
+	out := make(map[string][]Record, len(files))
 	var errs []error
 	for _, f := range files {
 		f.decode()
@@ -448,7 +478,7 @@ func ReadLog(dir string) (map[string][]Event, error) {
 			return nil, f.err
 		}
 		name := filepath.Base(f.path)
-		out[name] = f.events
+		out[name] = f.records
 		if f.torn > 0 {
 			errs = append(errs, fmt.Errorf("durable: %s: %d bytes from offset %d on do not decode", name, f.torn, f.validBytes))
 		}

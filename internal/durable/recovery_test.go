@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -27,11 +26,19 @@ type recoveryImage struct {
 	Tasks     map[core.TaskID]core.Task
 	Answers   map[core.TaskID][]core.Answer
 	Closed    map[core.TaskID]bool
-	Leases    []LeaseRecord
+	Leases    []leaseImage
 	Screen    map[string]core.ScreenTally
 	SpentBits uint64
 	Sessions  []CQLSessionState
 	Questions []CQLQuestionState
+}
+
+// leaseImage is a lease with its deadline in Unix nanoseconds, which
+// unlike a time.Time prints the same in every time zone.
+type leaseImage struct {
+	Task     core.TaskID
+	Worker   string
+	Deadline int64
 }
 
 func imageOf(s *Store) recoveryImage {
@@ -53,7 +60,7 @@ func imageOf(s *Store) recoveryImage {
 		}
 	}
 	for _, l := range pool.Leases() {
-		img.Leases = append(img.Leases, *leaseRecord(l))
+		img.Leases = append(img.Leases, leaseImage{l.Task, l.Worker, l.Deadline.UnixNano()})
 	}
 	img.Sessions, img.Questions = s.CQLState()
 	return img
@@ -430,7 +437,7 @@ func TestOpenFailureClosesSegments(t *testing.T) {
 }
 
 // openRefusing journals a valid history plus one record that bad writes
-// straight through the store's journal hooks, so the live pool never sees
+// straight through the store's journal hook, so the live pool never sees
 // it, crashes the store, and checks that Open refuses the directory with
 // an error naming the WAL file and sequence number of that record — the
 // one with the highest sequence number.
@@ -455,10 +462,10 @@ func openRefusing(t *testing.T, bad func(s *Store) error) {
 	}
 	var file string
 	var seq uint64
-	for name, events := range log {
-		for _, ev := range events {
-			if ev.Seq > seq {
-				file, seq = name, ev.Seq
+	for name, records := range log {
+		for _, rec := range records {
+			if rec.Seq > seq {
+				file, seq = name, rec.Seq
 			}
 		}
 	}
@@ -476,22 +483,23 @@ func openRefusing(t *testing.T, bad func(s *Store) error) {
 // added fails Open instead of being dropped after its cost was counted.
 func TestReplayRefusesAnswerToUnknownTask(t *testing.T) {
 	openRefusing(t, func(s *Store) error {
-		_, err := s.AnswerRecorded(context.Background(), core.Answer{Task: 99, Worker: "w2", Option: 1}, core.Charge{Cost: 1})
-		return err
+		return appendMutation(s, core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 99, Worker: "w2", Option: 1}}, Cost: 1})
 	})
 }
 
 // TestReplayRefusesDuplicateTaskAdd: a second add of a task ID fails Open
 // instead of landing under a fresh ID.
 func TestReplayRefusesDuplicateTaskAdd(t *testing.T) {
-	openRefusing(t, func(s *Store) error { return s.TaskAdded(choiceTask(3, false, 1)) })
+	openRefusing(t, func(s *Store) error {
+		return appendMutation(s, core.Mutation{Kind: core.MutAddTask, Task: choiceTask(3, false, 1)})
+	})
 }
 
 // TestReplayRefusesLeaseOnUnknownTask: a lease on a task the log never
 // added fails Open.
 func TestReplayRefusesLeaseOnUnknownTask(t *testing.T) {
 	openRefusing(t, func(s *Store) error {
-		return s.LeaseIssued(core.Lease{Task: 99, Worker: "w2", Deadline: time.Unix(1e9, 0)})
+		return appendMutation(s, core.Mutation{Kind: core.MutLease, Leases: []core.Lease{{Task: 99, Worker: "w2", Deadline: time.Unix(1e9, 0)}}})
 	})
 }
 
@@ -537,5 +545,80 @@ func TestRecoverySizesEachTaskOnce(t *testing.T) {
 			})
 			s.Crash()
 		}
+	}
+}
+
+// TestSingleWALGapFailsOpen: one WAL file holds every sequence number
+// from its first record on, so a hand-written one that skips a number
+// fails Open, naming the file and the record after the gap.
+func TestSingleWALGapFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Seq: 1, Mut: core.Mutation{Kind: core.MutAddTask, Task: choiceTask(1, false, 0)}},
+		{Seq: 2, Type: EvBudgetCharged, Amount: 1},
+		{Seq: 4, Mut: core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 1, Worker: "w1", Option: 1}}, Cost: 1}},
+	} {
+		if err := w.append(appendRecord(nil, &rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(false); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := Open(dir, Options{Fsync: FsyncNever})
+	if err == nil {
+		s.Crash()
+		t.Fatal("Open accepted a single WAL file with a gap in its sequence numbers")
+	}
+	if want := fmt.Sprintf("%s: record seq 4", walName); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open error %q does not name %q", err, want)
+	}
+}
+
+// TestSegmentLosingItsLastRecordOpens: with several WAL files a gap is a
+// legal crash outcome — a record's sequence number is drawn before its
+// segment writes it, so a crash can lose n in one file while n+1 reached
+// another. A 2-segment directory whose segment with the earlier tail lost
+// that last record opens to everything else.
+func TestSegmentLosingItsLastRecordOpens(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	s, _ := mustOpen(t, dir, opts)
+	for id := core.TaskID(1); id <= 8; id++ {
+		mustAdd(t, s, choiceTask(id, false, 0))
+		if err := answer(s, core.Answer{Task: id, Worker: "w1", Option: 1}, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Crash()
+
+	log, err := ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, total := "", 0
+	for name, records := range log {
+		total += len(records)
+		if cut == "" || records[len(records)-1].Seq < log[cut][len(log[cut])-1].Seq {
+			cut = name
+		}
+	}
+	payloads, valid, _, err := readWAL(filepath.Join(dir, cut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := payloads[len(payloads)-1]
+	if err := os.Truncate(filepath.Join(dir, cut), valid-int64(frameHeader+len(last))); err != nil {
+		t.Fatal(err)
+	}
+
+	s, info := mustOpen(t, dir, opts)
+	defer s.Crash()
+	if info.Replayed != total-1 || info.TornBytes != 0 || info.Answers != 7 {
+		t.Fatalf("recovery %+v, want %d records replayed: all but the answer %s lost", info, total-1, cut)
 	}
 }

@@ -168,7 +168,7 @@ func encodeShard(p *core.Pool, ascending bool) ([]byte, error) {
 		if p.Closed(id) {
 			closed = taskClosed
 		}
-		body = appendTask(body, taskRecord(t), closed)
+		body = appendTask(body, t, closed)
 		answers := p.Answers(id)
 		body = binary.AppendUvarint(body, uint64(len(answers)))
 		for i := range answers {
@@ -253,18 +253,16 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 		}
 		return sec.workers[i]
 	}
-	tr := TaskRecord{ID: id}
-	flags := r.task(&tr)
+	t := &core.Task{ID: id}
+	flags := r.task(t)
 	if flags&^snapTaskFlags != 0 {
 		r.fail()
 	}
 	if r.err != nil {
 		return malformed()
 	}
-	if got, err := p.Add(tr.task()); err != nil {
+	if err := p.Replay(&core.Mutation{Kind: core.MutAddTask, Task: t}); err != nil {
 		return fmt.Errorf("durable: snapshot task %d: %w", id, err)
-	} else if got != id {
-		return fmt.Errorf("durable: snapshot corrupt: task %d appears twice", id)
 	}
 
 	n := r.count(3)

@@ -346,7 +346,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	dir := s.Dir()
+	dir := s.dir
 	if err := s.BudgetCharged(1); err != nil {
 		f.Fatal(err)
 	}

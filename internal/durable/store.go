@@ -36,7 +36,7 @@ type Options struct {
 	Segments int
 }
 
-// segment is one WAL shard: the log file holding the events of the pool
+// segment is one WAL shard: the log file holding the records of the pool
 // shard with the same index. mu serializes sequence assignment and the
 // framed write for this segment only — appends to different segments run
 // fully in parallel.
@@ -83,16 +83,16 @@ func (seg *segment) syncUpTo(seq uint64) error {
 // server serves and what the next recovery will rebuild. The store is
 // attached to it as its core.Journal, so every pool mutation runs
 // validate → append → apply under the owning shard's write lock. Shard i's
-// events go to segment i (both sides route by core.ShardIndex). Cross-task
+// mutations go to segment i (both sides route by core.ShardIndex). Cross-task
 // state (budget spend, golden-screen tallies, the CrowdQL ledger) has no
 // home in the pool and is folded here, under the store mutex, as each
-// event is appended. A global sequence number is drawn while the owning
+// record is appended. A global sequence number is drawn while the owning
 // segment's mutex is held, so sequence numbers are unique across segments
 // and monotonically increasing within each file — recovery k-way merges
 // the segment files by sequence number and replays a valid global order.
 //
 // Lock order is pool shard → segment mutex → store mutex. Appends to
-// pool-less events (budget, CrowdQL ledger) enter at the segment mutex;
+// pool-less records (budget, CrowdQL ledger) enter at the segment mutex;
 // snapshots take every shard's read lock, then every segment mutex, then
 // the store mutex. An fsync is never issued under any of them: the ack
 // path waits for its record through Sync after the shard lock is gone.
@@ -115,7 +115,7 @@ type Store struct {
 	repSpent  float64
 	repScreen map[string]core.ScreenTally
 	repCQL    cqlReplica
-	seq       uint64 // last assigned event sequence number
+	seq       uint64 // last assigned record sequence number
 	snapSeq   uint64 // seq covered by the last published snapshot
 	err       error  // sticky write error; nil while healthy
 	closed    bool
@@ -129,7 +129,7 @@ type Store struct {
 	recovery RecoveryInfo // what Open found, fixed there
 }
 
-// segFor returns the index of the segment owning a task's events.
+// segFor returns the index of the segment owning a task's records.
 func (s *Store) segFor(id core.TaskID) int { return core.ShardIndex(id, len(s.segs)) }
 
 // Pool returns the live pool: the one Open recovered (empty on a fresh
@@ -190,36 +190,35 @@ func (s *Store) fail(err error) {
 // bodyBufs recycles the buffers appendSeg encodes record bodies into.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendSeg journals one event on segment si. The record's body — every
+// appendSeg journals one record on segment si. The record's body — every
 // field but the sequence number — is encoded first, outside every lock;
-// then, under the segment's mutex, the event draws the next global
-// sequence number, its framed record is written and its cross-task part
-// is folded, so the file stays in sequence order. sync selects whether the
+// then, under the segment's mutex, the record draws the next global
+// sequence number, its frame is written and its cross-task part is
+// folded, so the file stays in sequence order. sync selects whether the
 // record must reach stable storage before returning; pool mutations pass
 // false (they run under a shard lock) and their caller waits through Sync
 // afterwards. The fsync itself runs after the segment mutex is released,
 // through the group-commit path, so appends keep flowing while a flush is
 // in flight.
-func (s *Store) appendSeg(si int, ev *Event, sync bool) error {
-	tag := eventTag(ev.Type)
+func (s *Store) appendSeg(si int, rec *Record, sync bool) error {
 	buf := bodyBufs.Get().(*[]byte)
-	body := appendEventBody((*buf)[:0], ev)
+	tag, body := appendRecordBody((*buf)[:0], rec)
 	seg := s.segs[si]
 	seg.mu.Lock()
-	err := s.writeLocked(seg, tag, ev, body)
+	err := s.writeLocked(seg, tag, rec, body)
 	seg.mu.Unlock()
 	*buf = body
 	bodyBufs.Put(buf)
 	if err != nil || !sync {
 		return err
 	}
-	return s.syncSeg(si, ev.Seq)
+	return s.syncSeg(si, rec.Seq)
 }
 
-// writeLocked assigns ev its sequence number, writes its record — tag,
+// writeLocked assigns rec its sequence number, writes its record — tag,
 // sequence number, body — and folds its cross-task part. The caller holds
 // seg.mu.
-func (s *Store) writeLocked(seg *segment, tag byte, ev *Event, body []byte) error {
+func (s *Store) writeLocked(seg *segment, tag byte, rec *Record, body []byte) error {
 	s.mu.Lock()
 	if err := s.err; err != nil {
 		s.mu.Unlock()
@@ -230,60 +229,39 @@ func (s *Store) writeLocked(seg *segment, tag byte, ev *Event, body []byte) erro
 		return fmt.Errorf("durable: store is closed")
 	}
 	s.seq++
-	ev.Seq = s.seq
+	rec.Seq = s.seq
 	s.mu.Unlock()
 	var head [1 + binary.MaxVarintLen64]byte
-	if err := seg.w.append(binary.AppendUvarint(append(head[:0], tag), ev.Seq), body); err != nil {
+	if err := seg.w.append(binary.AppendUvarint(append(head[:0], tag), rec.Seq), body); err != nil {
 		s.fail(err)
 		return err
 	}
-	seg.appended.Store(ev.Seq)
-	s.foldCross(ev)
+	seg.appended.Store(rec.Seq)
+	s.foldCross(rec)
 	return nil
 }
 
-// AnswerRecorded implements core.Journal: it appends an accepted answer
-// together with the budget units it was charged and, for golden tasks,
-// whether the worker got it right, and returns the record's sequence
-// number for Sync. When ctx carries a recording span (the serving layer's
-// tracing mode) the append records as a wal.append child of it.
-func (s *Store) AnswerRecorded(ctx context.Context, a core.Answer, c core.Charge) (uint64, error) {
-	si := s.segFor(a.Task)
-	ev := &Event{
-		Type:   EvAnswerRecorded,
-		Answer: answerRecord(a),
-		Worker: a.Worker,
-		Cost:   c.Cost,
-		Golden: c.Golden,
-	}
+// Append implements core.Journal: it appends a pool mutation, which the
+// pool validated and applies next, to the segment of its tasks' shard
+// (both route by core.ShardIndex) and returns the record's sequence number
+// for Sync. An answer's record carries what it was charged and, for golden
+// tasks, whether the worker got it right. Append runs under a pool shard's
+// write lock and therefore never fsyncs; the record reaches disk with the
+// next Sync, SyncTasks or background flush. When ctx carries a recording
+// span (the serving layer's tracing mode) the append records as a
+// wal.append child of it.
+func (s *Store) Append(ctx context.Context, m *core.Mutation) (uint64, error) {
+	si := 0
+	m.Tasks(func(id core.TaskID) { si = s.segFor(id) })
+	rec := Record{Mut: *m}
 	_, sp := obs.ChildSpan(ctx, "wal.append")
-	err := s.appendSeg(si, ev, false)
+	err := s.appendSeg(si, &rec, false)
 	if sp.Recording() {
-		sp.SetAttr(obs.Int("segment", int64(si)), obs.Int("seq", int64(ev.Seq)))
+		sp.SetAttr(obs.Int("segment", int64(si)), obs.Int("seq", int64(rec.Seq)))
 		sp.SetError(err)
 	}
 	sp.End()
-	return ev.Seq, err
-}
-
-// AnswerBatch implements core.Journal: the answers one pool shard accepted
-// from a batch become one record on that shard's segment. Cost is the
-// batch's total charge; Goldens is index-aligned with the answers and
-// omitted when none of them was golden.
-func (s *Store) AnswerBatch(as []core.Answer, cs []core.Charge) (uint64, error) {
-	ev := &Event{Type: EvAnswerBatch, Answers: make([]AnswerRecord, len(as))}
-	for i := range as {
-		ev.Answers[i] = *answerRecord(as[i])
-		ev.Cost += cs[i].Cost
-		if cs[i].Golden != nil && ev.Goldens == nil {
-			ev.Goldens = make([]*bool, len(as))
-		}
-		if ev.Goldens != nil {
-			ev.Goldens[i] = cs[i].Golden
-		}
-	}
-	err := s.appendSeg(s.segFor(as[0].Task), ev, false)
-	return ev.Seq, err
+	return rec.Seq, err
 }
 
 // Sync is the durability wait of the ack path: under FsyncAlways it
@@ -319,43 +297,15 @@ func (s *Store) syncSeg(si int, seq uint64) error {
 }
 
 // BudgetCharged journals a budget charge that does not ride an answer
-// record (bulk pricing, manual adjustment). Budget events have no task
+// record (bulk pricing, manual adjustment). Budget records have no task
 // affinity and always land on segment 0.
 func (s *Store) BudgetCharged(amount float64) error {
-	return s.appendSeg(0, &Event{Type: EvBudgetCharged, Amount: amount}, s.opts.Fsync == FsyncAlways)
+	return s.appendSeg(0, &Record{Type: EvBudgetCharged, Amount: amount}, s.opts.Fsync == FsyncAlways)
 }
 
 // BudgetRefunded journals the reversal of such a charge.
 func (s *Store) BudgetRefunded(amount float64) error {
-	return s.appendSeg(0, &Event{Type: EvBudgetRefunded, Amount: amount}, s.opts.Fsync == FsyncAlways)
-}
-
-// TaskAdded, TaskClosed, LeaseIssued, and LeasesExpired implement the rest
-// of core.Journal. Like the answer hooks they run under a pool shard's
-// write lock and therefore never fsync; the records reach disk with the
-// next Sync, SyncTasks or background flush.
-func (s *Store) TaskAdded(t *core.Task) error {
-	return s.appendSeg(s.segFor(t.ID), &Event{Type: EvTaskAdded, Task: taskRecord(t)}, false)
-}
-
-// TaskClosed implements core.Journal.
-func (s *Store) TaskClosed(id core.TaskID) error {
-	return s.appendSeg(s.segFor(id), &Event{Type: EvTaskClosed, TaskID: id}, false)
-}
-
-// LeaseIssued implements core.Journal.
-func (s *Store) LeaseIssued(l core.Lease) error {
-	return s.appendSeg(s.segFor(l.Task), &Event{Type: EvLeaseIssued, Lease: leaseRecord(l)}, false)
-}
-
-// LeasesExpired implements core.Journal: one shard's sweep, one record on
-// that shard's segment.
-func (s *Store) LeasesExpired(ls []core.Lease) error {
-	ev := &Event{Type: EvLeaseExpired, Leases: make([]LeaseRecord, len(ls))}
-	for i, l := range ls {
-		ev.Leases[i] = *leaseRecord(l)
-	}
-	return s.appendSeg(s.segFor(ls[0].Task), ev, false)
+	return s.appendSeg(0, &Record{Type: EvBudgetRefunded, Amount: amount}, s.opts.Fsync == FsyncAlways)
 }
 
 // Snapshot publishes the live pool as pool.snap and truncates every WAL
@@ -503,12 +453,6 @@ func (s *Store) Crash() {
 	}
 	s.bg.Wait()
 }
-
-// Dir returns the data directory the store persists into.
-func (s *Store) Dir() string { return s.dir }
-
-// Fsync returns the store's fsync policy.
-func (s *Store) Fsync() FsyncPolicy { return s.opts.Fsync }
 
 // Segments returns the number of WAL segments.
 func (s *Store) Segments() int { return len(s.segs) }

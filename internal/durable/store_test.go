@@ -52,6 +52,13 @@ func mustLease(tb testing.TB, s *Store, id core.TaskID, worker string, deadline 
 	}
 }
 
+// appendMutation journals m through the store's journal hook alone: the
+// live pool never holds it, but every recovery replays it.
+func appendMutation(s *Store, m core.Mutation) error {
+	_, err := s.Append(context.Background(), &m)
+	return err
+}
+
 // answer is the single-answer ack path: record, then wait for the record.
 func answer(s *Store, a core.Answer, cost float64, golden *bool) error {
 	pos, err := s.Pool().Record(context.Background(), a, core.Charge{Cost: cost, Golden: golden})
@@ -121,7 +128,7 @@ func flat(sp *core.ShardedPool) *core.Pool {
 			task := *p.Task(id)
 			out.MustAdd(&task)
 			for _, a := range p.Answers(id) {
-				if err := out.ReplayAnswer(a); err != nil {
+				if err := out.Record(a); err != nil {
 					panic(err)
 				}
 			}
@@ -655,9 +662,9 @@ func TestAnswerJournaledBehindCloseSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans := func(w string) *AnswerRecord { return answerRecord(core.Answer{Task: 1, Worker: w, Option: 1}) }
+	ans := func(w string) *AnswerRecord { return &AnswerRecord{Task: 1, Worker: w, Option: 1} }
 	for i, ev := range []Event{
-		{Type: EvTaskAdded, Task: taskRecord(choiceTask(1, false, 0))},
+		{Type: EvTaskAdded, Task: &TaskRecord{ID: 1, Kind: int(core.SingleChoice), Question: "q1", Options: []string{"a", "b", "c"}}},
 		{Type: EvAnswerRecorded, Answer: ans("w1"), Worker: "w1", Cost: 1},
 		{Type: EvAnswerRecorded, Answer: ans("w2"), Worker: "w2", Cost: 1},
 		{Type: EvTaskClosed, TaskID: 1},

@@ -79,7 +79,7 @@ func answerers(base string, n int, stop <-chan struct{}) (wait func()) {
 }
 
 // readSegments decodes every WAL segment file in dir, in file order.
-func readSegments(t *testing.T, dir string) map[string][]durable.Event {
+func readSegments(t *testing.T, dir string) map[string][]durable.Record {
 	t.Helper()
 	out, err := durable.ReadLog(dir)
 	if err != nil || len(out) == 0 {
@@ -120,14 +120,12 @@ func TestWALNeverHoldsCloseAheadOfAnAnswer(t *testing.T) {
 			answers++
 		}
 		for _, ev := range events {
-			switch ev.Type {
-			case durable.EvTaskClosed:
-				closed[ev.TaskID] = ev.Seq
+			switch ev.Mut.Kind {
+			case core.MutClose:
+				closed[ev.Mut.ID] = ev.Seq
 				closes++
-			case durable.EvAnswerRecorded:
-				late(ev.Answer.Task, ev.Seq)
-			case durable.EvAnswerBatch:
-				for _, a := range ev.Answers {
+			case core.MutAnswers:
+				for _, a := range ev.Mut.Answers {
 					late(a.Task, ev.Seq)
 				}
 			}

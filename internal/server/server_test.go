@@ -73,7 +73,7 @@ func flat(sp *core.ShardedPool) *core.Pool {
 			task := *p.Task(id)
 			out.MustAdd(&task)
 			for _, a := range p.Answers(id) {
-				if err := out.ReplayAnswer(a); err != nil {
+				if err := out.Record(a); err != nil {
 					panic(err)
 				}
 			}
