@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 const benchQuery = `SELECT name, COUNT(*) AS n FROM people ` +
@@ -59,6 +61,48 @@ func BenchmarkExecuteMachineQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := s.Execute(`SELECT grp, AVG(v) FROM t WHERE id > 500 GROUP BY grp ORDER BY grp LIMIT 5`)
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// machineJoinSQL is the machine statement of the cql_query benchmark
+// workload: a hash join of every fact to its item, grouped and counted.
+const machineJoinSQL = `SELECT items.kind, COUNT(*) FROM facts JOIN items ON facts.item = items.id GROUP BY items.kind`
+
+// joinSession loads machineJoinSQL's tables as the workload does: 20
+// items and the given number of facts, each pointing at a random item.
+func joinSession(tb testing.TB, facts int) *Session {
+	tb.Helper()
+	s := machineSession()
+	rng := stats.NewRNG(42)
+	var sb strings.Builder
+	sb.WriteString(`CREATE TABLE items (id INT, kind STRING); CREATE TABLE facts (id INT, item INT, v INT); INSERT INTO items VALUES `)
+	for i := 1; i <= 20; i++ {
+		if i > 1 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, 'k%d-%04x')", i, i, rng.Intn(1<<16))
+	}
+	sb.WriteString(`; INSERT INTO facts VALUES `)
+	for i := 1; i <= facts; i++ {
+		if i > 1 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d)", i, 1+rng.Intn(20), rng.Intn(100))
+	}
+	if _, err := s.ExecuteScript(sb.String()); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+func BenchmarkExecuteMachineJoin(b *testing.B) {
+	s := joinSession(b, 5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Execute(machineJoinSQL); err != nil {
 			b.Fatal(err)
 		}
 	}

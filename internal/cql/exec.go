@@ -2,7 +2,9 @@ package cql
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -361,37 +363,93 @@ func (s *Session) execJoin(n *JoinNode) (*resultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Hash the right side.
-	ht := make(map[string][]model.Tuple)
+	// Hash the right side: one bucket of rows per distinct key.
+	slots := keySlots{}
+	var buckets [][]model.Tuple
+	var key []byte
 	for _, r := range right.rows {
-		k := r[ri]
-		if k.IsNull() {
+		if r[ri].IsNull() {
 			continue
 		}
-		ht[joinKey(k)] = append(ht[joinKey(k)], r)
+		key = appendKey(key[:0], r[ri])
+		slot, isNew := slots.slot(key)
+		if isNew {
+			buckets = append(buckets, nil)
+		}
+		buckets[slot] = append(buckets[slot], r)
 	}
+	// Probe with the left side. Output rows are cut from slabs of 256
+	// rows; the full slice expression caps each row, so an append to one
+	// row can never overwrite the next.
 	out := &resultSet{bs: left.bs.concat(right.bs)}
+	var slab []model.Value
 	for _, l := range left.rows {
-		k := l[li]
-		if k.IsNull() {
+		if l[li].IsNull() {
 			continue
 		}
-		for _, r := range ht[joinKey(k)] {
-			merged := make(model.Tuple, 0, len(l)+len(r))
-			merged = append(append(merged, l...), r...)
-			out.rows = append(out.rows, merged)
+		key = appendKey(key[:0], l[li])
+		slot, ok := slots[string(key)]
+		if !ok {
+			continue
+		}
+		for _, r := range buckets[slot] {
+			w := len(l) + len(r)
+			if cap(slab)-len(slab) < w {
+				slab = make([]model.Value, 0, 256*w)
+			}
+			slab = append(append(slab, l...), r...)
+			out.rows = append(out.rows, slab[len(slab)-w:len(slab):len(slab)])
 		}
 	}
 	return out, nil
 }
 
-func joinKey(v model.Value) string {
-	// Normalizes INT/FLOAT cross-type equality the same way Value.Equal
-	// does.
-	if v.IsNumeric() {
-		return fmt.Sprintf("n:%v", v.AsFloat())
+// Key tags, one per type class. INT and FLOAT share the numeric class.
+const (
+	keyNull byte = iota
+	keyNum
+	keyString
+	keyBool
+)
+
+// appendKey appends v's hash key to dst: a type-class tag, then the
+// payload. Numbers write their float64 bits, so INT and FLOAT match as
+// Value.Equal says, and -0 is written as 0, as Equal says too; every NaN
+// is written as one NaN, so NaN matches NaN although Equal says it does
+// not. Strings are length-prefixed, so a row's keys appended one after
+// another cannot run into each other.
+func appendKey(dst []byte, v model.Value) []byte {
+	switch v.Type() {
+	case model.TypeInt, model.TypeFloat:
+		f := v.AsFloat()
+		if f != f {
+			f = math.NaN()
+		} else if f == 0 {
+			f = 0
+		}
+		return binary.LittleEndian.AppendUint64(append(dst, keyNum), math.Float64bits(f))
+	case model.TypeString:
+		dst = binary.AppendUvarint(append(dst, keyString), uint64(len(v.AsString())))
+		return append(dst, v.AsString()...)
+	case model.TypeBool:
+		return append(dst, keyBool, byte(boolOpt(v.AsBool())))
+	default:
+		return append(dst, keyNull)
 	}
-	return v.Type().String() + ":" + v.String()
+}
+
+// keySlots numbers keys in the order they are first seen; slot returns a
+// key's number and whether it is new. Looking a key up with
+// m[string(key)] allocates nothing; only a new key is copied.
+type keySlots map[string]int
+
+func (m keySlots) slot(key []byte) (int, bool) {
+	if i, ok := m[string(key)]; ok {
+		return i, false
+	}
+	i := len(m)
+	m[string(key)] = i
+	return i, true
 }
 
 func (s *Session) execCrowdJoin(n *CrowdJoinNode) (*resultSet, error) {
@@ -610,24 +668,19 @@ func (s *Session) execDistinct(n *DistinctNode) (*resultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(in.rows))
+	slots := keySlots{}
+	var key []byte
 	out := &resultSet{bs: in.bs, base: in.base}
 	for _, r := range in.rows {
-		k := tupleKey(r)
-		if !seen[k] {
-			seen[k] = true
+		key = key[:0]
+		for _, v := range r {
+			key = appendKey(key, v)
+		}
+		if _, isNew := slots.slot(key); isNew {
 			out.rows = append(out.rows, r)
 		}
 	}
 	return out, nil
-}
-
-func tupleKey(t model.Tuple) string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = joinKey(v)
-	}
-	return strings.Join(parts, "\x1f")
 }
 
 func (s *Session) execProject(n *ProjectNode) (*resultSet, error) {
@@ -687,36 +740,25 @@ func (s *Session) execAggregate(n *AggregateNode) (*resultSet, error) {
 			return nil, err
 		}
 	}
-	// Bucket rows.
-	type bucket struct {
-		key  model.Value
-		rows []model.Tuple
-	}
-	var buckets []*bucket
-	if groupIdx < 0 {
-		buckets = []*bucket{{key: model.Null(), rows: in.rows}}
-	} else {
-		byKey := map[string]*bucket{}
-		for _, r := range in.rows {
-			k := joinKey(r[groupIdx])
-			b, ok := byKey[k]
-			if !ok {
-				b = &bucket{key: r[groupIdx]}
-				byKey[k] = b
-				buckets = append(buckets, b)
-			}
-			b.rows = append(b.rows, r)
-		}
-	}
-
+	// Each item folds one column (or -1) into a per-group accumulator; a
+	// group keeps its rows only for CROWDCOUNT, which samples them.
+	folds := make([]int, len(n.Items))
+	keepRows := false
 	outBS := &boundSchema{}
-	for _, it := range n.Items {
+	for i, it := range n.Items {
 		typ := model.TypeFloat
+		folds[i] = -1
 		switch {
 		case it.Agg == "COUNT":
 			typ = model.TypeInt
+			if it.Column != nil {
+				// An unknown column fails only once a group asks for it.
+				if idx, err := in.bs.resolve(it.Column); err == nil {
+					folds[i] = idx
+				}
+			}
 		case it.Agg == "CROWDCOUNT":
-			typ = model.TypeFloat
+			keepRows = true
 		case it.Agg == "":
 			// Plain column (must be the group key).
 			if groupIdx < 0 {
@@ -734,16 +776,62 @@ func (s *Session) execAggregate(n *AggregateNode) (*resultSet, error) {
 			if it.Agg == "MIN" || it.Agg == "MAX" {
 				typ = in.bs.cols[idx].Type
 			}
+			folds[i] = idx
 		}
 		outBS.cols = append(outBS.cols, model.Column{Name: it.DisplayName(), Type: typ})
 		outBS.binding = append(outBS.binding, "")
 	}
 
+	type group struct {
+		key  model.Value
+		n    int64
+		accs []aggAcc
+		rows []model.Tuple
+	}
+	var groups []group
+	if groupIdx < 0 {
+		groups = []group{{accs: make([]aggAcc, len(n.Items))}}
+	}
+	slots := keySlots{}
+	var key []byte
+	for _, r := range in.rows {
+		g := 0
+		if groupIdx >= 0 {
+			key = appendKey(key[:0], r[groupIdx])
+			var isNew bool
+			if g, isNew = slots.slot(key); isNew {
+				groups = append(groups, group{key: r[groupIdx], accs: make([]aggAcc, len(n.Items))})
+			}
+		}
+		gr := &groups[g]
+		gr.n++
+		if keepRows {
+			gr.rows = append(gr.rows, r)
+		}
+		for i, c := range folds {
+			if c >= 0 {
+				gr.accs[i].fold(n.Items[i].Agg, r[c])
+			}
+		}
+	}
+
 	out := &resultSet{bs: outBS}
-	for _, b := range buckets {
+	for _, g := range groups {
 		row := make(model.Tuple, len(n.Items))
 		for i, it := range n.Items {
-			v, err := s.aggValue(it, in.bs, b.rows, b.key, groupIdx)
+			var v model.Value
+			switch {
+			case it.Agg == "":
+				v = g.key
+			case it.Agg == "CROWDCOUNT":
+				v, err = s.crowdCount(it, in.bs, g.rows)
+			case it.Agg == "COUNT" && it.Column == nil:
+				v = model.Int(g.n)
+			case folds[i] < 0:
+				_, err = in.bs.resolve(it.Column)
+			default:
+				v, err = g.accs[i].value(it)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -754,62 +842,51 @@ func (s *Session) execAggregate(n *AggregateNode) (*resultSet, error) {
 	return out, nil
 }
 
-func (s *Session) aggValue(it SelectItem, bs *boundSchema, rows []model.Tuple, key model.Value, groupIdx int) (model.Value, error) {
-	if it.Agg == "" {
-		return key, nil
+// aggAcc is one aggregate's running state over one group's rows.
+type aggAcc struct {
+	n          int64 // non-NULL values folded
+	sum        float64
+	best       model.Value // MIN or MAX so far
+	nonNumeric bool        // SUM or AVG saw a value that is not a number
+}
+
+func (a *aggAcc) fold(agg string, v model.Value) {
+	if v.IsNull() {
+		return
 	}
-	if it.Agg == "CROWDCOUNT" {
-		return s.crowdCount(it, bs, rows)
-	}
-	if it.Agg == "COUNT" && it.Column == nil {
-		return model.Int(int64(len(rows))), nil
-	}
-	idx, err := bs.resolve(it.Column)
-	if err != nil {
-		return model.Null(), err
-	}
-	var vals []model.Value
-	for _, r := range rows {
-		if !r[idx].IsNull() {
-			vals = append(vals, r[idx])
+	a.n++
+	switch agg {
+	case "SUM", "AVG":
+		if !v.IsNumeric() {
+			a.nonNumeric = true
+		} else {
+			a.sum += v.AsFloat()
+		}
+	case "MIN", "MAX":
+		cmp := v.Compare(a.best)
+		if a.n == 1 || (agg == "MIN" && cmp < 0) || (agg == "MAX" && cmp > 0) {
+			a.best = v
 		}
 	}
+}
+
+func (a *aggAcc) value(it SelectItem) (model.Value, error) {
 	switch it.Agg {
 	case "COUNT":
-		return model.Int(int64(len(vals))), nil
-	case "SUM":
-		sum := 0.0
-		for _, v := range vals {
-			if !v.IsNumeric() {
-				return model.Null(), fmt.Errorf("cql: SUM over non-numeric column %s", it.Column)
-			}
-			sum += v.AsFloat()
+		return model.Int(a.n), nil
+	case "SUM", "AVG":
+		if a.nonNumeric {
+			return model.Null(), fmt.Errorf("cql: %s over non-numeric column %s", it.Agg, it.Column)
 		}
-		return model.Float(sum), nil
-	case "AVG":
-		if len(vals) == 0 {
+		if it.Agg == "SUM" {
+			return model.Float(a.sum), nil
+		}
+		if a.n == 0 {
 			return model.Null(), nil
 		}
-		sum := 0.0
-		for _, v := range vals {
-			if !v.IsNumeric() {
-				return model.Null(), fmt.Errorf("cql: AVG over non-numeric column %s", it.Column)
-			}
-			sum += v.AsFloat()
-		}
-		return model.Float(sum / float64(len(vals))), nil
+		return model.Float(a.sum / float64(a.n)), nil
 	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return model.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			cmp := v.Compare(best)
-			if (it.Agg == "MIN" && cmp < 0) || (it.Agg == "MAX" && cmp > 0) {
-				best = v
-			}
-		}
-		return best, nil
+		return a.best, nil
 	default:
 		return model.Null(), fmt.Errorf("cql: unknown aggregate %s", it.Agg)
 	}

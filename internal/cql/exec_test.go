@@ -2,6 +2,7 @@ package cql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -587,4 +588,191 @@ func TestHaving(t *testing.T) {
 	if _, err := s.Execute(`SELECT city, COUNT(*) AS n FROM people GROUP BY city HAVING city ~= 'x'`); err == nil {
 		t.Fatal("crowd predicate in HAVING should fail")
 	}
+}
+
+// joinKey is the reference key appendKey is checked against: a readable
+// string, with -0 folded into 0. Two values share a joinKey iff they must
+// match in a join, a GROUP BY or a DISTINCT.
+func joinKey(v model.Value) string {
+	if v.IsNumeric() {
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0
+		}
+		return fmt.Sprintf("n:%v", f)
+	}
+	return v.Type().String() + ":" + v.String()
+}
+
+// keyValues are the values the key tests draw from: INT and FLOAT across
+// classes, ±0, ±Inf, two NaN payloads, ints above 2^53 that round to one
+// float, strings that look like numbers or hold the old separator, BOOL
+// and NULL.
+var keyValues = []model.Value{
+	model.Int(0), model.Int(1), model.Int(-1), model.Int(2),
+	model.Int(1 << 53), model.Int(1<<53 + 1), model.Int(1<<53 + 2),
+	model.Int(math.MaxInt64), model.Int(math.MinInt64),
+	model.Float(0), model.Float(math.Copysign(0, -1)), model.Float(1), model.Float(-1),
+	model.Float(0.5), model.Float(2), model.Float(1 << 53), model.Float(1<<53 + 2),
+	model.Float(math.Inf(1)), model.Float(math.Inf(-1)), model.Float(math.NaN()),
+	model.Float(math.Float64frombits(0x7ff8000000000001)), model.Float(math.MaxFloat64),
+	model.Float(math.SmallestNonzeroFloat64), model.Float(math.Ldexp(1, 63)),
+	model.String_(""), model.String_("0"), model.String_("1"), model.String_("1.0"),
+	model.String_("NaN"), model.String_("n:1"), model.String_("NULL"), model.String_("true"),
+	model.String_("x\x1fSTRING:y"), model.String_("x"), model.String_("y\x1fSTRING:z"),
+	model.String_("\x00"), model.String_("\x01\x00"),
+	model.Bool(true), model.Bool(false), model.Null(),
+}
+
+// randomKeyValue draws from keyValues or makes a fresh value of a random
+// type from a small domain, so that equal pairs come up often.
+func randomKeyValue(rng *stats.RNG) model.Value {
+	switch rng.Intn(5) {
+	case 0:
+		return model.Int(int64(rng.Intn(7) - 3))
+	case 1:
+		return model.Float(float64(rng.Intn(13)-6) / 2)
+	case 2:
+		return model.Int(1<<53 + int64(rng.Intn(5)))
+	case 3:
+		parts := []string{"", "1", "x", "\x1f", ":", "STRING:"}
+		return model.String_(parts[rng.Intn(len(parts))] + parts[rng.Intn(len(parts))])
+	default:
+		return keyValues[rng.Intn(len(keyValues))]
+	}
+}
+
+func checkKeyMatchesOracle(t *testing.T, a, b model.Value) {
+	t.Helper()
+	got := string(appendKey(nil, a)) == string(appendKey(nil, b))
+	if want := joinKey(a) == joinKey(b); got != want {
+		t.Fatalf("%v (%v) and %v (%v): appendKey match = %v, oracle match = %v",
+			a, a.Type(), b, b.Type(), got, want)
+	}
+}
+
+func TestMachineKeyMatchesOracle(t *testing.T) {
+	for _, a := range keyValues {
+		for _, b := range keyValues {
+			checkKeyMatchesOracle(t, a, b)
+		}
+	}
+	rng := stats.NewRNG(7)
+	for i := 0; i < 20000; i++ {
+		checkKeyMatchesOracle(t, randomKeyValue(rng), randomKeyValue(rng))
+	}
+	// A row's key is its values' keys appended; two rows share it iff
+	// every column matches, whatever the values hold.
+	for i := 0; i < 20000; i++ {
+		n := 1 + rng.Intn(3)
+		var ka, kb []byte
+		want := true
+		for c := 0; c < n; c++ {
+			a, b := randomKeyValue(rng), randomKeyValue(rng)
+			if rng.Intn(2) == 0 {
+				b = a
+			}
+			ka, kb = appendKey(ka, a), appendKey(kb, b)
+			want = want && joinKey(a) == joinKey(b)
+		}
+		if got := string(ka) == string(kb); got != want {
+			t.Fatalf("row keys %q and %q: match = %v, oracle says %v", ka, kb, got, want)
+		}
+	}
+}
+
+func FuzzMachineKey(f *testing.F) {
+	f.Add(uint8(1), int64(1<<53+1), 0.0, "", uint8(2), int64(0), float64(1<<53), "")
+	f.Add(uint8(2), int64(0), math.Copysign(0, -1), "", uint8(1), int64(0), 0.0, "")
+	f.Add(uint8(3), int64(0), 0.0, "1", uint8(1), int64(1), 0.0, "")
+	f.Add(uint8(3), int64(0), 0.0, "x\x1f", uint8(4), int64(1), 0.0, "")
+	f.Add(uint8(0), int64(0), math.NaN(), "", uint8(2), int64(0), math.NaN(), "NULL")
+	mk := func(kind uint8, i int64, x float64, s string) model.Value {
+		switch kind % 5 {
+		case 1:
+			return model.Int(i)
+		case 2:
+			return model.Float(x)
+		case 3:
+			return model.String_(s)
+		case 4:
+			return model.Bool(i&1 == 1)
+		default:
+			return model.Null()
+		}
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string) {
+		checkKeyMatchesOracle(t, mk(ka, ia, fa, sa), mk(kb, ib, fb, sb))
+	})
+}
+
+// -0.0 and 0.0 are one value to WHERE (Value.Equal), so they are one
+// value to JOIN, GROUP BY and DISTINCT too.
+func TestSignedZeroIsOneKey(t *testing.T) {
+	s := machineSession()
+	mustExec(t, s, `CREATE TABLE a (x FLOAT, n STRING)`)
+	mustExec(t, s, `CREATE TABLE b (y FLOAT, m STRING)`)
+	mustExec(t, s, `INSERT INTO a VALUES (-0.0, 'neg'), (0.0, 'pos')`)
+	mustExec(t, s, `INSERT INTO b VALUES (0.0, 'zero')`)
+	if v := mustExec(t, s, `SELECT x FROM a WHERE n = 'neg'`).Tuples[0][0].AsFloat(); !math.Signbit(v) {
+		t.Fatalf("-0.0 was stored as %v", v)
+	}
+	for _, tc := range []struct {
+		src  string
+		want string
+	}{
+		{`SELECT n, m FROM a JOIN b ON a.x = b.y ORDER BY n`, "(neg, zero) (pos, zero)"},
+		{`SELECT x, COUNT(*) FROM a GROUP BY x`, "(-0, 2)"},
+		{`SELECT DISTINCT x FROM a`, "(-0)"},
+		{`SELECT n FROM a WHERE x = 0.0 ORDER BY n`, "(neg) (pos)"},
+	} {
+		var rows []string
+		for _, r := range mustExec(t, s, tc.src).Tuples {
+			rows = append(rows, r.String())
+		}
+		if got := strings.Join(rows, " "); got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.src, got, tc.want)
+		}
+	}
+}
+
+// Row keys built by joining "TYPE:value" parts with \x1f would make the
+// first two rows one; length-prefixed strings keep them apart.
+func TestDistinctKeepsRowsThatOnlyConcatenateAlike(t *testing.T) {
+	s := machineSession()
+	mustExec(t, s, `CREATE TABLE t (a STRING, b STRING)`)
+	mustExec(t, s, "INSERT INTO t VALUES ('x\x1fSTRING:y', 'z'), ('x', 'y\x1fSTRING:z'), ('x', 'y\x1fSTRING:z')")
+	if rel := mustExec(t, s, `SELECT DISTINCT a, b FROM t`); rel.Len() != 2 {
+		t.Fatalf("DISTINCT a, b = %d rows, want 2: %v", rel.Len(), rel.Tuples)
+	}
+}
+
+// TestMachineJoinAllocsPerRow pins that the join, the GROUP BY and the
+// scan allocate per chunk of rows, not per row: 4,000 more facts may cost
+// at most one allocation per 64 of them.
+func TestMachineJoinAllocsPerRow(t *testing.T) {
+	allocs := func(facts int) float64 {
+		s := joinSession(t, facts)
+		return testing.AllocsPerRun(3, func() {
+			rel, err := s.Execute(machineJoinSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total int64
+			for _, r := range rel.Tuples {
+				total += r[1].AsInt()
+			}
+			if rel.Len() != 20 || total != int64(facts) {
+				t.Fatalf("%d groups counting %d facts, want 20 counting %d", rel.Len(), total, facts)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(5000)
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; counts not checked")
+	}
+	if d := large - small; d >= 4000.0/64 {
+		t.Fatalf("allocs/op: %.0f at 1,000 facts, %.0f at 5,000: %.0f more, want < %.1f", small, large, d, 4000.0/64)
+	}
+	t.Logf("allocs/op: %.0f at 1,000 facts, %.0f at 5,000", small, large)
 }
