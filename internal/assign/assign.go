@@ -54,23 +54,13 @@ func (r *Random) Assign(p *core.Pool, worker string) (core.TaskID, bool) {
 // already handed to another worker, and an expired lease drops the task
 // back to the front of the queue, so reclaimed work is re-issued first.
 // On a pool without leases InFlight equals AnswerCount, so behavior is
-// identical to the pre-lease policy.
+// identical to the pre-lease policy. The choice is Pool.LeastInFlight's
+// single scan, which allocates nothing.
 type FewestAnswers struct{}
 
 // Assign implements core.Assigner.
 func (FewestAnswers) Assign(p *core.Pool, worker string) (core.TaskID, bool) {
-	el := p.EligibleFor(worker)
-	if len(el) == 0 {
-		return 0, false
-	}
-	best := el[0]
-	bestN := p.InFlight(best)
-	for _, id := range el[1:] {
-		if n := p.InFlight(id); n < bestN {
-			best, bestN = id, n
-		}
-	}
-	return best, true
+	return p.LeastInFlight(worker)
 }
 
 // Uncertainty assigns the eligible task whose current vote distribution

@@ -25,7 +25,7 @@ func Instrument(policy core.Assigner, reg *obs.Registry, name string) core.Assig
 		inner:    policy,
 		requests: reg.Counter("crowdkit_assign_requests_total", pl),
 		misses:   reg.Counter("crowdkit_assign_misses_total", pl),
-		latency:  reg.Histogram("crowdkit_assign_seconds", obs.DefLatencyBuckets, pl),
+		latency:  reg.Histogram("crowdkit_assign_seconds", obs.DefIOBuckets, pl),
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // TestInstrumentCountsRequestsAndMisses wraps FewestAnswers, drains a
 // small pool, and checks the labeled counters: every Assign call is
 // counted, misses only when the pool has nothing eligible, and the
-// latency histogram saw every call.
+// latency histogram saw every call in buckets fine enough to resolve it.
 func TestInstrumentCountsRequestsAndMisses(t *testing.T) {
 	rng := stats.NewRNG(5)
 	p := binaryPool(3, rng, 0.2)
@@ -44,6 +44,20 @@ func TestInstrumentCountsRequestsAndMisses(t *testing.T) {
 	}
 	if got := snap["crowdkit_assign_seconds_count"+pl]; got != 5 {
 		t.Fatalf("latency observations = %v, want 5", got)
+	}
+
+	// An assignment on a small pool takes well under 100µs, and the
+	// histogram must resolve that: at least one call lands in a bucket
+	// whose upper bound is below 100µs.
+	h := reg.Histogram("crowdkit_assign_seconds", nil, obs.L("policy", "fewest-answers"))
+	fast := int64(0)
+	for i, b := range h.Bounds() {
+		if b < 100e-6 {
+			fast += h.BucketCounts()[i]
+		}
+	}
+	if fast == 0 {
+		t.Fatalf("no assignment in a bucket below 100µs (bounds %v, counts %v)", h.Bounds(), h.BucketCounts())
 	}
 }
 

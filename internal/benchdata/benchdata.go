@@ -8,6 +8,7 @@ package benchdata
 import (
 	"fmt"
 
+	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/stats"
@@ -16,7 +17,8 @@ import (
 
 // ChoiceWorkload plants nTasks binary choice tasks with the given
 // difficulty, collects redundancy-k answers from a mixed-regime crowd of
-// nWorkers, and returns the pool plus its inference Dataset.
+// nWorkers (assigned by assign.FewestAnswers), and returns the pool plus
+// its inference Dataset.
 func ChoiceWorkload(seed uint64, nTasks, nWorkers, k int, difficulty float64) (*core.Pool, *truth.Dataset) {
 	rng := stats.NewRNG(seed)
 	pool := core.NewPool()
@@ -30,20 +32,7 @@ func ChoiceWorkload(seed uint64, nTasks, nWorkers, k int, difficulty float64) (*
 	}
 	ws := crowd.NewPopulation(rng, nWorkers, crowd.RegimeMixed)
 	pl := core.NewPlatform(pool, crowd.AsCoreWorkers(ws), core.Unlimited())
-	assigner := core.AssignerFunc(func(p *core.Pool, worker string) (core.TaskID, bool) {
-		el := p.EligibleFor(worker)
-		if len(el) == 0 {
-			return 0, false
-		}
-		best := el[0]
-		for _, id := range el[1:] {
-			if p.AnswerCount(id) < p.AnswerCount(best) {
-				best = id
-			}
-		}
-		return best, true
-	})
-	if _, err := pl.CollectRedundant(assigner, k); err != nil {
+	if _, err := pl.CollectRedundant(assign.FewestAnswers{}, k); err != nil {
 		panic(err)
 	}
 	ds, err := truth.FromPool(pool, pool.TaskIDs())

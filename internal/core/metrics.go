@@ -53,7 +53,7 @@ func (sp *ShardedPool) RegisterMetrics(reg *obs.Registry) {
 		}
 	}
 	reg.GaugeFunc("crowdkit_pool_tasks", total((*Pool).Len))
-	reg.GaugeFunc("crowdkit_pool_open_tasks", total(func(p *Pool) int { return len(p.OpenTasks()) }))
+	reg.GaugeFunc("crowdkit_pool_open_tasks", total((*Pool).OpenCount))
 	reg.GaugeFunc("crowdkit_pool_answers", total((*Pool).TotalAnswers))
 	reg.GaugeFunc("crowdkit_pool_active_leases", total((*Pool).ActiveLeases))
 	reg.GaugeFunc("crowdkit_pool_in_flight", total(func(p *Pool) int { return p.TotalAnswers() + p.ActiveLeases() }))

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 	"time"
 )
@@ -14,8 +15,9 @@ import (
 // Each task has one entry (taskEntry): the task, its answers in arrival
 // order, its closed flag and its voter index, so every per-task call pays
 // one map lookup, and scans in insertion order (OpenTasks, EligibleFor,
-// AllAnswers) walk the entries without any. Grow sizes an entry ahead of
-// a known number of answers; recovery uses it so that every task's answer
+// AllAnswers) walk the entries without any; LeastInFlight pays one only
+// for a task that beats the best so far. Grow sizes an entry ahead of a
+// known number of answers; recovery uses it so that every task's answer
 // slice and voter index are allocated once, at their final size.
 //
 // Pool is not safe for concurrent use; it stays lock-free so simulator
@@ -338,6 +340,51 @@ func (p *Pool) OpenTasks() []TaskID {
 		}
 	}
 	return out
+}
+
+// OpenCount returns the number of tasks that are not closed.
+func (p *Pool) OpenCount() int {
+	n := 0
+	for _, e := range p.entries {
+		if !e.closed {
+			n++
+		}
+	}
+	return n
+}
+
+// LeastInFlight returns the open task the worker has not answered with
+// the fewest in-flight answers (InFlight), the first in insertion order on
+// ties; ok is false when there is none. It makes FewestAnswers' choice in
+// one pass without allocating: a task's leases are looked up only when
+// its answers alone would beat the best so far, its voter index only when
+// its in-flight count would, and the scan stops at the first eligible
+// task with nothing in flight.
+func (p *Pool) LeastInFlight(worker string) (TaskID, bool) {
+	best, bestN := -1, math.MaxInt
+	leased := len(p.leases) > 0
+	for i, e := range p.entries {
+		n := len(e.answers)
+		if e.closed || n >= bestN {
+			continue
+		}
+		if leased {
+			if n += len(p.leases[p.order[i]]); n >= bestN {
+				continue
+			}
+		}
+		if e.voters[worker] > 0 {
+			continue
+		}
+		best, bestN = i, n
+		if n == 0 {
+			break
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return p.order[best], true
 }
 
 // EligibleFor returns open tasks the given worker has not answered yet,

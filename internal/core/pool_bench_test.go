@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // The pool at worker_loop's shape (bench/workloads.json): 1,000 tasks,
@@ -30,7 +31,7 @@ func benchAnswer(i, j int) Answer {
 
 // benchPool returns a pool of benchTasks tasks with the first perTask
 // answers of each recorded, round-robin over the tasks.
-func benchPool(b *testing.B, perTask int) *Pool {
+func benchPool(b testing.TB, perTask int) *Pool {
 	b.Helper()
 	p := NewPool()
 	for i := 0; i < benchTasks; i++ {
@@ -78,6 +79,48 @@ func BenchmarkPoolEligibleFor(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		if len(p.EligibleFor(benchWorkerIDs[n%benchWorkers])) == 0 {
 			b.Fatal("no eligible task")
+		}
+	}
+}
+
+// BenchmarkPoolLeastInFlight measures FewestAnswers' whole choice on the
+// same pool: one pass that reads a task's voter index only when the task
+// would beat the best so far, and allocates nothing.
+func BenchmarkPoolLeastInFlight(b *testing.B) {
+	p := benchPool(b, benchAnswersPerTask)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, ok := p.LeastInFlight(benchWorkerIDs[n%benchWorkers]); !ok {
+			b.Fatal("no eligible task")
+		}
+	}
+}
+
+// TestLeastInFlightAllocs guards the assignment scan against allocating:
+// on an unanswered pool (the scan stops at the first task), on an
+// answered one, and with outstanding leases. Under the race detector the
+// scan still runs but the count is not checked (see raceEnabled).
+func TestLeastInFlightAllocs(t *testing.T) {
+	leased := benchPool(t, benchAnswersPerTask)
+	for i := 1; i <= 10; i++ {
+		if err := leased.Lease(TaskID(i), "leaseholder", time.Unix(1e9, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pools := map[string]*Pool{
+		"unanswered": benchPool(t, 0),
+		"answered":   benchPool(t, benchAnswersPerTask),
+		"leased":     leased,
+	}
+	for name, p := range pools {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := p.LeastInFlight(benchWorkerIDs[0]); !ok {
+				t.Fatal("no eligible task")
+			}
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Fatalf("%s pool: LeastInFlight allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }

@@ -104,6 +104,22 @@ func (r *refPool) eligibleFor(worker string) []TaskID {
 	return out
 }
 
+// leastInFlight is FewestAnswers' choice spelled out: the first eligible
+// task with the smallest answers + leases.
+func (r *refPool) leastInFlight(worker string) (TaskID, bool) {
+	el := r.eligibleFor(worker)
+	if len(el) == 0 {
+		return 0, false
+	}
+	best := el[0]
+	for _, id := range el[1:] {
+		if len(r.answers[id])+len(r.leases[id]) < len(r.answers[best])+len(r.leases[best]) {
+			best = id
+		}
+	}
+	return best, true
+}
+
 func (r *refPool) openTasks() []TaskID {
 	out := []TaskID{}
 	for _, id := range r.order {
@@ -154,8 +170,8 @@ func randomTask(rng *rand.Rand) *Task {
 // refPool, over single-choice, pairwise and the repeatable kinds (so the
 // MaxRepeatAnswers cap is reached), and after every step checks that the
 // two agree on whether the call was refused and on every per-worker and
-// per-task read: HasAnswered, EligibleFor, OpenTasks, InFlight, Workers,
-// OptionVotes and the answers themselves.
+// per-task read: HasAnswered, EligibleFor, LeastInFlight, OpenTasks,
+// InFlight, Workers, OptionVotes and the answers themselves.
 func TestPoolMatchesReferenceModel(t *testing.T) {
 	workers := []string{"w0", "w1", "w2", "w3"}
 	for seed := int64(1); seed <= 10; seed++ {
@@ -231,6 +247,9 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 			check(p.Workers(), ref.workers(), "Workers")
 			for _, w := range workers {
 				check(p.EligibleFor(w), ref.eligibleFor(w), "EligibleFor(%s)", w)
+				id, ok := p.LeastInFlight(w)
+				wantID, wantOK := ref.leastInFlight(w)
+				check([2]any{id, ok}, [2]any{wantID, wantOK}, "LeastInFlight(%s)", w)
 			}
 			for _, id := range ref.order {
 				for _, w := range workers {

@@ -126,8 +126,9 @@ var DefSimTimeBuckets = []float64{
 
 // DefIOBuckets covers storage-path latencies (WAL appends, fsyncs) from
 // 1µs — a buffered write into the page cache — up to 1s for a stalled
-// disk. DefLatencyBuckets starts at 100µs and would fold every append
-// into its first bucket.
+// disk, and assignment-policy calls, which take a few µs. DefLatencyBuckets
+// starts at 100µs and would fold every append or assignment into its
+// first bucket.
 var DefIOBuckets = []float64{
 	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,

@@ -73,14 +73,14 @@ func metricValue(t *testing.T, body, series string) float64 {
 }
 
 // TestMetricsExposition drives a loaded server end to end — assignments,
-// answers, stats, EM inference — and checks that the scrape shows
+// answers, closes, stats, EM inference — and checks that the scrape shows
 // per-endpoint request counters and latency histograms, pool/budget
 // gauges, and EM convergence telemetry, exactly as the acceptance
 // criteria demand.
 func TestMetricsExposition(t *testing.T) {
 	rng := stats.NewRNG(21)
 	pool := testPool(rng, 12)
-	_, _, client := newObsServer(t, pool)
+	srv, _, client := newObsServer(t, pool)
 
 	for w := 0; w < 3; w++ {
 		worker := fmt.Sprintf("mw-%d", w)
@@ -97,8 +97,16 @@ func TestMetricsExposition(t *testing.T) {
 			}
 		}
 	}
-	if _, err := client.Stats(); err != nil {
+	// Two closed tasks leave ten open, in /api/stats and on the gauge.
+	for _, id := range pool.TaskIDs()[:2] {
+		if err := srv.cpool.Close(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := client.Stats(); err != nil {
 		t.Fatal(err)
+	} else if st.OpenTasks != 10 {
+		t.Fatalf("open_tasks = %d after closing 2 of 12, want 10", st.OpenTasks)
 	}
 	if _, err := client.Results("onecoin"); err != nil {
 		t.Fatal(err)
@@ -113,6 +121,7 @@ func TestMetricsExposition(t *testing.T) {
 		`crowdkit_http_request_seconds_bucket{endpoint="/api/results",le="+Inf"}`,
 		`crowdkit_http_request_seconds_count{endpoint="/api/answer"}`,
 		`crowdkit_pool_tasks 12`,
+		`crowdkit_pool_open_tasks 10`,
 		`crowdkit_pool_answers 36`,
 		`crowdkit_budget_spent_units 36`,
 		`crowdkit_budget_remaining_units`,

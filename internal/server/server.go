@@ -249,7 +249,7 @@ func (s *Server) seed(pool *core.Pool) error {
 	if pool == nil || pool.Len() == 0 {
 		return nil
 	}
-	if pool.TotalAnswers() > 0 || pool.ActiveLeases() > 0 || len(pool.OpenTasks()) < pool.Len() {
+	if pool.TotalAnswers() > 0 || pool.ActiveLeases() > 0 || pool.OpenCount() < pool.Len() {
 		return fmt.Errorf("server: a seed pool holds tasks only, not answers, leases or closed tasks")
 	}
 	if n := s.cpool.Len(); n > 0 {
@@ -592,7 +592,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.cpool.ViewAll(func(pools []*core.Pool) {
 		for _, p := range pools {
 			st.Tasks += p.Len()
-			st.OpenTasks += len(p.OpenTasks())
+			st.OpenTasks += p.OpenCount()
 			st.TotalAnswers += p.TotalAnswers()
 			st.ActiveLeases += p.ActiveLeases()
 		}
