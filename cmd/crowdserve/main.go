@@ -144,11 +144,10 @@ func main() {
 			served = store.Pool()
 			seedDemo = false
 			us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
-			log.Printf("crowdserve: recovered %d tasks, %d answers (spent %v) from %s: snapshot=%v replayed=%d skipped=%d torn=%dB in %v (load %v, decode %v, merge %v, apply %v) converted=%v",
+			log.Printf("crowdserve: recovered %d tasks, %d answers (spent %v) from %s: snapshot=%v replayed=%d skipped=%d torn=%dB in %v (load %v, decode %v, merge %v, apply %v)",
 				info.Tasks, info.Answers, info.BudgetSpent, *dataDir,
 				info.SnapshotLoaded, info.Replayed, info.Skipped, info.TornBytes,
-				us(info.ReplayDuration), us(info.SnapshotLoad), us(info.Decode), us(info.Merge), us(info.Apply),
-				info.Converted)
+				us(info.ReplayDuration), us(info.SnapshotLoad), us(info.Decode), us(info.Merge), us(info.Apply))
 			if info.CQLSessions > 0 || info.CQLOpenQuestions > 0 {
 				// server.New finishes the CQL recovery: sessions reopen with
 				// their catalogs, mid-flight queries come back as "recovered"

@@ -14,8 +14,8 @@ import (
 //
 // Each task has one entry (taskEntry): the task, its answers in arrival
 // order, its closed flag and its voter index, so every per-task call pays
-// one map lookup, and scans in insertion order (OpenTasks, EligibleFor,
-// AllAnswers) walk the entries without any; LeastInFlight pays one only
+// one map lookup, and scans in insertion order (OpenTasks, EligibleFor)
+// walk the entries without any; LeastInFlight pays one only
 // for a task that beats the best so far. Grow sizes an entry ahead of a
 // known number of answers; recovery uses it so that every task's answer
 // slice and voter index are allocated once, at their final size.
@@ -283,16 +283,6 @@ func (p *Pool) Answers(id TaskID) []Answer {
 		return e.answers
 	}
 	return nil
-}
-
-// AllAnswers returns every recorded answer, ordered by task insertion
-// order then arrival order.
-func (p *Pool) AllAnswers() []Answer {
-	var out []Answer
-	for _, e := range p.entries {
-		out = append(out, e.answers...)
-	}
-	return out
 }
 
 // AnswerCount returns the number of answers for a task.

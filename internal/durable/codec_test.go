@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -101,7 +102,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 		f.Add(appendRecord(nil, &samples[i]))
 	}
 	f.Add([]byte(`{"seq":2,"type":"answer_recorded","worker":"w1","answer":{"task":7,"worker":"w1","option":-1,"text":"Ada"},"cost":0.1,"golden":true}`))
-	for _, payload := range binWALPayloads(f) {
+	for _, payload := range walPayloads(f, binWALDir) {
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -117,6 +118,57 @@ func FuzzWALRecordDecode(f *testing.F) {
 		// count as the same record too.
 		if !reflect.DeepEqual(again, rec) && !bytes.Equal(appendRecord(nil, &again), appendRecord(nil, &rec)) {
 			t.Fatalf("round trip\n got %+v\nwant %+v", again, rec)
+		}
+	})
+}
+
+// FuzzWALFrames writes arbitrary bytes as a WAL segment file and decodes
+// it as Open does, seeded with every segment file of testdata/binwal and
+// testdata/jsonwal, whole and cut short. No input may panic. A refused
+// file holds a checksummed frame that starts with '{'; any other file
+// decodes to a prefix that ends on the boundary of exactly as many frames
+// as it decoded records, and that prefix and the tail Open would cut make
+// up the whole file.
+func FuzzWALFrames(f *testing.F) {
+	for _, dir := range []string{binWALDir, jsonWALDir} {
+		files, err := findWALs(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, file := range files {
+			data := mustRead(f, file.path)
+			f.Add(data)
+			f.Add(data[:len(data)/2])
+			f.Add(data[:len(data)-1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file := &walFile{path: filepath.Join(t.TempDir(), walName)}
+		if err := os.WriteFile(file.path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		file.decode()
+		// The checksummed frames the file starts with, and where each ends.
+		var frames [][]byte
+		ends := []int64{0}
+		for rest := data; ; {
+			payload, next, ok := splitFrame(rest, maxRecordBytes)
+			if !ok {
+				break
+			}
+			frames, rest = append(frames, payload), next
+			ends = append(ends, int64(len(data)-len(rest)))
+		}
+		if file.err != nil {
+			if !errors.Is(file.err, errJSONEra) || !slices.ContainsFunc(frames, legacyJSON) {
+				t.Fatalf("decode failed with %v, want errJSONEra over a frame that starts with '{'", file.err)
+			}
+			return
+		}
+		n := len(file.records)
+		if n > len(frames) || file.validBytes != ends[n] || file.validBytes+file.torn != int64(len(data)) {
+			t.Fatalf("%d records in %d valid and %d torn bytes of %d; the file starts with %d frames",
+				n, file.validBytes, file.torn, len(data), len(frames))
 		}
 	})
 }

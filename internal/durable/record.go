@@ -10,9 +10,9 @@
 //     truncated), and
 //   - Open loads the latest snapshot, replays the WAL tail, and truncates
 //     at the first torn or corrupt record instead of failing — a crash
-//     mid-append loses at most the unacknowledged suffix. A directory an
-//     older build left in JSON (legacy.go) is replayed once and rewritten
-//     in the current format before Open returns.
+//     mid-append loses at most the unacknowledged suffix. Open reads only
+//     the formats this build writes: a directory an older build left in
+//     JSON fails it with errJSONEra, untouched.
 //
 // The store owns the pool it persists (Store.Pool) and is that pool's
 // write-ahead journal: a core.Mutation is appended after it validated and
@@ -108,10 +108,8 @@ const (
 // recovery by merging the segment files before it folds.
 func (s *Store) foldCross(rec *Record) {
 	m := &rec.Mut
-	if m.Kind != 0 && m.Kind != core.MutAnswers || rec.Type == EvWorkerEliminated {
-		// Task, close and lease mutations, and the elimination audit
-		// marker (eliminations are derived from the tallies): nothing
-		// cross-task to fold.
+	if m.Kind != 0 && m.Kind != core.MutAnswers {
+		// Task, close and lease mutations: nothing cross-task to fold.
 		return
 	}
 	s.mu.Lock()

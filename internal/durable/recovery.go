@@ -38,15 +38,11 @@ type RecoveryInfo struct {
 	// per segment, counting its queued answers per task, sizing each task
 	// once for them, and applying its mutations to its pool shard. What is
 	// left over (directory scan, opening the segment files, a forced
-	// reshard or conversion snapshot) is not attributed.
+	// reshard snapshot) is not attributed.
 	SnapshotLoad time.Duration
 	Decode       time.Duration
 	Merge        time.Duration
 	Apply        time.Duration
-	// Converted is true when the directory held data in a format nothing
-	// writes any more — JSON WAL records or a format-1 pool.snap — and Open
-	// checkpointed it, so it now holds a format-2 snapshot and empty WALs.
-	Converted bool
 	// Segments is the number of WAL segments the store operates with.
 	Segments int
 	// Tasks, Answers, and BudgetSpent describe the recovered state.
@@ -68,6 +64,18 @@ func (ri *RecoveryInfo) Empty() bool {
 	return !ri.SnapshotLoaded && ri.Replayed == 0 && ri.Skipped == 0
 }
 
+// errJSONEra fails Open on a directory that holds JSON WAL records or a
+// format-1 (JSON) pool.snap. Open reads the formats every build since
+// c4c6125 writes: binary WAL records and the format-2 snapshot. Commit
+// ccc93f0 is the last that reads the JSON ones; its Open rewrites such a
+// directory in the current format.
+var errJSONEra = errors.New("durable: the data directory holds JSON WAL records or a format-1 pool.snap, " +
+	"which this build does not read; open it once with a build of commit ccc93f0 to convert it")
+
+// legacyJSON reports whether a WAL record payload or a pool.snap file is
+// JSON: no binary record tag and no format-2 header starts with '{'.
+func legacyJSON(data []byte) bool { return len(data) > 0 && data[0] == '{' }
+
 // Open recovers state from dir (creating it if needed) and returns a store
 // ready to journal new mutations, plus a report of what was recovered.
 // A torn or corrupt WAL tail is truncated, not an error: the discarded
@@ -87,10 +95,8 @@ func (ri *RecoveryInfo) Empty() bool {
 // store then serves and journals (Store.Pool); nothing is copied. Leftover
 // files from a larger previous layout are folded into a fresh snapshot and
 // deleted, so the directory converges to the configured layout. A
-// directory that held JSON WAL records or a format-1 pool.snap is
-// checkpointed the same way (RecoveryInfo.Converted), so Open never leaves
-// a legacy record for a binary one to be appended behind; a directory
-// already in the current format is not.
+// directory in a format this build does not read fails with errJSONEra
+// before anything in it is written.
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
@@ -127,7 +133,6 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		}
 		info.SnapshotLoaded = true
 		info.SnapshotSeq = s.snapSeq
-		info.Converted = legacyJSON(snap)
 	}
 	info.SnapshotLoad = time.Since(start)
 
@@ -138,9 +143,6 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	phase := time.Now()
 	if info.TornBytes, err = decodeWALs(files); err != nil {
 		return nil, nil, err
-	}
-	for _, f := range files {
-		info.Converted = info.Converted || f.legacy
 	}
 	info.Decode = time.Since(phase)
 
@@ -158,7 +160,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Apply = time.Since(phase)
 	s.pool = core.ShardedFrom(pools, s)
 
-	if err := s.openSegments(files, info.Converted); err != nil {
+	if err := s.openSegments(files); err != nil {
 		// A failed Open hands no store back, so nothing else would ever
 		// close the segment files already opened.
 		for _, seg := range s.segs {
@@ -202,7 +204,6 @@ type walFile struct {
 	path string
 
 	records    []Record // decoded, in file order (ascending Seq)
-	legacy     bool     // some of them were JSON records
 	validBytes int64    // where the readable, decodable prefix ends
 	torn       int64    // bytes past validBytes: torn, corrupt or undecodable
 	err        error
@@ -226,8 +227,8 @@ func findWALs(dir string) ([]*walFile, error) {
 }
 
 // decode reads the file, verifies every frame, and decodes the payloads
-// into f.records: a binary record through decodeRecord, a JSON one through
-// legacy.go. Worker names are interned per file.
+// into f.records. Worker names are interned per file. A JSON record sets
+// f.err to errJSONEra, so the file is refused, not cut.
 func (f *walFile) decode() {
 	payloads, validBytes, torn, err := readWAL(f.path)
 	if err != nil {
@@ -238,14 +239,11 @@ func (f *walFile) decode() {
 	names := make(map[string]string)
 	off := int64(0)
 	for i, payload := range payloads {
-		var err error
 		if legacyJSON(payload) {
-			err = decodeLegacyRecord(payload, &records[i])
-			f.legacy = true
-		} else {
-			err = decodeRecord(payload, &records[i], names)
+			f.err = fmt.Errorf("%w (%s)", errJSONEra, filepath.Base(f.path))
+			return
 		}
-		if err != nil {
+		if err := decodeRecord(payload, &records[i], names); err != nil {
 			// The frame checksum verified but the payload does not decode:
 			// treat it like a torn tail and cut this file here. Everything
 			// after an undecodable record in the same file is unreachable
@@ -432,11 +430,8 @@ func applyQueues(pools []*core.Pool, queues [][]queued) error {
 // openSegments opens the configured layout's WAL files for appending and
 // retires files left over from a larger previous layout: their records are
 // in the pool now, so a snapshot covers them and the files can go —
-// otherwise nothing would ever truncate them. convert checkpoints the
-// directory even when nothing is left over, and even when the log holds
-// nothing the snapshot does not cover: a legacy record or snapshot must
-// not outlive Open.
-func (s *Store) openSegments(files []*walFile, convert bool) error {
+// otherwise nothing would ever truncate them.
+func (s *Store) openSegments(files []*walFile) error {
 	for i, seg := range s.segs {
 		w, err := openWALShared(filepath.Join(s.dir, segWALName(i)), s.ins)
 		if err != nil {
@@ -445,11 +440,11 @@ func (s *Store) openSegments(files []*walFile, convert bool) error {
 		seg.w = w
 	}
 	stale := files[sort.Search(len(files), func(i int) bool { return files[i].idx >= len(s.segs) }):]
-	if len(stale) == 0 && !convert {
+	if len(stale) == 0 {
 		return nil
 	}
 	var err error
-	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools, convert) })
+	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools) })
 	if err != nil {
 		return err
 	}
@@ -461,10 +456,10 @@ func (s *Store) openSegments(files []*walFile, convert bool) error {
 	return nil
 }
 
-// ReadLog decodes every WAL segment file in dir, in either record format,
-// and returns each file's records in file order, keyed by file name. It
-// only reads: a torn or undecodable tail, which Open would cut, is
-// reported as an error, and the records before it are still returned.
+// ReadLog decodes every WAL segment file in dir and returns each file's
+// records in file order, keyed by file name. It only reads: a torn or
+// undecodable tail, which Open would cut, is reported as an error, and the
+// records before it are still returned.
 func ReadLog(dir string) (map[string][]Record, error) {
 	files, err := findWALs(dir)
 	if err != nil {

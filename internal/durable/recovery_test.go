@@ -181,7 +181,8 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 			if rng.Intn(4) == 0 {
 				// Builds before binary WAL records journaled an elimination
 				// marker for a random worker here; the draws stay, so a seed
-				// still replays the history testdata/jsonwal was written from.
+				// still replays the history testdata/binwal and
+				// testdata/format2.snap were written from.
 				rng.Intn(12)
 			}
 		case op < 18:

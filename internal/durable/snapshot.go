@@ -51,13 +51,11 @@ const snapName = "pool.snap"
 //	uvarint leases, each:  uvarint worker | varint deadline (Unix ns)
 //
 // Floats travel as their raw IEEE bits, present only when a flag bit says
-// so (a zero value is left out). Tasks are in the order format 1 listed
-// them: insertion order from a single shard, ascending ID within each of
-// several, so either format restores pools that iterate identically.
+// so (a zero value is left out). Tasks are in insertion order from a
+// single shard and in ascending ID order within each of several.
 //
-// A file that starts with '{' is a format-1 snapshot (one JSON Snapshot
-// document): legacy.go reads it, and Open rewrites the directory in the
-// current format at once; nothing writes format 1 any more.
+// A file that starts with '{' is a format-1 snapshot, which builds before
+// format 2 wrote. Open refuses it with errJSONEra.
 const (
 	snapMagic  = "CKSNAP"
 	snapFormat = 2
@@ -302,15 +300,15 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 
 // restoreSnapshot loads a snapshot file's contents into a fresh store: the
 // cross-task state here, the pool state straight into the pool shards, one
-// goroutine per shard. Format 1 is recognised by its leading '{'. A
-// snapshot is all-or-nothing: any corrupt, truncated or unknown-format
-// input is an error, and the store that got a partial restore is dropped.
+// goroutine per shard. A snapshot is all-or-nothing: any corrupt,
+// truncated or unknown-format input is an error, and the store that got a
+// partial restore is dropped. A format-1 file, recognised by its leading
+// '{', is errJSONEra.
 func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
-	decode := decodeSnapshot
 	if legacyJSON(data) {
-		decode = decodeFormat1
+		return fmt.Errorf("%w (%s)", errJSONEra, snapName)
 	}
-	cross, restore, err := decode(data, len(pools))
+	cross, restore, err := decodeSnapshot(data, len(pools))
 	if err != nil {
 		return err
 	}
@@ -323,19 +321,16 @@ func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
 	return inParallel(len(pools), func(si int) error { return restore(pools[si], si) })
 }
 
-// restoreFunc rebuilds shard si of the store's pool from a decoded
-// snapshot; restoreSnapshot runs one per shard, concurrently.
-type restoreFunc func(p *core.Pool, si int) error
-
 // decodeSnapshot checks a format-2 file's header and every section's
 // checksum, decodes the cross-task section, and splits each shard section
-// into its worker table and task records, for a store of n shards.
+// into its worker table and task records, for a store of n shards. It
+// returns the cross-task section and the function that restores shard si,
+// which restoreSnapshot runs once per shard, concurrently.
 //
 // A snapshot written with n shards hands each shard its own section.
 // Otherwise every shard walks all records — in file order from a single
-// section, by ascending ID from several, the order format 1 listed tasks
-// in — and restores the ones it owns.
-func decodeSnapshot(data []byte, n int) (*snapCross, restoreFunc, error) {
+// section, by ascending ID from several — and restores the ones it owns.
+func decodeSnapshot(data []byte, n int) (*snapCross, func(p *core.Pool, si int) error, error) {
 	if len(data) < snapHeader || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, nil, errors.New("durable: snapshot corrupt: not a pool snapshot")
 	}

@@ -17,17 +17,6 @@ import (
 	"repro/internal/core"
 )
 
-// testdata/format1.snap was written by the format-1 (JSON) snapshot writer
-// when a 2-segment store that had run driveRandom(format1Seed,
-// format1Steps) closed gracefully. Its history has leases, closed tasks,
-// golden tallies, a non-integer spend and open CrowdQL sessions with
-// published questions.
-const (
-	format1Seed     = 4
-	format1Steps    = 240
-	format1Segments = 2
-)
-
 func mustRead(tb testing.TB, path string) []byte {
 	tb.Helper()
 	data, err := os.ReadFile(path)
@@ -37,6 +26,9 @@ func mustRead(tb testing.TB, path string) []byte {
 	return data
 }
 
+// readFormat1 returns testdata/format1.snap, which the format-1 (JSON)
+// snapshot writer wrote when a 2-segment store that had run
+// driveRandom(4, 240) closed gracefully.
 func readFormat1(tb testing.TB) []byte {
 	tb.Helper()
 	data := mustRead(tb, filepath.Join("testdata", "format1.snap"))
@@ -55,97 +47,6 @@ func snapDir(tb testing.TB, data []byte) string {
 		tb.Fatal(err)
 	}
 	return dir
-}
-
-// snapshotImage is a recoveryImage plus what only the order of a restore
-// decides: every shard's task order and the next ID the pool allocates.
-type snapshotImage struct {
-	recoveryImage
-	ShardOrder [][]core.TaskID
-	NextID     core.TaskID
-}
-
-// snapshotImageOf takes s's image; reading NextID adds a task to s.
-func snapshotImageOf(t *testing.T, s *Store) snapshotImage {
-	t.Helper()
-	img := snapshotImage{recoveryImage: imageOf(s)}
-	s.Pool().ViewAll(func(pools []*core.Pool) {
-		for _, p := range pools {
-			img.ShardOrder = append(img.ShardOrder, slices.Clone(p.TaskIDs()))
-		}
-	})
-	id, err := s.Pool().Add(&core.Task{Kind: core.FillIn, Question: "next"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.NextID = id
-	return img
-}
-
-// TestFormat1SnapshotOpensToSameState: a directory whose pool.snap an
-// earlier release wrote in format 1 opens, under any segment count, to
-// exactly the state the same history reopens to from this build's format-2
-// snapshot — tasks and answers in iteration order, leases, closes, the next
-// task ID, the spend to the last bit, tallies and the CrowdQL ledger — and
-// Open converts it: the directory holds a format-2 snapshot before Open
-// returns, and the next Open converts nothing.
-func TestFormat1SnapshotOpensToSameState(t *testing.T) {
-	f1 := readFormat1(t)
-	var doc Snapshot
-	if err := json.Unmarshal(f1, &doc); err != nil {
-		t.Fatal(err)
-	}
-	master := t.TempDir()
-	s, _ := mustOpen(t, master, Options{Fsync: FsyncNever, Segments: format1Segments})
-	driveRandom(t, s, format1Seed, format1Steps, nil)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f2 := mustRead(t, filepath.Join(master, snapName))
-	if string(f2[:len(snapMagic)]) != snapMagic {
-		t.Fatalf("Close wrote %q..., want a format-2 snapshot", f2[:8])
-	}
-
-	for _, segments := range []int{1, 2, 3, 8} {
-		open := func(data []byte) (snapshotImage, *RecoveryInfo) {
-			dir := snapDir(t, data)
-			s, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: segments})
-			defer s.Crash()
-			assertConverted(t, fmt.Sprintf("segments=%d", segments), dir)
-			return snapshotImageOf(t, s), info
-		}
-		got, info1 := open(f1)
-		want, info2 := open(f2)
-		if len(want.Leases) == 0 || len(want.Closed) == 0 || len(want.Screen) == 0 ||
-			len(want.Sessions) == 0 || len(want.Questions) == 0 ||
-			math.Float64frombits(want.SpentBits) == math.Trunc(math.Float64frombits(want.SpentBits)) {
-			t.Fatalf("segments=%d: the history lacks leases, closes, tallies, CrowdQL state or a fractional spend: %+v", segments, want)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("segments=%d: format 1 restores\n %+v\nformat 2 restores\n %+v", segments, got, want)
-		}
-		// The format-1 writer also journaled elimination markers, so its
-		// sequence numbers run ahead of this build's for the same history.
-		if !info1.SnapshotLoaded || info1.SnapshotSeq != doc.LastSeq || info1.Replayed != 0 || !info1.Converted {
-			t.Fatalf("segments=%d: format-1 recovery %+v, want the snapshot at seq %d, converted", segments, info1, doc.LastSeq)
-		}
-		if !info2.SnapshotLoaded || info2.Converted {
-			t.Fatalf("segments=%d: format-2 recovery %+v, want the snapshot, not converted", segments, info2)
-		}
-	}
-
-	dir := snapDir(t, f1)
-	s, _ = mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: format1Segments})
-	want := imageOf(s)
-	s.Crash()
-	s, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: format1Segments})
-	defer s.Close()
-	if !info.SnapshotLoaded || info.SnapshotSeq != doc.LastSeq || info.Converted || info.Replayed != 0 {
-		t.Fatalf("second Open of a converted directory: %+v, want its snapshot alone", info)
-	}
-	if got := imageOf(s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the converted directory reopens to\n %+v\nwant\n %+v", got, want)
-	}
 }
 
 // TestSnapshotRoundTripsEveryField: every task and answer field the
@@ -336,26 +237,14 @@ func TestSnapshotDirSyncFailureKeepsWAL(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder, seeded
-// with a format-1 and a format-2 snapshot of the same history. Every input
-// must fail with an error or restore pools whose every task sits in the
-// shard that owns it; none may panic.
+// FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder,
+// seeded with testdata/format1.snap and testdata/format2.snap. Every input
+// must fail with an error — errJSONEra when it starts with '{', as the
+// format-1 seed does — or restore pools whose every task sits in the shard
+// that owns it; none may panic.
 func FuzzSnapshotDecode(f *testing.F) {
-	f1 := readFormat1(f)
-	s, _, err := Open(snapDir(f, f1), Options{Fsync: FsyncNever, Segments: format1Segments})
-	if err != nil {
-		f.Fatal(err)
-	}
-	dir := s.dir
-	if err := s.BudgetCharged(1); err != nil {
-		f.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f2 := mustRead(f, filepath.Join(dir, snapName))
-	f.Add(f1)
-	f.Add(f2)
+	f.Add(readFormat1(f))
+	f.Add(mustRead(f, format2Path))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, n := range []int{1, 2, 3} {
 			s := &Store{repScreen: make(map[string]core.ScreenTally)}
@@ -363,7 +252,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			for i := range pools {
 				pools[i] = core.NewPool()
 			}
-			if s.restoreSnapshot(data, pools) != nil {
+			if err := s.restoreSnapshot(data, pools); err != nil {
+				if legacyJSON(data) != errors.Is(err, errJSONEra) {
+					t.Fatalf("restoring %d bytes (JSON: %v) failed with %v", len(data), legacyJSON(data), err)
+				}
 				continue
 			}
 			for si, p := range pools {

@@ -316,17 +316,17 @@ func (s *Store) BudgetRefunded(amount float64) error {
 // snapshot.
 func (s *Store) Snapshot() error {
 	var err error
-	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools, false) })
+	s.consistentCut(func(pools []*core.Pool) { err = s.snapshotLocked(pools) })
 	return err
 }
 
-// snapshotLocked runs inside consistentCut. Unless forced, it does nothing
-// when nothing was journaled since the last snapshot.
-func (s *Store) snapshotLocked(pools []*core.Pool, force bool) error {
+// snapshotLocked runs inside consistentCut. It does nothing when nothing
+// was journaled since the last snapshot.
+func (s *Store) snapshotLocked(pools []*core.Pool) error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.seq == s.snapSeq && !force {
+	if s.seq == s.snapSeq {
 		return nil
 	}
 	img, err := s.encodeSnapshot(pools)
@@ -423,7 +423,7 @@ func (s *Store) Close() error {
 
 	var err error
 	s.consistentCut(func(pools []*core.Pool) {
-		err = s.snapshotLocked(pools, false)
+		err = s.snapshotLocked(pools)
 		for _, seg := range s.segs {
 			if cerr := seg.w.close(false); err == nil {
 				err = cerr

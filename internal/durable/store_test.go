@@ -3,7 +3,6 @@ package durable
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -653,29 +652,26 @@ func TestFsyncIntervalFlusherAndGracefulClose(t *testing.T) {
 // Before answers were appended under the shard lock, the answer path
 // journaled after it released the lock while a close journaled under it:
 // the record of the answer that completed a question could land behind the
-// task-closed record. A directory such a build wrote must still open to
-// the state it was acked at — from the log, and from the snapshot the
-// reopened store cuts.
+// task-closed record. A log in that order must still open to the state
+// it was acked at — from the log, and from the snapshot the reopened store
+// cuts.
 func TestAnswerJournaledBehindCloseSurvives(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openWAL(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans := func(w string) *AnswerRecord { return &AnswerRecord{Task: 1, Worker: w, Option: 1} }
-	for i, ev := range []Event{
-		{Type: EvTaskAdded, Task: &TaskRecord{ID: 1, Kind: int(core.SingleChoice), Question: "q1", Options: []string{"a", "b", "c"}}},
-		{Type: EvAnswerRecorded, Answer: ans("w1"), Worker: "w1", Cost: 1},
-		{Type: EvAnswerRecorded, Answer: ans("w2"), Worker: "w2", Cost: 1},
-		{Type: EvTaskClosed, TaskID: 1},
-		{Type: EvAnswerRecorded, Answer: ans("w3"), Worker: "w3", Cost: 1},
+	ans := func(w string) core.Mutation {
+		return core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 1, Worker: w, Option: 1}}, Cost: 1}
+	}
+	for i, m := range []core.Mutation{
+		{Kind: core.MutAddTask, Task: &core.Task{ID: 1, Kind: core.SingleChoice, Question: "q1", Options: []string{"a", "b", "c"}}},
+		ans("w1"),
+		ans("w2"),
+		{Kind: core.MutClose, ID: 1},
+		ans("w3"),
 	} {
-		ev.Seq = uint64(i + 1)
-		payload, err := json.Marshal(&ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.append(payload); err != nil {
+		if err := w.append(appendRecord(nil, &Record{Seq: uint64(i + 1), Mut: m})); err != nil {
 			t.Fatal(err)
 		}
 	}

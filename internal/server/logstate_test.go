@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -371,17 +371,19 @@ func TestDurableServerShardsAreTheStoresSegments(t *testing.T) {
 	}
 }
 
-// (d) Upgrade. A data directory an older build left in JSON — WAL records
-// only, every event type, written by a crashed 2-segment store — boots,
-// and its recovery converts it. A second boot, of the directory as the
-// first one left it, serves byte-identical /api/stats and /api/results.
-func TestJSONEraDirectoryServesTheSameAfterConversion(t *testing.T) {
+// (d) Retention. A data directory an older build left in JSON — WAL
+// records only, every event type, written by a crashed 2-segment store —
+// does not boot: Open fails, its error names the commit whose build
+// converts the directory, and the directory is left byte for byte as it
+// was.
+func TestJSONEraDirectoryRefusedAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	fixture := filepath.Join("..", "durable", "testdata", "jsonwal")
 	entries, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[string][]byte{}
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
 		if err == nil {
@@ -390,47 +392,26 @@ func TestJSONEraDirectoryServesTheSameAfterConversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want[e.Name()] = data
 	}
-	boot := func() (map[string][]byte, *durable.RecoveryInfo) {
-		store, info, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever, Segments: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(nil, assign.FewestAnswers{}, core.Unlimited(), core.NewWorkerScreen(1, 0.5),
-			WithDurability(store), WithCQL(CQLConfig{Redundancy: 3, ExecuteGrace: time.Millisecond}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		defer func() { ts.Close(); srv.Close() }()
-		bodies := map[string][]byte{}
-		for _, path := range []string{"/api/stats", "/api/results?method=mv", "/api/results?method=onecoin",
-			"/api/results?method=ds", "/api/results?method=glad"} {
-			resp, err := http.Get(ts.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: %d %s (%v)", path, resp.StatusCode, body, err)
-			}
-			bodies[path] = body
-		}
+	store, _, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever, Segments: 2})
+	if err == nil {
 		store.Crash()
-		return bodies, info
+		t.Fatal("a JSON-era directory opened")
 	}
-	first, info := boot()
-	if !info.Converted || info.Replayed == 0 || info.Tasks == 0 || info.Answers == 0 {
-		t.Fatalf("first boot: %+v, want the JSON records replayed and the directory converted", info)
+	if !strings.Contains(err.Error(), "ccc93f0") {
+		t.Fatalf("Open = %v, want an error naming the commit that converts the directory", err)
 	}
-	second, info := boot()
-	if info.Converted || !info.SnapshotLoaded {
-		t.Fatalf("second boot: %+v, want the converted snapshot and nothing left to convert", info)
+	entries, err = os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for path, body := range first {
-		if !bytes.Equal(second[path], body) {
-			t.Fatalf("GET %s after conversion:\n%s\nbefore:\n%s", path, second[path], body)
+	if len(entries) != len(want) {
+		t.Fatalf("the refused boot left %d files, want the %d it found", len(entries), len(want))
+	}
+	for name, data := range want {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("the refused boot changed %s (err %v)", name, err)
 		}
 	}
 }
