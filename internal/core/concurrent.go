@@ -137,7 +137,7 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 	_, sp := obs.ChildSpan(ctx, "core.record")
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err = s.pool.checkRecord(a, 0, false)
+	_, _, err = s.pool.checkRecord(a, 0, false)
 	if sp.Recording() {
 		sp.SetAttr(obs.Int("task", int64(a.Task)), obs.Str("worker", a.Worker),
 			obs.Int("shard", int64(s.index)))
@@ -180,7 +180,7 @@ func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 	m := &Mutation{Kind: MutAnswers, Batch: true, Answers: make([]Answer, 0, len(as))}
 	for i, a := range as {
 		k := slot{a.Task, a.Worker}
-		if _, errs[i] = s.pool.checkRecord(a, pending[k], false); errs[i] != nil {
+		if _, _, errs[i] = s.pool.checkRecord(a, pending[k], false); errs[i] != nil {
 			continue
 		}
 		pending[k]++

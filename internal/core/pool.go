@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 	"time"
@@ -13,12 +12,13 @@ import (
 // platform loop, assignment policies, and truth inference.
 //
 // Each task has one entry (taskEntry): the task, its answers in arrival
-// order, its closed flag and its voter index, so every per-task call pays
-// one map lookup, and scans in insertion order (OpenTasks, EligibleFor)
-// walk the entries without any; LeastInFlight pays one only
-// for a task that beats the best so far. Grow sizes an entry ahead of a
-// known number of answers; recovery uses it so that every task's answer
-// slice and voter index are allocated once, at their final size.
+// order, its closed flag and its voters, so every per-task call pays one
+// map lookup, and scans in insertion order (OpenTasks, EligibleFor) walk
+// the entries without any; LeastInFlight pays one only for a task that
+// beats the best so far. Voters are worker ordinals from the pool's one
+// worker table, so a scan looks its worker up once, not once per task.
+// Grow sizes an entry ahead of a known number of answers; recovery uses
+// it so that every task's answers and voters are allocated once.
 //
 // Pool is not safe for concurrent use; it stays lock-free so simulator
 // hot loops pay no synchronization cost. The serving layer holds one Pool
@@ -36,24 +36,58 @@ type Pool struct {
 	// consumed or extended leases are deleted lazily; see ExpireLeases.
 	leaseHeap []leaseEntry
 	nextID    TaskID
+	// workers numbers every worker that answered a task of the pool from
+	// 1, in the order of their first answers; the voters of a task hold
+	// these ordinals, and 0 is a worker that answered nothing yet.
+	workers map[string]int32
+	// counts counts the answers per ordinal of each task that holds more
+	// than voterScanMax of them. It lives here, not in taskEntry, so that
+	// an entry fits one 64-byte cache line for LeastInFlight's scan.
+	counts map[TaskID]map[int32]int32
 }
 
 // taskEntry is everything the pool holds about one task.
 type taskEntry struct {
 	task    *Task
 	answers []Answer
-	closed  bool
-	// voters counts the task's answers per worker, to enforce the
-	// one-answer-per-worker-per-task platform rule (and, for the repeatable
-	// kinds, the MaxRepeatAnswers cap). nil until the first answer or Grow.
-	voters map[string]int
+	// voters[i] is the ordinal of answers[i].Worker, scanned to enforce the
+	// one-answer-per-worker rule (for the repeatable kinds, the
+	// MaxRepeatAnswers cap) while the task holds at most voterScanMax
+	// answers; past that, Pool.counts answers the check.
+	voters []int32
+	closed bool
+}
+
+// voterScanMax is how many answers a task's voter check scans. Redundancy
+// rarely asks more of a task, but enumeration (Collection) takes answers
+// without bound, as can a hostile client; counts keep the check O(1).
+const voterScanMax = 64
+
+// votes returns how many answers the worker with ordinal o gave the task
+// of e.
+func (p *Pool) votes(e *taskEntry, o int32) int {
+	if o == 0 {
+		return 0
+	}
+	if len(e.voters) > voterScanMax {
+		return int(p.counts[e.task.ID][o])
+	}
+	n := 0
+	for _, v := range e.voters {
+		if v == o {
+			n++
+		}
+	}
+	return n
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{
-		tasks:  make(map[TaskID]*taskEntry),
-		leases: make(map[TaskID]map[string]time.Time),
+		tasks:   make(map[TaskID]*taskEntry),
+		leases:  make(map[TaskID]map[string]time.Time),
+		workers: make(map[string]int32),
+		counts:  make(map[TaskID]map[int32]int32),
 	}
 }
 
@@ -119,27 +153,23 @@ func (p *Pool) Len() int { return len(p.tasks) }
 // mutate the returned slice.
 func (p *Pool) TaskIDs() []TaskID { return p.order }
 
-// Grow is a capacity hint, like slices.Grow: it sizes task id's answer
-// slice and voter index for n more answers, so that the next n answers
-// recorded on it allocate nothing. It never changes what the pool holds;
-// an unknown task or n <= 0 leaves the pool as it is. A map has no
-// capacity to check, so every call rebuilds the voter index: a caller that
-// knows a task's answer count should grow it once, by the whole count.
+// Grow is a capacity hint, like slices.Grow: it sizes task id's answers
+// and voters for n more answers, so that the next n answers recorded on it
+// reallocate neither. It never changes what the pool holds; an unknown
+// task or n <= 0 leaves the pool as it is.
 func (p *Pool) Grow(id TaskID, n int) {
 	e := p.tasks[id]
 	if e == nil || n <= 0 {
 		return
 	}
+	// make, not slices.Grow: the capacity stays exactly what was asked
+	// for instead of rounding up to an allocation size class.
 	if cap(e.answers)-len(e.answers) < n {
-		// make, not slices.Grow: the capacity stays exactly what was
-		// asked for instead of rounding up to an allocation size class.
-		grown := make([]Answer, len(e.answers), len(e.answers)+n)
-		copy(grown, e.answers)
-		e.answers = grown
+		e.answers = append(make([]Answer, 0, len(e.answers)+n), e.answers...)
 	}
-	voters := make(map[string]int, len(e.voters)+n)
-	maps.Copy(voters, e.voters)
-	e.voters = voters
+	if cap(e.voters)-len(e.voters) < n {
+		e.voters = append(make([]int32, 0, len(e.voters)+n), e.voters...)
+	}
 }
 
 // MaxRepeatAnswers caps how many answers one worker may submit for one
@@ -156,36 +186,38 @@ func (p *Pool) Record(a Answer) error { return p.record(a, false) }
 
 // record checks and applies one answer; closedOK admits a closed task.
 func (p *Pool) record(a Answer, closedOK bool) error {
-	e, err := p.checkRecord(a, 0, closedOK)
+	e, o, err := p.checkRecord(a, 0, closedOK)
 	if err != nil {
 		return err
 	}
-	p.applyRecord(e, a)
+	p.applyRecord(e, a, o)
 	return nil
 }
 
 // checkRecord is the validation half of Record; it returns the entry of
-// the answer's task for applyRecord. pending counts answers by the same
-// worker on the same task that were accepted but not applied yet (earlier
-// items of one batch); closedOK admits a closed task.
-func (p *Pool) checkRecord(a Answer, pending int, closedOK bool) (*taskEntry, error) {
+// the answer's task and the worker's ordinal for applyRecord. pending
+// counts answers by the same worker on the same task that were accepted
+// but not applied yet (earlier items of one batch); closedOK admits a
+// closed task.
+func (p *Pool) checkRecord(a Answer, pending int, closedOK bool) (*taskEntry, int32, error) {
 	e := p.tasks[a.Task]
 	if e == nil {
-		return nil, fmt.Errorf("core: answer for unknown task %d", a.Task)
+		return nil, 0, fmt.Errorf("core: answer for unknown task %d", a.Task)
 	}
 	if e.closed && !closedOK {
-		return nil, fmt.Errorf("core: answer for closed task %d", a.Task)
+		return nil, 0, fmt.Errorf("core: answer for closed task %d", a.Task)
 	}
-	n := e.voters[a.Worker] + pending
+	o := p.workers[a.Worker]
+	n := p.votes(e, o) + pending
 	if k := e.task.Kind; k == MultiChoice || k == Collection {
 		if n >= MaxRepeatAnswers {
-			return nil, fmt.Errorf("core: worker %s hit the %d-answer resubmission cap on task %d",
+			return nil, 0, fmt.Errorf("core: worker %s hit the %d-answer resubmission cap on task %d",
 				a.Worker, MaxRepeatAnswers, a.Task)
 		}
 	} else if n > 0 {
-		return nil, fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
+		return nil, 0, fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
 	}
-	return e, nil
+	return e, o, nil
 }
 
 // Replay checks and applies a mutation read back from a journal with the
@@ -252,7 +284,7 @@ func (p *Pool) apply(m *Mutation) {
 		p.insert(m.Task)
 	case MutAnswers:
 		for _, a := range m.Answers {
-			p.applyRecord(p.tasks[a.Task], a)
+			p.applyRecord(p.tasks[a.Task], a, p.workers[a.Worker])
 		}
 	case MutClose:
 		p.Close(m.ID)
@@ -265,13 +297,25 @@ func (p *Pool) apply(m *Mutation) {
 	}
 }
 
-// applyRecord stores an answer checkRecord accepted into its task's entry.
-func (p *Pool) applyRecord(e *taskEntry, a Answer) {
-	if e.voters == nil {
-		e.voters = make(map[string]int)
+// applyRecord stores an answer checkRecord accepted into its task's entry;
+// o is its worker's ordinal, which a worker's first answer draws.
+func (p *Pool) applyRecord(e *taskEntry, a Answer, o int32) {
+	if o == 0 {
+		o = int32(len(p.workers)) + 1
+		p.workers[a.Worker] = o
 	}
-	e.voters[a.Worker]++
 	e.answers = append(e.answers, a)
+	e.voters = append(e.voters, o)
+	switch n := len(e.voters); {
+	case n == voterScanMax+1: // the task crosses the bound: count from here on
+		c := make(map[int32]int32, n)
+		for _, v := range e.voters {
+			c[v]++
+		}
+		p.counts[a.Task] = c
+	case n > voterScanMax+1:
+		p.counts[a.Task][o]++
+	}
 	// The submission consumes any outstanding lease for this assignment.
 	p.releaseLease(a.Task, a.Worker)
 }
@@ -300,7 +344,7 @@ func (p *Pool) TotalAnswers() int {
 // HasAnswered reports whether the worker already answered the task.
 func (p *Pool) HasAnswered(worker string, id TaskID) bool {
 	e := p.tasks[id]
-	return e != nil && e.voters[worker] > 0
+	return e != nil && p.votes(e, p.workers[worker]) > 0
 }
 
 // Close marks an open task as finished: no further answers are accepted
@@ -346,13 +390,14 @@ func (p *Pool) OpenCount() int {
 // LeastInFlight returns the open task the worker has not answered with
 // the fewest in-flight answers (InFlight), the first in insertion order on
 // ties; ok is false when there is none. It makes FewestAnswers' choice in
-// one pass without allocating: a task's leases are looked up only when
-// its answers alone would beat the best so far, its voter index only when
-// its in-flight count would, and the scan stops at the first eligible
-// task with nothing in flight.
+// one pass without allocating: the worker's ordinal is looked up once, a
+// task's leases only when its answers alone would beat the best so far,
+// its voters only when its in-flight count would, and the scan stops at
+// the first eligible task with nothing in flight.
 func (p *Pool) LeastInFlight(worker string) (TaskID, bool) {
 	best, bestN := -1, math.MaxInt
 	leased := len(p.leases) > 0
+	o := p.workers[worker]
 	for i, e := range p.entries {
 		n := len(e.answers)
 		if e.closed || n >= bestN {
@@ -363,7 +408,7 @@ func (p *Pool) LeastInFlight(worker string) (TaskID, bool) {
 				continue
 			}
 		}
-		if e.voters[worker] > 0 {
+		if p.votes(e, o) > 0 {
 			continue
 		}
 		best, bestN = i, n
@@ -381,8 +426,9 @@ func (p *Pool) LeastInFlight(worker string) (TaskID, bool) {
 // in insertion order.
 func (p *Pool) EligibleFor(worker string) []TaskID {
 	out := make([]TaskID, 0, len(p.order))
+	o := p.workers[worker]
 	for i, e := range p.entries {
-		if !e.closed && e.voters[worker] == 0 {
+		if !e.closed && p.votes(e, o) == 0 {
 			out = append(out, p.order[i])
 		}
 	}
@@ -390,29 +436,14 @@ func (p *Pool) EligibleFor(worker string) []TaskID {
 }
 
 // Workers returns the ids of all workers that submitted at least one
-// answer, sorted for determinism. It is derived from the tasks' voter
-// indexes, so it costs a walk over them.
+// answer, sorted for determinism: the keys of the worker table.
 func (p *Pool) Workers() []string {
-	set := workerSet([]*Pool{p})
-	out := make([]string, 0, len(set))
-	for w := range set {
+	out := make([]string, 0, len(p.workers))
+	for w := range p.workers {
 		out = append(out, w)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// workerSet returns the workers that answered a task of any of pools.
-func workerSet(pools []*Pool) map[string]bool {
-	set := make(map[string]bool)
-	for _, p := range pools {
-		for _, e := range p.entries {
-			for w := range e.voters {
-				set[w] = true
-			}
-		}
-	}
-	return set
 }
 
 // OptionVotes tallies, for a choice-type task, how many answers selected

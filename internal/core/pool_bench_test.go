@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The pool at worker_loop's shape (bench/workloads.json): 1,000 tasks,
@@ -84,7 +85,7 @@ func BenchmarkPoolEligibleFor(b *testing.B) {
 }
 
 // BenchmarkPoolLeastInFlight measures FewestAnswers' whole choice on the
-// same pool: one pass that reads a task's voter index only when the task
+// same pool: one pass that reads a task's voters only when the task
 // would beat the best so far, and allocates nothing.
 func BenchmarkPoolLeastInFlight(b *testing.B) {
 	p := benchPool(b, benchAnswersPerTask)
@@ -94,6 +95,44 @@ func BenchmarkPoolLeastInFlight(b *testing.B) {
 		if _, ok := p.LeastInFlight(benchWorkerIDs[n%benchWorkers]); !ok {
 			b.Fatal("no eligible task")
 		}
+	}
+}
+
+// BenchmarkWorkerCount measures /api/stats' worker count on the
+// recovery_boot shape (bench/workloads.json): 5,000 tasks on 2 shards,
+// 100,000 answers from 20 workers, each task answered once by each. One
+// op is ViewAll plus WorkerCount, all of it under every shard's read lock.
+func BenchmarkWorkerCount(b *testing.B) {
+	const tasks, answers = 5000, 100000
+	pools := []*Pool{NewPool(), NewPool()}
+	for id := TaskID(1); id <= tasks; id++ {
+		pools[ShardIndex(id, len(pools))].MustAdd(&Task{ID: id, Kind: SingleChoice, Question: "q", Options: []string{"no", "yes"}})
+	}
+	for k := 0; k < answers; k++ {
+		id := TaskID(k%tasks + 1)
+		if err := pools[ShardIndex(id, len(pools))].Record(Answer{Task: id, Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sp := ShardedFrom(pools, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		sp.ViewAll(func(ps []*Pool) {
+			if WorkerCount(ps) != answers/tasks {
+				b.Fatal("wrong worker count")
+			}
+		})
+	}
+}
+
+// TestTaskEntryFitsACacheLine keeps a task's entry within one 64-byte
+// cache line: LeastInFlight reads every open entry, and at 80 bytes (with
+// the voter counts inside the entry) BenchmarkPoolLeastInFlight ran about
+// 10 % slower.
+func TestTaskEntryFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(taskEntry{}); n > 64 {
+		t.Fatalf("taskEntry takes %d bytes, want at most 64", n)
 	}
 }
 

@@ -172,8 +172,22 @@ func randomTask(rng *rand.Rand) *Task {
 // two agree on whether the call was refused and on every per-worker and
 // per-task read: HasAnswered, EligibleFor, LeastInFlight, OpenTasks,
 // InFlight, Workers, OptionVotes and the answers themselves.
+//
+// The first three tasks, a single-choice, a MultiChoice and a Collection
+// task, stay open and take half of the answers, from a crowd of 1,000
+// workers beside four regulars, so they cross voterScanMax: the
+// single-choice task is answered by more than voterScanMax workers, and on
+// each repeatable task a regular hits the cap both before and after the
+// task crosses the bound.
 func TestPoolMatchesReferenceModel(t *testing.T) {
-	workers := []string{"w0", "w1", "w2", "w3"}
+	regulars := []string{"w0", "w1", "w2", "w3"}
+	crowd := make([]string, 1000)
+	for i := range crowd {
+		crowd[i] = fmt.Sprintf("c%d", i)
+	}
+	hot := []TaskKind{SingleChoice, MultiChoice, Collection}
+	cappedAt := map[[2]any]bool{}    // (kind, past the bound) of each cap refusal
+	mostVoters := map[TaskKind]int{} // the most answers a hot task reached
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p, ref := NewPool(), newRefPool()
@@ -183,16 +197,25 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 			if len(ref.order) == 0 || rng.Intn(20) == 0 {
 				return TaskID(1000 + rng.Intn(3))
 			}
+			if len(ref.order) >= len(hot) && rng.Intn(2) == 0 {
+				return ref.order[rng.Intn(len(hot))]
+			}
 			return ref.order[rng.Intn(len(ref.order))]
 		}
-		for step := 0; step < 800; step++ {
+		for step := 0; step < 1000; step++ {
 			now = now.Add(time.Second)
-			worker := workers[rng.Intn(len(workers))]
+			worker := regulars[rng.Intn(len(regulars))]
+			if rng.Intn(2) == 0 {
+				worker = crowd[rng.Intn(len(crowd))]
+			}
 			var op string
 			switch r := rng.Intn(100); {
-			case r < 3 || len(ref.order) == 0:
+			case r < 2 || len(ref.order) < len(hot):
 				op = "add"
 				task := randomTask(rng)
+				if n := len(ref.order); n < len(hot) {
+					task = &Task{Kind: hot[n], Question: "q", Options: []string{"a", "b", "c"}}
+				}
 				id, err := p.Add(task)
 				if err != nil {
 					t.Fatalf("seed %d step %d: Add: %v", seed, step, err)
@@ -208,15 +231,23 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 					a.Option = rng.Intn(len(task.Options))
 				}
 				op = fmt.Sprintf("record %+v", a)
+				before := len(ref.answers[id])
 				got, want := p.Record(a), ref.record(a)
 				if (got == nil) != (want == nil) {
 					t.Fatalf("seed %d step %d: %s: pool says %v, model %v", seed, step, op, got, want)
 				}
 				if want == errRefCap {
 					capped++
+					cappedAt[[2]any{ref.tasks[id].Kind, before > voterScanMax}] = true
 				}
-			case r < 72:
+				if task := ref.tasks[id]; task != nil {
+					mostVoters[task.Kind] = max(mostVoters[task.Kind], len(ref.answers[id]))
+				}
+			case r < 71:
 				id := pick()
+				if slices.Index(ref.order, id) < len(hot) {
+					break // the hot tasks stay open to cross the bound
+				}
 				op = fmt.Sprintf("close %d", id)
 				p.Close(id)
 				ref.close(id)
@@ -232,9 +263,12 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: expired %v, model %v", seed, step, got, want)
 				}
 			default:
-				id := pick()
-				op = fmt.Sprintf("grow %d", id)
-				p.Grow(id, rng.Intn(4))
+				id, n := pick(), rng.Intn(4)
+				if rng.Intn(4) == 0 {
+					n = voterScanMax
+				}
+				op = fmt.Sprintf("grow %d by %d", id, n)
+				p.Grow(id, n)
 			}
 
 			check := func(got, want any, what string, args ...any) {
@@ -245,6 +279,8 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 			}
 			check(p.OpenTasks(), ref.openTasks(), "OpenTasks")
 			check(p.Workers(), ref.workers(), "Workers")
+			// The regulars, this step's worker and one drawn from the crowd.
+			workers := append(regulars[:len(regulars):len(regulars)], worker, crowd[rng.Intn(len(crowd))])
 			for _, w := range workers {
 				check(p.EligibleFor(w), ref.eligibleFor(w), "EligibleFor(%s)", w)
 				id, ok := p.LeastInFlight(w)
@@ -263,6 +299,16 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 		}
 		if capped == 0 {
 			t.Fatalf("seed %d: no answer reached the MaxRepeatAnswers cap", seed)
+		}
+	}
+	if mostVoters[SingleChoice] <= voterScanMax {
+		t.Errorf("no single-choice task took more than %d answers (most: %d)", voterScanMax, mostVoters[SingleChoice])
+	}
+	for _, kind := range []TaskKind{MultiChoice, Collection} {
+		for _, past := range []bool{false, true} {
+			if !cappedAt[[2]any{kind, past}] {
+				t.Errorf("no %v answer was refused at the MaxRepeatAnswers cap with the task past the %d-answer bound = %v", kind, voterScanMax, past)
+			}
 		}
 	}
 }

@@ -277,8 +277,18 @@ func LeasesOf(pools []*Pool) []Lease {
 }
 
 // WorkerCount returns how many distinct workers answered a task of the
-// shard pools a ViewAll or ViewDelta callback received.
-func WorkerCount(pools []*Pool) int { return len(workerSet(pools)) }
+// shard pools a ViewAll or ViewDelta callback received: the size of the
+// union of their worker tables, which costs a walk over the workers, not
+// the answers.
+func WorkerCount(pools []*Pool) int {
+	set := make(map[string]struct{})
+	for _, p := range pools {
+		for w := range p.workers {
+			set[w] = struct{}{}
+		}
+	}
+	return len(set)
+}
 
 // DeltaView is the read surface ViewDelta hands to its callback: the
 // shard pools and versions of a consistent cross-shard snapshot, plus

@@ -175,15 +175,18 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 }
 
 // decodeRecord decodes one binary WAL record payload into rec, replacing
-// whatever rec held. Every field of the record's type must parse and the
-// payload must end with the last one. names, when not nil, interns worker
-// names across the records decoded with it (see reader.name).
+// whatever rec held but reusing its answer, golden and lease slices (a
+// task is always new: the pool keeps it). Every field of the record's
+// type must parse and the payload must end with the last one. names, when
+// not nil, interns worker names across the records decoded with it (see
+// reader.name).
 func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	r := reader{b: payload, names: names}
 	tag := r.byte()
 	if tag == 0 || tag >= numTags {
 		return errMalformed
 	}
+	answers, golden, leases := rec.Mut.Answers, rec.Mut.Golden, rec.Mut.Leases
 	*rec = Record{Seq: r.uvarint(), Type: crossTypes[tag]}
 	m := &rec.Mut
 	switch tag {
@@ -198,11 +201,11 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 		if m.Batch {
 			n = r.count(4) // task, worker, option and flags take a byte each at least
 		}
-		m.Answers = make([]core.Answer, n)
+		m.Answers = resize(answers, n)
 		for i := range m.Answers {
 			if g := r.walAnswer(&m.Answers[i]); g != nil {
 				if m.Golden == nil {
-					m.Golden = make([]*bool, n)
+					m.Golden = resize(golden, n)
 				}
 				m.Golden[i] = g
 			}
@@ -211,10 +214,10 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	case tagTaskClosed:
 		m.Kind, m.ID = core.MutClose, core.TaskID(r.varint())
 	case tagLeaseIssued:
-		m.Kind, m.Leases = core.MutLease, make([]core.Lease, 1)
+		m.Kind, m.Leases = core.MutLease, resize(leases, 1)
 		r.lease(&m.Leases[0])
 	case tagLeaseExpired:
-		m.Kind, m.Leases = core.MutExpire, make([]core.Lease, r.count(3)) // task, worker and deadline take a byte each at least
+		m.Kind, m.Leases = core.MutExpire, resize(leases, r.count(3)) // task, worker and deadline take a byte each at least
 		for i := range m.Leases {
 			r.lease(&m.Leases[i])
 		}
@@ -236,6 +239,17 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 		r.fail() // bytes after the record's last field
 	}
 	return r.err
+}
+
+// resize returns s's storage, or a new array when it is too small, as a
+// slice of n zero elements.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // appendTask appends a task's fields but its ID; flags carries the

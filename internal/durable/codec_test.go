@@ -147,7 +147,7 @@ func FuzzWALFrames(f *testing.F) {
 		if err := os.WriteFile(file.path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		file.decode()
+		file.decode(1, 0)
 		// The checksummed frames the file starts with, and where each ends.
 		var frames [][]byte
 		ends := []int64{0}
@@ -165,7 +165,7 @@ func FuzzWALFrames(f *testing.F) {
 			}
 			return
 		}
-		n := len(file.records)
+		n := len(file.index)
 		if n > len(frames) || file.validBytes != ends[n] || file.validBytes+file.torn != int64(len(data)) {
 			t.Fatalf("%d records in %d valid and %d torn bytes of %d; the file starts with %d frames",
 				n, file.validBytes, file.torn, len(data), len(frames))

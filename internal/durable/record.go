@@ -101,6 +101,12 @@ const (
 	EvCqlQuestionClosed    = "cql_question_closed"
 )
 
+// foldsBeyondCost reports whether foldCross reads more of rec than its
+// mutation's kind and cost: it does for a budget or CrowdQL record and for
+// answers that carry golden grades. Recovery keeps only those two fields
+// of every other record it folds.
+func foldsBeyondCost(rec *Record) bool { return rec.Mut.Kind == 0 || rec.Mut.Golden != nil }
+
 // foldCross folds the part of one record that no pool shard applies: the
 // budget spend, the golden-screen tallies and the CrowdQL ledger. Spend is
 // a float sum and the ledger is order-dependent, so callers must present

@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,13 +34,14 @@ type RecoveryInfo struct {
 	// SnapshotLoad, Decode, Merge, and Apply split ReplayDuration into the
 	// recovery pipeline's phases, which run one after another: reading
 	// pool.snap and restoring it into the pool shards; reading, checking
-	// and decoding every WAL file (and truncating torn tails); merging the
-	// files by sequence number while folding the
-	// cross-task state and routing pool mutations to their segments; and,
-	// per segment, counting its queued answers per task, sizing each task
-	// once for them, and applying its mutations to its pool shard. What is
-	// left over (directory scan, opening the segment files, a forced
-	// reshard snapshot) is not attributed.
+	// and decoding every WAL file into an index of its records and a count
+	// of answers per task (and truncating torn tails); merging the indexes
+	// by sequence number while folding the cross-task state and routing
+	// pool mutations to their segments; and, per segment, sizing each task
+	// once for its counted answers and applying its mutations, decoded a
+	// second time, to its pool shard. What is left over (directory scan,
+	// opening the segment files, a forced reshard snapshot) is not
+	// attributed.
 	SnapshotLoad time.Duration
 	Decode       time.Duration
 	Merge        time.Duration
@@ -85,18 +88,19 @@ func legacyJSON(data []byte) bool { return len(data) > 0 && data[0] == '{' }
 // configured segment, each on its own goroutine decoding its own section of
 // pool.snap (or, when the snapshot was cut with another shard count, taking
 // its tasks from every section), then replays every WAL segment file found
-// in the directory — including
-// files from a previous layout with a different segment count, whose
-// records are re-routed to their current owners — as a three-step pipeline:
-// the files are decoded in parallel, merged by sequence number on one
-// goroutine (which folds the cross-task state and queues each pool
-// mutation for the segment owning its task), and the queues are applied
-// one goroutine per segment. The shards recovery filled are the pool the
-// store then serves and journals (Store.Pool); nothing is copied. Leftover
-// files from a larger previous layout are folded into a fresh snapshot and
-// deleted, so the directory converges to the configured layout. A
-// directory in a format this build does not read fails with errJSONEra
-// before anything in it is written.
+// in the directory — including files from a previous layout with a different
+// segment count, whose records are re-routed to their current owners — as a
+// three-step pipeline: the files are decoded in parallel into indexes of
+// their records, the indexes merged by sequence number on one goroutine
+// (which folds the cross-task state and queues each pool mutation for the
+// segment owning its task), and the queues are applied one goroutine per
+// segment. No decoded copy of the log is held: a queued record is decoded
+// again from the file's bytes as it is applied. The shards recovery filled
+// are the pool the store then serves and journals (Store.Pool); nothing is
+// copied. Leftover files from a larger previous layout are folded into a
+// fresh snapshot and deleted, so the directory converges to the configured
+// layout. A directory in a format this build does not read fails with
+// errJSONEra before anything in it is written.
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
@@ -141,7 +145,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		return nil, nil, err
 	}
 	phase := time.Now()
-	if info.TornBytes, err = decodeWALs(files); err != nil {
+	if info.TornBytes, err = decodeWALs(files, len(s.segs), s.snapSeq); err != nil {
 		return nil, nil, err
 	}
 	info.Decode = time.Since(phase)
@@ -154,7 +158,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Merge = time.Since(phase)
 
 	phase = time.Now()
-	if err := applyQueues(pools, queues); err != nil {
+	if err := applyQueues(pools, queues, files); err != nil {
 		return nil, nil, err
 	}
 	info.Apply = time.Since(phase)
@@ -198,15 +202,33 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 }
 
 // walFile is one WAL segment file found in the data directory and, once
-// decoded, the records it holds.
+// decoded, an index of the records it holds.
 type walFile struct {
 	idx  int // segment index the file name encodes
 	path string
 
-	records    []Record // decoded, in file order (ascending Seq)
-	validBytes int64    // where the readable, decodable prefix ends
-	torn       int64    // bytes past validBytes: torn, corrupt or undecodable
+	index []walEntry // one per decoded record, in file order (ascending seq)
+	// need counts, per current shard and task, the answers of the records
+	// past the snapshot.
+	need       []map[core.TaskID]int
+	validBytes int64 // where the readable, decodable prefix ends
+	torn       int64 // bytes past validBytes: torn, corrupt or undecodable
 	err        error
+}
+
+// walEntry is what recovery keeps of one decoded record until it is
+// applied: where its payload is, and what the merge needs to fold and
+// route it without decoding it again.
+type walEntry struct {
+	seq     uint64
+	payload []byte  // the record's bytes, in the file read whole
+	cost    float64 // what an answer record charged; 0 on any other record
+	owner   int32   // the current shard owning all its tasks; -1: none or several
+	kind    core.MutationKind
+	task    *core.Task
+	// full is the record itself, kept for one the merge folds beyond its
+	// cost (foldsBeyondCost) or splits across owners.
+	full *Record
 }
 
 // findWALs lists every WAL segment file present, current layout or not, in
@@ -226,49 +248,107 @@ func findWALs(dir string) ([]*walFile, error) {
 	return files, nil
 }
 
-// decode reads the file, verifies every frame, and decodes the payloads
-// into f.records. Worker names are interned per file. A JSON record sets
-// f.err to errJSONEra, so the file is refused, not cut.
-func (f *walFile) decode() {
-	payloads, validBytes, torn, err := readWAL(f.path)
-	if err != nil {
-		f.err = err
+// walk reads the file and decodes its frames in order into one reused
+// Record, calling visit with each record and its payload. It stops at the
+// first frame that does not verify or decode and sets where the valid
+// prefix ends; a missing file is an empty log. Worker names are interned
+// per file. A JSON record sets f.err to errJSONEra, so the file is
+// refused, not cut.
+func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
+	data, err := os.ReadFile(f.path)
+	if err != nil && !os.IsNotExist(err) {
+		f.err = fmt.Errorf("durable: reading WAL: %w", err)
 		return
 	}
-	records := make([]Record, len(payloads))
+	// The frames' length fields bound the record count from above: sized
+	// to them, the index is never copied as it grows.
+	frames := 0
+	for off := 0; off+frameHeader <= len(data); frames++ {
+		n := binary.LittleEndian.Uint32(data[off:])
+		if n == 0 || n > maxRecordBytes {
+			break
+		}
+		off += frameHeader + int(n)
+	}
+	f.index = make([]walEntry, 0, frames)
+	var rec Record
 	names := make(map[string]string)
-	off := int64(0)
-	for i, payload := range payloads {
+	off := 0
+	for off < len(data) {
+		payload, _, ok := splitFrame(data[off:], maxRecordBytes)
+		if !ok {
+			break
+		}
 		if legacyJSON(payload) {
 			f.err = fmt.Errorf("%w (%s)", errJSONEra, filepath.Base(f.path))
 			return
 		}
-		if err := decodeRecord(payload, &records[i], names); err != nil {
+		if decodeRecord(payload, &rec, names) != nil {
 			// The frame checksum verified but the payload does not decode:
 			// treat it like a torn tail and cut this file here. Everything
 			// after an undecodable record in the same file is unreachable
 			// anyway — replay could not order it.
-			torn += validBytes - off
-			validBytes = off
-			records = records[:i]
 			break
 		}
-		off += frameHeader + int64(len(payload))
+		visit(&rec, payload)
+		off += frameHeader + len(payload)
 	}
-	f.records, f.validBytes, f.torn = records, validBytes, torn
+	f.validBytes, f.torn = int64(off), int64(len(data)-off)
+}
+
+// decode walks the file and indexes every record for the merge, under a
+// layout of segs shards: its owner, its cost and, for a task add, the
+// task; a record the merge must fold beyond its cost or split across
+// owners is kept whole. The answers of the records past the snapshot's
+// LastSeq (after) are counted per task, so each applier sizes its tasks
+// once.
+func (f *walFile) decode(segs int, after uint64) {
+	f.need = make([]map[core.TaskID]int, segs)
+	for si := range f.need {
+		f.need[si] = make(map[core.TaskID]int)
+	}
+	f.walk(func(rec *Record, payload []byte) {
+		m := &rec.Mut
+		e := walEntry{seq: rec.Seq, payload: payload, cost: m.Cost, owner: -1, kind: m.Kind, task: m.Task}
+		tasks := 0
+		m.Tasks(func(id core.TaskID) {
+			if si := int32(core.ShardIndex(id, segs)); tasks == 0 {
+				e.owner = si
+			} else if si != e.owner {
+				e.owner = -1 // split across owners
+			}
+			tasks++
+		})
+		if e.owner < 0 || foldsBeyondCost(rec) {
+			e.full = detach(rec)
+		}
+		f.index = append(f.index, e)
+		if rec.Seq > after {
+			for _, a := range m.Answers {
+				f.need[core.ShardIndex(a.Task, segs)][a.Task]++
+			}
+		}
+	})
+}
+
+// detach returns a copy of rec that shares no slice with it.
+func detach(rec *Record) *Record {
+	c, m := *rec, &rec.Mut
+	c.Mut.Answers, c.Mut.Golden, c.Mut.Leases = slices.Clone(m.Answers), slices.Clone(m.Golden), slices.Clone(m.Leases)
+	return &c
 }
 
 // decodeWALs decodes every file on its own goroutine — the files share
 // nothing until the merge — and then, with all of them joined, truncates
 // each torn or undecodable tail so the log ends on a record boundary again.
 // It returns the total bytes cut.
-func decodeWALs(files []*walFile) (tornBytes int64, err error) {
+func decodeWALs(files []*walFile, segs int, after uint64) (tornBytes int64, err error) {
 	var wg sync.WaitGroup
 	for _, f := range files {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.decode()
+			f.decode(segs, after)
 		}()
 	}
 	wg.Wait()
@@ -289,15 +369,15 @@ func decodeWALs(files []*walFile) (tornBytes int64, err error) {
 }
 
 // mergeRoute is the serial middle of recovery. Sequence numbers are unique
-// globally and ascending within each file, so a k-way merge of the decoded
-// files visits every record in a valid interleaving of the original
+// globally and ascending within each file, so a k-way merge of the files'
+// indexes visits every record in a valid interleaving of the original
 // mutation order. Records the snapshot already covers are skipped; for the
 // rest the cross-task part is folded here, in that order — the spend is a
 // float sum and the CrowdQL ledger depends on publish/refund/close order,
 // so neither can be split across goroutines — and the pool mutation is
-// queued for the segment that owns its tasks under the current layout
-// (route). All of a task's mutations land in one queue in sequence order,
-// which is all the per-segment appliers need.
+// queued for the segment that owns its tasks under the current layout.
+// All of a task's mutations land in one queue in sequence order, which is
+// all the per-segment appliers need.
 //
 // A directory with one WAL file holds every sequence number from the
 // first record on, so a record that does not follow its predecessor, or a
@@ -309,119 +389,128 @@ func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) ([][]queued, er
 	queues := make([][]queued, len(s.segs))
 	heads := make([]int, len(files))
 	prev := uint64(0) // the single file's previous record
+	var stub Record   // the kind and cost of a record not kept whole
 	for {
-		var rec *Record
+		var e *walEntry
 		from := -1
 		for i, f := range files {
-			if heads[i] < len(f.records) && (rec == nil || f.records[heads[i]].Seq < rec.Seq) {
-				rec, from = &f.records[heads[i]], i
+			if heads[i] < len(f.index) && (e == nil || f.index[heads[i]].seq < e.seq) {
+				e, from = &f.index[heads[i]], i
 			}
 		}
-		if rec == nil {
+		if e == nil {
 			return queues, nil
 		}
 		heads[from]++
 		if len(files) == 1 {
-			if prev != 0 && rec.Seq != prev+1 || prev == 0 && rec.Seq > s.snapSeq+1 {
+			if prev != 0 && e.seq != prev+1 || prev == 0 && e.seq > s.snapSeq+1 {
 				return nil, fmt.Errorf("durable: %s: record seq %d follows seq %d; the sequence numbers of a single WAL file have no gaps",
-					filepath.Base(files[0].path), rec.Seq, max(prev, s.snapSeq))
+					filepath.Base(files[0].path), e.seq, max(prev, s.snapSeq))
 			}
-			prev = rec.Seq
+			prev = e.seq
 		}
-		if rec.Seq <= s.snapSeq {
+		if e.seq <= s.snapSeq {
 			info.Skipped++
 			continue
 		}
 		info.Replayed++
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
+		s.seq = max(s.seq, e.seq)
+		rec := e.full
+		if rec == nil {
+			stub.Mut.Kind, stub.Mut.Cost = e.kind, e.cost
+			rec = &stub
 		}
 		s.foldCross(rec)
-		if rec.Mut.Kind != 0 {
-			s.route(queues, rec, files[from])
+		switch {
+		case e.owner >= 0:
+			queues[e.owner] = append(queues[e.owner], queued{e, files[from]})
+		case e.full != nil && e.full.Mut.Kind != 0:
+			s.split(queues, e.full, files[from])
 		}
 	}
 }
 
-// route queues rec's pool mutation for the segment owning its tasks. A
-// mutation whose tasks all have one owner — every mutation the current
-// layout journaled — is queued as decoded. A batch or lease sweep an
-// older layout journaled across several current owners is split: each
-// owner gets a record of its own tasks' part.
-func (s *Store) route(queues [][]queued, rec *Record, file *walFile) {
-	owner, split := -1, false
-	rec.Mut.Tasks(func(id core.TaskID) {
-		if si := s.segFor(id); owner < 0 {
-			owner = si
-		} else if si != owner {
-			split = true
+// split queues a batch or lease sweep an older layout journaled across
+// several current owners: each owner gets a record of its own tasks' part.
+func (s *Store) split(queues [][]queued, rec *Record, file *walFile) {
+	parts := make([]*Record, len(queues))
+	part := func(id core.TaskID) *core.Mutation {
+		si := s.segFor(id)
+		if parts[si] == nil {
+			parts[si] = &Record{Seq: rec.Seq, Mut: core.Mutation{Kind: rec.Mut.Kind, Batch: rec.Mut.Batch}}
+			queues[si] = append(queues[si], queued{&walEntry{seq: rec.Seq, full: parts[si]}, file})
 		}
-	})
-	switch {
-	case owner < 0: // a batch of no answers
-	case !split:
-		queues[owner] = append(queues[owner], queued{rec, file})
-	default:
-		parts := make([]*Record, len(queues))
-		part := func(id core.TaskID) *core.Mutation {
-			si := s.segFor(id)
-			if parts[si] == nil {
-				parts[si] = &Record{Seq: rec.Seq, Mut: core.Mutation{Kind: rec.Mut.Kind, Batch: rec.Mut.Batch}}
-				queues[si] = append(queues[si], queued{parts[si], file})
-			}
-			return &parts[si].Mut
-		}
-		for _, a := range rec.Mut.Answers {
-			p := part(a.Task)
-			p.Answers = append(p.Answers, a)
-		}
-		for _, l := range rec.Mut.Leases {
-			p := part(l.Task)
-			p.Leases = append(p.Leases, l)
-		}
+		return &parts[si].Mut
+	}
+	for _, a := range rec.Mut.Answers {
+		p := part(a.Task)
+		p.Answers = append(p.Answers, a)
+	}
+	for _, l := range rec.Mut.Leases {
+		p := part(l.Task)
+		p.Leases = append(p.Leases, l)
 	}
 }
 
 // queued is one record in a segment's apply queue, with the WAL file it
 // was read from, for the error that reports it if the pool refuses it.
 type queued struct {
-	rec  *Record
+	e    *walEntry
 	file *walFile
 }
 
 // applyQueues replays each segment's queued mutations into its pool shard
 // (core.Pool.Replay), one goroutine per segment: the shards are disjoint
 // and each queue holds its tasks' mutations in sequence order. Each
-// applier counts its queue's answers per task and grows each task once by
-// its count (core.Pool.Grow): a task restored from the snapshot before
-// the first mutation, a task the queue adds right after its add, so no
-// answer slice or voter index is reallocated while the answers land. An
-// entry is cleared as soon as it is replayed, so a collection that runs
-// mid-apply already reclaims the decoded records behind it; holding them
-// all until Open returns left the process a quarter larger at boot (83 vs
-// 66 MB resident on the recovery_boot directory). The first mutation a
-// shard refuses fails recovery, naming its WAL file and sequence number.
-func applyQueues(pools []*core.Pool, queues [][]queued) error {
+// applier grows every task once by the answers the decoders counted for
+// it (core.Pool.Grow): a task from the snapshot before the first mutation,
+// a task the queue adds right after its add. A task add replays the task
+// its decoder kept, a kept record replays as it is, and any other record
+// is decoded again, into one Record the applier reuses. The first
+// mutation a shard refuses fails recovery, naming its WAL file and
+// sequence number.
+func applyQueues(pools []*core.Pool, queues [][]queued, files []*walFile) error {
 	return inParallel(len(queues), func(si int) error {
-		p, queue := pools[si], queues[si]
-		need := make(map[core.TaskID]int)
-		for _, q := range queue {
-			for _, a := range q.rec.Mut.Answers {
-				need[a.Task]++
+		p := pools[si]
+		// Usually one file holds the shard's tasks and its counts serve as
+		// they are; else the first file's take the others'. Only this
+		// goroutine touches any file's counts for si.
+		var need map[core.TaskID]int
+		for _, f := range files {
+			if need == nil {
+				need = f.need[si]
+				continue
+			}
+			for id, n := range f.need[si] {
+				need[id] += n
 			}
 		}
 		for id, n := range need {
 			p.Grow(id, n) // a task the queue adds is not in p yet: no-op
 		}
-		for _, q := range queue {
-			m := &q.rec.Mut
-			if err := p.Replay(m); err != nil {
-				return fmt.Errorf("durable: replaying %s, record seq %d: %w", filepath.Base(q.file.path), q.rec.Seq, err)
+		var rec Record
+		add := core.Mutation{Kind: core.MutAddTask}
+		names := make(map[string]string)
+		for _, q := range queues[si] {
+			e, m := q.e, &rec.Mut
+			var err error
+			switch {
+			case e.task != nil:
+				add.Task, m = e.task, &add
+			case e.full != nil:
+				m = &e.full.Mut
+			default:
+				err = decodeRecord(e.payload, &rec, names)
 			}
-			if m.Kind == core.MutAddTask {
-				p.Grow(m.Task.ID, need[m.Task.ID])
+			if err == nil {
+				err = p.Replay(m)
 			}
-			*q.rec = Record{}
+			if err != nil {
+				return fmt.Errorf("durable: replaying %s, record seq %d: %w", filepath.Base(q.file.path), e.seq, err)
+			}
+			if e.task != nil {
+				p.Grow(e.task.ID, need[e.task.ID])
+			}
 		}
 		return nil
 	})
@@ -468,12 +557,13 @@ func ReadLog(dir string) (map[string][]Record, error) {
 	out := make(map[string][]Record, len(files))
 	var errs []error
 	for _, f := range files {
-		f.decode()
+		var records []Record
+		f.walk(func(rec *Record, _ []byte) { records = append(records, *detach(rec)) })
 		if f.err != nil {
 			return nil, f.err
 		}
 		name := filepath.Base(f.path)
-		out[name] = f.records
+		out[name] = records
 		if f.torn > 0 {
 			errs = append(errs, fmt.Errorf("durable: %s: %d bytes from offset %d on do not decode", name, f.torn, f.validBytes))
 		}

@@ -507,18 +507,29 @@ func TestReplayRefusesLeaseOnUnknownTask(t *testing.T) {
 // TestRecoverySizesEachTaskOnce: recovery grows every task for all of its
 // answers before the first one lands (core.Pool.Grow), so each answer
 // slice is allocated once at its final size and no task is left with
-// spare capacity. Checked from the WAL, from a snapshot, and from a
-// snapshot with more answers in the WAL behind it, at the directory's own
-// 2 segments and resharded to 1 and 3.
+// spare capacity. Checked from the WAL, from a snapshot, from a snapshot
+// with more answers in the WAL behind it, and from a snapshot whose WAL
+// still holds every record it covers before those answers (a crash
+// between snapshot publication and WAL truncation), at the directory's
+// own 2 segments and resharded to 1 and 3.
 func TestRecoverySizesEachTaskOnce(t *testing.T) {
 	const tasks, answers = 300, 6000
-	for _, source := range []string{"wal", "snapshot", "snapshot+wal"} {
+	for _, source := range []string{"wal", "snapshot", "snapshot+wal", "overlap"} {
 		base := t.TempDir()
 		written := Options{Fsync: FsyncNever, Segments: 2}
-		writeRecoveryDir(t, base, written, tasks, answers, 10, source != "wal")
+		writeRecoveryDir(t, base, written, tasks, answers, 10, source == "snapshot" || source == "snapshot+wal")
 		want := answers
-		if source == "snapshot+wal" {
+		if source == "snapshot+wal" || source == "overlap" {
 			s, _ := mustOpen(t, base, written)
+			if source == "overlap" {
+				snap, err := s.currentSnapshot()
+				if err == nil {
+					err = writeSnapshot(base, snap)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 			for id := core.TaskID(1); id <= tasks; id += 3 {
 				if err := answer(s, core.Answer{Task: id, Worker: "late", Option: 1}, 1, nil); err != nil {
 					t.Fatal(err)
@@ -531,8 +542,8 @@ func TestRecoverySizesEachTaskOnce(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, base, dir)
 			s, info := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: segments})
-			if info.Tasks != tasks || info.Answers != want {
-				t.Fatalf("%s at %d segments: recovered %d tasks, %d answers", source, segments, info.Tasks, info.Answers)
+			if info.Tasks != tasks || info.Answers != want || (source == "overlap") != (info.Skipped > 0) {
+				t.Fatalf("%s at %d segments: recovered %d tasks, %d answers, skipped %d records", source, segments, info.Tasks, info.Answers, info.Skipped)
 			}
 			s.Pool().ViewAll(func(pools []*core.Pool) {
 				for _, p := range pools {
@@ -621,5 +632,30 @@ func TestSegmentLosingItsLastRecordOpens(t *testing.T) {
 	defer s.Crash()
 	if info.Replayed != total-1 || info.TornBytes != 0 || info.Answers != 7 {
 		t.Fatalf("recovery %+v, want %d records replayed: all but the answer %s lost", info, total-1, cut)
+	}
+}
+
+// TestWALBootAllocsPerAnswer guards recovery against holding a decoded
+// copy of the log again. A WAL boot of a small recovery_boot-shaped
+// directory (500 tasks, 10,000 answers in batches of 10, 2 segments)
+// allocates about 152 bytes per replayed answer, most of it the pool's
+// own answers (72 bytes each); decoding every file into records before
+// the merge, as recovery once did, took 329. The bound leaves 25 %
+// headroom over 152.
+func TestWALBootAllocsPerAnswer(t *testing.T) {
+	const bound = 190
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	writeRecoveryDir(t, dir, opts, 500, 10000, 10, false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, info := mustOpen(t, dir, opts)
+	runtime.ReadMemStats(&after)
+	s.Crash()
+	if info.Answers != 10000 || info.SnapshotLoaded {
+		t.Fatalf("recovered %+v", info)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(info.Answers); per > bound {
+		t.Fatalf("a WAL boot allocated %.1f bytes per replayed answer, want at most %d", per, bound)
 	}
 }

@@ -76,6 +76,13 @@ func (seg *segment) syncUpTo(seq uint64) error {
 	return nil
 }
 
+// close closes the segment's file once no fsync of it is in flight.
+func (seg *segment) close(skipSync bool) error {
+	seg.syncMu.Lock()
+	defer seg.syncMu.Unlock()
+	return seg.w.close(skipSync)
+}
+
 // Store owns the serving pool and the segmented WAL that is its
 // write-ahead journal, and compacts the journal into snapshots.
 //
@@ -425,7 +432,7 @@ func (s *Store) Close() error {
 	s.consistentCut(func(pools []*core.Pool) {
 		err = s.snapshotLocked(pools)
 		for _, seg := range s.segs {
-			if cerr := seg.w.close(false); err == nil {
+			if cerr := seg.close(false); err == nil {
 				err = cerr
 			}
 		}
@@ -449,7 +456,7 @@ func (s *Store) Crash() {
 	close(s.stop)
 	s.mu.Unlock()
 	for _, seg := range s.segs {
-		_ = seg.w.close(true)
+		_ = seg.close(true)
 	}
 	s.bg.Wait()
 }

@@ -18,12 +18,11 @@ import (
 //
 // Appends are sequential under a mutex, so a torn write — the process
 // died mid-append, or the OS persisted a prefix — can only sit at the
-// tail of the file. readWAL stops at the first record whose header,
-// length, or checksum does not verify and reports how many trailing bytes
-// to discard; Open then truncates the file there, so the log ends on a
-// record boundary again and new appends cannot be corrupted by a stale
-// partial suffix. Snapshot sections use the same frame (appendFrame,
-// splitFrame).
+// tail of the file. Recovery stops at the first record whose header,
+// length, or checksum does not verify and truncates the file there, so
+// the log ends on a record boundary again and new appends cannot be
+// corrupted by a stale partial suffix. Snapshot sections use the same
+// frame (appendFrame, splitFrame).
 const (
 	walName        = "wal.log"
 	frameHeader    = 8
@@ -127,12 +126,15 @@ func newWALInstruments() *walInstruments {
 
 // wal is the append side of one log file. Callers (the Store) serialize
 // record ordering; the internal mutex only keeps the file operations
-// themselves coherent so Sync may run concurrently with new appends.
+// themselves coherent. An fsync runs outside it, so appends keep flowing
+// while one is in flight. Callers serialize sync and close against each
+// other — the Store calls both under its segment's syncMu — so the file
+// is never released under an fsync.
 type wal struct {
 	mu    sync.Mutex
 	f     *os.File
 	buf   []byte // scratch frame assembly, reused across appends
-	dirty bool   // bytes written since the last fsync
+	dirty bool   // bytes written since the last fsync began
 
 	ins *walInstruments
 }
@@ -183,21 +185,33 @@ func (w *wal) append(parts ...[]byte) error {
 }
 
 // sync flushes outstanding appends to stable storage (no-op when clean).
+// dirty is cleared before the fsync starts, so an append that lands
+// during it marks the file for the next one; a failed fsync restores it.
+// Because callers serialize syncs, one that finds the file clean returns
+// only after the fsync that cleaned it.
 func (w *wal) sync() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *wal) syncLocked() error {
-	if !w.dirty || w.f == nil {
+	f, dirty := w.f, w.dirty
+	w.dirty = false
+	w.mu.Unlock()
+	if !dirty || f == nil {
 		return nil
 	}
+	if err := w.fsync(f); err != nil {
+		w.mu.Lock()
+		w.dirty = true
+		w.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// fsync flushes f and records it.
+func (w *wal) fsync(f *os.File) error {
 	start := time.Now()
-	if err := w.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("durable: WAL fsync: %w", err)
 	}
-	w.dirty = false
 	w.ins.fsyncs.Inc()
 	w.ins.fsyncLat.ObserveDuration(time.Since(start))
 	return nil
@@ -229,38 +243,14 @@ func (w *wal) close(skipSync bool) error {
 		return nil
 	}
 	var err error
-	if !skipSync {
-		err = w.syncLocked()
+	if !skipSync && w.dirty {
+		err = w.fsync(w.f)
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	w.f = nil
 	return err
-}
-
-// readWAL reads every valid record from path. It returns the decoded
-// payloads, the byte offset at which valid data ends, and the number of
-// trailing bytes that belong to a torn or corrupt record (0 when the file
-// ends cleanly). A missing file is an empty log.
-func readWAL(path string) (payloads [][]byte, validBytes int64, torn int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, 0, nil
-		}
-		return nil, 0, 0, fmt.Errorf("durable: reading WAL: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		payload, _, ok := splitFrame(data[off:], maxRecordBytes)
-		if !ok {
-			break
-		}
-		payloads = append(payloads, payload)
-		off += frameHeader + len(payload)
-	}
-	return payloads, int64(off), int64(len(data) - off), nil
 }
 
 // appendFrame appends one frame to dst whose payload is the concatenation

@@ -282,6 +282,12 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 		g := g
 		copied += int64(len(g.delta))
 		res, err, shared := s.flight.do(flightKey{method: method, k: g.k, version: version}, func() (*truth.Result, error) {
+			// A leader that finished between this caller's cache miss and
+			// its flight has already forgotten its flight but not its
+			// result.
+			if e, ok := s.cache.Latest(key); ok && e.Version == version {
+				return e.Res, nil
+			}
 			if traced {
 				start = time.Now()
 			}
