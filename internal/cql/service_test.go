@@ -484,9 +484,9 @@ func TestProgressTargetShapes(t *testing.T) {
 		stream bool
 	}{
 		{`SELECT * FROM pets WHERE CROWDFILTER('dog?', kind)`, true},
-		{`SELECT * FROM pets`, true},   // star select fills the crowd column
-		{`SELECT * FROM plain`, false}, // no crowd stage anywhere
-		{`SELECT id FROM pets WHERE CROWDFILTER('dog?', kind)`, false},   // narrowing projection
+		{`SELECT * FROM pets`, true},                                          // star select fills the crowd column
+		{`SELECT * FROM plain`, false},                                        // no crowd stage anywhere
+		{`SELECT id FROM pets WHERE CROWDFILTER('dog?', kind)`, false},        // narrowing projection
 		{`SELECT * FROM pets WHERE CROWDFILTER('dog?', kind) LIMIT 1`, false}, // limit above
 		{`SELECT * FROM pets WHERE CROWDFILTER('dog?', kind) ORDER BY id`, false},
 	}

@@ -155,16 +155,21 @@ func awaitAnswers(client *Client, target int, errCh chan<- error) <-chan struct{
 
 // serialHandler reproduces the pre-concurrency design for benchmarking:
 // one global mutex around the whole request, the way the server behaved
-// when core.Pool and core.Budget were single-threaded.
+// when core.Pool and core.Budget were single-threaded, and no results
+// memo (the server's is emptied before every /api/results, so EM re-runs
+// on every poll).
 type serialHandler struct {
-	mu sync.Mutex
-	h  http.Handler
+	mu  sync.Mutex
+	srv *Server
 }
 
 func (sh *serialHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.h.ServeHTTP(w, r)
+	if r.URL.Path == "/api/results" {
+		sh.srv.memo.slots = nil
+	}
+	sh.srv.ServeHTTP(w, r)
 }
 
 // benchIteration is one simulated platform interaction: a fresh worker
@@ -220,8 +225,7 @@ func benchServer(b *testing.B, legacy bool, workers int, opts ...Option) {
 	}
 	var h http.Handler = srv
 	if legacy {
-		srv.cache = nil
-		h = &serialHandler{h: srv}
+		h = &serialHandler{srv: srv}
 	}
 	var seq atomic.Int64
 	per := b.N/workers + 1

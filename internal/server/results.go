@@ -47,21 +47,18 @@ type resultGroup struct {
 	ids   []core.TaskID
 	tasks []*core.Task
 
-	res *truth.Result // set on cache hit; else filled by compute
+	res *truth.Result // set under the locks when the memo had it; else filled by compute
 
-	// Compute-phase inputs when res is nil: the answers copied out under
-	// the locks — the group's whole answer set when base is nil (full
-	// build), else only those appended since base was built.
+	// call is the memo computation this group leads (lead) or waits on.
+	call *memoCall
+	lead bool
+
+	// A leader's compute-phase inputs: the answers copied out under the
+	// locks — the group's whole answer set when base is nil (full build),
+	// else only those appended since base was built.
 	base  *truth.Dataset
 	delta []core.Answer
 	warm  *truth.WarmState
-
-	// refreshOnly marks a group whose answers did not change across the
-	// version bump (e.g. only other groups grew, or a task was closed):
-	// the cached result is still exact and is re-registered at the new
-	// version without touching the dataset or running inference.
-	refreshOnly bool
-	refreshDS   *truth.Dataset
 }
 
 // newInferrer builds the inference kernel for a validated method name,
@@ -210,13 +207,14 @@ func (e *resultsEncoder) finish() []byte { return append(e.buf, ']', '\n') }
 
 // computeResults produces up-to-date results for every option-count group
 // at a consistent pool version. The snapshot phase runs under every
-// shard's read lock and copies as little as it can get away with: nothing
-// for cache-hit groups, only the appended answers for delta-covered
-// groups, the full answer set otherwise. Dataset building and inference
-// run outside the locks, deduplicated per (method, k, version) so a
-// thundering herd of pollers triggers at most one EM run. When ctx's span
-// is recording, it gets the phase times and the number of answers copied
-// as attributes (no clock is read otherwise).
+// shard's read lock, checks the memo once per group and copies as little
+// as it can get away with: nothing for a group whose entry is at this
+// version or whose computation another poller has started, only the
+// appended answers for delta-covered groups, the full answer set
+// otherwise. Dataset building and inference run outside the locks, so a
+// thundering herd of pollers triggers at most one EM run per (method, k,
+// version). When ctx's span is recording, it gets the phase times and the
+// number of answers copied as attributes (no clock is read otherwise).
 func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGroup, uint64, error) {
 	var (
 		groups   []*resultGroup
@@ -237,24 +235,27 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 		for _, k := range gs.ks {
 			g := &resultGroup{k: k, ids: gs.ids[k], tasks: gs.tasks[k]}
 			groups = append(groups, g)
-			key := truth.ResultKey{Method: method, K: k}
-			e, ok := s.cache.Latest(key)
-			if ok && e.Version == version {
-				g.res = e.Res // exact hit: nothing to copy, nothing to run
+			e, c, lead := s.memo.begin(memoKey{method: method, k: k}, version)
+			g.call, g.lead = c, lead
+			if !lead {
+				g.res = e.res // nil when joining c: nothing to copy either way
 				continue
 			}
-			if ok {
-				g.warm = e.Res.Warm // nil for non-iterative methods
+			if e.res != nil {
+				g.warm = e.res.Warm // nil for non-iterative methods
 			}
-			if ok && e.DS != nil && len(e.Shards) == len(v.Versions) {
-				if delta, covered := collectDelta(v, e.Shards, gs, k); covered {
+			if e.ds != nil && len(e.shards) == len(v.Versions) {
+				if delta, covered := collectDelta(v, e.shards, gs, k); covered {
 					if len(delta) == 0 {
 						// The version moved but this group's answers did
-						// not: re-register the cached result, skip the
-						// dataset and inference entirely.
-						g.res, g.refreshOnly, g.refreshDS = e.Res, true, e.DS
+						// not: the entry advances to this version, with no
+						// dataset build and no inference.
+						e.version, e.shards = version, versSnap
+						s.memo.finish(c, e, nil)
+						g.res = e.res
+						s.resM.groupSkips.Inc()
 					} else {
-						g.base, g.delta = e.DS, delta
+						g.base, g.delta = e.ds, delta
 					}
 					continue
 				}
@@ -269,79 +270,85 @@ func (s *Server) computeResults(ctx context.Context, method string) ([]*resultGr
 		root.SetAttr(obs.Int("results.snapshot_us", time.Since(start).Microseconds()))
 	}
 
+	// Every led call is finished, even after an error, so its joiners
+	// wake; the first error is returned.
+	var err error
 	for _, g := range groups {
-		if g.res != nil && !g.refreshOnly {
+		var gerr error
+		switch {
+		case g.res != nil:
 			continue
+		case !g.lead:
+			<-g.call.done
+			g.res, gerr = g.call.res, g.call.err
+			if gerr == nil {
+				s.resM.flightShared.Inc()
+			}
+		default:
+			copied += int64(len(g.delta))
+			e := memoEntry{version: version, shards: versSnap}
+			e.ds, e.res, gerr = s.inferGroup(ctx, method, g, traced, &datasetUS)
+			s.memo.finish(g.call, e, gerr)
+			g.res = e.res
 		}
-		key := truth.ResultKey{Method: method, K: g.k}
-		if g.refreshOnly {
-			s.cache.Put(key, truth.CacheEntry{Version: version, Shards: versSnap, Res: g.res, DS: g.refreshDS})
-			s.resM.groupSkips.Inc()
-			continue
+		if err == nil {
+			err = gerr
 		}
-		g := g
-		copied += int64(len(g.delta))
-		res, err, shared := s.flight.do(flightKey{method: method, k: g.k, version: version}, func() (*truth.Result, error) {
-			// A leader that finished between this caller's cache miss and
-			// its flight has already forgotten its flight but not its
-			// result.
-			if e, ok := s.cache.Latest(key); ok && e.Version == version {
-				return e.Res, nil
-			}
-			if traced {
-				start = time.Now()
-			}
-			var ds *truth.Dataset
-			var err error
-			if g.base != nil {
-				ds, err = g.base.AppendDelta(g.delta)
-			} else {
-				ds, err = truth.FromAnswers(g.k, g.ids, g.delta)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if g.base != nil {
-				s.resM.deltaBuilds.Inc()
-			} else {
-				s.resM.fullBuilds.Inc()
-			}
-			if traced {
-				datasetUS += time.Since(start).Microseconds()
-			}
-			if emMethod(method) {
-				if g.warm != nil {
-					s.resM.warmHits.Inc()
-				} else {
-					s.resM.warmMisses.Inc()
-				}
-			}
-			_, esp := obs.ChildSpan(ctx, "em.run")
-			if esp.Recording() {
-				esp.SetAttr(obs.Str("em.method", method), obs.Int("k", int64(g.k)),
-					obs.Int("tasks", int64(len(g.ids))), obs.Bool("warm", g.warm != nil))
-			}
-			res, err := s.newInferrer(method, g.warm, obs.EMObserverWithSpan(s.emObserver(), esp)).Infer(ds)
-			esp.SetError(err)
-			esp.End()
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, truth.CacheEntry{Version: version, Shards: versSnap, Res: res, DS: ds})
-			return res, nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if shared {
-			s.resM.flightShared.Inc()
-		}
-		g.res = res
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	if traced {
 		root.SetAttr(obs.Int("results.dataset_us", datasetUS), obs.Int("results.delta_answers", copied))
 	}
 	return groups, version, nil
+}
+
+// inferGroup builds a led group's dataset (its delta appended to base,
+// or a full build) and runs the method over it, warm-started from g.warm.
+// When traced, the build time is added to datasetUS.
+func (s *Server) inferGroup(ctx context.Context, method string, g *resultGroup, traced bool, datasetUS *int64) (*truth.Dataset, *truth.Result, error) {
+	var start time.Time
+	if traced {
+		start = time.Now()
+	}
+	var ds *truth.Dataset
+	var err error
+	if g.base != nil {
+		ds, err = g.base.AppendDelta(g.delta)
+	} else {
+		ds, err = truth.FromAnswers(g.k, g.ids, g.delta)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if g.base != nil {
+		s.resM.deltaBuilds.Inc()
+	} else {
+		s.resM.fullBuilds.Inc()
+	}
+	if traced {
+		*datasetUS += time.Since(start).Microseconds()
+	}
+	if emMethod(method) {
+		if g.warm != nil {
+			s.resM.warmHits.Inc()
+		} else {
+			s.resM.warmMisses.Inc()
+		}
+	}
+	_, esp := obs.ChildSpan(ctx, "em.run")
+	if esp.Recording() {
+		esp.SetAttr(obs.Str("em.method", method), obs.Int("k", int64(g.k)),
+			obs.Int("tasks", int64(len(g.ids))), obs.Bool("warm", g.warm != nil))
+	}
+	res, err := s.newInferrer(method, g.warm, obs.EMObserverWithSpan(s.emObserver(), esp)).Infer(ds)
+	esp.SetError(err)
+	esp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, res, nil
 }
 
 // collectDelta gathers the answers appended to group k since the cached

@@ -72,9 +72,9 @@ func ingestRound(t *testing.T, client *Client, r, nw, nt int) {
 	}
 }
 
-// TestResultsThunderingHerd is the single-flight contract: M concurrent
-// pollers racing a version bump trigger at most one EM run per (method,
-// k, version), and all of them see the same complete result.
+// TestResultsThunderingHerd is the memo's contract: M concurrent pollers
+// racing a version bump trigger exactly one EM run per (method, k,
+// version), and all of them see the same complete result.
 func TestResultsThunderingHerd(t *testing.T) {
 	rng := stats.NewRNG(7)
 	reg := obs.NewRegistry()
@@ -116,11 +116,13 @@ func TestResultsThunderingHerd(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if runs := snap[`crowdkit_em_runs_total{method="OneCoinEM"}`]; runs > 2 {
-		t.Fatalf("em runs = %v, want <= 2 (priming + at most one for the herd)", runs)
+	// testPool has one option-count group and the version holds still
+	// during the herd: the priming poll runs EM once, the herd once.
+	if runs := snap[`crowdkit_em_runs_total{method="OneCoinEM"}`]; runs != 2 {
+		t.Fatalf("em runs = %v, want 2 (priming + one for the herd)", runs)
 	}
-	if built := snap["crowdkit_results_delta_builds_total"] + snap["crowdkit_results_full_builds_total"]; built > 2 {
-		t.Fatalf("dataset builds = %v, want <= 2", built)
+	if built := snap["crowdkit_results_delta_builds_total"] + snap["crowdkit_results_full_builds_total"]; built != 2 {
+		t.Fatalf("dataset builds = %v, want 2", built)
 	}
 }
 
@@ -245,11 +247,11 @@ func TestResultsWarmOffMatchesBaseline(t *testing.T) {
 				}
 			}
 			for _, g := range coldGroups(t, srv) {
-				e, ok := srv.cache.Latest(truth.ResultKey{Method: method, K: g.k})
-				if !ok || e.DS == nil {
+				e, ok := srv.memo.latest(memoKey{method: method, k: g.k})
+				if !ok || e.ds == nil {
 					t.Fatalf("round %d method %s k %d: no cached dataset", round, method, g.k)
 				}
-				got, err := coldInferrer(method).Infer(e.DS)
+				got, err := coldInferrer(method).Infer(e.ds)
 				if err != nil {
 					t.Fatal(err)
 				}

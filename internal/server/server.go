@@ -77,7 +77,6 @@ import (
 	"repro/internal/cql"
 	"repro/internal/durable"
 	"repro/internal/obs"
-	"repro/internal/truth"
 )
 
 // Server is an http.Handler exposing one crowdsourcing pool.
@@ -87,7 +86,6 @@ type Server struct {
 	assigner core.Assigner
 	budget   *core.Budget
 	screen   *core.WorkerScreen
-	cache    *truth.ResultCache
 	mux      *http.ServeMux
 
 	// leaseTTL > 0 enables assignment leases; reaperEvery is the sweep
@@ -98,8 +96,8 @@ type Server struct {
 	stopReaper  chan struct{}
 	closeOnce   sync.Once
 
-	// Incremental results serving (see results.go).
-	flight  resultFlight
+	// Incremental results serving (see results.go and memo.go).
+	memo    resultsMemo
 	groupMu sync.Mutex
 	groups  *groupSnap
 	resM    resultsMetrics
@@ -181,7 +179,6 @@ func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *c
 		assigner: assigner,
 		budget:   budget,
 		screen:   screen,
-		cache:    truth.NewResultCache(),
 	}
 	for _, opt := range opts {
 		opt(s)

@@ -451,8 +451,8 @@ func TestResultsCacheInvalidation(t *testing.T) {
 	if len(r1) != 1 || r1[0].Label != 1 {
 		t.Fatalf("results = %+v", r1)
 	}
-	if srv.cache.Len() != 1 {
-		t.Fatalf("cache entries = %d, want 1", srv.cache.Len())
+	if srv.memo.len() != 1 {
+		t.Fatalf("cache entries = %d, want 1", srv.memo.len())
 	}
 	// Second poll without new answers: served from cache, same payload.
 	r2, err := client.Results("mv")
