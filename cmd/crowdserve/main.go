@@ -5,7 +5,7 @@
 //
 //	crowdserve -addr :8080 -tasks 100            # serve; workers poll /api/task
 //	crowdserve -drive -workers 20 -regime mixed  # also simulate the crowd, then print results
-//	crowdserve -budget 300                       # cap accepted answers at 300 units
+//	crowdserve -budget 300                       # cap accepted answers at 300 (one unit each)
 //	crowdserve -lease 2m                         # reclaim assignments abandoned for 2m
 //	crowdserve -drive -dropout 0.3 -lease 200ms  # 30% of workers vanish mid-task
 //	crowdserve -timeout 10s                      # server read/write + client deadlines
@@ -84,7 +84,7 @@ func main() {
 		drive   = flag.Bool("drive", false, "drive the platform with simulated workers and exit")
 		workers = flag.Int("workers", 20, "simulated workers (with -drive)")
 		regime  = flag.String("regime", "mixed", "crowd regime (with -drive)")
-		budgetF = flag.Float64("budget", 0, "answer budget in units (0 = unlimited)")
+		budgetF = flag.Int64("budget", 0, "answer budget in units (0 = unlimited)")
 		lease   = flag.Duration("lease", 0, "assignment lease TTL; abandoned tasks are re-issued after this (0 = leases off)")
 		timeout = flag.Duration("timeout", 30*time.Second, "HTTP server read/write deadline and client per-attempt timeout")
 		dropout = flag.Float64("dropout", 0, "fraction of simulated workers that claim a task and vanish (with -drive)")

@@ -173,7 +173,7 @@ func TestConfidenceStopper(t *testing.T) {
 
 // runBudget runs a budget-limited collection with the given assigner and
 // returns inferred accuracy under OneCoinEM.
-func runBudget(t *testing.T, seed uint64, assigner core.Assigner, budget float64) float64 {
+func runBudget(t *testing.T, seed uint64, assigner core.Assigner, budget int64) float64 {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	pool := core.NewPool()

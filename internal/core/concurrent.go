@@ -133,7 +133,7 @@ func (s *shard) add(t *Task) error {
 // validation and ends before the journal hook runs, so a trace reads
 // core.record, wal.append and wal.fsync as consecutive phases of the
 // request; the apply itself is the request's own time.
-func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err error) {
+func (s *shard) record(ctx context.Context, a Answer, golden *bool) (pos uint64, err error) {
 	_, sp := obs.ChildSpan(ctx, "core.record")
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,9 +147,9 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 	if err != nil {
 		return 0, err
 	}
-	m := &Mutation{Kind: MutAnswers, Answers: []Answer{a}, Cost: c.Cost}
-	if c.Golden != nil {
-		m.Golden = []*bool{c.Golden}
+	m := &Mutation{Kind: MutAnswers, Answers: []Answer{a}}
+	if golden != nil {
+		m.Golden = []*bool{golden}
 	}
 	if pos, err = s.commit(ctx, m); err != nil {
 		return 0, err
@@ -160,15 +160,16 @@ func (s *shard) record(ctx context.Context, a Answer, c Charge) (pos uint64, err
 
 // recordAll stores a batch of answers under one write-lock acquisition,
 // applying the same platform rules as record to each (an answer is checked
-// against the batch's earlier answers too). cs holds the answers' charges,
-// index-aligned. The accepted answers are journaled as one record at pos
-// and then applied; the returned slice is index-aligned with as: nil for
-// applied answers, the rejection otherwise — for every otherwise
-// acceptable answer the journal's wrapped error, if it refused the batch.
+// against the batch's earlier answers too). goldens holds the answers'
+// golden grades, index-aligned, or is nil when none was graded. The
+// accepted answers are journaled as one record at pos and then applied;
+// the returned slice is index-aligned with as: nil for applied answers,
+// the rejection otherwise — for every otherwise acceptable answer the
+// journal's wrapped error, if it refused the batch.
 // The version is bumped once when at least one answer was applied — the
 // point of batching is to pay the lock, the journal append and the cache
 // invalidation once per batch instead of once per answer.
-func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
+func (s *shard) recordAll(as []Answer, goldens []*bool) (errs []error, pos uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	errs = make([]error, len(as))
@@ -184,14 +185,13 @@ func (s *shard) recordAll(as []Answer, cs []Charge) (errs []error, pos uint64) {
 			continue
 		}
 		pending[k]++
-		if cs[i].Golden != nil && m.Golden == nil {
+		if goldens != nil && goldens[i] != nil && m.Golden == nil {
 			m.Golden = make([]*bool, len(m.Answers), len(as))
 		}
 		if m.Golden != nil {
-			m.Golden = append(m.Golden, cs[i].Golden)
+			m.Golden = append(m.Golden, goldens[i])
 		}
 		m.Answers = append(m.Answers, a)
-		m.Cost += cs[i].Cost
 	}
 	if len(m.Answers) == 0 {
 		return errs, 0

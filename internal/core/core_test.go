@@ -83,8 +83,8 @@ func TestTaskKindString(t *testing.T) {
 
 func TestBudgetChargeAndExhaustion(t *testing.T) {
 	b := NewBudget(3)
-	if !b.Limited() {
-		t.Fatal("budget should be limited")
+	if b.Remaining() != 3 {
+		t.Fatalf("a fresh budget of 3 has %d remaining", b.Remaining())
 	}
 	for i := 0; i < 3; i++ {
 		if err := b.Charge(1); err != nil {
@@ -108,15 +108,15 @@ func TestBudgetChargeAndExhaustion(t *testing.T) {
 
 func TestBudgetUnlimited(t *testing.T) {
 	b := Unlimited()
-	if b.Limited() {
-		t.Fatal("unlimited budget reports limited")
+	if b.Remaining() != -1 {
+		t.Fatalf("unlimited budget reports %d remaining", b.Remaining())
 	}
 	for i := 0; i < 1000; i++ {
 		if err := b.Charge(10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !b.CanAfford(1e18) {
+	if !b.TryCharge(1e18) {
 		t.Fatal("unlimited budget should afford anything")
 	}
 }
@@ -265,8 +265,8 @@ func TestPlatformCollectRedundant(t *testing.T) {
 			t.Fatalf("task %d not closed after reaching redundancy", id)
 		}
 	}
-	if res.Cost != 15 {
-		t.Fatalf("cost = %v", res.Cost)
+	if spent := pl.Budget.Spent(); spent != 15 {
+		t.Fatalf("spent %d units", spent)
 	}
 	if res.Makespan <= 0 {
 		t.Fatalf("makespan = %v, want > 0", res.Makespan)
@@ -313,8 +313,8 @@ func TestPlatformCollectBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AnswersCollected != 5 || res.Cost != 5 {
-		t.Fatalf("budget run: answers=%d cost=%v", res.AnswersCollected, res.Cost)
+	if res.AnswersCollected != 5 || pl.Budget.Spent() != 5 {
+		t.Fatalf("budget run: answers=%d spent=%d", res.AnswersCollected, pl.Budget.Spent())
 	}
 }
 
@@ -499,7 +499,7 @@ func TestBudgetConcurrentTryCharge(t *testing.T) {
 		t.Fatalf("granted %d charges under budget %d", granted.Load(), total)
 	}
 	if b.Spent() != total {
-		t.Fatalf("spent = %v, want %v", b.Spent(), float64(total))
+		t.Fatalf("spent = %d, want %d", b.Spent(), total)
 	}
 }
 
@@ -603,5 +603,46 @@ func TestConcurrentPoolParallelAccess(t *testing.T) {
 		if cp.AnswerCount(id) != workers {
 			t.Fatalf("task %d has %d answers", id, cp.AnswerCount(id))
 		}
+	}
+}
+
+// TestBudgetMoneyIsExact: goroutines reserve and refund amounts of one to
+// three units against a finite budget, each refunding only units it holds.
+// The spend never exceeds the total, and at the end it is the units
+// charged minus the units refunded, exactly. Run it under -race.
+func TestBudgetMoneyIsExact(t *testing.T) {
+	const total, workers, rounds = 100, 8, 2000
+	b := NewBudget(total)
+	var charged, refunded atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held := int64(0)
+			for i := 0; i < rounds; i++ {
+				units := int64(1 + (i+w)%3)
+				if b.TryCharge(units) {
+					held += units
+					charged.Add(units)
+				}
+				if spent := b.Spent(); spent > total {
+					t.Errorf("spent %d of a total of %d", spent, total)
+					return
+				}
+				if back := min(held, int64(1+(i*w)%3)); i%2 == 1 && back > 0 {
+					b.Refund(back)
+					held -= back
+					refunded.Add(back)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if charged.Load() <= total {
+		t.Fatalf("only %d units were charged; the budget never ran out", charged.Load())
+	}
+	if got, want := b.Spent(), charged.Load()-refunded.Load(); got != want {
+		t.Fatalf("spent %d, want %d charged - %d refunded = %d", got, charged.Load(), refunded.Load(), want)
 	}
 }

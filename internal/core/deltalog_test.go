@@ -36,7 +36,7 @@ func TestAnswerLogCoversAppends(t *testing.T) {
 	v1 := sp.Version()
 	// A batch shares one post-bump version.
 	batch := []Answer{a2, {Task: 2, Worker: "w1", Option: 1}} // duplicate rejected
-	errs, _ := sp.RecordBatch(0, batch, make([]Charge, len(batch)))
+	errs, _ := sp.RecordBatch(0, batch, nil)
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("batch errors = %v", errs)
 	}

@@ -31,11 +31,10 @@ type Mutation struct {
 	ID    TaskID
 	// Task is kept by the pool; tasks are immutable once added.
 	Task *Task
-	// Answers are recorded in order. Cost is what they were charged in
-	// total and Golden their golden grades (Charge.Golden), index-aligned
-	// with Answers, or nil when none was graded; the pool reads neither.
+	// Answers are recorded in order, at one budget unit each. Golden holds
+	// their golden grades, index-aligned (nil for an ungraded answer), or
+	// is nil when none was graded; the pool never reads it.
 	Answers []Answer
-	Cost    float64
 	Golden  []*bool
 	// Leases are in (task, worker) order.
 	Leases []Lease
@@ -76,15 +75,6 @@ func (m *Mutation) Tasks(yield func(TaskID)) {
 // the call.
 type Journal interface {
 	Append(ctx context.Context, m *Mutation) (pos uint64, err error)
-}
-
-// Charge is what the serving layer decided about an answer before handing
-// it to the pool, journaled with the answer: the budget units it was
-// charged and, for a golden task, whether the worker got it right (nil
-// otherwise). The pool itself never reads it.
-type Charge struct {
-	Cost   float64
-	Golden *bool
 }
 
 // ErrNotJournaled wraps the error of a mutation the journal refused. The

@@ -38,9 +38,9 @@ func (j *scriptJournal) Append(_ context.Context, m *Mutation) (uint64, error) {
 		return pos, j.hook("add %d", m.Task.ID)
 	case MutAnswers:
 		if m.Batch {
-			return pos, j.hook("batch %d answers cost %v", len(m.Answers), m.Cost)
+			return pos, j.hook("batch %d answers", len(m.Answers))
 		}
-		return pos, j.hook("answer %d %s cost %v", m.Answers[0].Task, m.Answers[0].Worker, m.Cost)
+		return pos, j.hook("answer %d %s", m.Answers[0].Task, m.Answers[0].Worker)
 	case MutClose:
 		return pos, j.hook("close %d", m.ID)
 	case MutLease:
@@ -76,7 +76,7 @@ func TestJournalRunsBetweenValidateAndApply(t *testing.T) {
 		t.Fatalf("AssignLease: %v %v", ok, err)
 	}
 	expect("lease", [4]int{1, 0, 0, 1})
-	if pos, err := sp.Record(context.Background(), Answer{Task: id, Worker: "w2", Option: 1}, Charge{Cost: 0.7}); err != nil || pos == 0 {
+	if pos, err := sp.Record(context.Background(), Answer{Task: id, Worker: "w2", Option: 1}, nil); err != nil || pos == 0 {
 		t.Fatalf("Record: pos %d, %v", pos, err)
 	}
 	expect("answer", [4]int{1, 0, 1, 1})
@@ -84,7 +84,7 @@ func TestJournalRunsBetweenValidateAndApply(t *testing.T) {
 		{Task: id, Worker: "w3", Option: 0},
 		{Task: id, Worker: "w3", Option: 1}, // duplicate inside the batch
 		{Task: 99, Worker: "w4", Option: 0}, // unknown task
-	}, make([]Charge, 3))
+	}, nil)
 	if errs[0] != nil || errs[1] == nil || errs[2] == nil || pos == 0 {
 		t.Fatalf("RecordBatch: errs %v, pos %d", errs, pos)
 	}
@@ -98,7 +98,7 @@ func TestJournalRunsBetweenValidateAndApply(t *testing.T) {
 	}
 	expect("close", [4]int{1, 2, 0, 1})
 
-	want := []string{"add 1", "lease 1 w1", "answer 1 w2 cost 0.7", "batch 1 answers cost 0", "expire 1", "close 1"}
+	want := []string{"add 1", "lease 1 w1", "answer 1 w2", "batch 1 answers", "expire 1", "close 1"}
 	if !reflect.DeepEqual(j.calls, want) {
 		t.Fatalf("journal saw %q, want %q", j.calls, want)
 	}
@@ -128,12 +128,12 @@ func TestJournalRefusalAppliesNothing(t *testing.T) {
 	}
 	_, err = sp.Add(binaryTask(2, 0))
 	refused("Add", err)
-	_, err = sp.Record(context.Background(), Answer{Task: id, Worker: "w", Option: 0}, Charge{Cost: 1})
+	_, err = sp.Record(context.Background(), Answer{Task: id, Worker: "w", Option: 0}, nil)
 	refused("Record", err)
 	errs, pos := sp.RecordBatch(sp.ShardFor(id), []Answer{
 		{Task: id, Worker: "w", Option: 0},
 		{Task: 99, Worker: "w", Option: 0},
-	}, make([]Charge, 2))
+	}, nil)
 	refused("RecordBatch", errs[0])
 	if errors.Is(errs[1], ErrNotJournaled) || errs[1] == nil || pos != 0 {
 		t.Fatalf("RecordBatch: the unknown task's error is %v, pos %d; want its own rejection and no position", errs[1], pos)

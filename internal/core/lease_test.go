@@ -313,10 +313,10 @@ func TestCollectRedundantWithDropouts(t *testing.T) {
 			t.Fatalf("task %d has %d answers, want >= %d", id, pool.AnswerCount(id), k)
 		}
 	}
-	if res.Cost != float64(res.AnswersCollected) {
-		t.Fatalf("cost %v != answers %d: dropouts were charged", res.Cost, res.AnswersCollected)
+	if spent := budget.Spent(); spent != int64(res.AnswersCollected) {
+		t.Fatalf("spent %d != answers %d: dropouts were charged", spent, res.AnswersCollected)
 	}
-	if res.Cost > budgetTotal {
-		t.Fatalf("cost %v blew the budget", res.Cost)
+	if budget.Spent() > budgetTotal {
+		t.Fatalf("spent %d blew the budget", budget.Spent())
 	}
 }

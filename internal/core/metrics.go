@@ -14,8 +14,8 @@ import (
 // Callback gauges are evaluated at scrape time only, so registration adds
 // zero cost to the charge/refund hot path. No-op on a nil registry.
 func (b *Budget) RegisterMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("crowdkit_budget_spent_units", b.Spent)
-	reg.GaugeFunc("crowdkit_budget_remaining_units", b.Remaining)
+	reg.GaugeFunc("crowdkit_budget_spent_units", func() float64 { return float64(b.Spent()) })
+	reg.GaugeFunc("crowdkit_budget_remaining_units", func() float64 { return float64(b.Remaining()) })
 }
 
 // RegisterMetrics publishes the pool's shape as callback gauges:

@@ -24,10 +24,9 @@ func (f AssignerFunc) Assign(p *Pool, worker string) (TaskID, bool) { return f(p
 type RunResult struct {
 	// Rounds is the number of synchronous rounds executed.
 	Rounds int
-	// AnswersCollected is the number of answers recorded during the run.
+	// AnswersCollected is the number of answers recorded during the run;
+	// each cost one budget unit.
 	AnswersCollected int
-	// Cost is the budget spent during the run.
-	Cost float64
 	// Makespan is the simulated wall-clock duration: rounds are
 	// synchronous, so each round lasts as long as its slowest answer.
 	Makespan float64
@@ -41,8 +40,6 @@ type Platform struct {
 	Pool    *Pool
 	Workers []Worker
 	Budget  *Budget
-	// CostPerAnswer is the budget charge per collected answer (default 1).
-	CostPerAnswer float64
 	// Screen, when non-nil, filters out workers that failed golden-task
 	// screening: eliminated workers no longer receive assignments.
 	Screen *WorkerScreen
@@ -50,12 +47,12 @@ type Platform struct {
 	Clock float64
 }
 
-// NewPlatform wires a platform with unit answer cost.
+// NewPlatform wires a platform; every collected answer costs one unit.
 func NewPlatform(pool *Pool, workers []Worker, budget *Budget) *Platform {
 	if budget == nil {
 		budget = Unlimited()
 	}
-	return &Platform{Pool: pool, Workers: workers, Budget: budget, CostPerAnswer: 1}
+	return &Platform{Pool: pool, Workers: workers, Budget: budget}
 }
 
 // Step runs one synchronous round: each non-eliminated worker receives at
@@ -82,7 +79,7 @@ func (pl *Platform) Step(assigner Assigner) (int, error) {
 		if t == nil {
 			return collected, fmt.Errorf("core: assigner returned unknown task %d", id)
 		}
-		if err := pl.Budget.Charge(pl.CostPerAnswer); err != nil {
+		if err := pl.Budget.Charge(1); err != nil {
 			pl.Clock += roundLatency
 			return collected, err
 		}
@@ -90,7 +87,7 @@ func (pl *Platform) Step(assigner Assigner) (int, error) {
 		if resp.Abandon {
 			// The worker dropped out mid-task: nothing to record, and the
 			// reserved unit goes back. The round does not wait for them.
-			pl.Budget.Refund(pl.CostPerAnswer)
+			pl.Budget.Refund(1)
 			continue
 		}
 		a := Answer{
@@ -103,7 +100,7 @@ func (pl *Platform) Step(assigner Assigner) (int, error) {
 			Latency:   resp.Latency,
 		}
 		if err := pl.Pool.Record(a); err != nil {
-			pl.Budget.Refund(pl.CostPerAnswer)
+			pl.Budget.Refund(1)
 			return collected, fmt.Errorf("core: recording answer: %w", err)
 		}
 		if resp.Latency > roundLatency {
@@ -142,10 +139,6 @@ func (pl *Platform) CollectRedundant(assigner Assigner, k int) (RunResult, error
 		res.AnswersCollected += n
 		res.Makespan += pl.Clock - before
 		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				res.Cost = pl.Budget.Spent()
-				return res, err
-			}
 			return res, err
 		}
 		if n == 0 {
@@ -154,7 +147,6 @@ func (pl *Platform) CollectRedundant(assigner Assigner, k int) (RunResult, error
 			break
 		}
 	}
-	res.Cost = pl.Budget.Spent()
 	return res, nil
 }
 
@@ -170,7 +162,6 @@ func (pl *Platform) CollectBudget(assigner Assigner) (RunResult, error) {
 		res.AnswersCollected += n
 		res.Makespan += pl.Clock - before
 		if err != nil {
-			res.Cost = pl.Budget.Spent()
 			if errors.Is(err, ErrBudgetExhausted) {
 				return res, nil // exhausting the budget is the normal exit
 			}
@@ -180,7 +171,6 @@ func (pl *Platform) CollectBudget(assigner Assigner) (RunResult, error) {
 			break
 		}
 	}
-	res.Cost = pl.Budget.Spent()
 	return res, nil
 }
 

@@ -402,13 +402,13 @@ func TestReplayMatchesLivePool(t *testing.T) {
 				}
 				ids = append(ids, id)
 			case r < 45:
-				_, _ = live.Record(ctx, answer(), Charge{Cost: 1})
+				_, _ = live.Record(ctx, answer(), nil)
 			case r < 65:
 				as := []Answer{answer()}
 				for len(as) < 4 && rng.Intn(2) == 0 {
 					as = append(as, answer())
 				}
-				live.RecordBatch(live.ShardFor(as[0].Task), as, make([]Charge, len(as)))
+				live.RecordBatch(live.ShardFor(as[0].Task), as, nil)
 			case r < 68:
 				if err := live.Close(ids[rng.Intn(len(ids))]); err != nil {
 					t.Fatal(err)

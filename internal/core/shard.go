@@ -115,18 +115,19 @@ func (sp *ShardedPool) Add(t *Task) (TaskID, error) {
 // Record validates, journals and applies an answer on its task's shard.
 // pos is the answer's journal position (0 without a journal); an error
 // wrapping ErrNotJournaled is the journal's refusal, any other error the
-// platform rules' rejection. Either way nothing was applied.
-func (sp *ShardedPool) Record(ctx context.Context, a Answer, c Charge) (pos uint64, err error) {
-	return sp.shardOf(a.Task).record(ctx, a, c)
+// platform rules' rejection. Either way nothing was applied. golden, the
+// answer's grade on a golden task (nil otherwise), is journaled with it.
+func (sp *ShardedPool) Record(ctx context.Context, a Answer, golden *bool) (pos uint64, err error) {
+	return sp.shardOf(a.Task).record(ctx, a, golden)
 }
 
 // RecordBatch stores a batch of answers that all belong to the given
 // shard under one write-lock acquisition and one journal record, returning
 // the per-answer errors (index-aligned with as) and the record's position.
-// Callers group answers with ShardFor first — that is what makes batch
+// goldens holds the answers' grades, index-aligned, or is nil. Callers group answers with ShardFor first — that is what makes batch
 // ingestion pay one lock and one journal append per touched shard.
-func (sp *ShardedPool) RecordBatch(shard int, as []Answer, cs []Charge) ([]error, uint64) {
-	return sp.shards[shard].recordAll(as, cs)
+func (sp *ShardedPool) RecordBatch(shard int, as []Answer, goldens []*bool) ([]error, uint64) {
+	return sp.shards[shard].recordAll(as, goldens)
 }
 
 // Close marks a task as finished on its shard; closing an unknown or

@@ -15,9 +15,9 @@ func multiTask(id TaskID) *Task {
 
 // record is Record with no trace and no charge.
 func record(p interface {
-	Record(context.Context, Answer, Charge) (uint64, error)
+	Record(context.Context, Answer, *bool) (uint64, error)
 }, a Answer) error {
-	_, err := p.Record(context.Background(), a, Charge{})
+	_, err := p.Record(context.Background(), a, nil)
 	return err
 }
 
@@ -223,7 +223,7 @@ func TestShardedPoolRecordBatch(t *testing.T) {
 		{Task: id1, Worker: "w", Option: 1}, // duplicate: rejected
 		{Task: id1, Worker: "x", Option: 0},
 	}
-	errs, _ := sp.RecordBatch(shard, batch, make([]Charge, len(batch)))
+	errs, _ := sp.RecordBatch(shard, batch, nil)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("valid batch items rejected: %v", errs)
 	}

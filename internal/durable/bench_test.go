@@ -40,7 +40,7 @@ func BenchmarkAnswerDurable(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := core.Answer{Task: 0, Worker: workers[i/core.MaxRepeatAnswers], Text: fmt.Sprintf("item-%d", i)}
-				if err := answer(s, a, 1, nil); err != nil {
+				if err := answer(s, a, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -67,13 +67,11 @@ func writeRecoveryDir(tb testing.TB, dir string, opts Options, tasks, answers, b
 	for from := 0; from < answers; from += batch {
 		n := min(batch, answers-from)
 		as := make([]core.Answer, n)
-		costs := make([]float64, n)
 		for j := range as {
 			k := from + j
 			as[j] = core.Answer{Task: core.TaskID(k%tasks + 1), Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 2}
-			costs[j] = 1
 		}
-		if err := answerBatch(s, as, costs, nil); err != nil {
+		if err := answerBatch(s, as, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -122,9 +120,9 @@ func BenchmarkOpen(b *testing.B) {
 // BenchmarkSnapshotWrite measures Store.Snapshot on the same directory
 // shape under 1, 2 and 4 segments: cutting the image, writing and syncing
 // pool.snap and truncating the WAL, all of which runs inside the consistent
-// cut that every writer waits behind. One budget record before each
-// iteration gives the snapshot something new to cover (it is a no-op
-// otherwise).
+// cut that every writer waits behind. One record before each iteration —
+// the close of a session that is not open, which changes no state — gives
+// the snapshot something new to cover (it is a no-op otherwise).
 func BenchmarkSnapshotWrite(b *testing.B) {
 	for _, segments := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("segments=%d", segments), func(b *testing.B) {
@@ -140,7 +138,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := s.BudgetCharged(1); err != nil {
+				if err := s.CQLSessionClosed("bench"); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -13,24 +14,22 @@ import (
 
 // testdata/binwal holds the WAL of a 2-segment store that ran
 // driveRandom(binWALSeed, binWALSteps) and then crashed, and
-// testdata/format2.snap the snapshot that store cut just before the
-// crash; both were written before WAL records were built from
-// core.Mutation, and pin the binary formats across that rewrite. The
-// history journals every binary record kind: golden grades both ways on
-// single answers and on batches, lease sweeps and the CrowdQL ledger. To
-// write them again, run driveRandom on a store opened with binWALSegments
-// segments, write s.currentSnapshot() to a directory with writeSnapshot
-// and copy its pool.snap, then Crash the store and copy its wal*.log
-// files.
+// testdata/format3.snap the snapshot that store cut just before the
+// crash. They pin the WAL records and snapshot format 3 this build writes,
+// byte for byte. The history journals every record kind this build
+// writes: golden grades both ways on single answers and on batches, lease
+// sweeps and the CrowdQL ledger. To write them again, run driveRandom on a
+// store opened with binWALSegments segments, write s.currentSnapshot() to
+// a directory with writeSnapshot and copy its pool.snap, then Crash the
+// store and copy its wal*.log files.
 const (
 	binWALDir      = "testdata/binwal"
-	format2Path    = "testdata/format2.snap"
+	format3Path    = "testdata/format3.snap"
 	binWALSeed     = 11
 	binWALSteps    = 600
 	binWALSegments = 2
-	// binWALDigest is digestOf the state both fixtures open to, as the
-	// writer of the fixtures recovered it.
-	binWALDigest = "bdc237dc20e32d51a8239f30e1769c8cd0ffc0b2a2f61e42fd871e675833325c"
+	// binWALDigest is digestOf the state both fixtures open to.
+	binWALDigest = "f8844e33ec4954f5c2e3b221d82b56822ba4e69cdb780ca24badf848356ad12d"
 )
 
 // walPayloads returns every record payload of the WAL files in dir, file
@@ -64,54 +63,83 @@ func digestOf(tb testing.TB, img recoveryImage) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestBinaryFixturesOpenToPinnedState: testdata/binwal covers every
-// binary record kind, and it and testdata/format2.snap each open, under
-// any segment count, to the state the writer of the fixtures recovered.
+// TestBinaryFixturesOpenToPinnedState: testdata/binwal holds every record
+// tag this build writes and testdata/unitwal every tag the builds with
+// float money wrote, and each WAL and the snapshot cut from its history
+// (testdata/format3.snap, testdata/format2-units.snap) open, under any
+// segment count, to the state and spend their writer recovered. A format-2
+// snapshot is written again as format 3, which opens to the same state.
 func TestBinaryFixturesOpenToPinnedState(t *testing.T) {
-	payloads := walPayloads(t, binWALDir)
-	tags := map[byte]bool{}
-	grades := map[string]bool{}
-	for _, p := range payloads {
-		var rec Record
-		if err := decodeRecord(p, &rec, nil); err != nil {
-			t.Fatal(err)
-		}
-		tags[p[0]] = true
-		for _, g := range rec.Mut.Golden {
-			if g != nil {
-				grades[fmt.Sprintf("batch=%v correct=%v", rec.Mut.Batch, *g)] = true
+	for _, fx := range []struct {
+		wal, snap, digest string
+		tags              func(tag byte) bool // the tags the WAL must hold
+	}{
+		{binWALDir, format3Path, binWALDigest, func(tag byte) bool { return !retiredTags[tag] }},
+		{unitWALDir, format2UnitsPath, unitWALDigest, func(tag byte) bool { return tag < tagAnswerRecorded }},
+	} {
+		payloads := walPayloads(t, fx.wal)
+		tags := map[byte]bool{}
+		grades := map[string]bool{}
+		for _, p := range payloads {
+			var rec Record
+			if err := decodeRecord(p, &rec, nil); err != nil {
+				t.Fatal(err)
+			}
+			tags[p[0]] = true
+			for _, g := range rec.Mut.Golden {
+				if g != nil {
+					grades[fmt.Sprintf("batch=%v correct=%v", rec.Mut.Batch, *g)] = true
+				}
 			}
 		}
-	}
-	if len(tags) != numTags-1 || len(grades) != 4 {
-		t.Fatalf("%s has %d of %d record tags and golden grades %v; want every tag and both grades on single answers and batches",
-			binWALDir, len(tags), numTags-1, grades)
-	}
-
-	for _, segments := range []int{1, 2, 3, 8} {
-		label := fmt.Sprintf("segments=%d", segments)
-		opts := Options{Fsync: FsyncNever, Segments: segments}
-
-		dir := t.TempDir()
-		copyDir(t, binWALDir, dir)
-		s, info := mustOpen(t, dir, opts)
-		fromWAL := imageOf(s)
-		s.Crash()
-		if info.SnapshotLoaded || info.Replayed != len(payloads) || info.TornBytes != 0 {
-			t.Fatalf("%s: WAL recovery %+v, want all %d records replayed", label, info, len(payloads))
+		for tag := byte(1); tag < numTags; tag++ {
+			if tags[tag] != fx.tags(tag) {
+				t.Fatalf("%s: holds tag %d: %v, want %v", fx.wal, tag, tags[tag], fx.tags(tag))
+			}
 		}
-		if got := digestOf(t, fromWAL); got != binWALDigest {
-			t.Fatalf("%s: the WAL opens to state %s, want %s:\n%+v", label, got, binWALDigest, fromWAL)
+		if len(grades) != 4 {
+			t.Fatalf("%s has golden grades %v; want both grades on single answers and batches", fx.wal, grades)
 		}
 
-		s, info = mustOpen(t, snapDir(t, mustRead(t, format2Path)), opts)
-		fromSnap := imageOf(s)
-		s.Crash()
-		if !info.SnapshotLoaded || info.Replayed != 0 {
-			t.Fatalf("%s: snapshot recovery %+v, want the snapshot alone", label, info)
-		}
-		if !reflect.DeepEqual(fromSnap, fromWAL) {
-			t.Fatalf("%s: the snapshot opens to\n %+v\nthe WAL to\n %+v", label, fromSnap, fromWAL)
+		for _, segments := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("%s segments=%d", fx.wal, segments)
+			opts := Options{Fsync: FsyncNever, Segments: segments}
+
+			dir := t.TempDir()
+			copyDir(t, fx.wal, dir)
+			s, info := mustOpen(t, dir, opts)
+			fromWAL := imageOf(s)
+			s.Crash()
+			if info.SnapshotLoaded || info.Replayed != len(payloads) || info.TornBytes != 0 || info.BudgetSpent != fromWAL.Spent {
+				t.Fatalf("%s: WAL recovery %+v, want all %d records replayed", label, info, len(payloads))
+			}
+			if got := digestOf(t, fromWAL); got != fx.digest {
+				t.Fatalf("%s: the WAL opens to state %s, want %s:\n%+v", label, got, fx.digest, fromWAL)
+			}
+
+			s, info = mustOpen(t, snapDir(t, mustRead(t, fx.snap)), opts)
+			fromSnap := imageOf(s)
+			rewritten, err := s.currentSnapshot()
+			s.Crash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.SnapshotLoaded || info.Replayed != 0 {
+				t.Fatalf("%s: snapshot recovery %+v, want the snapshot alone", label, info)
+			}
+			if !reflect.DeepEqual(fromSnap, fromWAL) {
+				t.Fatalf("%s: the snapshot opens to\n %+v\nthe WAL to\n %+v", label, fromSnap, fromWAL)
+			}
+			data := bytes.Join(rewritten.parts, nil)
+			if format := binary.LittleEndian.Uint16(data[len(snapMagic):]); format != snapFormat {
+				t.Fatalf("%s: the snapshot is written again in format %d", label, format)
+			}
+			s, _ = mustOpen(t, snapDir(t, data), opts)
+			again := imageOf(s)
+			s.Crash()
+			if !reflect.DeepEqual(again, fromWAL) {
+				t.Fatalf("%s: the rewritten snapshot opens to\n %+v\nthe WAL to\n %+v", label, again, fromWAL)
+			}
 		}
 	}
 }
@@ -130,11 +158,11 @@ func TestBinaryWALRecordsReencodeExactly(t *testing.T) {
 	}
 }
 
-// TestFormat2SnapshotRewritesToSameBytes: the snapshot a store cuts after
-// opening testdata/binwal, or testdata/format2.snap itself, under the
-// fixtures' segment count is testdata/format2.snap byte for byte.
-func TestFormat2SnapshotRewritesToSameBytes(t *testing.T) {
-	want := mustRead(t, format2Path)
+// TestFormat3SnapshotRewritesToSameBytes: the snapshot a store cuts after
+// opening testdata/binwal, or testdata/format3.snap itself, under the
+// fixtures' segment count is testdata/format3.snap byte for byte.
+func TestFormat3SnapshotRewritesToSameBytes(t *testing.T) {
+	want := mustRead(t, format3Path)
 	opts := Options{Fsync: FsyncNever, Segments: binWALSegments}
 	wal := t.TempDir()
 	copyDir(t, binWALDir, wal)
@@ -146,7 +174,7 @@ func TestFormat2SnapshotRewritesToSameBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := bytes.Join(img.parts, nil); !bytes.Equal(got, want) {
-			t.Fatalf("%s: the snapshot is %d bytes that differ from %s's %d", label, len(got), filepath.Base(format2Path), len(want))
+			t.Fatalf("%s: the snapshot is %d bytes that differ from %s's %d", label, len(got), filepath.Base(format3Path), len(want))
 		}
 	}
 }

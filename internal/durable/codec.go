@@ -18,21 +18,20 @@ import (
 // is its core.MutationKind, with a batch of answers apart:
 //
 //	task_added      MutAddTask        varint ID | task
-//	answer_recorded MutAnswers        answer | f64 cost
-//	answer_batch    MutAnswers, Batch uvarint answers, each an answer | f64 cost (the batch's total)
+//	answer_recorded MutAnswers        answer
+//	answer_batch    MutAnswers, Batch uvarint answers, each an answer
 //	task_closed     MutClose          varint task
 //	lease_issued    MutLease          lease
 //	lease_expired   MutExpire         uvarint leases, each a lease
 //
 // and a cross-task record's kind is its Record.Type:
 //
-//	budget_charged, _refunded     f64 amount
 //	cql_session_created, _closed  string session
 //	cql_prepared                  string session | string name | string source
 //	cql_query_started             string session | string query | string source
 //	cql_query_finished            string session | string query | string status
 //	cql_question_published, _refund, _closed
-//	                              varint task | f64 amount
+//	                              varint task | uvarint units
 //
 // where
 //
@@ -42,26 +41,33 @@ import (
 //	        [string text] [f64 score] [f64 submitted] [f64 latency]
 //	lease:  varint task | string worker | varint deadline (Unix ns)
 //
-// A string is a uvarint length and its bytes. An f64 is a float's raw IEEE
-// bits, little endian, so a replayed spend equals the journaled one bit for
-// bit; a bracketed one is present only when its flag bit is set, and a
+// Money is whole units: an answer record adds its answer count to the
+// spend, and question amounts are uvarint units. A string is a uvarint
+// length and its bytes. An f64 is a float's raw IEEE bits, little
+// endian; a bracketed one is present only when its flag bit is set, and a
 // float equal to +0.0 is left out. An answer's flags add two bits to the
 // snapshot's: answerGolden when the answer was graded against a golden
 // task, and answerCorrect for the grade.
+//
+// Builds up to 41542c1 wrote money as f64s, under the retired tags below,
+// which this build reads (retention.go) but never writes. Open refuses one
+// whose amount is not whole units with errFractionalMoney rather than
+// cutting it as undecodable.
 //
 // No tag is '{': a payload that starts with it is a JSON record, which
 // builds before binary records wrote. Open refuses such a file with
 // errJSONEra rather than cutting it as undecodable, which would delete the
 // old log.
 
-// Record tags. Tag 0 is unused, so a zeroed payload does not decode.
+// Record tags. Tag 0 is unused, so a zeroed payload does not decode. A
+// retired tag is read, never written, and goes with the retention reader.
 const (
-	tagTaskAdded = 1 + iota
-	tagAnswerRecorded
-	tagAnswerBatch
+	tagTaskAdded      = 1 + iota
+	tagAnswerF64      // retired: answer | f64 cost
+	tagAnswerBatchF64 // retired: uvarint answers, each an answer | f64 cost
 	tagTaskClosed
-	tagBudgetCharged
-	tagBudgetRefunded
+	tagBudgetCharged  // retired: f64 amount
+	tagBudgetRefunded // retired: f64 amount
 	tagLeaseIssued
 	tagLeaseExpired
 	tagCqlSessionCreated
@@ -69,16 +75,31 @@ const (
 	tagCqlPrepared
 	tagCqlQueryStarted
 	tagCqlQueryFinished
+	tagCqlPublishedF64 // retired: varint task | f64 amount
+	tagCqlRefundF64    // retired: varint task | f64 amount
+	tagCqlClosedF64    // retired: varint task | f64 amount
+	tagAnswerRecorded
+	tagAnswerBatch
 	tagCqlQuestionPublished
 	tagCqlQuestionRefund
 	tagCqlQuestionClosed
 	numTags
 )
 
+// questionTags is the tag of each CrowdQL question record type.
+var questionTags = map[string]byte{
+	EvCqlQuestionPublished: tagCqlQuestionPublished,
+	EvCqlQuestionRefund:    tagCqlQuestionRefund,
+	EvCqlQuestionClosed:    tagCqlQuestionClosed,
+}
+
 // crossTypes names the cross-task record type of each tag that has one.
 var crossTypes = [numTags]string{
 	tagBudgetCharged:        EvBudgetCharged,
 	tagBudgetRefunded:       EvBudgetRefunded,
+	tagCqlPublishedF64:      EvCqlQuestionPublished,
+	tagCqlRefundF64:         EvCqlQuestionRefund,
+	tagCqlClosedF64:         EvCqlQuestionClosed,
 	tagCqlSessionCreated:    EvCqlSessionCreated,
 	tagCqlSessionClosed:     EvCqlSessionClosed,
 	tagCqlPrepared:          EvCqlPrepared,
@@ -137,7 +158,7 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 			}
 			b = appendWALAnswer(b, &m.Answers[i], golden)
 		}
-		return tag, appendFloat(b, m.Cost)
+		return tag, b
 	case core.MutClose:
 		return tagTaskClosed, binary.AppendVarint(b, int64(m.ID))
 	case core.MutLease:
@@ -150,10 +171,6 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 		return tagLeaseExpired, b
 	}
 	switch rec.Type {
-	case EvBudgetCharged:
-		return tagBudgetCharged, appendFloat(b, rec.Amount)
-	case EvBudgetRefunded:
-		return tagBudgetRefunded, appendFloat(b, rec.Amount)
 	case EvCqlSessionCreated:
 		return tagCqlSessionCreated, appendString(b, rec.Session)
 	case EvCqlSessionClosed:
@@ -164,12 +181,8 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 		return tagCqlQueryStarted, appendString(appendString(appendString(b, rec.Session), rec.Query), rec.Src)
 	case EvCqlQueryFinished:
 		return tagCqlQueryFinished, appendString(appendString(appendString(b, rec.Session), rec.Query), rec.Status)
-	case EvCqlQuestionPublished:
-		return tagCqlQuestionPublished, appendFloat(binary.AppendVarint(b, int64(rec.TaskID)), rec.Amount)
-	case EvCqlQuestionRefund:
-		return tagCqlQuestionRefund, appendFloat(binary.AppendVarint(b, int64(rec.TaskID)), rec.Amount)
-	case EvCqlQuestionClosed:
-		return tagCqlQuestionClosed, appendFloat(binary.AppendVarint(b, int64(rec.TaskID)), rec.Amount)
+	case EvCqlQuestionPublished, EvCqlQuestionRefund, EvCqlQuestionClosed:
+		return questionTags[rec.Type], binary.AppendUvarint(binary.AppendVarint(b, int64(rec.TaskID)), uint64(rec.Amount))
 	}
 	panic("durable: no WAL record layout for record type " + rec.Type)
 }
@@ -177,9 +190,10 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 // decodeRecord decodes one binary WAL record payload into rec, replacing
 // whatever rec held but reusing its answer, golden and lease slices (a
 // task is always new: the pool keeps it). Every field of the record's
-// type must parse and the payload must end with the last one. names, when
-// not nil, interns worker names across the records decoded with it (see
-// reader.name).
+// type must parse and the payload must end with the last one; a record
+// that does and holds money in a retired tag that is not whole units is
+// errFractionalMoney, not malformed. names, when not nil, interns worker
+// names across the records decoded with it (see reader.name).
 func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	r := reader{b: payload, names: names}
 	tag := r.byte()
@@ -189,14 +203,15 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	answers, golden, leases := rec.Mut.Answers, rec.Mut.Golden, rec.Mut.Leases
 	*rec = Record{Seq: r.uvarint(), Type: crossTypes[tag]}
 	m := &rec.Mut
+	whole := true // a retired tag's money is whole units
 	switch tag {
 	case tagTaskAdded:
 		m.Kind, m.Task = core.MutAddTask, &core.Task{ID: core.TaskID(r.varint())}
 		if r.task(m.Task)&^walTaskFlags != 0 {
 			r.fail()
 		}
-	case tagAnswerRecorded, tagAnswerBatch:
-		m.Kind, m.Batch = core.MutAnswers, tag == tagAnswerBatch
+	case tagAnswerRecorded, tagAnswerBatch, tagAnswerF64, tagAnswerBatchF64:
+		m.Kind, m.Batch = core.MutAnswers, tag == tagAnswerBatch || tag == tagAnswerBatchF64
 		n := 1
 		if m.Batch {
 			n = r.count(4) // task, worker, option and flags take a byte each at least
@@ -210,7 +225,9 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 				m.Golden[i] = g
 			}
 		}
-		m.Cost = r.float()
+		if tag == tagAnswerF64 || tag == tagAnswerBatchF64 {
+			whole = r.float() == float64(n) // an answer cost one unit
+		}
 	case tagTaskClosed:
 		m.Kind, m.ID = core.MutClose, core.TaskID(r.varint())
 	case tagLeaseIssued:
@@ -222,7 +239,7 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 			r.lease(&m.Leases[i])
 		}
 	case tagBudgetCharged, tagBudgetRefunded:
-		rec.Amount = r.float()
+		rec.Amount, whole = floatUnits(r.float())
 	case tagCqlSessionCreated, tagCqlSessionClosed:
 		rec.Session = r.str()
 	case tagCqlPrepared:
@@ -233,10 +250,18 @@ func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 		rec.Session, rec.Query, rec.Status = r.str(), r.str(), r.str()
 	case tagCqlQuestionPublished, tagCqlQuestionRefund, tagCqlQuestionClosed:
 		rec.TaskID = core.TaskID(r.varint())
-		rec.Amount = r.float()
+		if rec.Amount = int64(r.uvarint()); rec.Amount < 0 {
+			r.fail()
+		}
+	case tagCqlPublishedF64, tagCqlRefundF64, tagCqlClosedF64:
+		rec.TaskID = core.TaskID(r.varint())
+		rec.Amount, whole = floatUnits(r.float())
 	}
 	if len(r.b) != 0 {
 		r.fail() // bytes after the record's last field
+	}
+	if r.err == nil && !whole {
+		return errFractionalMoney
 	}
 	return r.err
 }

@@ -6,6 +6,7 @@
 package durable
 
 import (
+	"maps"
 	"sort"
 	"strings"
 
@@ -15,21 +16,22 @@ import (
 // CQLSessionState is the recovered image of one open session: its
 // prepared statements (name → source) and the queries that were running
 // when the journal ends (query id → source text, "" for prepared runs
-// whose source lives under Prepared).
+// whose source lives under Prepared). Snapshots store it as it is.
 type CQLSessionState struct {
-	Name     string
-	Prepared map[string]string
-	Running  map[string]string
+	Name     string            `json:"name"`
+	Prepared map[string]string `json:"prepared,omitempty"`
+	Running  map[string]string `json:"running,omitempty"`
 }
 
 // CQLQuestionState is the recovered image of one open crowd question: the
 // published task, the redundancy-k reservation charged at publish, and
 // how much of it the arriving answers already released. Reserved −
-// Refunded is the remainder recovery must hand back.
+// Refunded is the remainder recovery must hand back. All three are in
+// units. Snapshots store it as it is.
 type CQLQuestionState struct {
-	Task     core.TaskID
-	Reserved float64
-	Refunded float64
+	Task     core.TaskID `json:"task"`
+	Reserved int64       `json:"reserved"`
+	Refunded int64       `json:"refunded,omitempty"`
 }
 
 // cqlReplica is the store's fold of the EvCql* records, guarded by s.mu
@@ -57,9 +59,11 @@ func (r *cqlReplica) session(name string) *CQLSessionState {
 	return st
 }
 
-// apply folds one EvCql* record; caller holds s.mu. Returns false for
-// other record types so foldCross can fall through.
-func (r *cqlReplica) apply(ev *Record) bool {
+// apply folds one EvCql* record and returns how it moves the durable
+// budget spend; caller holds s.mu. The publish charge and the per-answer
+// and close refunds mirror the live gateway's reservation protocol, so the
+// replica's spend equals the live budget's at every journaled instant.
+func (r *cqlReplica) apply(ev *Record) (spend int64) {
 	switch ev.Type {
 	case EvCqlSessionCreated:
 		r.session(ev.Session)
@@ -76,30 +80,42 @@ func (r *cqlReplica) apply(ev *Record) bool {
 			r.questions = make(map[core.TaskID]*CQLQuestionState)
 		}
 		r.questions[ev.TaskID] = &CQLQuestionState{Task: ev.TaskID, Reserved: ev.Amount}
+		return ev.Amount
 	case EvCqlQuestionRefund:
 		if q := r.questions[ev.TaskID]; q != nil {
 			q.Refunded += ev.Amount
 		}
+		return -ev.Amount
 	case EvCqlQuestionClosed:
 		delete(r.questions, ev.TaskID)
-	default:
-		return false
-	}
-	return true
-}
-
-// cqlSpendDelta is how a record moves the durable budget spend: the publish
-// charge and the per-answer / close refunds mirror the live gateway's
-// reservation protocol, so the replica's spend equals the live budget's at
-// every journaled instant.
-func cqlSpendDelta(ev *Record) float64 {
-	switch ev.Type {
-	case EvCqlQuestionPublished:
-		return ev.Amount
-	case EvCqlQuestionRefund, EvCqlQuestionClosed:
 		return -ev.Amount
 	}
 	return 0
+}
+
+// cqlImage is the CrowdQL ledger as a snapshot stores it and recovery
+// reports it: sessions sorted by name, questions by task ID.
+type cqlImage struct {
+	Sessions  []CQLSessionState  `json:"sessions,omitempty"`
+	Questions []CQLQuestionState `json:"questions,omitempty"`
+}
+
+// image returns the replica's cqlImage, or nil when the service journaled
+// nothing; the sessions share the replica's maps. Caller holds s.mu.
+func (r *cqlReplica) image() *cqlImage {
+	if len(r.sessions) == 0 && len(r.questions) == 0 {
+		return nil
+	}
+	img := &cqlImage{}
+	for _, st := range r.sessions {
+		img.Sessions = append(img.Sessions, *st)
+	}
+	sort.Slice(img.Sessions, func(i, j int) bool { return img.Sessions[i].Name < img.Sessions[j].Name })
+	for _, q := range r.questions {
+		img.Questions = append(img.Questions, *q)
+	}
+	sort.Slice(img.Questions, func(i, j int) bool { return img.Questions[i].Task < img.Questions[j].Task })
+	return img
 }
 
 // CQLState returns deep copies of the recovered CQL session and open-
@@ -108,32 +124,19 @@ func cqlSpendDelta(ev *Record) float64 {
 func (s *Store) CQLState() ([]CQLSessionState, []CQLQuestionState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var sessions []CQLSessionState
-	for _, st := range s.repCQL.sessions {
-		cp := CQLSessionState{
-			Name:     st.Name,
-			Prepared: make(map[string]string, len(st.Prepared)),
-			Running:  make(map[string]string, len(st.Running)),
-		}
-		for k, v := range st.Prepared {
-			cp.Prepared[k] = v
-		}
-		for k, v := range st.Running {
-			cp.Running[k] = v
-		}
-		sessions = append(sessions, cp)
+	img := s.repCQL.image()
+	if img == nil {
+		return nil, nil
 	}
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].Name < sessions[j].Name })
-	var questions []CQLQuestionState
-	for _, q := range s.repCQL.questions {
-		questions = append(questions, *q)
+	for i := range img.Sessions {
+		st := &img.Sessions[i]
+		st.Prepared, st.Running = maps.Clone(st.Prepared), maps.Clone(st.Running)
 	}
-	sort.Slice(questions, func(i, j int) bool { return questions[i].Task < questions[j].Task })
-	return sessions, questions
+	return img.Sessions, img.Questions
 }
 
 // The session-lifecycle appenders below land on segment 0 (no task
-// affinity, like budget records). Under FsyncAlways they sync before
+// affinity). Under FsyncAlways they sync before
 // returning: the HTTP acks that follow them (session created, statement
 // prepared, query handle returned) then imply the transition is on disk,
 // extending the ack-implies-durable contract to the query service. These
@@ -182,7 +185,7 @@ func (s *Store) CQLQueryFinished(session, qid, status string) error {
 // CQLQuestionPublished journals the gateway's reservation of k budget
 // units for a freshly published crowd question, ordered after the
 // task-added record on the same segment.
-func (s *Store) CQLQuestionPublished(id core.TaskID, k float64) error {
+func (s *Store) CQLQuestionPublished(id core.TaskID, k int64) error {
 	return s.appendSeg(s.segFor(id), &Record{
 		Type: EvCqlQuestionPublished, TaskID: id, Amount: k,
 	}, false)
@@ -192,16 +195,16 @@ func (s *Store) CQLQuestionPublished(id core.TaskID, k float64) error {
 // reservation as answers arrive. Never synced: the matching answer records
 // are what acks gate on, and recovery refunds any remainder a lost refund
 // record would have covered.
-func (s *Store) CQLQuestionRefunded(id core.TaskID, amount float64) error {
+func (s *Store) CQLQuestionRefunded(id core.TaskID, units int64) error {
 	return s.appendSeg(s.segFor(id), &Record{
-		Type: EvCqlQuestionRefund, TaskID: id, Amount: amount,
+		Type: EvCqlQuestionRefund, TaskID: id, Amount: units,
 	}, false)
 }
 
 // CQLQuestionClosed journals a question's retirement, refunding the
 // unconsumed remainder of its reservation (0 for a question that reached
 // full redundancy).
-func (s *Store) CQLQuestionClosed(id core.TaskID, refund float64) error {
+func (s *Store) CQLQuestionClosed(id core.TaskID, refund int64) error {
 	return s.appendSeg(s.segFor(id), &Record{
 		Type: EvCqlQuestionClosed, TaskID: id, Amount: refund,
 	}, false)

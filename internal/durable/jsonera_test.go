@@ -53,17 +53,18 @@ func dirFiles(tb testing.TB, dir string) map[string]string {
 	return files
 }
 
-// assertRefused opens dir and checks that Open fails with errJSONEra and
-// leaves every file in dir as it was, none added.
-func assertRefused(tb testing.TB, label, dir string, opts Options) {
+// assertRefused opens dir and checks that Open fails with want (errJSONEra
+// or errFractionalMoney) and leaves every file in dir as it was, none
+// added.
+func assertRefused(tb testing.TB, label, dir string, opts Options, want error) {
 	tb.Helper()
 	before := dirFiles(tb, dir)
 	s, _, err := Open(dir, opts)
 	if s != nil {
 		s.Crash()
 	}
-	if !errors.Is(err, errJSONEra) {
-		tb.Fatalf("%s: Open = %v, want errJSONEra", label, err)
+	if !errors.Is(err, want) {
+		tb.Fatalf("%s: Open = %v, want %v", label, err, want)
 	}
 	if after := dirFiles(tb, dir); !maps.Equal(after, before) {
 		tb.Fatalf("%s: the refused Open changed the directory", label)
@@ -126,7 +127,7 @@ func TestJSONEraDirectoryRefused(t *testing.T) {
 					copyDir(t, jsonWALDir, dir)
 				}
 				assertRefused(t, fmt.Sprintf("segments=%d", segments), dir,
-					Options{Fsync: FsyncNever, Segments: segments})
+					Options{Fsync: FsyncNever, Segments: segments}, errJSONEra)
 			}
 		})
 	}
@@ -152,6 +153,6 @@ func FuzzLegacyWALRecord(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		assertRefused(t, "a JSON record behind a binary one", dir, Options{Fsync: FsyncNever})
+		assertRefused(t, "a JSON record behind a binary one", dir, Options{Fsync: FsyncNever}, errJSONEra)
 	})
 }

@@ -29,11 +29,11 @@ package durable
 import "repro/internal/core"
 
 // Record is one WAL record: a pool mutation, or one of the cross-task
-// entries that only the store folds — a budget adjustment or a CrowdQL
-// ledger entry. Seq is assigned by the store and strictly increases across
-// snapshots and restarts; recovery replays only records with Seq greater
-// than the snapshot's LastSeq, which makes a crash between snapshot
-// publication and WAL truncation harmless.
+// entries that only the store folds — a CrowdQL ledger entry, or a budget
+// adjustment the retention reader read. Seq is assigned by the store and
+// strictly increases across snapshots and restarts; recovery replays only
+// records with Seq greater than the snapshot's LastSeq, which makes a
+// crash between snapshot publication and WAL truncation harmless.
 type Record struct {
 	Seq uint64
 	// Mut is the record's pool mutation; its Kind is 0 on a cross-task
@@ -42,9 +42,9 @@ type Record struct {
 	// Type names a cross-task record's kind, one of the constants below;
 	// it is "" on a pool mutation. The fields after it are those kinds'.
 	Type string
-	// Amount is a budget record's units, or a question record's
-	// reservation or refund; TaskID is the question's task.
-	Amount float64
+	// Amount is a question record's reservation or refund in units, or a
+	// retired budget record's; TaskID is the question's task.
+	Amount int64
 	TaskID core.TaskID
 	// Session, Query, Name, Src and Status are the CrowdQL fields: the
 	// owning session, the query handle id, a prepared statement's name,
@@ -54,12 +54,9 @@ type Record struct {
 
 // Cross-task record types.
 const (
-	// EvBudgetCharged / EvBudgetRefunded adjust the durable spend for
-	// charges that do not ride an answer record (bulk pricing, manual
-	// adjustments). The serving path itself never emits them: an accepted
-	// answer's cost travels on its mutation (core.Mutation.Cost), so a
-	// charge whose answer the pool rejects (and is refunded) never touches
-	// the log.
+	// EvBudgetCharged / EvBudgetRefunded adjust the durable spend by
+	// Amount. Builds up to 41542c1 could journal them; this build only
+	// reads them (retention.go).
 	EvBudgetCharged  = "budget_charged"
 	EvBudgetRefunded = "budget_refunded"
 
@@ -101,17 +98,18 @@ const (
 	EvCqlQuestionClosed    = "cql_question_closed"
 )
 
-// foldsBeyondCost reports whether foldCross reads more of rec than its
-// mutation's kind and cost: it does for a budget or CrowdQL record and for
-// answers that carry golden grades. Recovery keeps only those two fields
-// of every other record it folds.
-func foldsBeyondCost(rec *Record) bool { return rec.Mut.Kind == 0 || rec.Mut.Golden != nil }
+// foldsBeyondCount reports whether foldCross reads more of rec than its
+// mutation's kind and answer count: it does for a budget or CrowdQL record
+// and for answers that carry golden grades. Recovery keeps only those two
+// fields of every other record it folds.
+func foldsBeyondCount(rec *Record) bool { return rec.Mut.Kind == 0 || rec.Mut.Golden != nil }
 
 // foldCross folds the part of one record that no pool shard applies: the
-// budget spend, the golden-screen tallies and the CrowdQL ledger. Spend is
-// a float sum and the ledger is order-dependent, so callers must present
-// records in sequence order: the live append path does by construction,
-// recovery by merging the segment files before it folds.
+// budget spend (one unit per answer), the golden-screen tallies and the
+// CrowdQL ledger. The spend clamps at zero and the ledger is
+// order-dependent, so callers must present records in sequence order: the
+// live append path does by construction, recovery by merging the segment
+// files before it folds.
 func (s *Store) foldCross(rec *Record) {
 	m := &rec.Mut
 	if m.Kind != 0 && m.Kind != core.MutAnswers {
@@ -122,7 +120,7 @@ func (s *Store) foldCross(rec *Record) {
 	defer s.mu.Unlock()
 	switch {
 	case m.Kind != 0:
-		s.repSpent += m.Cost
+		s.repSpent += int64(len(m.Answers))
 		for i, g := range m.Golden {
 			if g != nil {
 				s.tallyLocked(m.Answers[i].Worker, *g)
@@ -131,20 +129,11 @@ func (s *Store) foldCross(rec *Record) {
 	case rec.Type == EvBudgetCharged:
 		s.repSpent += rec.Amount
 	case rec.Type == EvBudgetRefunded:
-		s.repSpent -= rec.Amount
-		if s.repSpent < 0 {
-			s.repSpent = 0
-		}
+		s.repSpent = max(s.repSpent-rec.Amount, 0)
 	default:
 		// CrowdQL session/question records fold into the cross-task
-		// replica; the reservation records also move the durable spend,
-		// mirroring the live gateway's charge/refund protocol.
-		if s.repCQL.apply(rec) {
-			s.repSpent += cqlSpendDelta(rec)
-			if s.repSpent < 0 {
-				s.repSpent = 0
-			}
-		}
+		// replica; the reservation records also move the durable spend.
+		s.repSpent = max(s.repSpent+s.repCQL.apply(rec), 0)
 	}
 }
 

@@ -51,7 +51,7 @@ type RecoveryInfo struct {
 	// Tasks, Answers, and BudgetSpent describe the recovered state.
 	Tasks       int
 	Answers     int
-	BudgetSpent float64
+	BudgetSpent int64
 	// CQLSessions counts recovered open CrowdQL sessions;
 	// CQLRunningQueries counts queries that were mid-flight at crash time
 	// (their handles come back with status "recovered"); CQLOpenQuestions
@@ -100,7 +100,8 @@ func legacyJSON(data []byte) bool { return len(data) > 0 && data[0] == '{' }
 // copied. Leftover files from a larger previous layout are folded into a
 // fresh snapshot and deleted, so the directory converges to the configured
 // layout. A directory in a format this build does not read fails with
-// errJSONEra before anything in it is written.
+// errJSONEra, or with errFractionalMoney when it holds money that is not
+// whole units, before anything in it is written.
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
@@ -221,13 +222,12 @@ type walFile struct {
 // route it without decoding it again.
 type walEntry struct {
 	seq     uint64
-	payload []byte  // the record's bytes, in the file read whole
-	cost    float64 // what an answer record charged; 0 on any other record
-	owner   int32   // the current shard owning all its tasks; -1: none or several
-	kind    core.MutationKind
+	payload []byte // the record's bytes, in the file read whole
+	answers int32  // the answers of an answer record, each a unit of spend
+	owner   int32  // the current shard owning all its tasks; -1: none or several
 	task    *core.Task
 	// full is the record itself, kept for one the merge folds beyond its
-	// cost (foldsBeyondCost) or splits across owners.
+	// answer count (foldsBeyondCount) or splits across owners.
 	full *Record
 }
 
@@ -252,7 +252,8 @@ func findWALs(dir string) ([]*walFile, error) {
 // Record, calling visit with each record and its payload. It stops at the
 // first frame that does not verify or decode and sets where the valid
 // prefix ends; a missing file is an empty log. Worker names are interned
-// per file. A JSON record sets f.err to errJSONEra, so the file is
+// per file. A JSON record sets f.err to errJSONEra, and a record with
+// money that is not whole units to errFractionalMoney, so the file is
 // refused, not cut.
 func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
 	data, err := os.ReadFile(f.path)
@@ -283,7 +284,10 @@ func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
 			f.err = fmt.Errorf("%w (%s)", errJSONEra, filepath.Base(f.path))
 			return
 		}
-		if decodeRecord(payload, &rec, names) != nil {
+		if err := decodeRecord(payload, &rec, names); errors.Is(err, errFractionalMoney) {
+			f.err = fmt.Errorf("%w (%s, record seq %d)", err, filepath.Base(f.path), rec.Seq)
+			return
+		} else if err != nil {
 			// The frame checksum verified but the payload does not decode:
 			// treat it like a torn tail and cut this file here. Everything
 			// after an undecodable record in the same file is unreachable
@@ -297,11 +301,11 @@ func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
 }
 
 // decode walks the file and indexes every record for the merge, under a
-// layout of segs shards: its owner, its cost and, for a task add, the
-// task; a record the merge must fold beyond its cost or split across
-// owners is kept whole. The answers of the records past the snapshot's
-// LastSeq (after) are counted per task, so each applier sizes its tasks
-// once.
+// layout of segs shards: its owner, its answer count and, for a task add,
+// the task; a record the merge must fold beyond its answer count or split
+// across owners is kept whole. The answers of the records past the
+// snapshot's LastSeq (after) are counted per task, so each applier sizes
+// its tasks once.
 func (f *walFile) decode(segs int, after uint64) {
 	f.need = make([]map[core.TaskID]int, segs)
 	for si := range f.need {
@@ -309,7 +313,7 @@ func (f *walFile) decode(segs int, after uint64) {
 	}
 	f.walk(func(rec *Record, payload []byte) {
 		m := &rec.Mut
-		e := walEntry{seq: rec.Seq, payload: payload, cost: m.Cost, owner: -1, kind: m.Kind, task: m.Task}
+		e := walEntry{seq: rec.Seq, payload: payload, answers: int32(len(m.Answers)), owner: -1, task: m.Task}
 		tasks := 0
 		m.Tasks(func(id core.TaskID) {
 			if si := int32(core.ShardIndex(id, segs)); tasks == 0 {
@@ -319,7 +323,7 @@ func (f *walFile) decode(segs int, after uint64) {
 			}
 			tasks++
 		})
-		if e.owner < 0 || foldsBeyondCost(rec) {
+		if e.owner < 0 || foldsBeyondCount(rec) {
 			e.full = detach(rec)
 		}
 		f.index = append(f.index, e)
@@ -372,12 +376,12 @@ func decodeWALs(files []*walFile, segs int, after uint64) (tornBytes int64, err 
 // globally and ascending within each file, so a k-way merge of the files'
 // indexes visits every record in a valid interleaving of the original
 // mutation order. Records the snapshot already covers are skipped; for the
-// rest the cross-task part is folded here, in that order — the spend is a
-// float sum and the CrowdQL ledger depends on publish/refund/close order,
-// so neither can be split across goroutines — and the pool mutation is
-// queued for the segment that owns its tasks under the current layout.
-// All of a task's mutations land in one queue in sequence order, which is
-// all the per-segment appliers need.
+// rest the cross-task part is folded here, in that order — the spend
+// clamps at zero and the CrowdQL ledger depends on publish/refund/close
+// order, so neither can be split across goroutines — and the pool
+// mutation is queued for the segment that owns its tasks under the current
+// layout. All of a task's mutations land in one queue in sequence order,
+// which is all the per-segment appliers need.
 //
 // A directory with one WAL file holds every sequence number from the
 // first record on, so a record that does not follow its predecessor, or a
@@ -389,7 +393,6 @@ func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) ([][]queued, er
 	queues := make([][]queued, len(s.segs))
 	heads := make([]int, len(files))
 	prev := uint64(0) // the single file's previous record
-	var stub Record   // the kind and cost of a record not kept whole
 	for {
 		var e *walEntry
 		from := -1
@@ -415,12 +418,11 @@ func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) ([][]queued, er
 		}
 		info.Replayed++
 		s.seq = max(s.seq, e.seq)
-		rec := e.full
-		if rec == nil {
-			stub.Mut.Kind, stub.Mut.Cost = e.kind, e.cost
-			rec = &stub
+		if e.full != nil {
+			s.foldCross(e.full)
+		} else {
+			s.repSpent += int64(e.answers) // all an answer record without grades folds
 		}
-		s.foldCross(rec)
 		switch {
 		case e.owner >= 0:
 			queues[e.owner] = append(queues[e.owner], queued{e, files[from]})

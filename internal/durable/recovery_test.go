@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,15 +19,14 @@ import (
 // recoveryImage is everything recovery must reproduce, in a form that does
 // not depend on the segment layout: a 1-segment store presents tasks in
 // insertion order and a multi-segment one in ascending IDs, so tasks are
-// keyed by ID; per-task answer order is kept. The spend is compared by bit
-// pattern — with costs like 0.1 and 0.7 any change in summation order shows.
+// keyed by ID; per-task answer order is kept. The spend is in units.
 type recoveryImage struct {
 	Tasks     map[core.TaskID]core.Task
 	Answers   map[core.TaskID][]core.Answer
 	Closed    map[core.TaskID]bool
 	Leases    []leaseImage
 	Screen    map[string]core.ScreenTally
-	SpentBits uint64
+	Spent     int64
 	Sessions  []CQLSessionState
 	Questions []CQLQuestionState
 }
@@ -44,11 +42,11 @@ type leaseImage struct {
 func imageOf(s *Store) recoveryImage {
 	pool, spent, screen := state(s)
 	img := recoveryImage{
-		Tasks:     map[core.TaskID]core.Task{},
-		Answers:   map[core.TaskID][]core.Answer{},
-		Closed:    map[core.TaskID]bool{},
-		Screen:    screen,
-		SpentBits: math.Float64bits(spent),
+		Tasks:   map[core.TaskID]core.Task{},
+		Answers: map[core.TaskID][]core.Answer{},
+		Closed:  map[core.TaskID]bool{},
+		Screen:  screen,
+		Spent:   spent,
 	}
 	for _, id := range pool.TaskIDs() {
 		img.Tasks[id] = *pool.Task(id)
@@ -68,15 +66,14 @@ func imageOf(s *Store) recoveryImage {
 
 // driveRandom applies steps seeded-random mutations to s's live pool and
 // ledger from one goroutine (so call order is sequence order): task adds,
-// single answers and batches with non-dyadic costs and golden verdicts,
-// closes, lease issues and sweeps, budget adjustments and the CrowdQL
-// session / statement / query / question lifecycle. It keeps just enough
+// single answers and batches with golden verdicts, closes, lease issues
+// and sweeps, and the CrowdQL session / statement / query / question
+// lifecycle, with reservations refunded past what they reserved. It keeps just enough
 // of a model to submit only what the pool accepts. halfway runs once,
 // after half the steps.
 func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	costs := []float64{0.1, 0.7, 1}
 	var (
 		nextID    core.TaskID = 1
 		open      []core.TaskID
@@ -135,28 +132,27 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 			addTask()
 		case op < 7:
 			if a, g, ok := freshAnswer(pick); ok {
-				must(answer(s, a, costs[rng.Intn(len(costs))], g))
+				must(answer(s, a, g))
 			}
 		case op < 11:
 			var as []core.Answer
-			var cs []float64
 			var gs []*bool
 			anyGolden := false
 			for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 				if a, g, ok := freshAnswer(open[rng.Intn(len(open))]); ok {
-					as, cs, gs = append(as, a), append(cs, costs[rng.Intn(len(costs))]), append(gs, g)
+					as, gs = append(as, a), append(gs, g)
 					anyGolden = anyGolden || g != nil
 				}
 			}
 			if !anyGolden {
 				gs = nil
 			}
-			must(answerBatch(s, as, cs, gs))
+			must(answerBatch(s, as, gs))
 		case op < 12:
 			if rng.Intn(2) == 0 {
 				// The answer that completes the question, then its close.
 				if a, g, ok := freshAnswer(pick); ok {
-					must(answer(s, a, 0.7, g))
+					must(answer(s, a, g))
 				}
 			}
 			mustClose(t, s, pick)
@@ -172,19 +168,6 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 		case op < 15:
 			_, err := s.Pool().ExpireLeases(time.Unix(int64(1000+step-rng.Intn(60)), 0))
 			must(err)
-		case op < 16:
-			if rng.Intn(3) == 0 {
-				must(s.BudgetRefunded(0.1))
-			} else {
-				must(s.BudgetCharged(0.7))
-			}
-			if rng.Intn(4) == 0 {
-				// Builds before binary WAL records journaled an elimination
-				// marker for a random worker here; the draws stay, so a seed
-				// still replays the history testdata/binwal and
-				// testdata/format2.snap were written from.
-				rng.Intn(12)
-			}
 		case op < 18:
 			switch {
 			case len(sessions) == 0 || rng.Intn(4) == 0:
@@ -219,10 +202,10 @@ func driveRandom(t *testing.T, s *Store, seed int64, steps int, halfway func()) 
 				must(s.CQLQuestionPublished(id, 3))
 				questions = append(questions, id)
 			case rng.Intn(2) == 0:
-				must(s.CQLQuestionRefunded(questions[rng.Intn(len(questions))], 0.7))
+				must(s.CQLQuestionRefunded(questions[rng.Intn(len(questions))], 1))
 			default:
 				i := rng.Intn(len(questions))
-				must(s.CQLQuestionClosed(questions[i], 0.1))
+				must(s.CQLQuestionClosed(questions[i], int64(rng.Intn(3))))
 				questions = append(questions[:i], questions[i+1:]...)
 			}
 		}
@@ -250,7 +233,7 @@ func copyDir(t *testing.T, from, to string) {
 // layout wrote the directory, whatever layout reopens it and however many
 // cores the decode and apply goroutines get, the recovered store equals the
 // store that crashed — same tasks, per-task answer order, closes, leases,
-// tallies, CrowdQL ledger, and the same spend to the last bit. The overlap
+// tallies, CrowdQL ledger, and the same spend to the unit. The overlap
 // variant publishes a snapshot halfway without truncating the WAL, so the
 // first half of the log must be skipped, not applied twice.
 func TestRecoveryEquivalence(t *testing.T) {
@@ -305,7 +288,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 					if info.SnapshotLoaded != overlap || info.Skipped != int(snapSeq) ||
 						info.Replayed != int(lastSeq-snapSeq) || info.TornBytes != 0 ||
 						info.Tasks != len(want.Tasks) || info.Answers != answers ||
-						math.Float64bits(info.BudgetSpent) != want.SpentBits {
+						info.BudgetSpent != want.Spent {
 						t.Fatalf("%s: recovery report %+v, want %d skipped, %d replayed, %d tasks, %d answers",
 							label, info, snapSeq, lastSeq-snapSeq, len(want.Tasks), answers)
 					}
@@ -327,7 +310,7 @@ func TestUndecodableRecordCutsOnlyItsFile(t *testing.T) {
 		mustAdd(t, s, choiceTask(core.TaskID(i), false, 0))
 	}
 	for i := 1; i <= 30; i++ {
-		if err := answer(s, core.Answer{Task: core.TaskID(i), Worker: "w", Option: 0}, 1, nil); err != nil {
+		if err := answer(s, core.Answer{Task: core.TaskID(i), Worker: "w", Option: 0}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -449,7 +432,7 @@ func openRefusing(t *testing.T, bad func(s *Store) error) {
 	s, _ := mustOpen(t, dir, opts)
 	for id := core.TaskID(1); id <= 4; id++ {
 		mustAdd(t, s, choiceTask(id, false, 0))
-		if err := answer(s, core.Answer{Task: id, Worker: "w1", Option: 1}, 1, nil); err != nil {
+		if err := answer(s, core.Answer{Task: id, Worker: "w1", Option: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +467,7 @@ func openRefusing(t *testing.T, bad func(s *Store) error) {
 // added fails Open instead of being dropped after its cost was counted.
 func TestReplayRefusesAnswerToUnknownTask(t *testing.T) {
 	openRefusing(t, func(s *Store) error {
-		return appendMutation(s, core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 99, Worker: "w2", Option: 1}}, Cost: 1})
+		return appendMutation(s, core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 99, Worker: "w2", Option: 1}}})
 	})
 }
 
@@ -531,7 +514,7 @@ func TestRecoverySizesEachTaskOnce(t *testing.T) {
 				}
 			}
 			for id := core.TaskID(1); id <= tasks; id += 3 {
-				if err := answer(s, core.Answer{Task: id, Worker: "late", Option: 1}, 1, nil); err != nil {
+				if err := answer(s, core.Answer{Task: id, Worker: "late", Option: 1}, nil); err != nil {
 					t.Fatal(err)
 				}
 				want++
@@ -571,8 +554,8 @@ func TestSingleWALGapFailsOpen(t *testing.T) {
 	}
 	for _, rec := range []Record{
 		{Seq: 1, Mut: core.Mutation{Kind: core.MutAddTask, Task: choiceTask(1, false, 0)}},
-		{Seq: 2, Type: EvBudgetCharged, Amount: 1},
-		{Seq: 4, Mut: core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 1, Worker: "w1", Option: 1}}, Cost: 1}},
+		{Seq: 2, Type: EvCqlQuestionPublished, TaskID: 1, Amount: 3},
+		{Seq: 4, Mut: core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 1, Worker: "w1", Option: 1}}}},
 	} {
 		if err := w.append(appendRecord(nil, &rec)); err != nil {
 			t.Fatal(err)
@@ -602,7 +585,7 @@ func TestSegmentLosingItsLastRecordOpens(t *testing.T) {
 	s, _ := mustOpen(t, dir, opts)
 	for id := core.TaskID(1); id <= 8; id++ {
 		mustAdd(t, s, choiceTask(id, false, 0))
-		if err := answer(s, core.Answer{Task: id, Worker: "w1", Option: 1}, 1, nil); err != nil {
+		if err := answer(s, core.Answer{Task: id, Worker: "w1", Option: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func driveScript(t *testing.T, s *Store) {
 			}
 		}
 		a := core.Answer{Task: id, Worker: fmt.Sprintf("w%d", i%5), Option: i % 3}
-		if err := answer(s, a, 1, g); err != nil {
+		if err := answer(s, a, g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,16 +41,16 @@ func driveScript(t *testing.T, s *Store) {
 		t.Fatalf("lease sweep reclaimed %v (err %v), want task 3's lease", exp, err)
 	}
 	mustClose(t, s, 5)
-	if err := s.BudgetCharged(3); err != nil {
+	if err := s.CQLQuestionPublished(6, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BudgetRefunded(1); err != nil {
+	if err := s.CQLQuestionRefunded(6, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // statesEquivalent compares two recovered states task by task.
-func statesEquivalent(t *testing.T, label string, wp, gp *core.Pool, ws, gs float64, wscr, gscr map[string]core.ScreenTally) {
+func statesEquivalent(t *testing.T, label string, wp, gp *core.Pool, ws, gs int64, wscr, gscr map[string]core.ScreenTally) {
 	t.Helper()
 	if wp.Len() != gp.Len() || wp.TotalAnswers() != gp.TotalAnswers() {
 		t.Fatalf("%s: shape diverges: %d/%d tasks, %d/%d answers",
@@ -136,7 +136,7 @@ func TestReshardRecovery(t *testing.T) {
 		}
 	}
 	// New appends post-reshard land in the new layout and survive.
-	if err := answer(s2, core.Answer{Task: 7, Worker: "post", Option: 0}, 1, nil); err != nil {
+	if err := answer(s2, core.Answer{Task: 7, Worker: "post", Option: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s2.Crash()
@@ -229,14 +229,12 @@ func TestAnswerBatchDurable(t *testing.T) {
 		}
 		yes := true
 		as := make([]core.Answer, 8)
-		costs := make([]float64, 8)
 		goldens := make([]*bool, 8)
 		for i := range as {
 			as[i] = core.Answer{Task: core.TaskID(i + 1), Worker: "batcher", Option: 0}
-			costs[i] = 1
 		}
 		goldens[0] = &yes
-		if err := answerBatch(s, as, costs, goldens); err != nil {
+		if err := answerBatch(s, as, goldens); err != nil {
 			t.Fatal(err)
 		}
 		s.Crash()
@@ -263,7 +261,7 @@ func TestBatchAfterCrashFails(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, Segments: 2})
 	mustAdd(t, s, choiceTask(1, false, 0))
 	s.Crash()
-	err := answerBatch(s, []core.Answer{{Task: 1, Worker: "w", Option: 0}}, []float64{1}, nil)
+	err := answerBatch(s, []core.Answer{{Task: 1, Worker: "w", Option: 0}}, nil)
 	if err == nil {
 		t.Fatal("batch append after Crash succeeded; the store must be sticky-failed")
 	}
@@ -284,7 +282,7 @@ func TestSegmentedFsyncAlwaysGroupCommit(t *testing.T) {
 			var err error
 			for i := 0; i < 8 && err == nil; i++ {
 				a := core.Answer{Task: core.TaskID(i + 1), Worker: fmt.Sprintf("gc%d", w), Option: 0}
-				err = answer(s, a, 1, nil)
+				err = answer(s, a, nil)
 			}
 			done <- err
 		}(w)

@@ -6,11 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,10 +24,10 @@ import (
 // never a partial one.
 const snapName = "pool.snap"
 
-// Snapshot format 2 is binary, so that recovery can decode it on every
+// Snapshot format 3 is binary, so that recovery can decode it on every
 // core:
 //
-//	"CKSNAP" | uint16 LE format (2)
+//	"CKSNAP" | uint16 LE format (3)
 //	frame: the cross-task section, JSON (snapCross)
 //	frame: pool shard 0's section
 //	...
@@ -54,48 +54,30 @@ const snapName = "pool.snap"
 // so (a zero value is left out). Tasks are in insertion order from a
 // single shard and in ascending ID order within each of several.
 //
-// A file that starts with '{' is a format-1 snapshot, which builds before
-// format 2 wrote. Open refuses it with errJSONEra.
+// Format 2 is format 3 with the money of its cross-task section in floats
+// (spent_bits, and float reservations); builds up to 41542c1 wrote it, and
+// Open reads it through the retention reader (retention.go). A file that
+// starts with '{' is a format-1 snapshot, which builds before format 2
+// wrote. Open refuses it with errJSONEra.
 const (
 	snapMagic  = "CKSNAP"
-	snapFormat = 2
+	snapFormat = 3
 	snapHeader = len(snapMagic) + 2
 )
 
-// snapCross is the cross-task section of a format-2 snapshot: the log
-// position the image covers, the budget spend bit for bit, the number of
+// snapCross is the cross-task section of a format-3 snapshot: the log
+// position the image covers, the budget spend in units, the number of
 // shard sections that follow, and the golden-screen tallies and CrowdQL
 // ledger, which are small enough to stay JSON.
 type snapCross struct {
-	LastSeq   uint64                      `json:"last_seq"`
-	SpentBits uint64                      `json:"spent_bits"`
-	Shards    int                         `json:"shards"`
-	Screen    map[string]core.ScreenTally `json:"screen,omitempty"`
-	CQL       *CQLSnapshot                `json:"cql,omitempty"`
+	LastSeq uint64                      `json:"last_seq"`
+	Spent   int64                       `json:"spent"`
+	Shards  int                         `json:"shards"`
+	Screen  map[string]core.ScreenTally `json:"screen,omitempty"`
+	CQL     *cqlImage                   `json:"cql,omitempty"`
 }
 
-// CQLSnapshot is the snapshot image of the CrowdQL ledger.
-type CQLSnapshot struct {
-	Sessions  []CQLSessionSnap  `json:"sessions,omitempty"`
-	Questions []CQLQuestionSnap `json:"questions,omitempty"`
-}
-
-// CQLSessionSnap is one open session: prepared statements by name and the
-// queries still running as of the snapshot.
-type CQLSessionSnap struct {
-	Name     string            `json:"name"`
-	Prepared map[string]string `json:"prepared,omitempty"`
-	Running  map[string]string `json:"running,omitempty"`
-}
-
-// CQLQuestionSnap is one open crowd question's reservation ledger.
-type CQLQuestionSnap struct {
-	Task     core.TaskID `json:"task"`
-	Reserved float64     `json:"reserved"`
-	Refunded float64     `json:"refunded,omitempty"`
-}
-
-// snapImage is an encoded format-2 snapshot: the file header with the
+// snapImage is an encoded format-3 snapshot: the file header with the
 // cross-task frame, then one frame per pool shard, to be written in order.
 type snapImage struct {
 	LastSeq uint64
@@ -108,11 +90,11 @@ type snapImage struct {
 // while the goroutines read them.
 func (s *Store) encodeSnapshot(pools []*core.Pool) (*snapImage, error) {
 	cross, err := json.Marshal(&snapCross{
-		LastSeq:   s.seq,
-		SpentBits: math.Float64bits(s.repSpent),
-		Shards:    len(pools),
-		Screen:    s.repScreen,
-		CQL:       s.repCQL.snapshot(),
+		LastSeq: s.seq,
+		Spent:   s.repSpent,
+		Shards:  len(pools),
+		Screen:  s.repScreen,
+		CQL:     s.repCQL.image(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("durable: encoding snapshot: %w", err)
@@ -130,7 +112,7 @@ func (s *Store) encodeSnapshot(pools []*core.Pool) (*snapImage, error) {
 	return img, nil
 }
 
-// encodeShard encodes one pool shard as a framed format-2 section; see the
+// encodeShard encodes one pool shard as a framed section; see the
 // layout above. ascending lists the tasks by ID instead of insertion order.
 func encodeShard(p *core.Pool, ascending bool) ([]byte, error) {
 	ids := p.TaskIDs()
@@ -192,7 +174,7 @@ func encodeShard(p *core.Pool, ascending bool) ([]byte, error) {
 	return appendFrame(nil, table, body), nil
 }
 
-// snapSection is one pool shard's section of a format-2 snapshot: its
+// snapSection is one pool shard's section of a snapshot: its
 // worker table and its task records, each still undecoded.
 type snapSection struct {
 	shard   int
@@ -313,7 +295,7 @@ func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
 		return err
 	}
 	s.seq, s.snapSeq = cross.LastSeq, cross.LastSeq
-	s.repSpent = math.Float64frombits(cross.SpentBits)
+	s.repSpent = cross.Spent
 	for w, t := range cross.Screen {
 		s.repScreen[w] = t
 	}
@@ -321,8 +303,9 @@ func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
 	return inParallel(len(pools), func(si int) error { return restore(pools[si], si) })
 }
 
-// decodeSnapshot checks a format-2 file's header and every section's
-// checksum, decodes the cross-task section, and splits each shard section
+// decodeSnapshot checks a format-3 or format-2 file's header and every
+// section's checksum, decodes the cross-task section (a format-2 one
+// through the retention reader), and splits each shard section
 // into its worker table and task records, for a store of n shards. It
 // returns the cross-task section and the function that restores shard si,
 // which restoreSnapshot runs once per shard, concurrently.
@@ -334,19 +317,26 @@ func decodeSnapshot(data []byte, n int) (*snapCross, func(p *core.Pool, si int) 
 	if len(data) < snapHeader || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, nil, errors.New("durable: snapshot corrupt: not a pool snapshot")
 	}
-	if f := binary.LittleEndian.Uint16(data[len(snapMagic):]); f != snapFormat {
-		if f > snapFormat {
-			return nil, nil, fmt.Errorf("durable: snapshot format %d is newer than this binary supports (%d)", f, snapFormat)
+	format := binary.LittleEndian.Uint16(data[len(snapMagic):])
+	if format != snapFormat && format != 2 {
+		if format > snapFormat {
+			return nil, nil, fmt.Errorf("durable: snapshot format %d is newer than this binary supports (%d)", format, snapFormat)
 		}
-		return nil, nil, fmt.Errorf("durable: snapshot corrupt: unknown format %d", f)
+		return nil, nil, fmt.Errorf("durable: snapshot corrupt: unknown format %d", format)
 	}
 	payload, rest, ok := splitFrame(data[snapHeader:], math.MaxUint32)
 	if !ok {
 		return nil, nil, errors.New("durable: snapshot corrupt: cross-task section fails its checksum")
 	}
-	var cross snapCross
-	if err := json.Unmarshal(payload, &cross); err != nil {
-		return nil, nil, fmt.Errorf("durable: snapshot corrupt: cross-task section: %w", err)
+	cross := &snapCross{}
+	var err error
+	if format == 2 {
+		cross, err = decodeCross2(payload)
+	} else if err = json.Unmarshal(payload, cross); err != nil {
+		err = fmt.Errorf("durable: snapshot corrupt: cross-task section: %w", err)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	if cross.Shards < 1 || cross.Shards > len(rest)/frameHeader {
 		return nil, nil, fmt.Errorf("durable: snapshot corrupt: %d shard sections in %d bytes", cross.Shards, len(rest))
@@ -374,7 +364,7 @@ func decodeSnapshot(data []byte, n int) (*snapCross, func(p *core.Pool, si int) 
 			slices.SortStableFunc(all, func(a, b snapRecord) int { return cmp.Compare(a.id, b.id) })
 		}
 	}
-	return &cross, func(p *core.Pool, si int) error {
+	return cross, func(p *core.Pool, si int) error {
 		recs := all
 		if len(secs) == n {
 			recs = secs[si].tasks
@@ -412,48 +402,23 @@ func inParallel(n int, fn func(i int) error) error {
 	return nil
 }
 
-// snapshot returns the replica's snapshot image, sessions sorted by name
-// and questions by task, or nil when the service journaled nothing.
-func (r *cqlReplica) snapshot() *CQLSnapshot {
-	if len(r.sessions) == 0 && len(r.questions) == 0 {
-		return nil
-	}
-	cs := &CQLSnapshot{}
-	for _, sess := range r.sessions {
-		cs.Sessions = append(cs.Sessions, CQLSessionSnap{Name: sess.Name, Prepared: sess.Prepared, Running: sess.Running})
-	}
-	sort.Slice(cs.Sessions, func(i, j int) bool { return cs.Sessions[i].Name < cs.Sessions[j].Name })
-	for _, q := range r.questions {
-		cs.Questions = append(cs.Questions, CQLQuestionSnap{
-			Task: q.Task, Reserved: q.Reserved, Refunded: q.Refunded,
-		})
-	}
-	sort.Slice(cs.Questions, func(i, j int) bool { return cs.Questions[i].Task < cs.Questions[j].Task })
-	return cs
-}
-
 // restoreCQL rebuilds the CrowdQL replica from a snapshot image (an empty
 // replica when the snapshot holds none).
-func restoreCQL(cs *CQLSnapshot) cqlReplica {
+func restoreCQL(img *cqlImage) cqlReplica {
 	var r cqlReplica
-	if cs == nil {
+	if img == nil {
 		return r
 	}
-	for i := range cs.Sessions {
-		snap := &cs.Sessions[i]
-		st := r.session(snap.Name)
-		for k, v := range snap.Prepared {
-			st.Prepared[k] = v
-		}
-		for k, v := range snap.Running {
-			st.Running[k] = v
-		}
+	for _, sess := range img.Sessions {
+		st := r.session(sess.Name)
+		maps.Copy(st.Prepared, sess.Prepared)
+		maps.Copy(st.Running, sess.Running)
 	}
-	for _, q := range cs.Questions {
+	for _, q := range img.Questions {
 		if r.questions == nil {
 			r.questions = make(map[core.TaskID]*CQLQuestionState)
 		}
-		r.questions[q.Task] = &CQLQuestionState{Task: q.Task, Reserved: q.Reserved, Refunded: q.Refunded}
+		r.questions[q.Task] = &q
 	}
 	return r
 }

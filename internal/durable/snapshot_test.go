@@ -66,7 +66,7 @@ func TestSnapshotRoundTripsEveryField(t *testing.T) {
 		{Task: 3, Worker: "w1", Option: 1},
 		{Task: 3, Worker: "w1", Option: 2},
 	} {
-		if err := answer(s, a, 1, nil); err != nil {
+		if err := answer(s, a, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,13 +238,16 @@ func TestSnapshotDirSyncFailureKeepsWAL(t *testing.T) {
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder,
-// seeded with testdata/format1.snap and testdata/format2.snap. Every input
-// must fail with an error — errJSONEra when it starts with '{', as the
-// format-1 seed does — or restore pools whose every task sits in the shard
-// that owns it; none may panic.
+// seeded with testdata/format1.snap, the format-2 snapshots with whole and
+// fractional money and testdata/format3.snap. Every input must fail with
+// an error — errJSONEra when it starts with '{', as the format-1 seed does
+// — or restore pools whose every task sits in the shard that owns it; none
+// may panic.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(readFormat1(f))
-	f.Add(mustRead(f, format2Path))
+	for _, path := range []string{format2UnitsPath, format2FracPath, format3Path} {
+		f.Add(mustRead(f, path))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, n := range []int{1, 2, 3} {
 			s := &Store{repScreen: make(map[string]core.ScreenTally)}

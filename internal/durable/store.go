@@ -99,7 +99,7 @@ func (seg *segment) close(skipSync bool) error {
 // the segment files by sequence number and replays a valid global order.
 //
 // Lock order is pool shard → segment mutex → store mutex. Appends to
-// pool-less records (budget, CrowdQL ledger) enter at the segment mutex;
+// pool-less records (the CrowdQL ledger) enter at the segment mutex;
 // snapshots take every shard's read lock, then every segment mutex, then
 // the store mutex. An fsync is never issued under any of them: the ack
 // path waits for its record through Sync after the shard lock is gone.
@@ -119,7 +119,7 @@ type Store struct {
 	// screen tallies, CrowdQL ledger). It is only ever held briefly and
 	// never across I/O other than a snapshot's.
 	mu        sync.Mutex
-	repSpent  float64
+	repSpent  int64
 	repScreen map[string]core.ScreenTally
 	repCQL    cqlReplica
 	seq       uint64 // last assigned record sequence number
@@ -148,7 +148,7 @@ func (s *Store) Pool() *core.ShardedPool { return s.pool }
 // Ledger returns the budget spend and a copy of the golden-screen tallies
 // the journal adds up to, for the serving layer to restore its budget and
 // worker screen from at boot.
-func (s *Store) Ledger() (spent float64, screen map[string]core.ScreenTally) {
+func (s *Store) Ledger() (spent int64, screen map[string]core.ScreenTally) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	screen = make(map[string]core.ScreenTally, len(s.repScreen))
@@ -251,8 +251,8 @@ func (s *Store) writeLocked(seg *segment, tag byte, rec *Record, body []byte) er
 // Append implements core.Journal: it appends a pool mutation, which the
 // pool validated and applies next, to the segment of its tasks' shard
 // (both route by core.ShardIndex) and returns the record's sequence number
-// for Sync. An answer's record carries what it was charged and, for golden
-// tasks, whether the worker got it right. Append runs under a pool shard's
+// for Sync. An answer's record carries, for golden tasks, whether the
+// worker got it right; its cost, one unit, is implied. Append runs under a pool shard's
 // write lock and therefore never fsyncs; the record reaches disk with the
 // next Sync, SyncTasks or background flush. When ctx carries a recording
 // span (the serving layer's tracing mode) the append records as a
@@ -301,18 +301,6 @@ func (s *Store) syncSeg(si int, seq uint64) error {
 		return err
 	}
 	return nil
-}
-
-// BudgetCharged journals a budget charge that does not ride an answer
-// record (bulk pricing, manual adjustment). Budget records have no task
-// affinity and always land on segment 0.
-func (s *Store) BudgetCharged(amount float64) error {
-	return s.appendSeg(0, &Record{Type: EvBudgetCharged, Amount: amount}, s.opts.Fsync == FsyncAlways)
-}
-
-// BudgetRefunded journals the reversal of such a charge.
-func (s *Store) BudgetRefunded(amount float64) error {
-	return s.appendSeg(0, &Record{Type: EvBudgetRefunded, Amount: amount}, s.opts.Fsync == FsyncAlways)
 }
 
 // Snapshot publishes the live pool as pool.snap and truncates every WAL

@@ -59,8 +59,8 @@ func appendMutation(s *Store, m core.Mutation) error {
 }
 
 // answer is the single-answer ack path: record, then wait for the record.
-func answer(s *Store, a core.Answer, cost float64, golden *bool) error {
-	pos, err := s.Pool().Record(context.Background(), a, core.Charge{Cost: cost, Golden: golden})
+func answer(s *Store, a core.Answer, golden *bool) error {
+	pos, err := s.Pool().Record(context.Background(), a, golden)
 	if err != nil {
 		return err
 	}
@@ -70,7 +70,7 @@ func answer(s *Store, a core.Answer, cost float64, golden *bool) error {
 // answerBatch is the batch ack path: one RecordBatch per touched shard in
 // ascending order, then one Sync per shard. goldens may be nil. It returns
 // the first rejection or journal error.
-func answerBatch(s *Store, as []core.Answer, costs []float64, goldens []*bool) error {
+func answerBatch(s *Store, as []core.Answer, goldens []*bool) error {
 	pool := s.Pool()
 	byShard := make([][]int, pool.NumShards())
 	for i, a := range as {
@@ -83,15 +83,15 @@ func answerBatch(s *Store, as []core.Answer, costs []float64, goldens []*bool) e
 			continue
 		}
 		part := make([]core.Answer, len(idxs))
-		charges := make([]core.Charge, len(idxs))
+		var grades []*bool
 		for j, i := range idxs {
-			part[j], charges[j].Cost = as[i], costs[i]
+			part[j] = as[i]
 			if goldens != nil {
-				charges[j].Golden = goldens[i]
+				grades = append(grades, goldens[i])
 			}
 		}
 		var errs []error
-		errs, pos[sh] = pool.RecordBatch(sh, part, charges)
+		errs, pos[sh] = pool.RecordBatch(sh, part, grades)
 		for _, err := range errs {
 			if err != nil {
 				return err
@@ -110,7 +110,7 @@ func answerBatch(s *Store, as []core.Answer, costs []float64, goldens []*bool) e
 
 // state is what a store persists: its live pool, copied flat, and the
 // ledger.
-func state(s *Store) (*core.Pool, float64, map[string]core.ScreenTally) {
+func state(s *Store) (*core.Pool, int64, map[string]core.ScreenTally) {
 	spent, screen := s.Ledger()
 	return flat(s.Pool()), spent, screen
 }
@@ -317,13 +317,13 @@ func TestStoreRoundTripAcrossRestart(t *testing.T) {
 	yes, no := true, false
 	mustAdd(t, s, choiceTask(0, false, 1))
 	mustAdd(t, s, choiceTask(1, true, 2))
-	if err := answer(s, core.Answer{Task: 0, Worker: "w1", Option: 1}, 1, nil); err != nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "w1", Option: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := answer(s, core.Answer{Task: 1, Worker: "w1", Option: 2}, 1, &yes); err != nil {
+	if err := answer(s, core.Answer{Task: 1, Worker: "w1", Option: 2}, &yes); err != nil {
 		t.Fatal(err)
 	}
-	if err := answer(s, core.Answer{Task: 1, Worker: "w2", Option: 0}, 1, &no); err != nil {
+	if err := answer(s, core.Answer{Task: 1, Worker: "w2", Option: 0}, &no); err != nil {
 		t.Fatal(err)
 	}
 	mustLease(t, s, 0, "w3", time.Unix(100, 0))
@@ -371,12 +371,12 @@ func TestStoreCrashKeepsAcknowledgedAnswers(t *testing.T) {
 	mustAdd(t, s, choiceTask(0, false, -1))
 	for i := 0; i < 5; i++ {
 		a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: i % 3}
-		if err := answer(s, a, 1, nil); err != nil {
+		if err := answer(s, a, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Crash()
-	if err := answer(s, core.Answer{Task: 0, Worker: "late", Option: 0}, 1, nil); err == nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "late", Option: 0}, nil); err == nil {
 		t.Fatal("append after Crash succeeded; the store must go sticky-failed")
 	}
 
@@ -395,7 +395,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	mustAdd(t, s, choiceTask(0, false, -1))
-	if err := answer(s, core.Answer{Task: 0, Worker: "w", Option: 0}, 1, nil); err != nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "w", Option: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Snapshot(); err != nil {
@@ -414,7 +414,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	}
 	// Records appended after the snapshot land in the (truncated) log and
 	// replay on top of it.
-	if err := answer(s, core.Answer{Task: 0, Worker: "w2", Option: 1}, 1, nil); err != nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "w2", Option: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
@@ -439,7 +439,7 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	mustAdd(t, s, choiceTask(0, false, -1))
 	for i := 0; i < 4; i++ {
 		a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}
-		if err := answer(s, a, 1, nil); err != nil {
+		if err := answer(s, a, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	mustAdd(t, s, choiceTask(0, false, -1))
-	if err := answer(s, core.Answer{Task: 0, Worker: "w", Option: 0}, 1, nil); err != nil {
+	if err := answer(s, core.Answer{Task: 0, Worker: "w", Option: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
@@ -493,7 +493,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatalf("WAL is %d bytes after open, want %d (tail truncated)", fi.Size(), dirtySize-3)
 	}
 	// The log must still be appendable and replayable after the cut.
-	if err := answer(s2, core.Answer{Task: 0, Worker: "w2", Option: 1}, 1, nil); err != nil {
+	if err := answer(s2, core.Answer{Task: 0, Worker: "w2", Option: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s2.Crash()
@@ -501,23 +501,6 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	defer s3.Close()
 	if info.TornBytes != 0 || info.Replayed != 3 {
 		t.Fatalf("post-truncation recovery: %+v, want clean log with 3 records", info)
-	}
-}
-
-func TestBudgetEventsAdjustSpend(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	if err := s.BudgetCharged(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BudgetRefunded(4); err != nil {
-		t.Fatal(err)
-	}
-	s.Crash()
-	s2, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
-	defer s2.Close()
-	if _, spent, _ := state(s2); spent != 6 {
-		t.Fatalf("recovered spend %v, want 6", spent)
 	}
 }
 
@@ -535,7 +518,7 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", w), Text: fmt.Sprintf("item-%d-%d", w, i)}
-				if err := answer(s, a, 1, nil); err != nil {
+				if err := answer(s, a, nil); err != nil {
 					t.Errorf("worker %d append %d: %v", w, i, err)
 					return
 				}
@@ -604,7 +587,7 @@ func TestWorkerEliminationMarkerAndTallies(t *testing.T) {
 	mustAdd(t, s, choiceTask(0, true, 1))
 	no := false
 	for i := 0; i < 3; i++ {
-		if err := answer(s, core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}, 1, &no); err != nil {
+		if err := answer(s, core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}, &no); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -633,7 +616,7 @@ func TestFsyncIntervalFlusherAndGracefulClose(t *testing.T) {
 	mustAdd(t, s, choiceTask(0, false, -1))
 	for i := 0; i < 20; i++ {
 		a := core.Answer{Task: 0, Worker: fmt.Sprintf("w%d", i), Option: 0}
-		if err := answer(s, a, 1, nil); err != nil {
+		if err := answer(s, a, nil); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -662,7 +645,7 @@ func TestAnswerJournaledBehindCloseSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	ans := func(w string) core.Mutation {
-		return core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 1, Worker: w, Option: 1}}, Cost: 1}
+		return core.Mutation{Kind: core.MutAnswers, Answers: []core.Answer{{Task: 1, Worker: w, Option: 1}}}
 	}
 	for i, m := range []core.Mutation{
 		{Kind: core.MutAddTask, Task: &core.Task{ID: 1, Kind: core.SingleChoice, Question: "q1", Options: []string{"a", "b", "c"}}},

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // readWAL reads every valid record from path. It returns the payloads, the
@@ -57,6 +59,7 @@ func concurrentAppendSyncSnapshotClose(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustAdd(t, s, &core.Task{ID: 0, Kind: core.Collection, Question: "enumerate"})
 	var wg sync.WaitGroup
 	var acked atomic.Int64
 	after := func(n int64, fn func()) {
@@ -74,7 +77,7 @@ func concurrentAppendSyncSnapshotClose(t *testing.T, dir string) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := s.BudgetCharged(1); err != nil {
+				if err := answer(s, core.Answer{Task: 0, Worker: fmt.Sprintf("w%d.%d", g, i)}, nil); err != nil {
 					if !strings.Contains(err.Error(), "store is closed") {
 						t.Errorf("append: %v", err)
 					}
@@ -109,7 +112,7 @@ func concurrentAppendSyncSnapshotClose(t *testing.T, dir string) {
 	if t.Failed() {
 		return
 	}
-	if s.BudgetCharged(1) == nil {
+	if answer(s, core.Answer{Task: 0, Worker: "late"}, nil) == nil {
 		t.Fatal("append after close succeeded")
 	}
 	if _, _, torn, err := readWAL(filepath.Join(dir, segWALName(0))); err != nil || torn != 0 {
@@ -120,7 +123,7 @@ func concurrentAppendSyncSnapshotClose(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if want := float64(acked.Load()); info.BudgetSpent != want {
+	if want := acked.Load(); info.BudgetSpent != want {
 		t.Fatalf("recovered spend %v, acknowledged %v", info.BudgetSpent, want)
 	}
 }

@@ -172,7 +172,7 @@ func F2Assignment(seed uint64) (*Table, error) {
 		},
 	}
 	const nTasks = 200
-	run := func(seed uint64, factory func(*stats.RNG) core.Assigner, budget float64) (float64, error) {
+	run := func(seed uint64, factory func(*stats.RNG) core.Assigner, budget int64) (float64, error) {
 		rng := stats.NewRNG(seed)
 		pool := core.NewPool()
 		for i := 0; i < nTasks; i++ {
@@ -216,7 +216,7 @@ func F2Assignment(seed uint64) (*Table, error) {
 			sum := 0.0
 			const reps = 3
 			for r := uint64(0); r < reps; r++ {
-				acc, err := run(seed+r, p.factory, float64(mult*nTasks))
+				acc, err := run(seed+r, p.factory, int64(mult*nTasks))
 				if err != nil {
 					return nil, err
 				}

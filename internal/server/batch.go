@@ -114,7 +114,7 @@ func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		charged := idxs[:0]
 		answers := make([]core.Answer, 0, len(idxs))
-		charges := make([]core.Charge, 0, len(idxs))
+		goldens := make([]*bool, 0, len(idxs))
 		for _, i := range idxs {
 			// Re-check elimination: an earlier item in this batch may have
 			// tipped the worker over the golden threshold.
@@ -131,20 +131,20 @@ func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
 				Task: dtos[i].Task, Worker: dtos[i].Worker,
 				Option: dtos[i].Option, Text: dtos[i].Text, Score: dtos[i].Score,
 			})
-			charge := core.Charge{Cost: 1}
+			var golden *bool
 			if s.screen != nil {
-				charge.Golden = s.gradeGolden(s.cpool.Task(dtos[i].Task), dtos[i].Option, dtos[i].Text)
+				golden = s.gradeGolden(s.cpool.Task(dtos[i].Task), dtos[i].Option, dtos[i].Text)
 			}
-			charges = append(charges, charge)
+			goldens = append(goldens, golden)
 		}
 		byShard[sh] = charged
 		var errs []error
-		errs, pos[sh] = s.cpool.RecordBatch(sh, answers, charges)
+		errs, pos[sh] = s.cpool.RecordBatch(sh, answers, goldens)
 		for j, i := range charged {
 			switch err := errs[j]; {
 			case err == nil:
 				s.notifyCQL(answers[j].Task)
-				s.observeGolden(answers[j].Worker, charges[j].Golden)
+				s.observeGolden(answers[j].Worker, goldens[j])
 				out.Results[i] = BatchItemDTO{Status: batchRecorded}
 			case errors.Is(err, core.ErrNotJournaled):
 				s.budget.Refund(1)

@@ -116,7 +116,7 @@ func TestConcurrentLoadMixed(t *testing.T) {
 	}
 	// Every accepted answer cost exactly one unit; every rejected
 	// duplicate was refunded.
-	if st.BudgetSpent != float64(want) {
+	if st.BudgetSpent != int64(want) {
 		t.Fatalf("budget spent = %v, want %v (refund leak under load)", st.BudgetSpent, want)
 	}
 	// One answer per worker per task survived the concurrency. Read via

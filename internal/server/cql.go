@@ -398,9 +398,9 @@ func (g *cqlGateway) Ask(ctx context.Context, round []operators.Question, k int,
 					// Not closed in the log, so not refunded either.
 					continue
 				}
-				s.budget.Refund(float64(k - q.seen))
+				s.budget.Refund(int64(k - q.seen))
 				if s.store != nil {
-					_ = s.store.CQLQuestionClosed(q.id, float64(k-q.seen))
+					_ = s.store.CQLQuestionClosed(q.id, int64(k-q.seen))
 				}
 				q.span.AddEvent("close", obs.Int("answers", int64(q.seen)), obs.Str("reason", "canceled"))
 			}
@@ -427,7 +427,7 @@ func (g *cqlGateway) publish(round []operators.Question, k int) ([]openQuestion,
 	s := g.srv
 	var err error
 	m := 0
-	for m < len(round) && s.budget.TryCharge(float64(k)) {
+	for m < len(round) && s.budget.TryCharge(int64(k)) {
 		m++
 	}
 	if m < len(round) {
@@ -438,12 +438,12 @@ func (g *cqlGateway) publish(round []operators.Question, k int) ([]openQuestion,
 	for i := 0; i < m; i++ {
 		id, addErr := s.cpool.Add(round[i].Task)
 		if addErr != nil {
-			s.budget.Refund(float64(k * (m - i)))
+			s.budget.Refund(int64(k * (m - i)))
 			err = addErr
 			break
 		}
 		if s.store != nil {
-			_ = s.store.CQLQuestionPublished(id, float64(k))
+			_ = s.store.CQLQuestionPublished(id, int64(k))
 		}
 		sp := round[i].Span
 		if sp.Recording() {
@@ -481,9 +481,9 @@ func (g *cqlGateway) collect(q *openQuestion, k int) (bool, error) {
 		// Each arriving answer was charged by the answer path; release the
 		// matching part of the reservation so in-flight spend stays exactly
 		// k.
-		s.budget.Refund(float64(n - q.seen))
+		s.budget.Refund(int64(n - q.seen))
 		if s.store != nil {
-			_ = s.store.CQLQuestionRefunded(q.id, float64(n-q.seen))
+			_ = s.store.CQLQuestionRefunded(q.id, int64(n-q.seen))
 		}
 		if q.span.Recording() {
 			for i := q.seen + 1; i <= n; i++ {

@@ -51,18 +51,13 @@ func (s *Server) recoverCQL() {
 			continue
 		}
 		orphans = append(orphans, q.Task)
-		remainder := q.Reserved - q.Refunded
-		if remainder < 0 {
-			remainder = 0
-		}
-		if remainder > 0 {
-			s.budget.Refund(remainder)
-		}
+		remainder := max(q.Reserved-q.Refunded, 0)
+		s.budget.Refund(remainder)
 		// Retire the question's durable ledger with the same remainder, so
 		// the journaled spend tracks the refund we just issued.
 		_ = s.store.CQLQuestionClosed(q.Task, remainder)
 		s.cqlRecQuestions.Inc()
-		s.cqlRecRefund.Add(int64(remainder))
+		s.cqlRecRefund.Add(remainder)
 	}
 	_ = s.store.SyncTasks(orphans)
 	if s.cqlMgr == nil {

@@ -15,7 +15,7 @@ import (
 // durableCQLServer boots a server with both the durable store (dataDir)
 // and the query service with catalog persistence (cqlDir) mounted — the
 // in-process equivalent of `crowdserve -data-dir ... -cql-dir ...`.
-func durableCQLServer(t *testing.T, dataDir, cqlDir string, units float64) (*httptest.Server, *Server, *durable.Store, *durable.RecoveryInfo, *core.Budget) {
+func durableCQLServer(t *testing.T, dataDir, cqlDir string, units int64) (*httptest.Server, *Server, *durable.Store, *durable.RecoveryInfo, *core.Budget) {
 	t.Helper()
 	store, info, err := durable.Open(dataDir, durable.Options{Fsync: durable.FsyncNever, Segments: testShards()})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -263,7 +262,7 @@ func TestRecoveredStateEqualsCrashedMemory(t *testing.T) {
 				t.Fatalf("recovered pool diverges from the crashed server's\n got %+v\nwant %+v", got, live)
 			}
 			spent, tallies := store2.Ledger()
-			if math.Float64bits(spent) != math.Float64bits(liveSpent) {
+			if spent != liveSpent {
 				t.Fatalf("recovered spend %v, the crashed server had charged %v", spent, liveSpent)
 			}
 			if !reflect.DeepEqual(tallies, liveScreen) {
@@ -377,8 +376,23 @@ func TestDurableServerShardsAreTheStoresSegments(t *testing.T) {
 // converts the directory, and the directory is left byte for byte as it
 // was.
 func TestJSONEraDirectoryRefusedAtBoot(t *testing.T) {
+	refusedAtBoot(t, "jsonwal", "ccc93f0")
+}
+
+// The same holds for a WAL an older build left with money that is not
+// whole units (fractional answer costs, budget and question amounts): the
+// error names the last commit that reads it.
+func TestFractionalMoneyDirectoryRefusedAtBoot(t *testing.T) {
+	refusedAtBoot(t, "fracwal", "41542c1")
+}
+
+// refusedAtBoot copies the WAL fixture durable/testdata/<fixture> to a
+// directory, checks that Open fails on it with an error naming commit, and
+// that the directory is left as it was.
+func refusedAtBoot(t *testing.T, fixture, commit string) {
+	t.Helper()
 	dir := t.TempDir()
-	fixture := filepath.Join("..", "durable", "testdata", "jsonwal")
+	fixture = filepath.Join("..", "durable", "testdata", fixture)
 	entries, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
@@ -397,10 +411,10 @@ func TestJSONEraDirectoryRefusedAtBoot(t *testing.T) {
 	store, _, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever, Segments: 2})
 	if err == nil {
 		store.Crash()
-		t.Fatal("a JSON-era directory opened")
+		t.Fatalf("%s opened", fixture)
 	}
-	if !strings.Contains(err.Error(), "ccc93f0") {
-		t.Fatalf("Open = %v, want an error naming the commit that converts the directory", err)
+	if !strings.Contains(err.Error(), commit) {
+		t.Fatalf("Open = %v, want an error naming commit %s", err, commit)
 	}
 	entries, err = os.ReadDir(dir)
 	if err != nil {

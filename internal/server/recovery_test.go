@@ -300,10 +300,10 @@ func TestCrashRecoveryLosesNoAckedAnswers(t *testing.T) {
 	}
 
 	// budget_spent equals the acked answer count.
-	if budget2.Spent() != float64(len(acked)) {
+	if budget2.Spent() != int64(len(acked)) {
 		t.Fatalf("recovered budget spent = %v, want %d", budget2.Spent(), len(acked))
 	}
-	if st.BudgetSpent != float64(len(acked)) {
+	if st.BudgetSpent != int64(len(acked)) {
 		t.Fatalf("/api/stats budget_spent = %v, want %d", st.BudgetSpent, len(acked))
 	}
 

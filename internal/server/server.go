@@ -380,12 +380,12 @@ type AnswerDTO struct {
 
 // StatsDTO summarizes pool progress.
 type StatsDTO struct {
-	Tasks        int     `json:"tasks"`
-	OpenTasks    int     `json:"open_tasks"`
-	TotalAnswers int     `json:"total_answers"`
-	Workers      int     `json:"workers"`
-	BudgetSpent  float64 `json:"budget_spent"`
-	Eliminated   int     `json:"eliminated_workers"`
+	Tasks        int   `json:"tasks"`
+	OpenTasks    int   `json:"open_tasks"`
+	TotalAnswers int   `json:"total_answers"`
+	Workers      int   `json:"workers"`
+	BudgetSpent  int64 `json:"budget_spent"`
+	Eliminated   int   `json:"eliminated_workers"`
 	// ActiveLeases is the number of outstanding (issued, not yet
 	// submitted or expired) assignment leases; ExpiredLeases counts the
 	// slots reclaimed from vanished workers so far. Both are zero on a
@@ -427,7 +427,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	// Advisory check: the authoritative reservation happens on the answer
 	// path, but refusing assignments once the budget is gone keeps workers
 	// from doing work that can no longer be paid for.
-	if !s.budget.CanAfford(1) {
+	if s.budget.Remaining() == 0 {
 		httpError(w, http.StatusConflict, "budget exhausted")
 		return
 	}
@@ -529,7 +529,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	// Validate → append → apply, all under the task's shard lock: an answer
 	// the pool rejects or the journal refuses was never applied, so the
 	// only thing to hand back is the reservation.
-	pos, err := s.cpool.Record(r.Context(), a, core.Charge{Cost: 1, Golden: golden})
+	pos, err := s.cpool.Record(r.Context(), a, golden)
 	if err != nil {
 		s.budget.Refund(1)
 		if errors.Is(err, core.ErrNotJournaled) {

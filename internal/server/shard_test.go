@@ -369,7 +369,7 @@ func TestShardedDurableRestart(t *testing.T) {
 	if st.TotalAnswers != len(batch) {
 		t.Fatalf("recovered %d answers, want %d", st.TotalAnswers, len(batch))
 	}
-	if st.BudgetSpent != float64(len(batch)) {
+	if st.BudgetSpent != int64(len(batch)) {
 		t.Fatalf("recovered budget %v, want %d", st.BudgetSpent, len(batch))
 	}
 }

@@ -25,7 +25,7 @@ type GLAD struct {
 	MaxIter   int
 	Tol       float64
 	GradSteps int     // gradient steps per M-step (default 10)
-	LearnRate float64 // default 0.05
+	LearnRate float64 // default 0.3
 	// Obs follows the same contract as OneCoinEM.Obs (nil = free).
 	Obs obs.EMObserver
 	// Warm follows the same contract as OneCoinEM.Warm; GLAD additionally
