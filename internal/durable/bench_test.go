@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,17 +65,7 @@ func writeRecoveryDir(tb testing.TB, dir string, opts Options, tasks, answers, b
 			Question: fmt.Sprintf("Demo question %d: yes or no?", i), Options: []string{"no", "yes"},
 		})
 	}
-	for from := 0; from < answers; from += batch {
-		n := min(batch, answers-from)
-		as := make([]core.Answer, n)
-		for j := range as {
-			k := from + j
-			as[j] = core.Answer{Task: core.TaskID(k%tasks + 1), Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 2}
-		}
-		if err := answerBatch(s, as, nil); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	journalAnswers(tb, s, tasks, 0, answers, batch)
 	if snapshot {
 		err = s.Close()
 	} else {
@@ -86,11 +77,32 @@ func writeRecoveryDir(tb testing.TB, dir string, opts Options, tasks, answers, b
 	}
 }
 
+// journalAnswers journals answers [from, to) of writeRecoveryDir's
+// sequence in batches: answer k goes to task k%tasks+1 from worker
+// w<k/tasks>, so each worker answers each task at most once.
+func journalAnswers(tb testing.TB, s *Store, tasks, from, to, batch int) {
+	tb.Helper()
+	for ; from < to; from += batch {
+		as := make([]core.Answer, min(batch, to-from))
+		for j := range as {
+			k := from + j
+			as[j] = core.Answer{Task: core.TaskID(k%tasks + 1), Worker: fmt.Sprintf("w%d", k/tasks), Option: k % 2}
+		}
+		if err := answerBatch(s, as, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOpen measures recovery — Open on a written directory — on the
 // recovery_boot shape (5,000 tasks, 100,000 answers in batches of 10),
 // from the WAL and from a snapshot, under 1, 2 and 4 segments. The
 // directory is written once outside the timer; Crash between iterations
-// closes the files and leaves it untouched.
+// closes the files and leaves it untouched. Each timed Open starts, as a
+// booting process does, with no collection in flight and the last
+// store's garbage collected, outside the timer; gcs/op counts the
+// collections that ran inside it, and any fails the benchmark (Open holds
+// the collector).
 func BenchmarkOpen(b *testing.B) {
 	for _, source := range []string{"wal", "snapshot"} {
 		for _, segments := range []int{1, 2, 4} {
@@ -98,19 +110,32 @@ func BenchmarkOpen(b *testing.B) {
 				dir := b.TempDir()
 				opts := Options{Fsync: FsyncNever, Segments: segments}
 				writeRecoveryDir(b, dir, opts, 5000, 100000, 10, source == "snapshot")
+				var ms runtime.MemStats
+				gcs := uint32(0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					gcs -= ms.NumGC
+					b.StartTimer()
 					s, info, err := Open(dir, opts)
+					b.StopTimer()
+					runtime.ReadMemStats(&ms)
+					gcs += ms.NumGC
 					if err != nil {
 						b.Fatal(err)
 					}
 					if info.Tasks != 5000 || info.Answers != 100000 || info.SnapshotLoaded != (source == "snapshot") {
 						b.Fatalf("recovered %+v", info)
 					}
-					b.StopTimer()
 					s.Crash()
 					b.StartTimer()
+				}
+				b.ReportMetric(float64(gcs)/float64(b.N), "gcs/op")
+				if gcs != 0 {
+					b.Fatalf("%d collections ran inside %d timed Opens", gcs, b.N)
 				}
 			})
 		}

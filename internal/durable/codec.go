@@ -57,7 +57,8 @@ import (
 // No tag is '{': a payload that starts with it is a JSON record, which
 // builds before binary records wrote. Open refuses such a file with
 // errJSONEra rather than cutting it as undecodable, which would delete the
-// old log.
+// old log. For the same reason it refuses a record whose tag is numTags
+// or more, which a newer build wrote, with errUnknownRecord.
 
 // Record tags. Tag 0 is unused, so a zeroed payload does not decode. A
 // retired tag is read, never written, and goes with the retention reader.
@@ -192,13 +193,17 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 // task is always new: the pool keeps it). Every field of the record's
 // type must parse and the payload must end with the last one; a record
 // that does and holds money in a retired tag that is not whole units is
-// errFractionalMoney, not malformed. names, when not nil, interns worker
+// errFractionalMoney, and one whose tag this build does not know is
+// errUnknownRecord, not malformed. names, when not nil, interns worker
 // names across the records decoded with it (see reader.name).
 func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	r := reader{b: payload, names: names}
 	tag := r.byte()
-	if tag == 0 || tag >= numTags {
+	if tag == 0 {
 		return errMalformed
+	}
+	if tag >= numTags {
+		return errUnknownRecord
 	}
 	answers, golden, leases := rec.Mut.Answers, rec.Mut.Golden, rec.Mut.Leases
 	*rec = Record{Seq: r.uvarint(), Type: crossTypes[tag]}
@@ -427,6 +432,14 @@ func appendOptFloat(b []byte, f float64) []byte {
 // errMalformed marks a snapshot section or WAL record whose checksum
 // verified but whose contents do not parse.
 var errMalformed = errors.New("malformed record")
+
+// errUnknownRecord fails Open on a directory holding a checksummed WAL
+// record whose tag is past every tag this build knows: a newer build wrote
+// it. Open raises it before it truncates or writes anything, never as a
+// decode failure, which recovery would cut as a torn tail, deleting that
+// record and every acked one behind it in its file.
+var errUnknownRecord = errors.New("durable: the data directory holds WAL records of a kind this build does not read; " +
+	"a newer build wrote them, so open it with that build")
 
 // reader reads the fields of a snapshot section or WAL record. The first
 // malformed field sets err and empties the input, so every later read

@@ -134,13 +134,16 @@ func FuzzWALRecordDecode(f *testing.F) {
 // FuzzWALFrames writes arbitrary bytes as a WAL segment file and decodes
 // it as Open does, seeded with every segment file of testdata/binwal,
 // testdata/unitwal, testdata/fracwal and testdata/jsonwal, whole and cut
-// short. No input may panic. A file refused with errJSONEra holds a
-// checksummed frame that starts with '{', and one refused with
-// errFractionalMoney a checksummed frame that decodes to that error; any
-// other file decodes to a prefix that ends on the boundary of exactly as
-// many frames as it decoded records, and that prefix and the tail Open
-// would cut make up the whole file. The frame the cut starts at is never
-// one of those two kinds: it refuses the file instead.
+// short, and binwal's first file with a record of an unknown tag behind
+// it. No input may panic. A file refused with errJSONEra holds a
+// checksummed frame that starts with '{', one refused with
+// errFractionalMoney a checksummed frame that decodes to that error, and
+// one refused with errUnknownRecord a checksummed frame under a tag this
+// build does not know; any other file decodes to a prefix that ends on the
+// boundary of exactly as many frames as it decoded records, and that
+// prefix and the tail Open would cut make up the whole file. The frame the
+// cut starts at is never one of those three kinds: it refuses the file
+// instead.
 func FuzzWALFrames(f *testing.F) {
 	for _, dir := range []string{binWALDir, unitWALDir, fracWALDir, jsonWALDir} {
 		files, err := findWALs(dir)
@@ -154,6 +157,7 @@ func FuzzWALFrames(f *testing.F) {
 			f.Add(data[:len(data)-1])
 		}
 	}
+	f.Add(appendFrame(mustRead(f, filepath.Join(binWALDir, walName)), []byte{numTags, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file := &walFile{path: filepath.Join(t.TempDir(), walName)}
 		if err := os.WriteFile(file.path, data, 0o644); err != nil {
@@ -172,20 +176,23 @@ func FuzzWALFrames(f *testing.F) {
 			ends = append(ends, int64(len(data)-len(rest)))
 		}
 		fractional := func(p []byte) bool { return errors.Is(decodeRecord(p, &Record{}, nil), errFractionalMoney) }
+		unknown := func(p []byte) bool { return errors.Is(decodeRecord(p, &Record{}, nil), errUnknownRecord) }
 		switch {
 		case file.err == nil:
 		case errors.Is(file.err, errJSONEra) && slices.ContainsFunc(frames, legacyJSON),
-			errors.Is(file.err, errFractionalMoney) && slices.ContainsFunc(frames, fractional):
+			errors.Is(file.err, errFractionalMoney) && slices.ContainsFunc(frames, fractional),
+			errors.Is(file.err, errUnknownRecord) && slices.ContainsFunc(frames, unknown):
 			return
 		default:
-			t.Fatalf("decode failed with %v, want errJSONEra over a frame that starts with '{' or errFractionalMoney over one with fractional money", file.err)
+			t.Fatalf("decode failed with %v, want errJSONEra over a frame that starts with '{', "+
+				"errFractionalMoney over one with fractional money or errUnknownRecord over one with an unknown tag", file.err)
 		}
 		n := len(file.index)
 		if n > len(frames) || file.validBytes != ends[n] || file.validBytes+file.torn != int64(len(data)) {
 			t.Fatalf("%d records in %d valid and %d torn bytes of %d; the file starts with %d frames",
 				n, file.validBytes, file.torn, len(data), len(frames))
 		}
-		if n < len(frames) && (legacyJSON(frames[n]) || fractional(frames[n])) {
+		if n < len(frames) && (legacyJSON(frames[n]) || fractional(frames[n]) || unknown(frames[n])) {
 			t.Fatalf("frame %d was cut as undecodable; it must refuse the file", n)
 		}
 	})

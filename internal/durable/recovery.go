@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -41,7 +42,8 @@ type RecoveryInfo struct {
 	// once for its counted answers and applying its mutations, decoded a
 	// second time, to its pool shard. What is left over (directory scan,
 	// opening the segment files, a forced reshard snapshot) is not
-	// attributed.
+	// attributed. No phase includes a garbage collection: Open holds the
+	// collector throughout (gcHold).
 	SnapshotLoad time.Duration
 	Decode       time.Duration
 	Merge        time.Duration
@@ -79,10 +81,43 @@ var errJSONEra = errors.New("durable: the data directory holds JSON WAL records 
 // JSON: no binary record tag and no format-2 header starts with '{'.
 func legacyJSON(data []byte) bool { return len(data) > 0 && data[0] == '{' }
 
+// gcHold suspends the collector while at least one Open runs. Recovery is
+// a bulk load: in all it allocates at most 2.25 times the pool it returns
+// (TestOpenAllocBoundedByLiveHeap), so a collection during it marks a heap
+// that is almost all live and reclaims next to nothing, while its write
+// barriers and assists slow every pointer store the rebuild makes. The
+// first concurrent Open disables the collector and keeps the caller's GC
+// percent; the last one to return restores it. It is package state
+// because the GC percent is the process's. The runtime still collects at
+// the memory limit (GOMEMLIMIT), which a negative GC percent leaves on.
+var gcHold struct {
+	sync.Mutex
+	opens   int
+	percent int
+}
+
+// holdGC suspends the collector until the returned release is called.
+func holdGC() (release func()) {
+	gcHold.Lock()
+	if gcHold.opens++; gcHold.opens == 1 {
+		gcHold.percent = debug.SetGCPercent(-1)
+	}
+	gcHold.Unlock()
+	return func() {
+		gcHold.Lock()
+		if gcHold.opens--; gcHold.opens == 0 {
+			debug.SetGCPercent(gcHold.percent)
+		}
+		gcHold.Unlock()
+	}
+}
+
 // Open recovers state from dir (creating it if needed) and returns a store
 // ready to journal new mutations, plus a report of what was recovered.
 // A torn or corrupt WAL tail is truncated, not an error: the discarded
-// suffix was never acknowledged.
+// suffix was never acknowledged. No garbage collection runs while Open
+// does (see gcHold), unless the heap reaches the memory limit; the
+// caller's GC percent is back when it returns, on success or failure.
 //
 // Recovery restores the snapshot straight into the pool's shards, one per
 // configured segment, each on its own goroutine decoding its own section of
@@ -100,9 +135,11 @@ func legacyJSON(data []byte) bool { return len(data) > 0 && data[0] == '{' }
 // copied. Leftover files from a larger previous layout are folded into a
 // fresh snapshot and deleted, so the directory converges to the configured
 // layout. A directory in a format this build does not read fails with
-// errJSONEra, or with errFractionalMoney when it holds money that is not
-// whole units, before anything in it is written.
+// errJSONEra, with errFractionalMoney when it holds money that is not
+// whole units, or with errUnknownRecord when it holds a WAL record of a
+// kind a newer build wrote, before anything in it is written.
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
+	defer holdGC()()
 	if opts.Fsync == FsyncInterval && opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
 	}
@@ -252,9 +289,10 @@ func findWALs(dir string) ([]*walFile, error) {
 // Record, calling visit with each record and its payload. It stops at the
 // first frame that does not verify or decode and sets where the valid
 // prefix ends; a missing file is an empty log. Worker names are interned
-// per file. A JSON record sets f.err to errJSONEra, and a record with
-// money that is not whole units to errFractionalMoney, so the file is
-// refused, not cut.
+// per file. A JSON record sets f.err to errJSONEra, a record with money
+// that is not whole units to errFractionalMoney, and a record with a tag
+// this build does not know to errUnknownRecord, so the file is refused,
+// not cut.
 func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
 	data, err := os.ReadFile(f.path)
 	if err != nil && !os.IsNotExist(err) {
@@ -286,6 +324,9 @@ func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
 		}
 		if err := decodeRecord(payload, &rec, names); errors.Is(err, errFractionalMoney) {
 			f.err = fmt.Errorf("%w (%s, record seq %d)", err, filepath.Base(f.path), rec.Seq)
+			return
+		} else if errors.Is(err, errUnknownRecord) {
+			f.err = fmt.Errorf("%w (%s, tag %d at offset %d)", err, filepath.Base(f.path), payload[0], off)
 			return
 		} else if err != nil {
 			// The frame checksum verified but the payload does not decode:

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -9,7 +10,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -299,9 +302,11 @@ func TestRecoveryEquivalence(t *testing.T) {
 }
 
 // TestUndecodableRecordCutsOnlyItsFile plants a frame whose checksum
-// verifies but whose payload is not an Event in the middle of segment 1 of
-// 3: that file is cut exactly there, the other two replay whole, and the
-// next Open finds nothing left to cut.
+// verifies but whose payload, under a tag this build knows, does not
+// decode in the middle of segment 1 of 3: that file is cut exactly there,
+// the other two replay whole, and the next Open finds nothing left to cut.
+// (A tag this build does not know refuses the directory instead:
+// TestUnknownRecordDirectoryRefused.)
 func TestUndecodableRecordCutsOnlyItsFile(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Fsync: FsyncNever, Segments: 3}
@@ -335,7 +340,7 @@ func TestUndecodableRecordCutsOnlyItsFile(t *testing.T) {
 	for i := 0; i < keep; i++ {
 		cut += frameHeader + int(binary.LittleEndian.Uint32(data[cut:cut+4]))
 	}
-	payload := []byte(`[1,2,3]`)
+	payload := []byte{tagTaskClosed, 1} // seq 1, and no task behind it
 	bad := make([]byte, frameHeader, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(bad[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(bad[4:8], crc32.ChecksumIEEE(payload))
@@ -367,6 +372,41 @@ func TestUndecodableRecordCutsOnlyItsFile(t *testing.T) {
 	}
 	if got := imageOf(s3); !reflect.DeepEqual(got, want) {
 		t.Fatalf("second recovery diverges from the first\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestUnknownRecordDirectoryRefused: a copy of testdata/binwal whose first
+// segment file ends in a checksummed record under a tag this build does
+// not know — numTags, the next tag a newer build would add, or 255 — fails
+// Open with errUnknownRecord under 1, 2 and 3 segments and is left as it
+// was, not cut there. Tag 0 stays malformed.
+func TestUnknownRecordDirectoryRefused(t *testing.T) {
+	var last uint64
+	for _, p := range walPayloads(t, binWALDir) {
+		var rec Record
+		if err := decodeRecord(p, &rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		last = max(last, rec.Seq)
+	}
+	for _, tag := range []byte{numTags, 255} {
+		payload := binary.AppendUvarint([]byte{tag}, last+1)
+		if err := decodeRecord(payload, &Record{}, nil); !errors.Is(err, errUnknownRecord) {
+			t.Fatalf("tag %d decodes to %v, want errUnknownRecord", tag, err)
+		}
+		for _, segments := range []int{1, 2, 3} {
+			dir := t.TempDir()
+			copyDir(t, binWALDir, dir)
+			path := filepath.Join(dir, walName)
+			if err := os.WriteFile(path, appendFrame(mustRead(t, path), payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			assertRefused(t, fmt.Sprintf("tag %d, segments=%d", tag, segments), dir,
+				Options{Fsync: FsyncNever, Segments: segments}, errUnknownRecord)
+		}
+	}
+	if err := decodeRecord(binary.AppendUvarint([]byte{0}, last+1), &Record{}, nil); !errors.Is(err, errMalformed) {
+		t.Fatalf("tag 0 decodes to %v, want errMalformed", err)
 	}
 }
 
@@ -640,5 +680,148 @@ func TestWALBootAllocsPerAnswer(t *testing.T) {
 	}
 	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(info.Answers); per > bound {
 		t.Fatalf("a WAL boot allocated %.1f bytes per replayed answer, want at most %d", per, bound)
+	}
+}
+
+// TestOpenAllocBoundedByLiveHeap pins what makes holding the collector
+// through Open safe: Open allocates at most 2.25 times the live heap it
+// leaves behind (measured after a collection), so what a held collector
+// lets pile up is bounded by the pool Open returns. On recovery_boot's
+// shape (5,000 tasks, 100,000 answers in batches of 10) under 2
+// segments, the four ways a directory holds it measure
+//
+//	WAL only                                1.55
+//	snapshot only                           1.12
+//	half in the snapshot, half in the WAL   1.73
+//	snapshot plus one WAL answer per task   2.01
+//
+// The last is the worst case: every answer slice the snapshot restored
+// is grown again for the one answer behind it. A shape past the bound is
+// a regression of recovery's allocation, not a reason to raise it.
+func TestOpenAllocBoundedByLiveHeap(t *testing.T) {
+	const bound = 2.25
+	const tasks, answers, batch = 5000, 100000, 10
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	shapes := []struct {
+		name          string
+		snapped, more int // answers in the snapshot (-1: no snapshot), then in the WAL
+	}{
+		{"WAL", -1, answers},
+		{"Snapshot", answers, 0},
+		{"HalfSnapshotHalfWAL", answers / 2, answers / 2},
+		{"SnapshotPlusOneWALAnswerPerTask", answers, tasks},
+	}
+	for _, shape := range shapes {
+		dir := t.TempDir()
+		if shape.snapped < 0 {
+			writeRecoveryDir(t, dir, opts, tasks, shape.more, batch, false)
+		} else {
+			writeRecoveryDir(t, dir, opts, tasks, shape.snapped, batch, true)
+			s, _ := mustOpen(t, dir, opts)
+			journalAnswers(t, s, tasks, shape.snapped, shape.snapped+shape.more, batch)
+			s.Crash()
+		}
+		var before, opened, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, info := mustOpen(t, dir, opts)
+		runtime.ReadMemStats(&opened)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		s.Crash()
+		if want := max(shape.snapped, 0) + shape.more; info.Answers != want || info.SnapshotLoaded != (shape.snapped >= 0) {
+			t.Fatalf("%s: recovered %+v, want %d answers", shape.name, info, want)
+		}
+		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		ratio := float64(opened.TotalAlloc-before.TotalAlloc) / float64(live)
+		if live <= 0 || ratio > bound {
+			t.Errorf("%s: Open allocated %d bytes and left %d live, a ratio of %.2f; want at most %.2f",
+				shape.name, opened.TotalAlloc-before.TotalAlloc, live, ratio, bound)
+		}
+	}
+}
+
+// gcPercent reads the collector's GC percent.
+func gcPercent() int {
+	p := debug.SetGCPercent(-1)
+	debug.SetGCPercent(p)
+	return p
+}
+
+// TestOpenHoldsCollector: no collection runs during an Open of a
+// recovery_boot-shaped directory (5,000 tasks, 100,000 answers in batches
+// of 10, all in the WAL), which without the hold collects about three
+// times, and the caller's GC percent is back after Open returns — after a
+// successful Open and a refused one, whatever it was set to, and after
+// two Opens on two goroutines, where the collector stays held until the
+// last of them returns.
+func TestOpenHoldsCollector(t *testing.T) {
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	writeRecoveryDir(t, dirs[0], opts, 5000, 100000, 10, false)
+	copyDir(t, dirs[0], dirs[1])
+	refused := t.TempDir()
+	copyDir(t, jsonWALDir, refused)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, info := mustOpen(t, dirs[0], opts)
+	runtime.ReadMemStats(&after)
+	s.Crash()
+	if info.Answers != 100000 {
+		t.Fatalf("recovered %+v", info)
+	}
+	if n := after.NumGC - before.NumGC; n != 0 {
+		t.Fatalf("%d collections ran during Open", n)
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	for _, percent := range []int{100, 50, -1} {
+		debug.SetGCPercent(percent)
+		check := func(after string) {
+			t.Helper()
+			if got := gcPercent(); got != percent {
+				t.Fatalf("GC percent %d after %s, want the caller's %d", got, after, percent)
+			}
+		}
+		s, _ := mustOpen(t, dirs[0], opts)
+		s.Crash()
+		check("an Open")
+		if s, _, err := Open(refused, opts); err == nil {
+			s.Crash()
+			t.Fatal("a JSON-era directory opened")
+		}
+		check("a refused Open")
+
+		var wg sync.WaitGroup
+		errs := make(chan error, len(dirs))
+		for _, dir := range dirs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s, _, err := Open(dir, opts)
+				if err == nil {
+					s.Crash()
+				}
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("two Opens on two goroutines")
+
+		first, second := holdGC(), holdGC()
+		first()
+		if got := gcPercent(); got != -1 {
+			t.Fatalf("GC percent %d with one of two holds released, want the collector still held", got)
+		}
+		second()
+		check("two overlapping holds")
 	}
 }

@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -376,20 +379,34 @@ func TestDurableServerShardsAreTheStoresSegments(t *testing.T) {
 // converts the directory, and the directory is left byte for byte as it
 // was.
 func TestJSONEraDirectoryRefusedAtBoot(t *testing.T) {
-	refusedAtBoot(t, "jsonwal", "ccc93f0")
+	refusedAtBoot(t, "jsonwal", "ccc93f0", nil)
 }
 
 // The same holds for a WAL an older build left with money that is not
 // whole units (fractional answer costs, budget and question amounts): the
 // error names the last commit that reads it.
 func TestFractionalMoneyDirectoryRefusedAtBoot(t *testing.T) {
-	refusedAtBoot(t, "fracwal", "41542c1")
+	refusedAtBoot(t, "fracwal", "41542c1", nil)
+}
+
+// And for a WAL a newer build wrote to: this build's WAL fixture with one
+// more checksummed record, under tag 255, which no build has written yet,
+// at the end of its first segment file. An older build would cut it there.
+func TestUnknownRecordDirectoryRefusedAtBoot(t *testing.T) {
+	refusedAtBoot(t, "binwal", "newer build", func(files map[string][]byte) {
+		payload := []byte{255, 1} // tag, then a sequence number
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+		files["wal.log"] = slices.Concat(files["wal.log"], frame, payload)
+	})
 }
 
 // refusedAtBoot copies the WAL fixture durable/testdata/<fixture> to a
-// directory, checks that Open fails on it with an error naming commit, and
-// that the directory is left as it was.
-func refusedAtBoot(t *testing.T, fixture, commit string) {
+// directory, passing its files through edit first when edit is not nil,
+// checks that Open fails on it with an error that says want (for an older
+// format, the commit whose build reads it), and that the directory is left
+// as it was.
+func refusedAtBoot(t *testing.T, fixture, want string, edit func(files map[string][]byte)) {
 	t.Helper()
 	dir := t.TempDir()
 	fixture = filepath.Join("..", "durable", "testdata", fixture)
@@ -397,33 +414,38 @@ func refusedAtBoot(t *testing.T, fixture, commit string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]byte{}
+	files := map[string][]byte{}
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[e.Name()] = data
+		files[e.Name()] = data
+	}
+	if edit != nil {
+		edit(files)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	store, _, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncNever, Segments: 2})
 	if err == nil {
 		store.Crash()
 		t.Fatalf("%s opened", fixture)
 	}
-	if !strings.Contains(err.Error(), commit) {
-		t.Fatalf("Open = %v, want an error naming commit %s", err, commit)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want an error that says %q", err, want)
 	}
 	entries, err = os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(want) {
-		t.Fatalf("the refused boot left %d files, want the %d it found", len(entries), len(want))
+	if len(entries) != len(files) {
+		t.Fatalf("the refused boot left %d files, want the %d it found", len(entries), len(files))
 	}
-	for name, data := range want {
+	for name, data := range files {
 		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("the refused boot changed %s (err %v)", name, err)
 		}
