@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -17,8 +18,10 @@ import (
 // the entries without any; LeastInFlight pays one only for a task that
 // beats the best so far. Voters are worker ordinals from the pool's one
 // worker table, so a scan looks its worker up once, not once per task.
-// Grow sizes an entry ahead of a known number of answers; recovery uses
-// it so that every task's answers and voters are allocated once.
+// Grow sizes an entry ahead of a known number of answers, and Reserve
+// sizes the whole pool ahead of a bulk load; recovery uses both so that
+// every task's answers and voters are allocated once, out of one array
+// per shard.
 //
 // Pool is not safe for concurrent use; it stays lock-free so simulator
 // hot loops pay no synchronization cost. The serving layer holds one Pool
@@ -44,6 +47,12 @@ type Pool struct {
 	// than voterScanMax of them. It lives here, not in taskEntry, so that
 	// an entry fits one 64-byte cache line for LeastInFlight's scan.
 	counts map[TaskID]map[int32]int32
+	// What Reserve set aside and Grow and insert have not used yet: the
+	// entries of the tasks to come, and the answer and voter arrays
+	// their answers are carved from.
+	entrySlab  []taskEntry
+	answerSlab []Answer
+	voterSlab  []int32
 }
 
 // taskEntry is everything the pool holds about one task.
@@ -122,7 +131,13 @@ func settleID(t *Task, taken, nonEmpty bool, next *TaskID) {
 // insert registers a task check accepted, and moves the next free ID
 // past it.
 func (p *Pool) insert(t *Task) {
-	e := &taskEntry{task: t}
+	var e *taskEntry
+	if len(p.entrySlab) > 0 {
+		e, p.entrySlab = &p.entrySlab[0], p.entrySlab[1:]
+	} else {
+		e = new(taskEntry)
+	}
+	e.task = t
 	p.tasks[t.ID] = e
 	p.order = append(p.order, t.ID)
 	p.entries = append(p.entries, e)
@@ -153,23 +168,68 @@ func (p *Pool) Len() int { return len(p.tasks) }
 // mutate the returned slice.
 func (p *Pool) TaskIDs() []TaskID { return p.order }
 
+// Reserve is a capacity hint for a bulk load into an empty pool, like
+// Grow for the whole pool: it sizes the task table for tasks tasks (on a
+// pool that holds some, only its insertion-order slices), and sets aside
+// the entries of those tasks and one array each of answers answers and
+// voters, out of which Grow carves every task's arrays. It never changes
+// what the pool holds. A reservation lasts until it is used up or the
+// next Reserve replaces it; Grow falls back to an array of its own for a
+// task the rest of it cannot hold.
+//
+// Carving trades a little memory for one allocation per array instead of
+// one per task: a carved array lives as long as any task still uses its
+// own part of it. A task that outgrows its part (an answer recorded after
+// the load) reallocates alone and leaves that part behind, so what the
+// load's arrays can keep alive beyond what the pool uses is bounded by
+// their own size, the answers and voters reserved.
+func (p *Pool) Reserve(tasks, answers int) {
+	if len(p.tasks) == 0 {
+		p.tasks = make(map[TaskID]*taskEntry, tasks)
+	}
+	p.order = slices.Grow(p.order, tasks)
+	p.entries = slices.Grow(p.entries, tasks)
+	p.entrySlab = make([]taskEntry, tasks)
+	p.answerSlab = make([]Answer, answers)
+	p.voterSlab = make([]int32, answers)
+}
+
 // Grow is a capacity hint, like slices.Grow: it sizes task id's answers
 // and voters for n more answers, so that the next n answers recorded on it
 // reallocate neither. It never changes what the pool holds; an unknown
-// task or n <= 0 leaves the pool as it is.
+// task or n <= 0 leaves the pool as it is. The new arrays are carved out
+// of what Reserve set aside while it lasts; a task that later outgrows
+// its part leaves it behind, and all such parts together are at most the
+// answer and voter arrays Reserve made (see Reserve).
 func (p *Pool) Grow(id TaskID, n int) {
 	e := p.tasks[id]
 	if e == nil || n <= 0 {
 		return
 	}
-	// make, not slices.Grow: the capacity stays exactly what was asked
-	// for instead of rounding up to an allocation size class.
+	// The capacity stays exactly what was asked for instead of rounding
+	// up to an allocation size class, and a carved array ends where the
+	// task's part does, so an append past it reallocates only this task.
 	if cap(e.answers)-len(e.answers) < n {
-		e.answers = append(make([]Answer, 0, len(e.answers)+n), e.answers...)
+		e.answers = append(carve(&p.answerSlab, len(e.answers)+n), e.answers...)
 	}
 	if cap(e.voters)-len(e.voters) < n {
-		e.voters = append(make([]int32, 0, len(e.voters)+n), e.voters...)
+		e.voters = append(carve(&p.voterSlab, len(e.voters)+n), e.voters...)
 	}
+}
+
+// carve returns an empty slice of capacity n cut from the front of *slab
+// with a full slice expression, or a new array when *slab holds fewer
+// than n elements. A slab all carved is dropped, so the pool holds no
+// pointer into it.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, 0, n)
+	}
+	s := (*slab)[:0:n]
+	if *slab = (*slab)[n:]; len(*slab) == 0 {
+		*slab = nil
+	}
+	return s
 }
 
 // MaxRepeatAnswers caps how many answers one worker may submit for one

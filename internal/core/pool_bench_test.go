@@ -136,6 +136,48 @@ func TestTaskEntryFitsACacheLine(t *testing.T) {
 	}
 }
 
+// TestReserveCarvesTaskArrays: after Reserve, Grow cuts each task's
+// answer and voter arrays from the reserved ones with no spare capacity,
+// one task's append past its part reallocates that task alone, a task the
+// rest cannot hold gets an array of its own, and the pool keeps no
+// pointer into reserved arrays all carved.
+func TestReserveCarvesTaskArrays(t *testing.T) {
+	p := NewPool()
+	p.Reserve(3, 10)
+	for id := TaskID(1); id <= 3; id++ {
+		p.MustAdd(&Task{ID: id, Kind: Collection, Question: "q"})
+	}
+	for i, n := range []int{4, 6, 5} { // the third does not fit
+		id := TaskID(i + 1)
+		p.Grow(id, n)
+		for j := 0; j < n; j++ {
+			if err := p.Record(Answer{Task: id, Worker: fmt.Sprintf("w%d", j)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first := &p.Answers(1)[:4][0]
+	if p.answerSlab != nil || p.voterSlab != nil || len(p.entrySlab) != 0 {
+		t.Fatalf("reserved arrays left: %d answers, %d voters, %d entries", len(p.answerSlab), len(p.voterSlab), len(p.entrySlab))
+	}
+	for id := TaskID(1); id <= 3; id++ {
+		e := p.tasks[id]
+		if cap(e.answers) != len(e.answers) || cap(e.voters) != len(e.voters) {
+			t.Fatalf("task %d: %d answers in capacity %d, %d voters in capacity %d",
+				id, len(e.answers), cap(e.answers), len(e.voters), cap(e.voters))
+		}
+	}
+	if err := p.Record(Answer{Task: 1, Worker: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Answers(1); &got[0] == first || len(got) != 5 || got[4].Worker != "late" {
+		t.Fatalf("task 1 after an answer past its part: %v", got)
+	}
+	if got := p.Answers(2); len(got) != 6 || got[5].Worker != "w5" {
+		t.Fatalf("task 2 changed with task 1's append: %v", got)
+	}
+}
+
 // TestLeastInFlightAllocs guards the assignment scan against allocating:
 // on an unanswered pool (the scan stops at the first task), on an
 // answered one, and with outstanding leases. Under the race detector the

@@ -166,7 +166,8 @@ func randomTask(rng *rand.Rand) *Task {
 }
 
 // TestPoolMatchesReferenceModel drives seeded random sequences of Add,
-// Record, Close, Lease, ExpireLeases and Grow into a Pool and into
+// Record, Close, Lease, ExpireLeases and Grow (after a Reserve, for half
+// the seeds) into a Pool and into
 // refPool, over single-choice, pairwise and the repeatable kinds (so the
 // MaxRepeatAnswers cap is reached), and after every step checks that the
 // two agree on whether the call was refused and on every per-worker and
@@ -191,6 +192,9 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p, ref := NewPool(), newRefPool()
+		if seed%2 == 0 {
+			p.Reserve(rng.Intn(40), rng.Intn(400)) // what a bulk load would: carving changes no read
+		}
 		capped := 0 // refusals at the MaxRepeatAnswers cap, which the run must reach
 		now := time.Unix(1e9, 0)
 		pick := func() TaskID { // an added task, or now and then one that is not

@@ -195,7 +195,8 @@ func appendRecordBody(b []byte, rec *Record) (byte, []byte) {
 // that does and holds money in a retired tag that is not whole units is
 // errFractionalMoney, and one whose tag this build does not know is
 // errUnknownRecord, not malformed. names, when not nil, interns worker
-// names across the records decoded with it (see reader.name).
+// names and task options across the records decoded with it (see
+// reader.name).
 func decodeRecord(payload []byte, rec *Record, names map[string]string) error {
 	r := reader{b: payload, names: names}
 	tag := r.byte()
@@ -308,14 +309,15 @@ func appendTask(b []byte, t *core.Task, flags byte) []byte {
 }
 
 // task reads a task's fields into t (all but its ID) and returns the flags
-// byte for the caller to check.
+// byte for the caller to check. Option strings are names (reader.name):
+// the tasks of one file or section share one copy of each.
 func (r *reader) task(t *core.Task) byte {
 	t.Kind = core.TaskKind(r.varint())
 	t.Question = r.str()
 	if n := r.count(1); n > 0 {
 		t.Options = make([]string, n)
 		for i := range t.Options {
-			t.Options[i] = r.str()
+			t.Options[i] = r.name()
 		}
 	}
 	flags := r.byte()
@@ -447,7 +449,7 @@ var errUnknownRecord = errors.New("durable: the data directory holds WAL records
 type reader struct {
 	b     []byte
 	err   error
-	names map[string]string // worker names read so far, for name; nil: none kept
+	names map[string]string // worker names and options read so far, for name; nil: none kept
 }
 
 func (r *reader) fail() {
@@ -520,9 +522,10 @@ func (r *reader) u32() int {
 
 func (r *reader) str() string { return string(r.next(r.count(1))) }
 
-// name reads a worker name. With a names table it returns the table's copy
-// of a name it has read before, so the answers of a WAL file share one
-// string per worker instead of allocating one each.
+// name reads a worker name or a task option. With a names table it
+// returns the table's copy of a name it has read before, so the answers
+// of a WAL file share one string per worker, and its tasks one per
+// option, instead of allocating one each.
 func (r *reader) name() string {
 	b := r.next(r.count(1))
 	if r.names == nil {

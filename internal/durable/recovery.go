@@ -33,17 +33,21 @@ type RecoveryInfo struct {
 	// ReplayDuration is the wall time spent loading and replaying.
 	ReplayDuration time.Duration
 	// SnapshotLoad, Decode, Merge, and Apply split ReplayDuration into the
-	// recovery pipeline's phases, which run one after another: reading
-	// pool.snap and restoring it into the pool shards; reading, checking
-	// and decoding every WAL file into an index of its records and a count
-	// of answers per task (and truncating torn tails); merging the indexes
-	// by sequence number while folding the cross-task state and routing
-	// pool mutations to their segments; and, per segment, sizing each task
-	// once for its counted answers and applying its mutations, decoded a
-	// second time, to its pool shard. What is left over (directory scan,
-	// opening the segment files, a forced reshard snapshot) is not
-	// attributed. No phase includes a garbage collection: Open holds the
-	// collector throughout (gcHold).
+	// recovery pipeline's phases, whose parts run one after another:
+	// reading pool.snap and checking its sections, and, once the WAL is
+	// decoded, restoring them into the pool shards; reading, checking and
+	// decoding every WAL file into an index of its records and counts of
+	// its answers per task and shard (and truncating torn tails, once the
+	// snapshot is restored); merging the indexes by sequence number while
+	// folding the cross-task state and routing pool mutations to their
+	// segments; and, per segment, applying its mutations, decoded a second
+	// time, to its pool shard. Each shard is sized once, by the snapshot
+	// restore or else by the apply step, for every task and answer the
+	// snapshot and the WAL hold (core.Pool.Reserve), and each task once
+	// for its answers in both (core.Pool.Grow). What is left over
+	// (directory scan, opening the segment files, a forced reshard
+	// snapshot) is not attributed. No phase includes a garbage collection:
+	// Open holds the collector throughout (gcHold).
 	SnapshotLoad time.Duration
 	Decode       time.Duration
 	Merge        time.Duration
@@ -82,7 +86,7 @@ var errJSONEra = errors.New("durable: the data directory holds JSON WAL records 
 func legacyJSON(data []byte) bool { return len(data) > 0 && data[0] == '{' }
 
 // gcHold suspends the collector while at least one Open runs. Recovery is
-// a bulk load: in all it allocates at most 2.25 times the pool it returns
+// a bulk load: in all it allocates at most 1.6 times the pool it returns
 // (TestOpenAllocBoundedByLiveHeap), so a collection during it marks a heap
 // that is almost all live and reclaims next to nothing, while its write
 // barriers and assists slow every pointer store the rebuild makes. The
@@ -122,14 +126,17 @@ func holdGC() (release func()) {
 // Recovery restores the snapshot straight into the pool's shards, one per
 // configured segment, each on its own goroutine decoding its own section of
 // pool.snap (or, when the snapshot was cut with another shard count, taking
-// its tasks from every section), then replays every WAL segment file found
+// its tasks from every section), and replays every WAL segment file found
 // in the directory — including files from a previous layout with a different
 // segment count, whose records are re-routed to their current owners — as a
 // three-step pipeline: the files are decoded in parallel into indexes of
 // their records, the indexes merged by sequence number on one goroutine
 // (which folds the cross-task state and queues each pool mutation for the
 // segment owning its task), and the queues are applied one goroutine per
-// segment. No decoded copy of the log is held: a queued record is decoded
+// segment. The WAL files are decoded between checking the snapshot and
+// restoring it, so that every shard is built in bulk, sized once for all
+// it will hold: one array of answers and one of voters per shard, each
+// task's carved from them once (core.Pool.Reserve). No decoded copy of the log is held: a queued record is decoded
 // again from the file's bytes as it is applied. The shards recovery filled
 // are the pool the store then serves and journals (Store.Pool); nothing is
 // copied. Leftover files from a larger previous layout are folded into a
@@ -169,8 +176,9 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	var restore snapRestore
 	if found {
-		if err := s.restoreSnapshot(snap, pools); err != nil {
+		if restore, err = s.loadSnapshot(snap, len(pools)); err != nil {
 			return nil, nil, err
 		}
 		info.SnapshotLoaded = true
@@ -183,20 +191,36 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		return nil, nil, err
 	}
 	phase := time.Now()
-	if info.TornBytes, err = decodeWALs(files, len(s.segs), s.snapSeq); err != nil {
+	if err := decodeWALs(files, len(s.segs), s.snapSeq); err != nil {
 		return nil, nil, err
 	}
+	counts := sumCounts(files, len(s.segs))
 	info.Decode = time.Since(phase)
 
+	if restore != nil {
+		phase = time.Now()
+		err := inParallel(len(pools), func(si int) error { return restore(pools[si], si, &counts[si]) })
+		if err != nil {
+			return nil, nil, err
+		}
+		info.SnapshotLoad += time.Since(phase)
+	}
+
 	phase = time.Now()
-	queues, err := s.mergeRoute(files, info)
+	if info.TornBytes, err = cutTornTails(files); err != nil {
+		return nil, nil, err
+	}
+	info.Decode += time.Since(phase)
+
+	phase = time.Now()
+	queues, err := s.mergeRoute(files, counts, info)
 	if err != nil {
 		return nil, nil, err
 	}
 	info.Merge = time.Since(phase)
 
 	phase = time.Now()
-	if err := applyQueues(pools, queues, files); err != nil {
+	if err := applyQueues(pools, queues, counts, restore == nil); err != nil {
 		return nil, nil, err
 	}
 	info.Apply = time.Since(phase)
@@ -245,13 +269,22 @@ type walFile struct {
 	idx  int // segment index the file name encodes
 	path string
 
-	index []walEntry // one per decoded record, in file order (ascending seq)
-	// need counts, per current shard and task, the answers of the records
-	// past the snapshot.
-	need       []map[core.TaskID]int
-	validBytes int64 // where the readable, decodable prefix ends
-	torn       int64 // bytes past validBytes: torn, corrupt or undecodable
+	index      []walEntry    // one per decoded record, in file order (ascending seq)
+	counts     []shardCounts // per current shard, of the records past the snapshot
+	validBytes int64         // where the readable, decodable prefix ends
+	torn       int64         // bytes past validBytes: torn, corrupt or undecodable
 	err        error
+}
+
+// shardCounts is what the decoders count, for one current shard, of the
+// records past the snapshot, so that the shard's pool and apply queue are
+// each sized once: the answers per task, all of them, the task adds, and
+// the records the shard is the one owner of.
+type shardCounts struct {
+	need    map[core.TaskID]int
+	answers int
+	adds    int
+	owned   int
 }
 
 // walEntry is what recovery keeps of one decoded record until it is
@@ -288,8 +321,8 @@ func findWALs(dir string) ([]*walFile, error) {
 // walk reads the file and decodes its frames in order into one reused
 // Record, calling visit with each record and its payload. It stops at the
 // first frame that does not verify or decode and sets where the valid
-// prefix ends; a missing file is an empty log. Worker names are interned
-// per file. A JSON record sets f.err to errJSONEra, a record with money
+// prefix ends; a missing file is an empty log. Worker names and task
+// options are interned per file. A JSON record sets f.err to errJSONEra, a record with money
 // that is not whole units to errFractionalMoney, and a record with a tag
 // this build does not know to errUnknownRecord, so the file is refused,
 // not cut.
@@ -345,12 +378,12 @@ func (f *walFile) walk(visit func(rec *Record, payload []byte)) {
 // layout of segs shards: its owner, its answer count and, for a task add,
 // the task; a record the merge must fold beyond its answer count or split
 // across owners is kept whole. The answers of the records past the
-// snapshot's LastSeq (after) are counted per task, so each applier sizes
-// its tasks once.
+// snapshot's LastSeq (after) are counted per task, and per shard so are
+// all of them, the task adds and the records it owns (shardCounts).
 func (f *walFile) decode(segs int, after uint64) {
-	f.need = make([]map[core.TaskID]int, segs)
-	for si := range f.need {
-		f.need[si] = make(map[core.TaskID]int)
+	f.counts = make([]shardCounts, segs)
+	for si := range f.counts {
+		f.counts[si].need = make(map[core.TaskID]int)
 	}
 	f.walk(func(rec *Record, payload []byte) {
 		m := &rec.Mut
@@ -369,8 +402,17 @@ func (f *walFile) decode(segs int, after uint64) {
 		}
 		f.index = append(f.index, e)
 		if rec.Seq > after {
+			if e.owner >= 0 {
+				c := &f.counts[e.owner]
+				c.owned++
+				if m.Kind == core.MutAddTask {
+					c.adds++
+				}
+			}
 			for _, a := range m.Answers {
-				f.need[core.ShardIndex(a.Task, segs)][a.Task]++
+				c := &f.counts[core.ShardIndex(a.Task, segs)]
+				c.need[a.Task]++
+				c.answers++
 			}
 		}
 	})
@@ -384,10 +426,8 @@ func detach(rec *Record) *Record {
 }
 
 // decodeWALs decodes every file on its own goroutine — the files share
-// nothing until the merge — and then, with all of them joined, truncates
-// each torn or undecodable tail so the log ends on a record boundary again.
-// It returns the total bytes cut.
-func decodeWALs(files []*walFile, segs int, after uint64) (tornBytes int64, err error) {
+// nothing until the merge — and returns the first file's refusal, if any.
+func decodeWALs(files []*walFile, segs int, after uint64) error {
 	var wg sync.WaitGroup
 	for _, f := range files {
 		wg.Add(1)
@@ -399,9 +439,37 @@ func decodeWALs(files []*walFile, segs int, after uint64) (tornBytes int64, err 
 	wg.Wait()
 	for _, f := range files {
 		if f.err != nil {
-			return 0, f.err
+			return f.err
 		}
 	}
+	return nil
+}
+
+// sumCounts adds up the files' counts per shard. Usually one file holds a
+// shard's tasks and its counts serve as they are; else the first file's
+// take the others'.
+func sumCounts(files []*walFile, segs int) []shardCounts {
+	sum := make([]shardCounts, segs)
+	for _, f := range files {
+		for si, c := range f.counts {
+			t := &sum[si]
+			if t.need == nil {
+				*t = c
+				continue
+			}
+			for id, n := range c.need {
+				t.need[id] += n
+			}
+			t.answers, t.adds, t.owned = t.answers+c.answers, t.adds+c.adds, t.owned+c.owned
+		}
+	}
+	return sum
+}
+
+// cutTornTails truncates each decoded file's torn or undecodable tail, so
+// the log ends on a record boundary again, and returns the bytes cut.
+// Open calls it once nothing can refuse the directory any more.
+func cutTornTails(files []*walFile) (tornBytes int64, err error) {
 	for _, f := range files {
 		if f.torn > 0 {
 			if err := os.Truncate(f.path, f.validBytes); err != nil {
@@ -430,8 +498,11 @@ func decodeWALs(files []*walFile, segs int, after uint64) (tornBytes int64, err 
 // several files a gap is a legal crash outcome: sequence numbers are drawn
 // under the store mutex and written under each segment's own, so a crash
 // or a failed write can lose n in one file while n+1 reached another.
-func (s *Store) mergeRoute(files []*walFile, info *RecoveryInfo) ([][]queued, error) {
+func (s *Store) mergeRoute(files []*walFile, counts []shardCounts, info *RecoveryInfo) ([][]queued, error) {
 	queues := make([][]queued, len(s.segs))
+	for si := range queues {
+		queues[si] = make([]queued, 0, counts[si].owned) // split records' parts come on top
+	}
 	heads := make([]int, len(files))
 	prev := uint64(0) // the single file's previous record
 	for {
@@ -504,32 +575,20 @@ type queued struct {
 
 // applyQueues replays each segment's queued mutations into its pool shard
 // (core.Pool.Replay), one goroutine per segment: the shards are disjoint
-// and each queue holds its tasks' mutations in sequence order. Each
-// applier grows every task once by the answers the decoders counted for
-// it (core.Pool.Grow): a task from the snapshot before the first mutation,
-// a task the queue adds right after its add. A task add replays the task
-// its decoder kept, a kept record replays as it is, and any other record
-// is decoded again, into one Record the applier reuses. The first
-// mutation a shard refuses fails recovery, naming its WAL file and
-// sequence number.
-func applyQueues(pools []*core.Pool, queues [][]queued, files []*walFile) error {
+// and each queue holds its tasks' mutations in sequence order. Each shard
+// is sized once for what its decoders counted (core.Pool.Reserve) — by the
+// snapshot restore when there was a snapshot (reserve false), here
+// otherwise — and each task the queue adds is grown right after its add
+// for the answers counted for it (core.Pool.Grow), so its arrays are
+// carved once from the shard's. A task add replays the task its decoder
+// kept, a kept record replays as it is, and any other record is decoded
+// again, into one Record the applier reuses. The first mutation a shard
+// refuses fails recovery, naming its WAL file and sequence number.
+func applyQueues(pools []*core.Pool, queues [][]queued, counts []shardCounts, reserve bool) error {
 	return inParallel(len(queues), func(si int) error {
-		p := pools[si]
-		// Usually one file holds the shard's tasks and its counts serve as
-		// they are; else the first file's take the others'. Only this
-		// goroutine touches any file's counts for si.
-		var need map[core.TaskID]int
-		for _, f := range files {
-			if need == nil {
-				need = f.need[si]
-				continue
-			}
-			for id, n := range f.need[si] {
-				need[id] += n
-			}
-		}
-		for id, n := range need {
-			p.Grow(id, n) // a task the queue adds is not in p yet: no-op
+		p, need := pools[si], counts[si].need
+		if reserve {
+			p.Reserve(counts[si].adds, counts[si].answers)
 		}
 		var rec Record
 		add := core.Mutation{Kind: core.MutAddTask}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -661,12 +662,13 @@ func TestSegmentLosingItsLastRecordOpens(t *testing.T) {
 // TestWALBootAllocsPerAnswer guards recovery against holding a decoded
 // copy of the log again. A WAL boot of a small recovery_boot-shaped
 // directory (500 tasks, 10,000 answers in batches of 10, 2 segments)
-// allocates about 152 bytes per replayed answer, most of it the pool's
-// own answers (72 bytes each); decoding every file into records before
-// the merge, as recovery once did, took 329. The bound leaves 25 %
-// headroom over 152.
+// allocates about 134 bytes per replayed answer, most of it the pool's
+// own answers (72 bytes each, 76 with the voter); decoding every file
+// into records before the merge, as recovery once did, took 329, and
+// growing every task's arrays on its own with its own option strings
+// 149. The bound leaves 25 % headroom over 134.
 func TestWALBootAllocsPerAnswer(t *testing.T) {
-	const bound = 190
+	const bound = 165
 	dir := t.TempDir()
 	opts := Options{Fsync: FsyncNever, Segments: 2}
 	writeRecoveryDir(t, dir, opts, 500, 10000, 10, false)
@@ -678,28 +680,65 @@ func TestWALBootAllocsPerAnswer(t *testing.T) {
 	if info.Answers != 10000 || info.SnapshotLoaded {
 		t.Fatalf("recovered %+v", info)
 	}
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(info.Answers); per > bound {
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(info.Answers)
+	t.Logf("%.1f bytes per replayed answer", per)
+	if per > bound {
 		t.Fatalf("a WAL boot allocated %.1f bytes per replayed answer, want at most %d", per, bound)
 	}
 }
 
+// TestBootObjectsPerTask pins the number of heap objects a boot makes per
+// recovered task, on recovery_boot's shape (5,000 tasks, 100,000 answers
+// in batches of 10, 2 segments), from the WAL and from a snapshot. Each
+// task costs its *Task, its question and its options slice; its entry and
+// its answer and voter arrays are carved from per-shard arrays
+// (core.Pool.Reserve) and its option strings are interned. Both boots
+// measure 3.1 objects per task (8.1 when every task allocated its own
+// arrays and strings); the bound leaves 0.4 over that, so one allocation
+// per task more fails it.
+func TestBootObjectsPerTask(t *testing.T) {
+	const bound = 3.5
+	const tasks = 5000
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	for _, snapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		writeRecoveryDir(t, dir, opts, tasks, 100000, 10, snapshot)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, info := mustOpen(t, dir, opts)
+		runtime.ReadMemStats(&after)
+		s.Crash()
+		if info.Tasks != tasks || info.SnapshotLoaded != snapshot {
+			t.Fatalf("recovered %+v", info)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / tasks
+		t.Logf("snapshot=%v: %.2f objects per task", snapshot, per)
+		if per > bound {
+			t.Errorf("snapshot=%v: a boot made %.2f heap objects per recovered task, want at most %.1f", snapshot, per, bound)
+		}
+	}
+}
+
 // TestOpenAllocBoundedByLiveHeap pins what makes holding the collector
-// through Open safe: Open allocates at most 2.25 times the live heap it
+// through Open safe: Open allocates at most 1.6 times the live heap it
 // leaves behind (measured after a collection), so what a held collector
 // lets pile up is bounded by the pool Open returns. On recovery_boot's
 // shape (5,000 tasks, 100,000 answers in batches of 10) under 2
 // segments, the four ways a directory holds it measure
 //
-//	WAL only                                1.55
+//	WAL only                                1.39
 //	snapshot only                           1.12
-//	half in the snapshot, half in the WAL   1.73
-//	snapshot plus one WAL answer per task   2.01
+//	half in the snapshot, half in the WAL   1.29
+//	snapshot plus one WAL answer per task   1.17
 //
-// The last is the worst case: every answer slice the snapshot restored
-// is grown again for the one answer behind it. A shape past the bound is
-// a regression of recovery's allocation, not a reason to raise it.
+// The first is the worst case: the files' bytes and their record index
+// are dropped once the pool holds the answers. Every task's arrays are
+// sized once, for its snapshot and WAL answers together, so the last
+// shape no longer grows every task a second time (it measured 2.01 so).
+// The bound leaves 0.2 over the worst. A shape past it is a regression of
+// recovery's allocation, not a reason to raise it.
 func TestOpenAllocBoundedByLiveHeap(t *testing.T) {
-	const bound = 2.25
+	const bound = 1.6
 	const tasks, answers, batch = 5000, 100000, 10
 	opts := Options{Fsync: FsyncNever, Segments: 2}
 	shapes := []struct {
@@ -734,10 +773,62 @@ func TestOpenAllocBoundedByLiveHeap(t *testing.T) {
 		}
 		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 		ratio := float64(opened.TotalAlloc-before.TotalAlloc) / float64(live)
+		t.Logf("%s: allocated %d bytes, left %d live: %.2f", shape.name, opened.TotalAlloc-before.TotalAlloc, live, ratio)
 		if live <= 0 || ratio > bound {
 			t.Errorf("%s: Open allocated %d bytes and left %d live, a ratio of %.2f; want at most %.2f",
 				shape.name, opened.TotalAlloc-before.TotalAlloc, live, ratio, bound)
 		}
+	}
+}
+
+// TestCarvedArraysPinAtMostTheirSize checks the bound core.Pool.Reserve
+// states for what recovery's carved arrays can keep alive: a task that
+// outgrows its part of a shard's answer and voter arrays reallocates
+// alone and leaves its part behind, alive as long as any other task uses
+// its own, so the heap can hold up to those arrays again beside the pool.
+// Booted from the recovery_boot shape's WAL (5,000 tasks with 20 answers
+// each, 2 segments), one more answer on every other task reallocates half
+// the tasks; after a collection the heap must hold at most the pool as it
+// would be without carving — the booted heap, less the grown tasks' old
+// arrays, plus their new ones — and the recovered answer arrays once more.
+func TestCarvedArraysPinAtMostTheirSize(t *testing.T) {
+	const tasks, answers = 5000, 100000
+	const each = answers / tasks
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, Segments: 2}
+	writeRecoveryDir(t, dir, opts, tasks, answers, 10, false)
+	answerSize, voterSize := int64(unsafe.Sizeof(core.Answer{})), int64(unsafe.Sizeof(int32(0)))
+	// The capacities an append past a full array of each answers picks.
+	grownAnswers := int64(cap(append(make([]core.Answer, each), core.Answer{})))
+	grownVoters := int64(cap(append(make([]int32, each), 0)))
+
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	h0 := heap()
+	s, info := mustOpen(t, dir, opts)
+	defer s.Crash()
+	if info.Tasks != tasks || info.Answers != answers {
+		t.Fatalf("recovered %+v", info)
+	}
+	booted := heap() - h0
+	grown := int64(0)
+	for id := core.TaskID(1); id <= tasks; id += 2 {
+		if err := answer(s, core.Answer{Task: id, Worker: "late", Option: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		grown++
+	}
+	held := heap() - h0
+	recovered := answers * (answerSize + voterSize)
+	unpinned := booted - grown*each*(answerSize+voterSize) + grown*(grownAnswers*answerSize+grownVoters*voterSize)
+	t.Logf("booted %d, after %d grew: %d held, %d without carving, recovered arrays %d", booted, grown, held, unpinned, recovered)
+	if held > unpinned+recovered {
+		t.Fatalf("the heap holds %d bytes: %d over the pool's %d without carving, more than the %d bytes of the recovered answer arrays",
+			held, held-unpinned, unpinned, recovered)
 	}
 }
 

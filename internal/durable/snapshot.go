@@ -215,16 +215,50 @@ func parseSection(shard, of int, payload []byte) (*snapSection, error) {
 	return sec, nil
 }
 
-// restoreTask decodes one task record and replays it into p through the
-// pool's validating calls: Add, Record for each answer in arrival order,
-// Lease for each lease, and Close last — answers and leases of a closed
-// task were taken while it was open. The task is grown for its answer
-// count before the first one, so its entry is allocated once.
-func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) error {
-	r := reader{b: rec}
-	malformed := func() error {
-		return fmt.Errorf("durable: snapshot corrupt: shard %d section, task %d: %w", sec.shard, id, r.err)
+// snapTask is a task record whose task fields are decoded: the task, its
+// flags, its answer count, and the rest of the record — its answers and
+// leases — still undecoded.
+type snapTask struct {
+	sec     *snapSection
+	task    *core.Task
+	flags   byte
+	answers int
+	rest    []byte
+}
+
+// malformed is the error of a task record that does not parse.
+func (sec *snapSection) malformed(id core.TaskID, err error) error {
+	return fmt.Errorf("durable: snapshot corrupt: shard %d section, task %d: %w", sec.shard, id, err)
+}
+
+// readTask decodes a task record's fields up to its answer count. The
+// task's option strings are interned in names, as a WAL file's are.
+func (sec *snapSection) readTask(id core.TaskID, rec []byte, names map[string]string) (snapTask, error) {
+	r := reader{b: rec, names: names}
+	t := &core.Task{ID: id}
+	flags := r.task(t)
+	if flags&^snapTaskFlags != 0 {
+		r.fail()
 	}
+	n := r.count(3)
+	if r.err != nil {
+		return snapTask{}, sec.malformed(id, r.err)
+	}
+	return snapTask{sec: sec, task: t, flags: flags, answers: n, rest: r.b}, nil
+}
+
+// restore replays the task into p through the pool's validating calls:
+// Add, Record for each answer in arrival order, Lease for each lease, and
+// Close last — answers and leases of a closed task were taken while it
+// was open. The task is grown before its first answer for its own
+// answers and the more answers the WAL holds for it behind the snapshot,
+// so its arrays are carved once.
+func (st *snapTask) restore(p *core.Pool, more int) error {
+	id, sec := st.task.ID, st.sec
+	if err := p.Replay(&core.Mutation{Kind: core.MutAddTask, Task: st.task}); err != nil {
+		return fmt.Errorf("durable: snapshot task %d: %w", id, err)
+	}
+	r := reader{b: st.rest}
 	worker := func() string {
 		i := r.uvarint()
 		if i >= uint64(len(sec.workers)) {
@@ -233,21 +267,8 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 		}
 		return sec.workers[i]
 	}
-	t := &core.Task{ID: id}
-	flags := r.task(t)
-	if flags&^snapTaskFlags != 0 {
-		r.fail()
-	}
-	if r.err != nil {
-		return malformed()
-	}
-	if err := p.Replay(&core.Mutation{Kind: core.MutAddTask, Task: t}); err != nil {
-		return fmt.Errorf("durable: snapshot task %d: %w", id, err)
-	}
-
-	n := r.count(3)
-	p.Grow(id, n)
-	for ; n > 0 && r.err == nil; n-- {
+	p.Grow(id, st.answers+more)
+	for n := st.answers; n > 0 && r.err == nil; n-- {
 		a := core.Answer{Task: id, Worker: worker()}
 		if r.answer(&a)&^snapAnswerFlags != 0 {
 			r.fail()
@@ -272,27 +293,32 @@ func (sec *snapSection) restoreTask(p *core.Pool, id core.TaskID, rec []byte) er
 		r.fail() // bytes after the record's last field
 	}
 	if r.err != nil {
-		return malformed()
+		return sec.malformed(id, r.err)
 	}
-	if flags&taskClosed != 0 {
+	if st.flags&taskClosed != 0 {
 		p.Close(id)
 	}
 	return nil
 }
 
-// restoreSnapshot loads a snapshot file's contents into a fresh store: the
-// cross-task state here, the pool state straight into the pool shards, one
-// goroutine per shard. A snapshot is all-or-nothing: any corrupt,
-// truncated or unknown-format input is an error, and the store that got a
-// partial restore is dropped. A format-1 file, recognised by its leading
-// '{', is errJSONEra.
-func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
+// snapRestore restores shard si of a loaded snapshot into p, sized for
+// what the WAL holds behind the snapshot for that shard (wal). Open runs
+// it once per shard, concurrently.
+type snapRestore func(p *core.Pool, si int, wal *shardCounts) error
+
+// loadSnapshot loads a snapshot file's cross-task state into a fresh
+// store and returns the function that restores its pool state straight
+// into the pool shards of a store of n. A snapshot is all-or-nothing: any
+// corrupt, truncated or unknown-format input is an error, and the store
+// that got a partial restore is dropped. A format-1 file, recognised by
+// its leading '{', is errJSONEra.
+func (s *Store) loadSnapshot(data []byte, n int) (snapRestore, error) {
 	if legacyJSON(data) {
-		return fmt.Errorf("%w (%s)", errJSONEra, snapName)
+		return nil, fmt.Errorf("%w (%s)", errJSONEra, snapName)
 	}
-	cross, restore, err := decodeSnapshot(data, len(pools))
+	cross, restore, err := decodeSnapshot(data, n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.seq, s.snapSeq = cross.LastSeq, cross.LastSeq
 	s.repSpent = cross.Spent
@@ -300,20 +326,22 @@ func (s *Store) restoreSnapshot(data []byte, pools []*core.Pool) error {
 		s.repScreen[w] = t
 	}
 	s.repCQL = restoreCQL(cross.CQL)
-	return inParallel(len(pools), func(si int) error { return restore(pools[si], si) })
+	return restore, nil
 }
 
 // decodeSnapshot checks a format-3 or format-2 file's header and every
 // section's checksum, decodes the cross-task section (a format-2 one
 // through the retention reader), and splits each shard section
 // into its worker table and task records, for a store of n shards. It
-// returns the cross-task section and the function that restores shard si,
-// which restoreSnapshot runs once per shard, concurrently.
+// returns the cross-task section and the function that restores a shard.
 //
 // A snapshot written with n shards hands each shard its own section.
 // Otherwise every shard walks all records — in file order from a single
 // section, by ascending ID from several — and restores the ones it owns.
-func decodeSnapshot(data []byte, n int) (*snapCross, func(p *core.Pool, si int) error, error) {
+// A shard decodes its tasks' fields first, then sizes its pool once for
+// them and all their answers, the snapshot's and the WAL's
+// (core.Pool.Reserve), and then restores the tasks one by one.
+func decodeSnapshot(data []byte, n int) (*snapCross, snapRestore, error) {
 	if len(data) < snapHeader || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, nil, errors.New("durable: snapshot corrupt: not a pool snapshot")
 	}
@@ -364,16 +392,29 @@ func decodeSnapshot(data []byte, n int) (*snapCross, func(p *core.Pool, si int) 
 			slices.SortStableFunc(all, func(a, b snapRecord) int { return cmp.Compare(a.id, b.id) })
 		}
 	}
-	return cross, func(p *core.Pool, si int) error {
-		recs := all
+	return cross, func(p *core.Pool, si int, wal *shardCounts) error {
+		recs, owned := all, len(all)/n+1 // a fair share of the tasks
 		if len(secs) == n {
 			recs = secs[si].tasks
+			owned = len(recs)
 		}
+		names := make(map[string]string)
+		tasks := make([]snapTask, 0, owned)
+		answers := 0
 		for _, r := range recs {
 			if core.ShardIndex(r.id, n) != si {
 				continue
 			}
-			if err := r.sec.restoreTask(p, r.id, r.rec); err != nil {
+			st, err := r.sec.readTask(r.id, r.rec, names)
+			if err != nil {
+				return err
+			}
+			tasks = append(tasks, st)
+			answers += st.answers
+		}
+		p.Reserve(len(tasks)+wal.adds, answers+wal.answers)
+		for i := range tasks {
+			if err := tasks[i].restore(p, wal.need[tasks[i].task.ID]); err != nil {
 				return err
 			}
 		}

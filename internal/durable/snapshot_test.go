@@ -176,7 +176,7 @@ func TestSnapshotCountsBoundedByInput(t *testing.T) {
 		pools := []*core.Pool{core.NewPool()}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := s.restoreSnapshot(data, pools)
+		err := restoreSnapshot(s, data, pools)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s: a count past the end of the input restored", label)
@@ -237,6 +237,16 @@ func TestSnapshotDirSyncFailureKeepsWAL(t *testing.T) {
 	}
 }
 
+// restoreSnapshot loads a snapshot into s and restores it into pools, as
+// Open does with no WAL behind it.
+func restoreSnapshot(s *Store, data []byte, pools []*core.Pool) error {
+	restore, err := s.loadSnapshot(data, len(pools))
+	if err != nil {
+		return err
+	}
+	return inParallel(len(pools), func(si int) error { return restore(pools[si], si, &shardCounts{}) })
+}
+
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder,
 // seeded with testdata/format1.snap, the format-2 snapshots with whole and
 // fractional money and testdata/format3.snap. Every input must fail with
@@ -255,7 +265,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			for i := range pools {
 				pools[i] = core.NewPool()
 			}
-			if err := s.restoreSnapshot(data, pools); err != nil {
+			if err := restoreSnapshot(s, data, pools); err != nil {
 				if legacyJSON(data) != errors.Is(err, errJSONEra) {
 					t.Fatalf("restoring %d bytes (JSON: %v) failed with %v", len(data), legacyJSON(data), err)
 				}
