@@ -210,12 +210,19 @@ func main() {
 	}
 	defer srv.Close()
 
+	// Both modes serve on one listener, so the log names the bound address
+	// (-addr 127.0.0.1:0 picks a free port).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	hs := server.HTTPServer(*addr, srv, *timeout)
+	errCh := make(chan error, 1)
+	go func() { errCh <- hs.Serve(ln) }()
+	base := "http://" + ln.Addr().String()
 	if !*drive {
-		log.Printf("crowdserve: %d tasks on http://%s (GET /api/task?worker=you, shards=%d, lease=%v, metrics=%v, pprof=%v, data-dir=%q)",
-			served.Len(), *addr, srv.Shards(), *lease, *metrics, *pprofOn, *dataDir)
-		hs := server.HTTPServer(*addr, srv, *timeout)
-		errCh := make(chan error, 1)
-		go func() { errCh <- hs.ListenAndServe() }()
+		log.Printf("crowdserve: %d tasks on %s (GET /api/task?worker=you, shards=%d, lease=%v, metrics=%v, pprof=%v, data-dir=%q)",
+			served.Len(), base, srv.Shards(), *lease, *metrics, *pprofOn, *dataDir)
 		sigCh := make(chan os.Signal, 1)
 		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 		select {
@@ -234,14 +241,11 @@ func main() {
 		return
 	}
 
-	// Self-driving demo: serve on a local listener with handler deadlines,
-	// drive workers, print results.
-	ln := mustListen(*addr)
-	hs := server.HTTPServer(*addr, srv, *timeout)
-	go func() { fatal(hs.Serve(ln)) }()
-	base := "http://" + ln.Addr().String()
+	// Self-driving demo: drive workers against the served pool, print
+	// results.
+	go func() { fatal(<-errCh) }()
 	log.Printf("crowdserve: serving %d tasks on %s, driving %d %s workers (dropout %.0f%%, lease %v)",
-		*nTasks, base, *workers, *regime, 100**dropout, *lease)
+		served.Len(), base, *workers, *regime, 100**dropout, *lease)
 
 	mix, err := crowd.RegimeByName(*regime)
 	if err != nil {
@@ -282,14 +286,6 @@ func main() {
 	}
 	fmt.Printf("OneCoinEM over HTTP: %d/%d correct (%.1f%%)\n",
 		correct, len(results), 100*float64(correct)/float64(len(results)))
-}
-
-func mustListen(addr string) net.Listener {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	return ln
 }
 
 func fatal(err error) {
